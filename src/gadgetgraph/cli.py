@@ -14,7 +14,6 @@ Exit codes: 0 success; 1 a certified inequality failed beyond tolerance
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -26,12 +25,11 @@ from .errors import BoundViolation, ValidationError
 from .forward import certify_forward, coloring_value, forward_translate
 from .games import (
     PriorDistribution,
-    coloring_strategy_to_json,
-    game_strategy_to_json,
     load_coloring_strategy,
     load_game,
     load_game_strategy,
     sync_value,
+    write_strategy_json,
 )
 from .graphs import build_graph, export_graph
 from .instances import (
@@ -85,10 +83,6 @@ def _threads_cap() -> None:
         raise ValidationError(f"GADGETGRAPH_THREADS must be >= 1, got {n}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _out_base(explicit, fallback) -> str:
     return explicit if explicit else str(Path(fallback).with_suffix(""))
 
@@ -124,7 +118,7 @@ def cmd_forward(args) -> int:
     print(f"coloring value: {_fmt(coloring_value(graph, cs).value)}")
     print(_report_line(certify_forward(game, graph, strategy)))
     target = Path(_out_base(args.out, args.strategy) + ".coloring.json")
-    _write_json(target, coloring_strategy_to_json(cs))
+    write_strategy_json(cs, target)
     print(f"wrote {target}")
     return 0
 
@@ -142,7 +136,7 @@ def cmd_reverse(args) -> int:
     value = sync_value(game, gs, PriorDistribution.uniform_questions(game.n)).value
     print(f"game value: {_fmt(value)}")
     target = Path(_out_base(args.out, args.coloring) + ".strategy.json")
-    _write_json(target, game_strategy_to_json(gs))
+    write_strategy_json(gs, target)
     print(f"wrote {target}")
     return 0
 

@@ -399,6 +399,38 @@ def coloring_strategy_to_json(strategy: ColoringStrategy) -> dict:
     return _strategy_payload(strategy.d, strategy.pvms, lambda k: k)
 
 
+# Separators of the indent-2 layout around the floats of one key's matrices.
+_WITHIN_PAIR = ",\n" + " " * 10
+_BETWEEN_PAIRS = "\n        ],\n        [\n          "
+_BETWEEN_MATRICES = "\n        ]\n      ],\n      [\n        [\n          "
+
+
+def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None:
+    """Write a game or coloring strategy as indented, key-sorted JSON.
+
+    The file holds exactly ``json.dumps(<kind>_strategy_to_json(strategy),
+    indent=2, sort_keys=True) + "\\n"``, written one key at a time without
+    building the nested lists.  Validation keeps every entry finite, and
+    ``json`` writes a finite float as ``float.__repr__`` does.
+    """
+    pvms, step = strategy.pvms, strategy.d * strategy.d
+    with open(path, "w") as fh:
+        fh.write('{\n  "d": %s,\n  "pvms": {\n' % json.dumps(strategy.d))
+        # sort_keys orders the str keys, so question "10" precedes "2".
+        for i, key in enumerate(sorted(pvms, key=str)):
+            mats = pvms[key]
+            floats = list(map(float.__repr__, np.stack(mats).view(np.float64).ravel().tolist()))
+            pairs = list(map(_WITHIN_PAIR.join, zip(floats[0::2], floats[1::2])))
+            body = _BETWEEN_MATRICES.join(
+                [_BETWEEN_PAIRS.join(pairs[j:j + step]) for j in range(0, len(pairs), step)]
+            )
+            fh.write(
+                "%s    %s: [\n      [\n        [\n          %s\n        ]\n      ]\n    ]"
+                % (",\n" if i else "", json.dumps(str(key)), body)
+            )
+        fh.write("\n  }\n}\n")
+
+
 def _strategy_parts(payload, what: str):
     if not isinstance(payload, dict) or "d" not in payload or "pvms" not in payload:
         raise ValidationError(f"{what} file must be an object with fields 'd' and 'pvms'")

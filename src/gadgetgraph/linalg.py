@@ -90,7 +90,7 @@ def hermitian_defect(m) -> float:
 def require_hermitian(m, tol: float = TOL_HERMITIAN, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m)
     defect = hermitian_defect(a)
-    if defect > tol:
+    if not defect <= tol:  # written so that a NaN defect fails too
         raise ValidationError(f"{what} is not Hermitian: entrywise defect {defect:.3e} > {tol:.0e}")
     return a
 
@@ -105,11 +105,11 @@ def require_projection(m, tol: float = TOL_PROJECTION, what: str = "matrix") -> 
     """Validate a projection: Hermitian, ||P^2-P||_2 small, spectrum on {0,1}."""
     a = require_hermitian(m, what=what)
     defect = projection_defect(a)
-    if defect > tol:
+    if not defect <= tol:
         raise ValidationError(f"{what} is not a projection: ||P^2-P||_2 = {defect:.3e} > {tol:.0e}")
     eigs = np.linalg.eigvalsh(a)
     off = float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - 1.0)))) if eigs.size else 0.0
-    if off > TOL_EIGENVALUE:
+    if not off <= TOL_EIGENVALUE:
         raise ValidationError(
             f"{what} has an eigenvalue {off:.3e} away from {{0,1}} (tolerance {TOL_EIGENVALUE:.0e})"
         )
@@ -137,7 +137,7 @@ def require_pvm(mats: Sequence[np.ndarray], tol: float = TOL_PVM, what: str = "P
         if m.shape[0] != d:
             raise ValidationError(f"{what} outcome {i + 1} has dimension {m.shape[0]}, expected {d}")
     defect = pvm_defect(out)
-    if defect > tol:
+    if not defect <= tol:
         raise ValidationError(f"{what} defect {defect:.3e} > {tol:.0e}")
     return out
 
@@ -246,20 +246,31 @@ def random_positive_contraction(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def matrix_to_json(m) -> list[list[float]]:
     """Row-major list of [re, im] pairs."""
-    a = as_matrix(m)
-    return [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    return np.ascontiguousarray(as_matrix(m)).view(np.float64).reshape(-1, 2).tolist()
 
 
 def matrix_from_json(data, d: int) -> np.ndarray:
-    """Inverse of matrix_to_json; validates length d*d and pair shape."""
+    """Inverse of matrix_to_json; validates length d*d and pair shape.
+
+    ``data`` is parsed JSON.  It is converted in one pass; only when that
+    pass does not give d*d pairs of numbers is it scanned entry by entry,
+    to name the first bad entry.
+    """
     if not isinstance(data, list) or len(data) != d * d:
         raise ValidationError(f"matrix payload must be a list of {d * d} [re, im] pairs")
-    flat = np.empty(d * d, dtype=np.complex128)
-    for i, pair in enumerate(data):
-        if (not isinstance(pair, list)) or len(pair) != 2:
-            raise ValidationError(f"matrix entry {i} is not an [re, im] pair")
-        re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise ValidationError(f"matrix entry {i} has non-numeric parts")
-        flat[i] = complex(re, im)
-    return flat.reshape(d, d)
+    try:
+        parts = np.array(data)
+    except ValueError:  # ragged entries
+        parts = None
+    if parts is None or parts.shape != (d * d, 2) or parts.dtype.kind not in "biuf":
+        for i, pair in enumerate(data):
+            if (not isinstance(pair, list)) or len(pair) != 2:
+                raise ValidationError(f"matrix entry {i} is not an [re, im] pair")
+            if not all(isinstance(x, (int, float)) for x in pair):
+                raise ValidationError(f"matrix entry {i} has non-numeric parts")
+        # Only integer parts too large for int64 and uint64 get this far.
+        try:
+            parts = np.array(data, dtype=np.float64)
+        except OverflowError:
+            raise ValidationError("matrix payload has a part beyond the float range") from None
+    return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128).reshape(d, d)

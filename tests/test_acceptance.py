@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gadgetgraph
 import helpers
 from gadgetgraph.forward import (
     certify_forward,
@@ -278,6 +279,10 @@ def _run_cli_everywhere(workdir: Path) -> dict:
         "demo": ["demo", "--seed", "11"],
     }
     env = {k: v for k, v in os.environ.items() if k != "GADGETGRAPH_THREADS"}
+    # The child runs in workdir, where a relative PYTHONPATH would not find
+    # the package under test; put the directory it was imported from first.
+    package_root = str(Path(gadgetgraph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     outputs = {}
     for name, argv in commands.items():
         proc = subprocess.run(

@@ -134,6 +134,36 @@ def test_forward_rejects_wrong_strategy(capsys, game_file, tmp_path):
     assert "invalid input" in err
 
 
+def _poison(path, value, whole_block):
+    """Rewrite a strategy file with one entry, or its whole first matrix, set to value."""
+    payload = json.loads(path.read_text())
+    matrix = next(iter(payload["pvms"].values()))[0]
+    for pair in matrix if whole_block else matrix[:1]:
+        pair[0] = value
+    path.write_text(json.dumps(payload))
+    assert json.dumps(value) in path.read_text()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("whole_block", [False, True])
+def test_forward_rejects_non_finite_entries(capsys, game_file, strategy_file, value, whole_block):
+    _poison(strategy_file, value, whole_block)
+    code, out, err = run(capsys, "forward", str(game_file), str(strategy_file))
+    assert code == 2
+    assert "invalid input: game strategy PVM at 1 outcome 1 is not Hermitian" in err
+    assert not (strategy_file.parent / "strategy.coloring.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("whole_block", [False, True])
+def test_reverse_rejects_non_finite_entries(capsys, game_file, coloring_file, value, whole_block):
+    _poison(coloring_file, value, whole_block)
+    code, out, err = run(capsys, "reverse", str(game_file), str(coloring_file))
+    assert code == 2
+    assert "is not Hermitian" in err
+    assert not (coloring_file.parent / "coloring.strategy.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 

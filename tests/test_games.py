@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import (
@@ -19,7 +21,10 @@ from gadgetgraph.games import (
     load_game,
     partition_losing,
     sync_value,
+    write_strategy_json,
 )
+from gadgetgraph.forward import forward_translate
+from gadgetgraph.graphs import build_graph
 from gadgetgraph.instances import (
     deterministic_strategy,
     minimal_game,
@@ -28,7 +33,7 @@ from gadgetgraph.instances import (
     triangle_coloring_game,
     triangle_strategy,
 )
-from gadgetgraph.linalg import normalized_trace
+from gadgetgraph.linalg import normalized_trace, random_pvm
 
 
 SYNCHRONY_1Q = frozenset((a, b, 1, 1) for a in (1, 2, 3) for b in (1, 2, 3) if a != b)
@@ -203,3 +208,66 @@ def test_coloring_strategy_json_round_trip(rng):
     back = coloring_strategy_from_json(coloring_strategy_to_json(cs))
     assert back.vertices == ("A",)
     assert np.array_equal(back.pvms["A"][0], np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# the streaming strategy writer
+
+
+def _indented_reference(strategy) -> str:
+    if isinstance(strategy, GameStrategy):
+        payload = game_strategy_to_json(strategy)
+    else:
+        payload = coloring_strategy_to_json(strategy)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_writer_matches(strategy, path) -> str:
+    write_strategy_json(strategy, path)
+    text = path.read_text()
+    assert text == _indented_reference(strategy)
+    return text
+
+
+def test_writer_sorts_question_keys_as_strings(tmp_path):
+    rng = np.random.default_rng(5)
+    strategy = GameStrategy(d=2, pvms={x: list(random_pvm(rng, 2, 3)) for x in range(1, 13)})
+    text = _assert_writer_matches(strategy, tmp_path / "s.json")
+    assert text.index('"10"') < text.index('"2"')
+
+
+def test_writer_dimension_one(tmp_path):
+    _assert_writer_matches(deterministic_strategy(minimal_game(), (2,)), tmp_path / "s.json")
+
+
+def test_writer_forward_coloring(tmp_path, min_game, min_graph):
+    cs = forward_translate(min_game, min_graph, deterministic_strategy(min_game, (1,)))
+    _assert_writer_matches(cs, tmp_path / "c.json")
+
+
+def test_writer_spells_signed_zero_and_full_precision(tmp_path):
+    c2 = 0.1 + 0.2  # 0.30000000000000004: 17 significant digits
+    cs = math.sqrt(c2 * (1.0 - c2))
+    p = np.array([[c2, cs], [cs, 1.0 - c2]], dtype=np.complex128)
+    e = np.array([[1.0, -0.0], [complex(-0.0, -0.0), 0.0]])
+    z = np.zeros((2, 2))
+    strategy = GameStrategy(d=2, pvms={1: [p, np.eye(2) - p, z], 2: [e, np.eye(2) - e, z]})
+    text = _assert_writer_matches(strategy, tmp_path / "s.json")
+    assert "0.30000000000000004" in text and "-0.0" in text and "1.0" in text
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=3, max_value=4),
+    d=st.integers(min_value=1, max_value=6),
+    names=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_writer_matches_indented_json(tmp_path_factory, n, m, d, names, seed):
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("writer") / "s.json"
+    game_pvms = {x: list(random_pvm(rng, d, m)) for x in range(1, n + 1)}
+    _assert_writer_matches(GameStrategy(d=d, pvms=game_pvms), path)
+    coloring_pvms = {v: list(random_pvm(rng, d, 3)) for v in names}
+    _assert_writer_matches(ColoringStrategy(d=d, pvms=coloring_pvms), path)

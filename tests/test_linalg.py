@@ -151,3 +151,42 @@ def test_matrix_json_round_trip(rng):
 def test_matrix_json_rejects_wrong_length():
     with pytest.raises(ValidationError):
         matrix_from_json([[1.0, 0.0]] * 3, 2)
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ([1.0, 0.0, 0.0, 1.0], "matrix entry 0 is not an \\[re, im\\] pair"),
+        ([[1.0, 0.0], [0.0], [0.0, 0.0], [1.0, 0.0]], "matrix entry 1 is not an \\[re, im\\] pair"),
+        ([[1.0, 0.0, 0.0]] * 4, "matrix entry 0 is not an \\[re, im\\] pair"),
+        ([[1.0, 0.0], [0.0, 0.0], {"re": 0.0}, [1.0, 0.0]], "matrix entry 2 is not an \\[re, im\\] pair"),
+    ],
+)
+def test_matrix_json_rejects_non_pair_entry(data, message):
+    with pytest.raises(ValidationError, match=message):
+        matrix_from_json(data, 2)
+
+
+@pytest.mark.parametrize("part", ["1.0", None, [1.0]])
+def test_matrix_json_rejects_non_numeric_parts(part):
+    data = [[1.0, 0.0], [0.0, 0.0], [0.0, part], [1.0, 0.0]]
+    with pytest.raises(ValidationError, match="matrix entry 2 has non-numeric parts"):
+        matrix_from_json(data, 2)
+
+
+def test_matrix_json_takes_integer_and_boolean_parts():
+    back = matrix_from_json([[1, 0], [False, 2**64], [0.5, -3], [True, 0]], 2)
+    assert np.array_equal(back, np.array([[1, 2.0**64 * 1j], [0.5 - 3j, 1]]))
+    with pytest.raises(ValidationError, match="beyond the float range"):
+        matrix_from_json([[1, 0], [0, 10**400], [0, 0], [1, 0]], 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_validation_rejects_non_finite_entries(bad, where):
+    p = np.diag([1.0, 0.0]).astype(np.complex128)
+    p[where] = bad
+    with pytest.raises(ValidationError):
+        require_hermitian(p)
+    with pytest.raises(ValidationError):
+        require_pvm([p, identity(2) - p])
