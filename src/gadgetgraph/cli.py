@@ -7,8 +7,8 @@ scores cuts and unitary labelings, and ``demo`` walks a small end-to-end
 tour.  Everything is deterministic given the inputs and ``--seed``; floats
 are printed with 12 significant digits.
 
-Exit codes: 0 success; 1 a certified inequality failed beyond tolerance
-(a bug signal, not bad input); 2 input validation.
+Exit codes: 0 success; 1 a certified inequality or an internal invariant
+failed (a bug signal, not bad input); 2 input validation.
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ def _report_line(rep) -> str:
 
 
 def _threads_cap() -> None:
-    """Validate GADGETGRAPH_THREADS.  All pipelines currently run on one
-    thread, which respects any cap >= 1; the variable is still checked so
-    a typo fails loudly instead of silently doing nothing."""
+    """Validate GADGETGRAPH_THREADS so that a typo fails loudly.  The value
+    limits nothing: numpy's BLAS pool follows OPENBLAS_NUM_THREADS."""
     raw = os.environ.get("GADGETGRAPH_THREADS")
     if raw is None:
         return
@@ -286,6 +285,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ from .games import (
     PriorDistribution,
     SyncGame,
     ValueReport,
+    _prebuilt,
     edge_loss_probability,
     sync_value,
 )
@@ -184,9 +185,10 @@ def forward_translate(
     if unassigned:
         raise AssertionError(f"vertices never assigned: {unassigned[:5]}")
 
+    # The one PVM check of the output, tighter than the constructor's.
     for name in graph.vertices:
         require_pvm(assignments[name], tol=FORWARD_PVM_TOL, what=f"coloring PVM at {name}")
-    return ColoringStrategy(d=d, pvms={name: list(assignments[name]) for name in graph.vertices})
+    return _prebuilt(ColoringStrategy, d, {name: assignments[name] for name in graph.vertices})
 
 
 def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:

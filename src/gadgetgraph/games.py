@@ -167,33 +167,41 @@ class PriorDistribution:
 # strategies
 
 
-def _freeze_pvm_family(pvms, d: int, what: str):
-    """Validate and freeze a {key: list-of-matrices} family; returns a dict.
+def _freeze(pvms) -> dict:
+    """Write-lock a {key: complex128 arrays} family in place, as tuples with
+    keys sorted, so a strategy cannot be edited behind our back."""
+    frozen = {key: tuple(pvms[key]) for key in sorted(pvms)}
+    for mats in frozen.values():
+        for m in mats:
+            m.setflags(write=False)
+    return frozen
 
-    Every family member must be a PVM of the same outcome count in dimension
-    d.  Arrays are copied and marked read-only so a frozen strategy cannot be
-    edited in place behind our back.
-    """
+
+def _freeze_pvm_family(pvms, d: int, what: str):
+    """Validate a {key: list-of-matrices} family, every member a PVM of the
+    same outcome count in dimension d, and freeze copies of it into a dict."""
     if not isinstance(d, int) or d < 1:
         raise ValidationError(f"dimension must be a positive integer, got {d!r}")
     if not pvms:
         raise ValidationError(f"{what} has no PVMs")
-    frozen = {}
-    outcome_counts = set()
-    for key in sorted(pvms):
-        mats = require_pvm(
-            [as_matrix(m, d) for m in pvms[key]], what=f"{what} PVM at {key!r}"
-        )
-        outcome_counts.add(len(mats))
-        copies = []
-        for m in mats:
-            c = m.copy()
-            c.setflags(write=False)
-            copies.append(c)
-        frozen[key] = tuple(copies)
+    checked = {
+        key: require_pvm([as_matrix(m, d).copy() for m in pvms[key]], what=f"{what} PVM at {key!r}")
+        for key in sorted(pvms)
+    }
+    outcome_counts = {len(mats) for mats in checked.values()}
     if len(outcome_counts) != 1:
         raise ValidationError(f"{what} mixes outcome counts {sorted(outcome_counts)}")
-    return frozen
+    return _freeze(checked)
+
+
+def _prebuilt(cls, d: int, pvms: dict):
+    """A ``cls`` strategy from PVMs the package built out of validated ones,
+    not checked again.  Outside data goes through the validating constructor
+    instead.  The arrays are handed over: they are write-locked, not copied."""
+    strategy = object.__new__(cls)
+    object.__setattr__(strategy, "d", d)
+    object.__setattr__(strategy, "pvms", _freeze(pvms))
+    return strategy
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .games import GameStrategy, PriorDistribution, coloring_game, sync_value
+from .games import GameStrategy, PriorDistribution, _prebuilt, coloring_game, sync_value
 from .linalg import as_matrix, identity, normalized_trace, require_pvm, two_norm
 from .rounding import InequalityReport
 
@@ -312,8 +312,9 @@ def roots_identity_check(g: SimpleGraph, fam: OrderKUnitaryFamily) -> Inequality
         gap = abs(lhs - rhs)
         if gap > worst:
             worst, worst_label = gap, f"edge ({u},{v})"
-    strategy = GameStrategy(
-        d=fam.d, pvms={v: list(spectral[v]) for v in range(1, g.n_vertices + 1)}
+    # pvm_from_unitary has validated every spectral PVM.
+    strategy = _prebuilt(
+        GameStrategy, fam.d, {v: spectral[v] for v in range(1, g.n_vertices + 1)}
     )
     game_value = sync_value(
         coloring_game(g.edges, g.n_vertices),
@@ -346,8 +347,9 @@ def value_bridge(g: SimpleGraph) -> InequalityReport:
         return report.require()
     game = coloring_game(g.edges, n)
     prior = PriorDistribution.uniform_edges(g.edges)
-    one = np.eye(1)
-    zero = np.zeros((1, 1))
+    # Exact 0/1 labelings are PVMs by construction.
+    one = np.eye(1, dtype=np.complex128)
+    zero = np.zeros((1, 1), dtype=np.complex128)
     best = 0.0
     for code in range(3**n):
         labels = []
@@ -355,12 +357,10 @@ def value_bridge(g: SimpleGraph) -> InequalityReport:
         for _ in range(n):
             labels.append(rest % 3 + 1)
             rest //= 3
-        strategy = GameStrategy(
-            d=1,
-            pvms={
-                x: [one if a == labels[x - 1] else zero for a in (1, 2, 3)]
-                for x in range(1, n + 1)
-            },
+        strategy = _prebuilt(
+            GameStrategy,
+            1,
+            {x: [one if a == labels[x - 1] else zero for a in (1, 2, 3)] for x in range(1, n + 1)},
         )
         best = max(best, sync_value(game, strategy, prior).value)
     return InequalityReport(

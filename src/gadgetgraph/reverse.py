@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BoundViolation, ValidationError
 from .forward import coloring_value
-from .games import ColoringStrategy, GameStrategy, SyncGame
+from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt
 from .graphs import DELTA, GadgetGraph, vhat
 from .linalg import commutator, identity, require_positive_contraction, two_norm
 from .rounding import PERM3, InequalityReport, perturb_pvm
@@ -74,7 +74,8 @@ def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> Colori
                 stacked[lo:lo + d, lo:lo + d] = mats[perm[c - 1] - 1]
             out.append(stacked)
         pvms[name] = out
-    result = ColoringStrategy(d=big, pvms=pvms)
+    # Each block is a validated input PVM, so the defects are the input's.
+    result = _prebuilt(ColoringStrategy, big, pvms)
     if graph is not None:
         _require_coverage(graph, cs)
         before = coloring_value(graph, cs).value
@@ -416,9 +417,10 @@ def reverse_translate(
     pvms = {}
     for x in range(1, game.n + 1):
         ops = _question_sandwiches(graph, sym, cc, x, m)
-        total = sum(ops)
-        top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().T))[-1])
-        log.info("question %d: sandwich sum max eigenvalue %.12g", x, top)
+        if log.isEnabledFor(logging.INFO):
+            total = sum(ops)
+            top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().T))[-1])
+            log.info("question %d: sandwich sum max eigenvalue %.12g", x, top)
         rounded = perturb_pvm(ops)
         pvms[x] = [
             sum(rounded[(a - 1) * len(PERM3) + r] for r in range(len(PERM3)))

@@ -92,6 +92,17 @@ def test_compile_malformed_game(capsys, tmp_path):
     assert "missing field" in err
 
 
+def test_broken_invariant_exits_1_without_traceback(capsys, monkeypatch, game_file):
+    def broken(game):
+        raise AssertionError("vertex v(1,1,1,1) registered twice")
+
+    monkeypatch.setattr("gadgetgraph.cli.build_graph", broken)
+    code, out, err = run(capsys, "compile", str(game_file))
+    assert code == 1
+    assert err == "internal error: vertex v(1,1,1,1) registered twice\n"
+    assert "Traceback" not in out + err
+
+
 # ---------------------------------------------------------------------------
 # forward / reverse round trip
 

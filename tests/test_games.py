@@ -1,25 +1,30 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gadgetgraph import forward, games, maxcut, reverse
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import (
     ColoringStrategy,
     GameStrategy,
     PriorDistribution,
     SyncGame,
+    _prebuilt,
     coloring_game,
     coloring_strategy_from_json,
     coloring_strategy_to_json,
     game_strategy_from_json,
     game_strategy_to_json,
     game_to_json,
+    load_coloring_strategy,
     load_game,
     partition_losing,
+    save_coloring_strategy,
     sync_value,
     write_strategy_json,
 )
@@ -29,11 +34,14 @@ from gadgetgraph.instances import (
     deterministic_strategy,
     minimal_game,
     random_game,
+    random_order3_family,
     random_strategy,
     triangle_coloring_game,
     triangle_strategy,
 )
 from gadgetgraph.linalg import normalized_trace, random_pvm
+from gadgetgraph.maxcut import SimpleGraph, cycle_graph, roots_identity_check, value_bridge
+from gadgetgraph.reverse import symmetrize
 
 
 SYNCHRONY_1Q = frozenset((a, b, 1, 1) for a in (1, 2, 3) for b in (1, 2, 3) if a != b)
@@ -135,10 +143,20 @@ def test_coloring_strategy_needs_three_outcomes():
         ColoringStrategy(d=1, pvms={"A": [np.eye(1), np.zeros((1, 1))]})
 
 
-def test_strategy_matrices_are_write_locked(min_game):
+def test_strategy_matrices_are_write_locked(min_game, min_graph):
     strategy = deterministic_strategy(min_game, (1,))
-    with pytest.raises(ValueError):
-        strategy.pvms[1][0][0, 0] = 5.0
+    coloring = forward_translate(min_game, min_graph, strategy)
+    one = np.eye(1, dtype=np.complex128)
+    GameStrategy(d=1, pvms={1: [one, 0 * one, 0 * one]})
+    assert one.flags.writeable  # the validating constructor copies
+    prebuilt = _prebuilt(GameStrategy, 1, {1: [one, 0 * one, 0 * one]})
+    # The validating constructor, then the unchecked path of the package's
+    # own producers: forward translation, symmetrization, and a direct call.
+    for s, key in ((strategy, 1), (coloring, "A"), (symmetrize(coloring), "A"), (prebuilt, 1)):
+        assert all(isinstance(mats, tuple) for mats in s.pvms.values())
+        with pytest.raises(ValueError):
+            s.pvms[key][0][0, 0] = 5.0
+    assert not one.flags.writeable  # handed over, not copied
 
 
 def test_perfect_minimal_value(min_game):
@@ -271,3 +289,65 @@ def test_writer_matches_indented_json(tmp_path_factory, n, m, d, names, seed):
     _assert_writer_matches(GameStrategy(d=d, pvms=game_pvms), path)
     coloring_pvms = {v: list(random_pvm(rng, d, 3)) for v in names}
     _assert_writer_matches(ColoringStrategy(d=d, pvms=coloring_pvms), path)
+
+
+# ---------------------------------------------------------------------------
+# validate once: package-built strategies skip the constructor's re-check
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=3, max_value=5),
+    d=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_unchecked_strategies_pass_the_validating_constructor(n, m, d, seed):
+    # Every strategy the four producers build unchecked is handed to the full
+    # validating constructor as well, which must accept it and freeze the
+    # same arrays: the skipped check could not have failed.
+    built = []
+
+    def validating(cls, dim, pvms):
+        checked, unchecked = cls(d=dim, pvms=pvms), _prebuilt(cls, dim, pvms)
+        assert list(checked.pvms) == list(unchecked.pvms)
+        for key, mats in checked.pvms.items():
+            assert all(np.array_equal(a, b) for a, b in zip(mats, unchecked.pvms[key], strict=True))
+        built.append(cls)
+        return unchecked
+
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, n, m)
+    coloring = ColoringStrategy(d=d, pvms={f"v{i}": list(random_pvm(rng, d, 3)) for i in range(4)})
+    edges = {(1, 2)} | {e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5}
+    g = SimpleGraph(m, tuple(sorted(edges)))
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (forward, reverse, maxcut):
+            mp.setattr(module, "_prebuilt", validating)
+        forward_translate(game, build_graph(game), random_strategy(rng, game, d))
+        symmetrize(coloring)
+        value_bridge(g)
+        roots_identity_check(g, random_order3_family(rng, g, d))
+    assert built == [ColoringStrategy] * 2 + [GameStrategy] * (3**m + 1)
+
+
+def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_game, min_graph):
+    strategy = random_strategy(np.random.default_rng(3), min_game, 3)
+    coloring = forward_translate(min_game, min_graph, strategy)
+    save_coloring_strategy(coloring, tmp_path / "c.json")
+    calls, real = [], games.require_pvm
+
+    def counting(mats, *args, **kwargs):
+        calls.append(len(mats))
+        return real(mats, *args, **kwargs)
+
+    monkeypatch.setattr(games, "require_pvm", counting)
+    monkeypatch.setattr(forward, "require_pvm", counting)
+    forward_translate(min_game, min_graph, strategy)
+    assert len(calls) == min_graph.n_vertices  # forward's own loop, nothing more
+    calls.clear()
+    symmetrize(coloring)
+    value_bridge(cycle_graph(5))
+    assert calls == []
+    load_coloring_strategy(tmp_path / "c.json")
+    assert len(calls) == len(coloring.pvms)  # the loader still checks every key
