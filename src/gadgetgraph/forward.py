@@ -35,8 +35,8 @@ from .games import (
     sync_value,
 )
 from .graphs import ROOK_PAIRS, GadgetGraph, v_name
-from .linalg import identity, pvm_defect, require_pvm, zero
-from .rounding import InequalityReport, perturb_two
+from .linalg import identity, pvm_defect, require_pvm, trace_product, zero
+from .rounding import InequalityReport, _perturb_checked_two
 
 FORWARD_PVM_TOL = 1e-10
 
@@ -107,7 +107,7 @@ def _ortho_colors(strategy: GameStrategy, tup, kind: str):
     one, z = identity(strategy.d), zero(strategy.d)
     e_a = strategy.pvms[x][a - 1]
     e_b = strategy.pvms[y][b - 1]
-    g = perturb_two(e_a, e_b)
+    g = _perturb_checked_two(e_a, e_b)
     rest = one - e_a - g
 
     j1 = ((e_a, z, one - e_a), (rest, e_b, e_a), (g, one - e_b, z))
@@ -196,7 +196,9 @@ def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:
 
     Equal to 1 minus the average same-color mass per edge; summing each
     unordered edge once at weight 1/|E| agrees with summing both orders at
-    1/(2|E|) because the trace is symmetric in the two projections.
+    1/(2|E|) because the trace is symmetric in the two projections.  Each
+    edge costs three O(d^2) trace contractions (``edge_loss_probability``),
+    read straight off the strategy's arrays without gathering them.
     """
     missing = [v for v in graph.vertices if v not in cs.pvms]
     if missing:
@@ -241,9 +243,7 @@ def ortho_gadget_losses(
         edges = [(ortho.cells[c1], ortho.cells[c2]) for c1, c2 in ROOK_PAIRS]
         edges.append(("A", ortho.cells[(3, 3)]))
         loss = fsum(edge_loss_probability(cs.pvms[u], cs.pvms[v]) for u, v in edges)
-        p = float(
-            np.trace(strategy.pvms[x][a - 1] @ strategy.pvms[y][b - 1]).real
-        ) / strategy.d
+        p = trace_product(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1])
         out.append(GadgetLoss(tup=ortho.tup, kind=ortho.kind, loss=loss, probability=p))
     return tuple(out)
 

@@ -26,8 +26,8 @@ from .linalg import (
     as_matrix,
     matrix_from_json,
     matrix_to_json,
-    normalized_trace,
     require_pvm,
+    trace_product,
 )
 
 QUESTION_PRIOR = "uniform-on-questions"
@@ -280,6 +280,10 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
     the complementary terms, one per losing tuple in the prior's support, so
     ``1 - value == lost_mass`` is an identity checkable to machine precision
     rather than something baked in by construction.
+
+    Every overlap tr(E_a^x E_b^y)/d comes out of one GEMM over the strategy
+    stacked as (n, m, d, d): tr(A B) = sum_ij A_ij B_ji is the inner product
+    of A's entries with those of B transposed.
     """
     if strategy.outcomes != game.m:
         raise ValidationError(
@@ -288,16 +292,19 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
     missing = [x for x in range(1, game.n + 1) if x not in strategy.pvms]
     if missing:
         raise ValidationError(f"strategy missing questions {missing}")
+    n, m, d = game.n, game.m, strategy.d
+    stack = np.array([strategy.pvms[x] for x in range(1, n + 1)])
+    gram = stack.reshape(n * m, d * d) @ stack.transpose(0, 1, 3, 2).reshape(n * m, d * d).T
+    overlaps = (gram.real / d).reshape(n, m, n, m).tolist()
     win_terms = []
     losses = []
     for (x, y), w in prior.weights:
-        if not (1 <= x <= game.n and 1 <= y <= game.n):
-            raise ValidationError(f"prior supports ({x},{y}) outside 1..{game.n}")
-        ex = strategy.pvms[x]
-        ey = strategy.pvms[y]
-        for a in range(1, game.m + 1):
-            for b in range(1, game.m + 1):
-                p = normalized_trace(ex[a - 1] @ ey[b - 1])
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValidationError(f"prior supports ({x},{y}) outside 1..{n}")
+        for a in range(1, m + 1):
+            row = overlaps[x - 1][a - 1][y - 1]
+            for b in range(1, m + 1):
+                p = row[b - 1]
                 if (a, b, x, y) in game.losing:
                     losses.append(LossEntry((a, b, x, y), w, p))
                 else:
@@ -306,8 +313,9 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
 
 
 def edge_loss_probability(p_u, p_v) -> float:
-    """Same-color probability sum_c tr(P_{c,u} P_{c,v})/d across one edge."""
-    return fsum(normalized_trace(p_u[c] @ p_v[c]) for c in range(len(p_u)))
+    """Same-color probability sum_c tr(P_{c,u} P_{c,v})/d across one edge,
+    each overlap in O(d^2) without forming the product."""
+    return fsum(map(trace_product, p_u, p_v))
 
 
 # ---------------------------------------------------------------------------

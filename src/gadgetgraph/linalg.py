@@ -51,6 +51,15 @@ def normalized_trace(m) -> float:
     return float(np.trace(a).real) / a.shape[0]
 
 
+def trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """tr(a b)/d as a real number, without forming the product.
+
+    Contracts sum_ij a_ij b_ji in O(d^2) where ``normalized_trace(a @ b)``
+    costs a d-by-d matmul.  The imaginary part is discarded, as there.
+    """
+    return float(np.einsum("ij,ji->", a, b).real) / a.shape[0]
+
+
 def two_norm(m) -> float:
     """Trace 2-norm (tr(m* m)/d)^(1/2); the identity has norm 1.
 
@@ -84,7 +93,11 @@ def zero(d: int) -> np.ndarray:
 def hermitian_defect(m) -> float:
     """Largest entrywise deviation |m - m*|."""
     a = as_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if not a.size:
+        return 0.0
+    # An infinite entry gives inf - inf = NaN here, which the callers reject.
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(a - a.conj().T)))
 
 
 def require_hermitian(m, tol: float = TOL_HERMITIAN, what: str = "matrix") -> np.ndarray:
@@ -145,12 +158,16 @@ def require_pvm(mats: Sequence[np.ndarray], tol: float = TOL_PVM, what: str = "P
 def require_positive_contraction(m, tol: float = TOL_SPECTRUM, what: str = "matrix") -> np.ndarray:
     """Validate 0 <= m <= 1 up to the clamp window (spectrum in [-tol, 1+tol])."""
     a = require_hermitian(m, what=what)
-    eigs = np.linalg.eigvalsh(a)
+    _require_spectrum_window(np.linalg.eigvalsh(a), tol, what)
+    return a
+
+
+def _require_spectrum_window(eigs: np.ndarray, tol: float, what: str) -> None:
+    """Raise unless the ascending eigenvalues ``eigs`` lie in [-tol, 1+tol]."""
     if eigs.size and (eigs[0] < -tol or eigs[-1] > 1.0 + tol):
         raise ValidationError(
             f"{what} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] leaves [0,1] beyond tolerance {tol:.0e}"
         )
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +182,9 @@ def spectral_projection_half(m) -> np.ndarray:
     is closed on the left, so ties go up. The output B satisfies the certified
     distance bound ||m - B||_2 <= 2*sqrt(2)*||m - m^2||_2, which is asserted.
     """
-    a = require_positive_contraction(m, what="spectral_projection_half input")
+    a = require_hermitian(m, what="spectral_projection_half input")
     eigs, vecs = np.linalg.eigh(a)
+    _require_spectrum_window(eigs, TOL_SPECTRUM, "spectral_projection_half input")
     eigs = np.clip(eigs, 0.0, 1.0)
     keep = eigs >= 0.5
     b = (vecs[:, keep] @ vecs[:, keep].conj().T).astype(np.complex128)

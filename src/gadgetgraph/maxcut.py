@@ -22,8 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .games import GameStrategy, PriorDistribution, _prebuilt, coloring_game, sync_value
-from .linalg import as_matrix, identity, normalized_trace, require_pvm, two_norm
+from .games import (
+    GameStrategy,
+    PriorDistribution,
+    _prebuilt,
+    coloring_game,
+    edge_loss_probability,
+    sync_value,
+)
+from .linalg import as_matrix, identity, require_pvm, trace_product, two_norm
 from .rounding import InequalityReport
 
 #: Spectrum/order tolerance for unitary families.
@@ -243,8 +250,7 @@ def unitary_cut_value(g: SimpleGraph, fam: OrderKUnitaryFamily) -> float:
     terms = []
     for u, v in g.edges:
         overlap = math.fsum(
-            normalized_trace(powers[u][s] @ powers[v][s].conj().T)
-            for s in range(fam.k)
+            trace_product(powers[u][s], powers[v][s].conj().T) for s in range(fam.k)
         )
         terms.append(1.0 - overlap / fam.k)
     return math.fsum(terms)
@@ -300,15 +306,8 @@ def roots_identity_check(g: SimpleGraph, fam: OrderKUnitaryFamily) -> Inequality
     worst = 0.0
     worst_label = "no edge"
     for u, v in g.edges:
-        lhs = (
-            math.fsum(
-                normalized_trace(powers[u][s] @ powers[v][s].conj().T) for s in range(3)
-            )
-            / 3.0
-        )
-        rhs = math.fsum(
-            normalized_trace(spectral[u][a] @ spectral[v][a]) for a in range(3)
-        )
+        lhs = math.fsum(trace_product(powers[u][s], powers[v][s].conj().T) for s in range(3)) / 3.0
+        rhs = edge_loss_probability(spectral[u], spectral[v])
         gap = abs(lhs - rhs)
         if gap > worst:
             worst, worst_label = gap, f"edge ({u},{v})"

@@ -235,8 +235,14 @@ def perturb_two(a, b) -> np.ndarray:
     """
     pa = require_projection(a, what="first projection")
     pb = require_projection(b, what="second projection")
-    d = _common_dim([pa, pb])
-    comp = identity(d) - pa
+    _common_dim([pa, pb])
+    return _perturb_checked_two(pa, pb)
+
+
+def _perturb_checked_two(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """``perturb_two`` on projections of one dimension that the package has
+    already validated, such as two outcomes of a ``GameStrategy``."""
+    comp = identity(pa.shape[0]) - pa
     out = spectral_projection_half(comp @ pb @ comp)
     ortho = two_norm(pa @ out)
     if ortho > 1e-10:

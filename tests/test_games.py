@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gadgetgraph import forward, games, maxcut, reverse
+from gadgetgraph import forward, games, maxcut, reverse, rounding
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import (
     ColoringStrategy,
@@ -351,3 +351,20 @@ def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_
     assert calls == []
     load_coloring_strategy(tmp_path / "c.json")
     assert len(calls) == len(coloring.pvms)  # the loader still checks every key
+
+
+def test_forward_rounds_strategy_outcomes_without_rechecking_them(
+    monkeypatch, rng, min_game, min_graph
+):
+    strategy = random_strategy(rng, min_game, 3)
+    calls, real = [], rounding.require_projection
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(rounding, "require_projection", counting)
+    forward_translate(min_game, min_graph, strategy)
+    assert calls == []  # the strategy's outcomes were validated when it was built
+    rounding.perturb_two(strategy.pvms[1][0], strategy.pvms[1][2])
+    assert len(calls) == 2  # the public entry point still checks both inputs

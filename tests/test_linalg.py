@@ -123,6 +123,25 @@ def test_spectral_projection_half_respects_distance_bound(rng):
         assert two_norm(a - b) <= 2.0 * math.sqrt(2.0) * two_norm(a - a @ a) + 1e-9
 
 
+def test_spectral_projection_half_decomposes_once(monkeypatch, rng):
+    # One eigh gives both the window check and the projection; eigvalsh
+    # would be a second decomposition of the same matrix.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    for _ in range(10):
+        a = random_positive_contraction(rng, 6)
+        eigs, vecs = np.linalg.eigh(a)
+        keep = np.clip(eigs, 0.0, 1.0) >= 0.5
+        expected = vecs[:, keep] @ vecs[:, keep].conj().T
+        assert np.array_equal(spectral_projection_half(a), (expected + expected.conj().T) / 2.0)
+    window = r"spectral_projection_half input spectrum \[.*\] leaves \[0,1\] beyond tolerance 1e-09"
+    for bad in ([0.0, 0.5, 1.0 + 1e-6], [-1e-6, 0.5, 1.0]):
+        with pytest.raises(ValidationError, match=window):
+            spectral_projection_half(np.diag(bad))
+
+
 def test_haar_unitary_is_unitary(rng):
     u = haar_unitary(rng, 5)
     assert np.allclose(u @ u.conj().T, identity(5), atol=1e-12)
