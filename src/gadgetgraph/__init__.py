@@ -21,7 +21,7 @@ from .games import (
     sync_value,
 )
 from .graphs import GadgetGraph, build_graph, edge_count_formula, export_graph
-from .linalg import normalized_trace, require_pvm, two_norm
+from .linalg import require_pvm, two_norm
 from .maxcut import (
     OrderKUnitaryFamily,
     SimpleGraph,
@@ -75,7 +75,6 @@ __all__ = [
     "load_game_strategy",
     "load_simple_graph",
     "max3cut_bruteforce",
-    "normalized_trace",
     "perturb_pvm",
     "perturb_two",
     "pvm_from_unitary",

@@ -31,10 +31,11 @@ from .games import (
     SyncGame,
     ValueReport,
     _prebuilt,
+    _require_strategy_fits,
     edge_loss_probability,
     sync_value,
 )
-from .graphs import ROOK_PAIRS, GadgetGraph, v_name
+from .graphs import ROOK_PAIRS, GadgetGraph, q_name, v_name
 from .linalg import identity, pvm_defect, require_pvm, trace_product, zero
 from .rounding import InequalityReport, _perturb_checked_two
 
@@ -125,13 +126,7 @@ def _ortho_colors(strategy: GameStrategy, tup, kind: str):
 def _check_inputs(game: SyncGame, graph: GadgetGraph, strategy: GameStrategy) -> float:
     if graph.game != game:
         raise ValidationError("graph was built from a different game")
-    if strategy.outcomes != game.m:
-        raise ValidationError(
-            f"strategy has {strategy.outcomes}-outcome PVMs, game has m={game.m}"
-        )
-    missing = [x for x in range(1, game.n + 1) if x not in strategy.pvms]
-    if missing:
-        raise ValidationError(f"strategy missing questions {missing}")
+    _require_strategy_fits(game, strategy)
     return max(pvm_defect(strategy.pvms[x]) for x in range(1, game.n + 1))
 
 
@@ -178,8 +173,7 @@ def forward_translate(
     for ortho in graph.orthos:
         cells = _ortho_colors(strategy, ortho.tup, ortho.kind)
         for (i, j), colors in sorted(cells.items()):
-            raw = f"q({i},{j},{ortho.tup[0]},{ortho.tup[1]},{ortho.tup[2]},{ortho.tup[3]})"
-            put(raw, colors, exact=False)
+            put(q_name(i, j, ortho.tup), colors, exact=False)
 
     unassigned = [v for v in graph.vertices if v not in assignments]
     if unassigned:

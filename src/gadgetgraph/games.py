@@ -8,8 +8,8 @@ silently, so a game file is its own complete record.  All indices are
 
 The module also houses the two priors used everywhere (uniform on question
 pairs, uniform on the ordered edges of a graph), finite-dimensional
-projective strategies, and the synchronous value of a game against a
-strategy and prior.
+projective strategies with their file format (one writer, one loader per
+kind), and the synchronous value of a game against a strategy and prior.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (
-    as_matrix,
-    matrix_from_json,
-    matrix_to_json,
-    require_pvm,
-    trace_product,
-)
+from .linalg import as_matrix, require_pvm, trace_product
 
 QUESTION_PRIOR = "uniform-on-questions"
 EDGE_PRIOR = "uniform-on-edges"
@@ -273,6 +267,18 @@ class ValueReport:
         return fsum(e.weight * e.probability for e in self.losses)
 
 
+def _require_strategy_fits(game: SyncGame, strategy: GameStrategy) -> None:
+    """Raise unless the strategy answers every question of the game with
+    m-outcome PVMs."""
+    if strategy.outcomes != game.m:
+        raise ValidationError(
+            f"strategy has {strategy.outcomes}-outcome PVMs, game has m={game.m}"
+        )
+    missing = [x for x in range(1, game.n + 1) if x not in strategy.pvms]
+    if missing:
+        raise ValidationError(f"strategy missing questions {missing}")
+
+
 def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution) -> ValueReport:
     """Synchronous value: prior-weighted winning probability of the strategy.
 
@@ -285,13 +291,7 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
     stacked as (n, m, d, d): tr(A B) = sum_ij A_ij B_ji is the inner product
     of A's entries with those of B transposed.
     """
-    if strategy.outcomes != game.m:
-        raise ValidationError(
-            f"strategy has {strategy.outcomes}-outcome PVMs, game has m={game.m}"
-        )
-    missing = [x for x in range(1, game.n + 1) if x not in strategy.pvms]
-    if missing:
-        raise ValidationError(f"strategy missing questions {missing}")
+    _require_strategy_fits(game, strategy)
     n, m, d = game.n, game.m, strategy.d
     stack = np.array([strategy.pvms[x] for x in range(1, n + 1)])
     gram = stack.reshape(n * m, d * d) @ stack.transpose(0, 1, 3, 2).reshape(n * m, d * d).T
@@ -400,21 +400,6 @@ def save_game(game: SyncGame, path) -> None:
     Path(path).write_text(json.dumps(game_to_json(game), sort_keys=True) + "\n")
 
 
-def _strategy_payload(d: int, pvms, key_str) -> dict:
-    out = {}
-    for key in sorted(pvms):
-        out[key_str(key)] = [matrix_to_json(m) for m in pvms[key]]
-    return {"d": d, "pvms": out}
-
-
-def game_strategy_to_json(strategy: GameStrategy) -> dict:
-    return _strategy_payload(strategy.d, strategy.pvms, str)
-
-
-def coloring_strategy_to_json(strategy: ColoringStrategy) -> dict:
-    return _strategy_payload(strategy.d, strategy.pvms, lambda k: k)
-
-
 # Separators of the indent-2 layout around the floats of one key's matrices.
 _WITHIN_PAIR = ",\n" + " " * 10
 _BETWEEN_PAIRS = "\n        ],\n        [\n          "
@@ -424,10 +409,11 @@ _BETWEEN_MATRICES = "\n        ]\n      ],\n      [\n        [\n          "
 def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None:
     """Write a game or coloring strategy as indented, key-sorted JSON.
 
-    The file holds exactly ``json.dumps(<kind>_strategy_to_json(strategy),
-    indent=2, sort_keys=True) + "\\n"``, written one key at a time without
-    building the nested lists.  Validation keeps every entry finite, and
-    ``json`` writes a finite float as ``float.__repr__`` does.
+    The file holds exactly ``json.dumps({"d": d, "pvms": {str(key): [matrix,
+    ...]}}, indent=2, sort_keys=True) + "\\n"``, each matrix a row-major list
+    of [re, im] pairs, written one key at a time without building the nested
+    lists.  Validation keeps every entry finite, and ``json`` writes a
+    finite float as ``float.__repr__`` does.
     """
     pvms, step = strategy.pvms, strategy.d * strategy.d
     with open(path, "w") as fh:
@@ -447,7 +433,40 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
         fh.write("\n  }\n}\n")
 
 
-def _strategy_parts(payload, what: str):
+def matrix_from_json(data, d: int) -> np.ndarray:
+    """A d-by-d complex matrix from parsed JSON: a row-major list of d*d
+    [re, im] pairs, as ``write_strategy_json`` writes them.
+
+    ``data`` is converted in one pass; only when that pass does not give
+    d*d pairs of numbers is it scanned entry by entry, to name the first
+    bad entry.
+    """
+    if not isinstance(data, list) or len(data) != d * d:
+        raise ValidationError(f"matrix payload must be a list of {d * d} [re, im] pairs")
+    try:
+        parts = np.array(data)
+    except ValueError:  # ragged entries
+        parts = None
+    if parts is None or parts.shape != (d * d, 2) or parts.dtype.kind not in "biuf":
+        for i, pair in enumerate(data):
+            if (not isinstance(pair, list)) or len(pair) != 2:
+                raise ValidationError(f"matrix entry {i} is not an [re, im] pair")
+            if not all(isinstance(x, (int, float)) for x in pair):
+                raise ValidationError(f"matrix entry {i} has non-numeric parts")
+        # Only integer parts too large for int64 and uint64 get this far.
+        try:
+            parts = np.array(data, dtype=np.float64)
+        except OverflowError:
+            raise ValidationError("matrix payload has a part beyond the float range") from None
+    return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128).reshape(d, d)
+
+
+def _load_strategy_parts(path, what: str):
+    """The dimension and {key: matrices} of a strategy file, in any JSON layout."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "d" not in payload or "pvms" not in payload:
         raise ValidationError(f"{what} file must be an object with fields 'd' and 'pvms'")
     d = payload["d"]
@@ -464,8 +483,8 @@ def _strategy_parts(payload, what: str):
     return d, parsed
 
 
-def game_strategy_from_json(payload) -> GameStrategy:
-    d, parsed = _strategy_parts(payload, "game strategy")
+def load_game_strategy(path) -> GameStrategy:
+    d, parsed = _load_strategy_parts(path, "game strategy")
     pvms = {}
     for key, mats in parsed.items():
         try:
@@ -476,29 +495,6 @@ def game_strategy_from_json(payload) -> GameStrategy:
     return GameStrategy(d=d, pvms=pvms)
 
 
-def coloring_strategy_from_json(payload) -> ColoringStrategy:
-    d, parsed = _strategy_parts(payload, "coloring strategy")
-    return ColoringStrategy(d=d, pvms=parsed)
-
-
-def load_game_strategy(path) -> GameStrategy:
-    return game_strategy_from_json(_load_json(path, "game strategy"))
-
-
 def load_coloring_strategy(path) -> ColoringStrategy:
-    return coloring_strategy_from_json(_load_json(path, "coloring strategy"))
-
-
-def _load_json(path, what: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file is not valid JSON: {exc}") from None
-
-
-def save_game_strategy(strategy: GameStrategy, path) -> None:
-    Path(path).write_text(json.dumps(game_strategy_to_json(strategy), sort_keys=True) + "\n")
-
-
-def save_coloring_strategy(strategy: ColoringStrategy, path) -> None:
-    Path(path).write_text(json.dumps(coloring_strategy_to_json(strategy), sort_keys=True) + "\n")
+    d, parsed = _load_strategy_parts(path, "coloring strategy")
+    return ColoringStrategy(d=d, pvms=parsed)

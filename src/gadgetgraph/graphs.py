@@ -19,7 +19,7 @@ return a graph that breaks the identity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
 from .games import SyncGame, partition_losing
@@ -174,20 +174,6 @@ class EdgeCountReport:
     duplicates_by_source: dict
     symmetric_rest_pairs: int
     realized: int
-
-    def to_json(self) -> dict:
-        return {
-            "block_term": self.block_term,
-            "e_term": self.e_term,
-            "f_term": self.f_term,
-            "rest_term": self.rest_term,
-            "formula": self.formula,
-            "delta_correction": self.delta_correction,
-            "duplicate_slots": self.duplicate_slots,
-            "duplicates_by_source": dict(sorted(self.duplicates_by_source.items())),
-            "symmetric_rest_pairs": self.symmetric_rest_pairs,
-            "realized": self.realized,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +421,7 @@ def graph_to_json(graph: GadgetGraph) -> dict:
         "vertices": list(graph.vertices),
         "edges": [[u, v] for u, v in graph.edges],
         "gadgets": gadgets,
-        "edge_count_report": graph.report.to_json(),
+        "edge_count_report": asdict(graph.report),
     }
 
 

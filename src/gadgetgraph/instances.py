@@ -125,8 +125,8 @@ def perfect_labels(game: SyncGame, graph: GadgetGraph, strategy: GameStrategy) -
 
 
 def basis_lift(labels: dict, d: int = 3) -> ColoringStrategy:
-    """Lift a proper coloring to dimension d >= 3: color c at vertex v
-    projects onto coordinate (c + label(v)) mod 3, so neighbors with
+    """Lift a proper coloring to dimension d >= 3: at vertex v, coordinate i
+    carries the color c with i = c + label(v) (mod 3), so neighbors with
     different labels never share a coordinate for the same color."""
     if d < 3:
         raise ValidationError(f"the lift needs dimension >= 3, got {d}")
@@ -134,15 +134,8 @@ def basis_lift(labels: dict, d: int = 3) -> ColoringStrategy:
     for v, label in labels.items():
         if label not in (1, 2, 3):
             raise ValidationError(f"label {label!r} at {v!r} is not a color")
-        mats = []
-        for c in (1, 2, 3):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[(c + label) % 3, (c + label) % 3] = 1.0
-            mats.append(e)
-        # Park the surplus dimensions on color 1 so the family still sums to 1.
-        for extra in range(3, d):
-            mats[0][extra, extra] = 1.0
-        pvms[v] = mats
+        colors = (np.arange(d) - label) % 3
+        pvms[v] = [np.diag((colors == c % 3).astype(np.complex128)) for c in (1, 2, 3)]
     return ColoringStrategy(d=d, pvms=pvms)
 
 

@@ -4,8 +4,8 @@ Everything downstream measures operators in the trace 2-norm
 ``||A||_2 = (tr(A*A)/d)^(1/2)``, normalized so the identity has norm 1.
 Matrices are plain complex numpy arrays; this module supplies the norms,
 validation predicates (Hermitian / projection / PVM, with the tolerances the
-rest of the package relies on), spectral projections, seeded random
-generators for test instances, and the JSON wire format for matrices.
+rest of the package relies on), spectral projections, and seeded random
+generators for test instances.
 
 Dimensions stay desk-scale (d <= 64), so everything is dense and eigh-based.
 """
@@ -41,21 +41,12 @@ def as_matrix(m, d: int | None = None) -> np.ndarray:
     return a
 
 
-def normalized_trace(m) -> float:
-    """tr(m)/d as a real number.
-
-    The imaginary part is discarded; for the Hermitian operators and
-    projection products used here it is zero up to rounding.
-    """
-    a = as_matrix(m)
-    return float(np.trace(a).real) / a.shape[0]
-
-
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """tr(a b)/d as a real number, without forming the product.
 
-    Contracts sum_ij a_ij b_ji in O(d^2) where ``normalized_trace(a @ b)``
-    costs a d-by-d matmul.  The imaginary part is discarded, as there.
+    Contracts sum_ij a_ij b_ji in O(d^2) where forming ``a @ b`` costs a
+    d-by-d matmul.  The imaginary part is discarded; for the Hermitian
+    operators and projection products used here it is zero up to rounding.
     """
     return float(np.einsum("ij,ji->", a, b).real) / a.shape[0]
 
@@ -67,11 +58,6 @@ def two_norm(m) -> float:
     """
     a = as_matrix(m)
     return float(np.linalg.norm(a)) / math.sqrt(a.shape[0])
-
-
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(m), 2))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,39 +242,3 @@ def random_positive_contraction(rng: np.random.Generator, d: int) -> np.ndarray:
     diag = rng.uniform(0.0, 1.0, size=d)
     a = (u * diag) @ u.conj().T
     return (a + a.conj().T) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# wire format
-
-
-def matrix_to_json(m) -> list[list[float]]:
-    """Row-major list of [re, im] pairs."""
-    return np.ascontiguousarray(as_matrix(m)).view(np.float64).reshape(-1, 2).tolist()
-
-
-def matrix_from_json(data, d: int) -> np.ndarray:
-    """Inverse of matrix_to_json; validates length d*d and pair shape.
-
-    ``data`` is parsed JSON.  It is converted in one pass; only when that
-    pass does not give d*d pairs of numbers is it scanned entry by entry,
-    to name the first bad entry.
-    """
-    if not isinstance(data, list) or len(data) != d * d:
-        raise ValidationError(f"matrix payload must be a list of {d * d} [re, im] pairs")
-    try:
-        parts = np.array(data)
-    except ValueError:  # ragged entries
-        parts = None
-    if parts is None or parts.shape != (d * d, 2) or parts.dtype.kind not in "biuf":
-        for i, pair in enumerate(data):
-            if (not isinstance(pair, list)) or len(pair) != 2:
-                raise ValidationError(f"matrix entry {i} is not an [re, im] pair")
-            if not all(isinstance(x, (int, float)) for x in pair):
-                raise ValidationError(f"matrix entry {i} has non-numeric parts")
-        # Only integer parts too large for int64 and uint64 get this far.
-        try:
-            parts = np.array(data, dtype=np.float64)
-        except OverflowError:
-            raise ValidationError("matrix payload has a part beyond the float range") from None
-    return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128).reshape(d, d)

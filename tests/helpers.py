@@ -7,11 +7,19 @@ points the opposite way from the builder's smallest-key representative.
 Agreement with the builder is therefore evidence, not a tautology.
 """
 
+import numpy as np
+
 from gadgetgraph.graphs import q_name, s_name, t_name, v_name, vhat
 
 #: Filled by the acceptance tests; conftest prints one line per entry
 #: after the run so the verdicts survive pytest's output capture.
 ACCEPTANCE_RESULTS = []
+
+
+def reference_tau(a, b) -> float:
+    """tr(a b)/d by forming the product, as a reference for the O(d^2)
+    trace kernels."""
+    return float(np.trace(a @ b).real) / a.shape[0]
 
 
 def rook_adjacent(c1, c2) -> bool:

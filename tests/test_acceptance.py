@@ -28,10 +28,9 @@ from gadgetgraph.forward import (
 )
 from gadgetgraph.games import (
     PriorDistribution,
-    save_coloring_strategy,
     save_game,
-    save_game_strategy,
     sync_value,
+    write_strategy_json,
 )
 from gadgetgraph.graphs import build_graph
 from gadgetgraph.instances import (
@@ -265,10 +264,8 @@ def _run_cli_everywhere(workdir: Path) -> dict:
     graph = build_graph(game)
     strategy = deterministic_strategy(game, (1,))
     save_game(game, workdir / "game.json")
-    save_game_strategy(strategy, workdir / "strategy.json")
-    save_coloring_strategy(
-        forward_translate(game, graph, strategy), workdir / "coloring.json"
-    )
+    write_strategy_json(strategy, workdir / "strategy.json")
+    write_strategy_json(forward_translate(game, graph, strategy), workdir / "coloring.json")
     (workdir / "triangle.txt").write_text("1 2\n2 3\n1 3\n")
     commands = {
         "compile": ["compile", "game.json", "--format", "both"],

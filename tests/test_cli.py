@@ -6,9 +6,8 @@ from gadgetgraph.cli import main
 from gadgetgraph.games import (
     load_coloring_strategy,
     load_game_strategy,
-    save_coloring_strategy,
     save_game,
-    save_game_strategy,
+    write_strategy_json,
 )
 from gadgetgraph.instances import deterministic_strategy, minimal_game
 from gadgetgraph.forward import forward_translate
@@ -25,7 +24,7 @@ def game_file(tmp_path):
 @pytest.fixture()
 def strategy_file(tmp_path):
     target = tmp_path / "strategy.json"
-    save_game_strategy(deterministic_strategy(minimal_game(), (1,)), target)
+    write_strategy_json(deterministic_strategy(minimal_game(), (1,)), target)
     return target
 
 
@@ -35,7 +34,7 @@ def coloring_file(tmp_path):
     graph = build_graph(game)
     cs = forward_translate(game, graph, deterministic_strategy(game, (1,)))
     target = tmp_path / "coloring.json"
-    save_coloring_strategy(cs, target)
+    write_strategy_json(cs, target)
     return target
 
 
@@ -139,7 +138,7 @@ def test_forward_rejects_wrong_strategy(capsys, game_file, tmp_path):
         losing=frozenset((a, b, 1, 1) for a in range(1, 5) for b in range(1, 5) if a != b),
     )
     target = tmp_path / "wide.json"
-    save_game_strategy(deterministic_strategy(wide, (1,)), target)
+    write_strategy_json(deterministic_strategy(wide, (1,)), target)
     code, _, err = run(capsys, "forward", str(game_file), str(target))
     assert code == 2
     assert "invalid input" in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import reference_tau
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.forward import (
     FORWARD_FACTOR,
@@ -24,7 +25,6 @@ from gadgetgraph.instances import (
     random_strategy,
     triangle_strategy,
 )
-from gadgetgraph.linalg import normalized_trace
 
 
 def sync_only_game(m: int) -> SyncGame:
@@ -109,7 +109,7 @@ def test_ortho_gadget_losses_accounting(rng, min_game, min_graph):
     assert sorted(g.tup for g in losses) == [(1, 3, 1, 1), (3, 1, 1, 1)]
     for gadget in losses:
         a, b, x, y = gadget.tup
-        expected_p = normalized_trace(strategy.pvms[x][a - 1] @ strategy.pvms[y][b - 1])
+        expected_p = reference_tau(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1])
         assert gadget.probability == pytest.approx(expected_p, abs=1e-12)
         assert gadget.loss >= -1e-12
         gadget.report.require(tol=1e-9)

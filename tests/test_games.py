@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_tau
 from gadgetgraph import forward, games, maxcut, reverse, rounding
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import (
@@ -16,15 +17,11 @@ from gadgetgraph.games import (
     SyncGame,
     _prebuilt,
     coloring_game,
-    coloring_strategy_from_json,
-    coloring_strategy_to_json,
-    game_strategy_from_json,
-    game_strategy_to_json,
     game_to_json,
     load_coloring_strategy,
     load_game,
+    load_game_strategy,
     partition_losing,
-    save_coloring_strategy,
     sync_value,
     write_strategy_json,
 )
@@ -39,7 +36,7 @@ from gadgetgraph.instances import (
     triangle_coloring_game,
     triangle_strategy,
 )
-from gadgetgraph.linalg import normalized_trace, random_pvm
+from gadgetgraph.linalg import random_pvm
 from gadgetgraph.maxcut import SimpleGraph, cycle_graph, roots_identity_check, value_bridge
 from gadgetgraph.reverse import symmetrize
 
@@ -183,7 +180,7 @@ def test_sync_identity_same_question(rng):
     strategy = random_strategy(rng, game, 4)
     for a in range(3):
         for b in range(3):
-            p = normalized_trace(strategy.pvms[1][a] @ strategy.pvms[1][b])
+            p = reference_tau(strategy.pvms[1][a], strategy.pvms[1][b])
             if a != b:
                 assert abs(p) < 1e-12
             else:
@@ -208,22 +205,24 @@ def test_triangle_strategy_is_perfect(tri_game):
     assert report.value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_game_strategy_json_round_trip(rng):
+def test_game_strategy_json_round_trip(rng, tmp_path):
     game = minimal_game()
     strategy = random_strategy(rng, game, 3)
-    back = game_strategy_from_json(game_strategy_to_json(strategy))
+    write_strategy_json(strategy, tmp_path / "s.json")
+    back = load_game_strategy(tmp_path / "s.json")
     assert back.d == 3
     for x in strategy.pvms:
         for a, mat in enumerate(strategy.pvms[x]):
             assert np.array_equal(back.pvms[x][a], mat)
 
 
-def test_coloring_strategy_json_round_trip(rng):
+def test_coloring_strategy_json_round_trip(rng, tmp_path):
     cs = ColoringStrategy(
         d=2,
         pvms={"A": [np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]},
     )
-    back = coloring_strategy_from_json(coloring_strategy_to_json(cs))
+    write_strategy_json(cs, tmp_path / "c.json")
+    back = load_coloring_strategy(tmp_path / "c.json")
     assert back.vertices == ("A",)
     assert np.array_equal(back.pvms["A"][0], np.eye(2))
 
@@ -233,11 +232,13 @@ def test_coloring_strategy_json_round_trip(rng):
 
 
 def _indented_reference(strategy) -> str:
-    if isinstance(strategy, GameStrategy):
-        payload = game_strategy_to_json(strategy)
-    else:
-        payload = coloring_strategy_to_json(strategy)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # The file format spelled out with the json module: each matrix a
+    # row-major list of [re, im] pairs, keys as strings.
+    pvms = {
+        str(key): [np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist() for m in mats]
+        for key, mats in strategy.pvms.items()
+    }
+    return json.dumps({"d": strategy.d, "pvms": pvms}, indent=2, sort_keys=True) + "\n"
 
 
 def _assert_writer_matches(strategy, path) -> str:
@@ -334,7 +335,7 @@ def test_unchecked_strategies_pass_the_validating_constructor(n, m, d, seed):
 def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_game, min_graph):
     strategy = random_strategy(np.random.default_rng(3), min_game, 3)
     coloring = forward_translate(min_game, min_graph, strategy)
-    save_coloring_strategy(coloring, tmp_path / "c.json")
+    write_strategy_json(coloring, tmp_path / "c.json")
     calls, real = [], games.require_pvm
 
     def counting(mats, *args, **kwargs):

@@ -92,7 +92,7 @@ def _regenerate() -> None:
     import contextlib
     import io
 
-    from gadgetgraph.games import save_coloring_strategy, save_game, save_game_strategy
+    from gadgetgraph.games import save_game, write_strategy_json
     from gadgetgraph.graphs import build_graph
     from gadgetgraph.instances import (
         deterministic_strategy,
@@ -105,10 +105,10 @@ def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     game = minimal_game()
     save_game(game, GOLDEN / "game.json")
-    save_game_strategy(random_strategy(np.random.default_rng(7), game, 2), GOLDEN / "strategy.json")
+    write_strategy_json(random_strategy(np.random.default_rng(7), game, 2), GOLDEN / "strategy.json")
     labels = perfect_labels(game, build_graph(game), deterministic_strategy(game, (2,)))
     twisted = twisted_colorings(labels, (0.05,), seed=5, d=3)[0.05]
-    save_coloring_strategy(twisted, GOLDEN / "coloring.json")
+    write_strategy_json(twisted, GOLDEN / "coloring.json")
     (GOLDEN / "graph.txt").write_text("# a 5-cycle with one chord\n1 2\n2 3\n3 4\n4 5\n5 1\n1 3\n")
     os.chdir(GOLDEN)
     for case, (argv, _) in CASES.items():

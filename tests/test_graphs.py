@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ def test_no_duplicate_edges(tri_graph):
 def test_json_export_schema(min_graph):
     payload = json.loads(export_graph(min_graph, "json"))
     assert sorted(payload) == ["edge_count_report", "edges", "gadgets", "vertices"]
-    assert payload["edge_count_report"] == min_graph.report.to_json()
+    assert payload["edge_count_report"] == asdict(min_graph.report)
     assert len(payload["vertices"]) == 25
     assert len(payload["edges"]) == 62
     assert payload["gadgets"]["delta"] == ["A", "B", "C"]

@@ -30,6 +30,15 @@ def perfect_coloring(game, graph, answers=(2,)):
     return forward_translate(game, graph, deterministic_strategy(game, answers))
 
 
+def game_labels(which, request):
+    """(game, graph, proper labels) of the minimal or the triangle game."""
+    if which == "minimal":
+        game, graph = request.getfixturevalue("min_game"), request.getfixturevalue("min_graph")
+        return game, graph, perfect_labels(game, graph, deterministic_strategy(game, (2,)))
+    game, graph = request.getfixturevalue("tri_game"), request.getfixturevalue("tri_graph")
+    return game, graph, perfect_labels(game, graph, triangle_strategy())
+
+
 # ---------------------------------------------------------------------------
 # symmetrization
 
@@ -195,6 +204,33 @@ def test_commutator_lhs_shrinks_with_the_twist(min_game, min_graph):
             r.lhs for r in reports if r.context.startswith("sandwich commutator")
         )
     assert worst[0.02] <= worst[0.2] + 1e-12
+
+
+@pytest.mark.parametrize("which", ["minimal", "triangle"])
+@pytest.mark.parametrize("d", [3, 4, 8, 16])
+def test_basis_lift_is_proper_at_every_dimension(which, d, request):
+    # Neighbors never share a coordinate for the same color, surplus
+    # dimensions included, so no edge loses any mass.
+    _, graph, labels = game_labels(which, request)
+    assert coloring_value(graph, basis_lift(labels, d=d)).value == 1.0
+
+
+@pytest.mark.parametrize("which", ["minimal", "triangle"])
+def test_twist_sweep_recovers_the_game_at_d8(which, request):
+    # The reverse theorem above d = 3: a coloring that loses eps yields a
+    # game strategy that loses at most h(n,m) eps^(1/2), which here falls to
+    # zero (up to rounding) once the twist is small.
+    game, graph, labels = game_labels(which, request)
+    prior = PriorDistribution.uniform_questions(game.n)
+    losses = []
+    for theta, cs in twisted_colorings(labels, (0.1, 0.03, 0.01), seed=5, d=8).items():
+        for report in certify_reverse_lemmas(game, graph, cs):
+            if not math.isinf(report.rhs):
+                assert report.slack >= -1e-9, (theta, report.context)
+        strategy = reverse_translate(game, graph, cs)
+        losses.append(1.0 - sync_value(game, strategy, prior).value)
+    assert all(later <= earlier + 1e-12 for earlier, later in zip(losses, losses[1:]))
+    assert abs(losses[1]) <= 1e-12 and abs(losses[2]) <= 1e-12  # theta <= 0.03
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_tau
 from gadgetgraph.forward import coloring_value
 from gadgetgraph.games import PriorDistribution, edge_loss_probability, sync_value
 from gadgetgraph.instances import (
@@ -33,10 +34,6 @@ from gadgetgraph.maxcut import (
 )
 
 TOL = 1e-12
-
-
-def reference_tau(a, b) -> float:
-    return float(np.trace(a @ b).real) / a.shape[0]
 
 
 def reference_sync_value(game, strategy, prior):
