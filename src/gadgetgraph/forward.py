@@ -35,7 +35,7 @@ from .games import (
     edge_loss_probability,
     sync_value,
 )
-from .graphs import ROOK_PAIRS, GadgetGraph, q_name, v_name
+from .graphs import ROOK_PAIRS, GadgetGraph
 from .linalg import identity, pvm_defect, require_pvm, trace_product, zero
 from .rounding import InequalityReport, _perturb_checked_two
 
@@ -140,10 +140,9 @@ def forward_translate(
     # input family's sum-to-identity defect; wiring bugs show up at order 1.
     cross_tol = max(1e-12, 4.0 * np.sqrt(d) * input_defect)
 
-    assignments = {}
+    assignments = {"A": (one, z, z), "B": (z, one, z), "C": (z, z, one)}
 
-    def put(raw_name: str, colors, exact: bool) -> None:
-        name = graph.resolve(raw_name)
+    def put(name: str, colors, gadget: str, cell, exact: bool) -> None:
         stored = assignments.get(name)
         if stored is None:
             assignments[name] = tuple(colors)
@@ -155,25 +154,23 @@ def forward_translate(
                 ok = float(np.max(np.abs(old - new))) <= cross_tol
             if not ok:
                 raise ValidationError(
-                    f"gluing inconsistency at {name} (via {raw_name}, color {c + 1}): "
+                    f"gluing inconsistency at {name} ({gadget}, cell {cell}, color {c + 1}): "
                     "two gadgets assign different operators"
                 )
 
-    put("A", (one, z, z), exact=True)
-    put("B", (z, one, z), exact=True)
-    put("C", (z, z, one), exact=True)
-
     for block in graph.blocks:
-        cells, t1, t3 = _block_colors(strategy, block.alpha, block.x)
-        for (i, j), colors in sorted(cells.items()):
-            put(v_name(i, j, block.alpha, block.x), colors, exact=True)
-        put(block.t1, t1, exact=True)
-        put(block.t3, t3, exact=True)
+        colors, t1, t3 = _block_colors(strategy, block.alpha, block.x)
+        gadget = f"block alpha={block.alpha} x={block.x}"
+        for cell, name in block.cells.items():
+            put(name, colors[cell], gadget, cell, exact=True)
+        put(block.t1, t1, gadget, "t1", exact=True)
+        put(block.t3, t3, gadget, "t3", exact=True)
 
     for ortho in graph.orthos:
-        cells = _ortho_colors(strategy, ortho.tup, ortho.kind)
-        for (i, j), colors in sorted(cells.items()):
-            put(q_name(i, j, ortho.tup), colors, exact=False)
+        colors = _ortho_colors(strategy, ortho.tup, ortho.kind)
+        gadget = "orthogonality ({},{},{},{})".format(*ortho.tup)
+        for cell, name in ortho.cells.items():
+            put(name, colors[cell], gadget, cell, exact=False)
 
     unassigned = [v for v in graph.vertices if v not in assignments]
     if unassigned:
@@ -249,9 +246,9 @@ def certify_forward(
     most 356 n^2 / |E| times the game strategy's loss.  Asserted."""
     cs = forward_translate(game, graph, strategy)
     lhs = 1.0 - coloring_value(graph, cs).value
-    game_loss = 1.0 - sync_value(
-        game, strategy, PriorDistribution.uniform_questions(game.n)
-    ).value
+    value = sync_value(game, strategy, PriorDistribution.uniform_questions(game.n)).value
+    # A value rounded above 1 would make the bound negative; a loss is >= 0.
+    game_loss = max(0.0, 1.0 - value)
     rhs = (FORWARD_FACTOR * game.n * game.n / graph.n_edges) * game_loss
     return InequalityReport(
         f"forward value transfer (n={game.n}, edges={graph.n_edges})", lhs, rhs

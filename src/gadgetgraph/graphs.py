@@ -3,10 +3,12 @@
 The graph is assembled from a fixed control triangle {A, B, C}, one 3-by-3
 rook's-graph block per (answer-window, question) pair with a prism on top,
 one orthogonality gadget per losing tuple with endpoint or interior answer
-pairs, and one direct edge per remaining losing tuple.  Gluings (shared
-vertices between gadgets) are declared as identifications and resolved by
-union-find to a canonical representative, so every later stage addresses
-vertices by one stable name.
+pairs, and one direct edge per remaining losing tuple.  Each gluing (a
+vertex shared between gadgets) sends a fresh gadget cell onto a vertex
+declared before it, whose canonical vertex has a smaller sort key than the
+cell.  That vertex therefore stays the smallest-key member of the merged
+class, so each name resolves by one lookup when it is declared, and every
+later stage addresses vertices by one stable name.
 
 Edge accounting is kept honest: every slot the construction *mentions* is
 inserted through a counter that records which slots landed on an edge that
@@ -66,53 +68,16 @@ def vhat(a: int, x: int, m: int) -> str:
     return v_name(2, 1, a - 1, x)
 
 
-def _rook_pairs():
-    cells = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-    pairs = []
-    for idx, c1 in enumerate(cells):
-        for c2 in cells[idx + 1:]:
-            if (c1[0] == c2[0]) != (c1[1] == c2[1]):
-                pairs.append((c1, c2))
-    return tuple(pairs)
-
+#: The nine cells of a 3x3 gadget, row-major.
+_CELLS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 
 #: The 18 adjacent cell pairs of a 3x3 rook's graph: same row xor same column.
-ROOK_PAIRS = _rook_pairs()
-
-
-class _Gluer:
-    """Union-find over vertex names.
-
-    The canonical representative of each class is the member with the
-    smallest structured key; keys are chosen so control letters beat block
-    cells, which beat prism tops, which beat gadget cells and aliases.
-    """
-
-    def __init__(self):
-        self.parent = {}
-        self.key = {}
-
-    def add(self, name: str, key: tuple) -> None:
-        if name in self.parent:
-            raise AssertionError(f"vertex {name} registered twice")
-        self.parent[name] = name
-        self.key[name] = key
-
-    def find(self, name: str) -> str:
-        root = name
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[name] != root:
-            self.parent[name], name = root, self.parent[name]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.key[rb] < self.key[ra]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+ROOK_PAIRS = tuple(
+    (c1, c2)
+    for idx, c1 in enumerate(_CELLS)
+    for c2 in _CELLS[idx + 1:]
+    if (c1[0] == c2[0]) != (c1[1] == c2[1])
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,10 +171,11 @@ class GadgetGraph:
             raise ValidationError(f"unknown vertex name {name!r}") from None
 
     def block(self, alpha: int, x: int) -> BlockHandle:
-        for b in self.blocks:
-            if b.alpha == alpha and b.x == x:
-                return b
-        raise ValidationError(f"no block with alpha={alpha}, x={x}")
+        """The block (alpha, x); ``blocks`` is x-major and alpha-minor."""
+        per_x = self.game.m - 2
+        if not (1 <= alpha <= per_x and 1 <= x <= self.game.n):
+            raise ValidationError(f"no block with alpha={alpha}, x={x}")
+        return self.blocks[(x - 1) * per_x + alpha - 1]
 
 
 def edge_count_formula(game: SyncGame) -> int:
@@ -226,81 +192,104 @@ def edge_count_formula(game: SyncGame) -> int:
 def build_graph(game: SyncGame) -> GadgetGraph:
     part = partition_losing(game)
     n, m = game.n, game.m
-    gluer = _Gluer()
+    # Every gluing sends a fresh cell onto a vertex declared before it whose
+    # canonical vertex has a smaller key than the cell: a control letter, an
+    # answer cell vhat, a block's row-1 cell (under s(j)) or the previous
+    # block's v(3,2).  So each class is one canonical vertex plus aliases with
+    # larger keys, and its smallest-key member is known when a name is declared.
+    resolution = {}  # every declared name -> its canonical vertex
+    # Sort keys, canonical vertices only: control letters (0, ...) before
+    # block cells (1, ...), prism tops (2, ...) and gadget cells (3, ...).
+    key = {}
 
-    for idx, letter in enumerate(DELTA):
-        gluer.add(letter, (0, idx))
+    def declare(name: str, k: tuple) -> str:
+        if name in resolution:
+            raise AssertionError(f"vertex {name} registered twice")
+        resolution[name] = name
+        key[name] = k
+        return name
 
-    for x in range(1, n + 1):
-        for alpha in range(1, m - 1):
-            for i in (1, 2, 3):
-                for j in (1, 2, 3):
-                    gluer.add(v_name(i, j, alpha, x), (1, x, alpha, i, j))
-            for i in (1, 2, 3):
-                gluer.add(t_name(i, alpha, x), (2, x, alpha, i))
-            for j in (1, 2, 3):
-                gluer.add(s_name(j, alpha, x), (4, x, alpha, j))
-                gluer.union(s_name(j, alpha, x), v_name(1, j, alpha, x))
-            gluer.union(v_name(1, 2, alpha, x), "B")
-            gluer.union(t_name(2, alpha, x), "A")
-        for alpha in range(1, m - 2):
-            gluer.union(v_name(3, 2, alpha, x), v_name(1, 1, alpha + 1, x))
+    def glue(name: str, target: str) -> str:
+        if target not in resolution:
+            raise AssertionError(f"{name} is glued to {target}, which is not declared yet")
+        if name in resolution:
+            raise AssertionError(f"vertex {name} registered twice")
+        canonical = resolution[name] = resolution[target]
+        return canonical
 
-    for kind, tuples in (("e", part.e_set), ("f", part.f_set)):
-        for tup in tuples:
-            a, b, x, y = tup
-            for i in (1, 2, 3):
-                for j in (1, 2, 3):
-                    gluer.add(q_name(i, j, tup), (3, x, y, a, b, i, j))
-            gluer.union(q_name(1, 1, tup), vhat(a, x, m))
-            gluer.union(q_name(2, 2, tup), vhat(b, y, m))
-            gluer.union(q_name(1, 2, tup), "B" if kind == "e" else "C")
+    def gadget(names, head: tuple, glued: dict) -> dict:
+        """Declare one 3x3 gadget's cells; ``glued`` maps a cell to its target."""
+        cells = {}
+        for cell, name in zip(_CELLS, names):
+            target = glued.get(cell)
+            cells[cell] = declare(name, head + cell) if target is None else glue(name, target)
+        return cells
 
-    edges = {}
+    edges = set()
     dup_counter = Counter()
 
-    def slot(u_raw: str, v_raw: str, source: str) -> None:
-        u, v = gluer.find(u_raw), gluer.find(v_raw)
+    def slot(u: str, v: str, source: str) -> None:
         if u == v:
-            raise AssertionError(f"slot {u_raw}~{v_raw} collapsed to a self-loop at {u}")
-        pair = (u, v) if gluer.key[u] < gluer.key[v] else (v, u)
+            raise AssertionError(f"{source} slot collapsed to a self-loop at {u}")
+        pair = (u, v) if key[u] < key[v] else (v, u)
         if pair in edges:
             dup_counter[source] += 1
         else:
-            edges[pair] = source
+            edges.add(pair)
 
+    for idx, letter in enumerate(DELTA):
+        declare(letter, (0, idx))
     slot("A", "B", "delta")
     slot("B", "C", "delta")
     slot("A", "C", "delta")
 
+    blocks = []
     for x in range(1, n + 1):
         for alpha in range(1, m - 1):
+            glued = {(1, 2): "B"}
+            if alpha > 1:
+                glued[(1, 1)] = blocks[-1].cells[(3, 2)]
+            cells = gadget([v_name(i, j, alpha, x) for i, j in _CELLS], (1, x, alpha), glued)
+            t1 = declare(t_name(1, alpha, x), (2, x, alpha, 1))
+            glue(t_name(2, alpha, x), "A")
+            t3 = declare(t_name(3, alpha, x), (2, x, alpha, 3))
+            for j in (1, 2, 3):
+                glue(s_name(j, alpha, x), cells[(1, j)])
+            blocks.append(BlockHandle(alpha=alpha, x=x, cells=cells, t1=t1, t3=t3))
             for c1, c2 in ROOK_PAIRS:
-                slot(v_name(*c1, alpha, x), v_name(*c2, alpha, x), "gadget_block")
-            slot("C", v_name(2, 1, alpha, x), "gadget_block")
-            slot("A", v_name(3, 3, alpha, x), "gadget_block")
-            # Prism atop row 1: top triangle plus the two non-control rungs.
-            # The middle rung s(2)~t(2) resolves to B~A and is not a slot.
-            slot(t_name(1, alpha, x), t_name(2, alpha, x), "gadget_block")
-            slot(t_name(2, alpha, x), t_name(3, alpha, x), "gadget_block")
-            slot(t_name(1, alpha, x), t_name(3, alpha, x), "gadget_block")
-            slot(s_name(1, alpha, x), t_name(1, alpha, x), "gadget_block")
-            slot(s_name(3, alpha, x), t_name(3, alpha, x), "gadget_block")
+                slot(cells[c1], cells[c2], "gadget_block")
+            slot("C", cells[(2, 1)], "gadget_block")
+            slot("A", cells[(3, 3)], "gadget_block")
+            # Prism atop row 1: top triangle t1, t2 = A, t3 plus the two
+            # non-control rungs.  The middle rung s(2)~t(2) is B~A, not a slot.
+            slot(t1, "A", "gadget_block")
+            slot("A", t3, "gadget_block")
+            slot(t1, t3, "gadget_block")
+            slot(cells[(1, 1)], t1, "gadget_block")
+            slot(cells[(1, 3)], t3, "gadget_block")
 
-    for tuples in (part.e_set, part.f_set):
+    orthos = []
+    for kind, tuples in (("e", part.e_set), ("f", part.f_set)):
+        hub = "B" if kind == "e" else "C"
         for tup in tuples:
+            a, b, x, y = tup
+            glued = {(1, 1): vhat(a, x, m), (1, 2): hub, (2, 2): vhat(b, y, m)}
+            cells = gadget([q_name(i, j, tup) for i, j in _CELLS], (3, x, y, a, b), glued)
+            orthos.append(OrthoHandle(tup=tup, kind=kind, cells=cells))
             for c1, c2 in ROOK_PAIRS:
-                slot(q_name(*c1, tup), q_name(*c2, tup), "orthogonality_gadget")
-            slot("A", q_name(3, 3, tup), "orthogonality_gadget")
+                slot(cells[c1], cells[c2], "orthogonality_gadget")
+            slot("A", cells[(3, 3)], "orthogonality_gadget")
 
     rest_edges = []
     for tup in part.rest:
         a, b, x, y = tup
-        u, v = gluer.find(vhat(a, x, m)), gluer.find(vhat(b, y, m))
+        u, v = resolution[vhat(a, x, m)], resolution[vhat(b, y, m)]
         slot(u, v, "direct_edge")
         rest_edges.append((tup, (u, v)))
 
-    formula = edge_count_formula(game)
+    block_term = 25 * n * (m - 2)
+    e_term, f_term, rest_term = 19 * len(part.e_set), 19 * len(part.f_set), len(part.rest)
+    formula = block_term + e_term + f_term + rest_term
     duplicate_slots = sum(dup_counter.values())
     realized = len(edges)
     if realized != formula + 3 - duplicate_slots:
@@ -317,10 +306,10 @@ def build_graph(game: SyncGame) -> GadgetGraph:
     )
 
     report = EdgeCountReport(
-        block_term=25 * n * (m - 2),
-        e_term=19 * len(part.e_set),
-        f_term=19 * len(part.f_set),
-        rest_term=len(part.rest),
+        block_term=block_term,
+        e_term=e_term,
+        f_term=f_term,
+        rest_term=rest_term,
         formula=formula,
         delta_correction=3,
         duplicate_slots=duplicate_slots,
@@ -329,49 +318,19 @@ def build_graph(game: SyncGame) -> GadgetGraph:
         realized=realized,
     )
 
-    blocks = []
-    for x in range(1, n + 1):
-        for alpha in range(1, m - 1):
-            cells = {
-                (i, j): gluer.find(v_name(i, j, alpha, x))
-                for i in (1, 2, 3)
-                for j in (1, 2, 3)
-            }
-            blocks.append(
-                BlockHandle(
-                    alpha=alpha,
-                    x=x,
-                    cells=cells,
-                    t1=t_name(1, alpha, x),
-                    t3=t_name(3, alpha, x),
-                )
-            )
-
-    orthos = []
-    for kind, tuples in (("e", part.e_set), ("f", part.f_set)):
-        for tup in tuples:
-            cells = {
-                (i, j): gluer.find(q_name(i, j, tup))
-                for i in (1, 2, 3)
-                for j in (1, 2, 3)
-            }
-            orthos.append(OrthoHandle(tup=tup, kind=kind, cells=cells))
-
-    key = gluer.key
-    roots = sorted({gluer.find(name) for name in gluer.parent}, key=key.__getitem__)
+    vertices = sorted(key, key=key.__getitem__)
     edge_list = sorted(edges, key=lambda p: (key[p[0]], key[p[1]]))
-    resolution = {name: gluer.find(name) for name in gluer.parent}
 
     return GadgetGraph(
         game=game,
-        vertices=tuple(roots),
+        vertices=tuple(vertices),
         edges=tuple(edge_list),
         blocks=tuple(blocks),
         orthos=tuple(orthos),
         rest_edges=tuple(rest_edges),
         report=report,
         resolution=resolution,
-        sort_key={name: key[name] for name in roots},
+        sort_key={name: key[name] for name in vertices},
     )
 
 

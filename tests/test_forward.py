@@ -22,6 +22,7 @@ from gadgetgraph.games import (
 from gadgetgraph.graphs import build_graph, vhat
 from gadgetgraph.instances import (
     deterministic_strategy,
+    minimal_game,
     random_strategy,
     triangle_strategy,
 )
@@ -100,6 +101,35 @@ def test_certify_forward_random_sweep():
         report = certify_forward(game, graph, random_strategy(rng, game, d))
         assert report.slack >= -1e-9
         assert report.rhs <= FORWARD_FACTOR * game.n * game.n / graph.n_edges + 1e-12
+
+
+def test_certify_forward_rhs_is_never_negative():
+    # The README's library example: this strategy's game value rounds to
+    # just above 1, and an unclamped loss made the bound -1.27e-15.
+    game = minimal_game()
+    graph = build_graph(game)
+    strategy = random_strategy(np.random.default_rng(0), game, d=4)
+    report = certify_forward(game, graph, strategy)
+    assert report.rhs >= 0.0
+    assert report.lhs <= report.rhs + 1e-12
+
+
+def test_gluing_inconsistency_names_gadget_and_cell(rng, monkeypatch):
+    import gadgetgraph.forward as forward
+
+    game = sync_only_game(3)
+    graph = build_graph(game)
+    real = forward._block_colors
+
+    def off_by_one(strategy, alpha, x):
+        cells, t1, t3 = real(strategy, alpha, x)
+        c1, c2, c3 = cells[(1, 2)]  # glued onto the control vertex B
+        cells[(1, 2)] = (c2, c1, c3)
+        return cells, t1, t3
+
+    monkeypatch.setattr(forward, "_block_colors", off_by_one)
+    with pytest.raises(ValidationError, match=r"at B \(block alpha=1 x=1, cell \(1, 2\), color 1\)"):
+        forward_translate(game, graph, random_strategy(rng, game, 3))
 
 
 def test_ortho_gadget_losses_accounting(rng, min_game, min_graph):

@@ -3,6 +3,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from gadgetgraph.errors import ValidationError
@@ -136,6 +138,23 @@ def test_chain_gluing_links_adjacent_blocks():
     assert graph.resolve(v_name(3, 2, 3, 1)) not in {
         graph.resolve(v_name(1, 1, a, 1)) for a in (1, 2, 3)
     }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=3, max_value=6),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_resolution_agrees_with_rewrite_rules(n, m, p, seed):
+    # Every alias, including those no slot reaches (s(2), t(2), q(1,2)),
+    # resolves where the independent rewrite chain sends it.
+    game = random_game(np.random.default_rng(seed), n, m, p)
+    graph = build_graph(game)
+    rules = helpers.rewrite_rules(game)
+    for name in rules:
+        assert graph.resolve(name) == graph.resolve(helpers.canonicalize(rules, name)), name
 
 
 def test_answer_vertex_aliases():
