@@ -14,6 +14,7 @@ in CHANGES.md):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ import pytest
 from gadgetgraph.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-INPUTS = ("game.json", "strategy.json", "coloring.json", "graph.txt")
+INPUTS = ("game.json", "game10.json", "strategy.json", "coloring.json", "graph.txt")
 
 #: name -> (argv, files the command writes)
 CASES = {
@@ -35,12 +36,17 @@ CASES = {
         ["compile", "game.json", "--format", "both", "--out", "minimal"],
         ("minimal.graph.json", "minimal.dot"),
     ),
+    # Ten questions put two-digit numbers in names; e, f and rest are all non-empty.
+    "compile10": (
+        ["compile", "game10.json", "--format", "both", "--out", "n10m4"],
+        ("n10m4.graph.json", "n10m4.dot"),
+    ),
     "forward": (["forward", "game.json", "strategy.json", "--out", "forward"], ("forward.coloring.json",)),
     "reverse": (["reverse", "game.json", "coloring.json", "--out", "reverse"], ("reverse.strategy.json",)),
     "maxcut": (["maxcut", "graph.txt", "--trials", "5", "--d", "3", "--seed", "3"], ()),
     "check": (["check", "--trials", "5", "--seed", "2"], ()),
 }
-BYTE_EXACT = ("minimal.graph.json", "minimal.dot")
+BYTE_EXACT = ("minimal.graph.json", "minimal.dot", "n10m4.graph.json", "n10m4.dot")
 
 _FLOAT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
@@ -88,6 +94,24 @@ def test_float_comparison_rejects_a_moved_digit():
         _assert_text_close("value: 0.25 (d=3)", "value: 0.25 (d=4)")
 
 
+def _draw_game(rng, n: int, m: int, p: float):
+    """Synchrony tuples plus round(p * size) cross-question losing tuples from
+    each answer class: both answers at an end of 1..m, both inside, mixed."""
+    from gadgetgraph.games import SyncGame
+
+    ends = {1, m}
+    classes = ([], [], [])
+    for x, y, a, b in itertools.product(range(1, n + 1), range(1, n + 1), range(1, m + 1), range(1, m + 1)):
+        if x != y:
+            cls = (0 if a in ends else 1) if (a in ends) == (b in ends) else 2
+            classes[cls].append((a, b, x, y))
+    losing = {(a, b, x, x) for x in range(1, n + 1) for a in range(1, m + 1) for b in range(1, m + 1) if a != b}
+    for members in classes:
+        picked = rng.choice(len(members), size=round(p * len(members)), replace=False)
+        losing.update(members[i] for i in picked)
+    return SyncGame(n=n, m=m, losing=frozenset(losing))
+
+
 def _regenerate() -> None:
     import contextlib
     import io
@@ -105,6 +129,7 @@ def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     game = minimal_game()
     save_game(game, GOLDEN / "game.json")
+    save_game(_draw_game(np.random.default_rng(10), 10, 4, 0.01), GOLDEN / "game10.json")
     write_strategy_json(random_strategy(np.random.default_rng(7), game, 2), GOLDEN / "strategy.json")
     labels = perfect_labels(game, build_graph(game), deterministic_strategy(game, (2,)))
     twisted = twisted_colorings(labels, (0.05,), seed=5, d=3)[0.05]
