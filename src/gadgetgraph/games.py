@@ -28,6 +28,11 @@ QUESTION_PRIOR = "uniform-on-questions"
 EDGE_PRIOR = "uniform-on-edges"
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON ``true`` must not pass as the index 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SyncGame:
     """A synchronous game: n questions, m answers, explicit losing tuples."""
@@ -37,14 +42,14 @@ class SyncGame:
     losing: frozenset
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValidationError(f"question count must be a positive integer, got {self.n!r}")
-        if not isinstance(self.m, int) or self.m < 3:
+        if not _is_int(self.m) or self.m < 3:
             raise ValidationError(f"answer count must be an integer >= 3, got {self.m!r}")
         tuples = []
         for raw in self.losing:
             t = tuple(raw)
-            if len(t) != 4 or not all(isinstance(i, int) for i in t):
+            if len(t) != 4 or not all(map(_is_int, t)):
                 raise ValidationError(f"losing tuple {raw!r} is not a 4-tuple of integers")
             a, b, x, y = t
             if not (1 <= a <= self.m and 1 <= b <= self.m):
@@ -361,13 +366,13 @@ def _game_from_payload(payload) -> SyncGame:
         if field not in payload:
             raise ValidationError(f"game file missing field {field!r}")
     n, m, losing = payload["n"], payload["m"], payload["losing"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    if not (_is_int(n) and _is_int(m)):
         raise ValidationError("game fields n and m must be integers")
     if not isinstance(losing, list):
         raise ValidationError("game field 'losing' must be a list of 4-tuples")
     tuples = []
     for raw in losing:
-        if not isinstance(raw, list) or len(raw) != 4 or not all(isinstance(i, int) for i in raw):
+        if not isinstance(raw, list) or len(raw) != 4 or not all(map(_is_int, raw)):
             raise ValidationError(f"losing entry {raw!r} is not a list of four integers")
         tuples.append(tuple(raw))
     if len(set(tuples)) != len(tuples):

@@ -20,8 +20,11 @@ return a graph that breaks the identity.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import ValidationError
 from .games import SyncGame, partition_losing
@@ -354,34 +357,52 @@ def _cluster_of(name: str, key: tuple) -> tuple:
     )
 
 
-def graph_to_json(graph: GadgetGraph) -> dict:
-    gadgets = {
-        "delta": list(DELTA),
-        "blocks": [
-            {
-                "alpha": b.alpha,
-                "x": b.x,
-                "cells": {f"{i},{j}": b.cells[(i, j)] for i in (1, 2, 3) for j in (1, 2, 3)},
-                "t": [b.t1, b.t3],
-            }
-            for b in graph.blocks
-        ],
-        "orthogonality": [
-            {
-                "tuple": list(o.tup),
-                "kind": o.kind,
-                "cells": {f"{i},{j}": o.cells[(i, j)] for i in (1, 2, 3) for j in (1, 2, 3)},
-            }
-            for o in graph.orthos
-        ],
-        "rest": [{"tuple": list(t), "edge": [u, v]} for t, (u, v) in graph.rest_edges],
-    }
-    return {
-        "vertices": list(graph.vertices),
-        "edges": [[u, v] for u, v in graph.edges],
-        "gadgets": gadgets,
-        "edge_count_report": asdict(graph.report),
-    }
+# The JSON text is exactly json.dumps(payload, sort_keys=True, indent=1) of
+# the payload {"edge_count_report", "edges", "gadgets": {"blocks", "delta",
+# "orthogonality", "rest"}, "vertices"}, written from templates of that fixed
+# layout: every key order below is already sorted, every name is quoted by the
+# C function json.dumps itself uses, and %d writes the game's indices as json
+# does because SyncGame admits ints only, never bools.
+_CELL_KEYS = ",\n".join(f'     "{i},{j}": %s' for i, j in _CELLS)
+_cell_values = itemgetter(*_CELLS)
+_TUPLE = '    "tuple": [\n     %d,\n     %d,\n     %d,\n     %d\n    ]'
+_EDGE = "  [\n   %s,\n   %s\n  ]"
+_BLOCK = (
+    '   {\n    "alpha": %d,\n    "cells": {\n' + _CELL_KEYS + "\n    },\n"
+    '    "t": [\n     %s,\n     %s\n    ],\n    "x": %d\n   }'
+)
+_ORTHO = '   {\n    "cells": {\n' + _CELL_KEYS + '\n    },\n    "kind": %s,\n' + _TUPLE + "\n   }"
+_REST = '   {\n    "edge": [\n     %s,\n     %s\n    ],\n' + _TUPLE + "\n   }"
+
+
+def _json_list(items: list, indent: str) -> str:
+    """A JSON array of already indented items; its bracket closes at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _graph_json(graph: GadgetGraph) -> str:
+    quote = dict(zip(graph.vertices, map(encode_basestring_ascii, graph.vertices)))
+
+    def cells(handle) -> map:
+        return map(quote.__getitem__, _cell_values(handle.cells))
+
+    blocks = [_BLOCK % (b.alpha, *cells(b), quote[b.t1], quote[b.t3], b.x) for b in graph.blocks]
+    orthos = [_ORTHO % (*cells(o), encode_basestring_ascii(o.kind), *o.tup) for o in graph.orthos]
+    rest = [_REST % (quote[u], quote[v], *t) for t, (u, v) in graph.rest_edges]
+    report = json.dumps(asdict(graph.report), sort_keys=True, indent=1).replace("\n", "\n ")
+    return (
+        '{\n "edge_count_report": %s,\n "edges": %s,\n'
+        ' "gadgets": {\n  "blocks": %s,\n  "delta": %s,\n  "orthogonality": %s,\n  "rest": %s\n },\n'
+        ' "vertices": %s\n}\n'
+    ) % (
+        report,
+        _json_list([_EDGE % (quote[u], quote[v]) for u, v in graph.edges], " "),
+        _json_list(blocks, "  "),
+        _json_list(["   " + quote[name] for name in DELTA], "  "),
+        _json_list(orthos, "  "),
+        _json_list(rest, "  "),
+        _json_list(["  " + quote[name] for name in graph.vertices], " "),
+    )
 
 
 def _dot_lines(graph: GadgetGraph):
@@ -403,10 +424,8 @@ def _dot_lines(graph: GadgetGraph):
 
 def export_graph(graph: GadgetGraph, fmt: str) -> str:
     """Render the graph as 'dot' or 'json' text; output is byte-deterministic."""
-    import json as _json
-
     if fmt == "json":
-        return _json.dumps(graph_to_json(graph), sort_keys=True, indent=1) + "\n"
+        return _graph_json(graph)
     if fmt == "dot":
         return "\n".join(_dot_lines(graph)) + "\n"
     raise ValidationError(f"unknown export format {fmt!r}; expected 'dot' or 'json'")

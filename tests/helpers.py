@@ -7,9 +7,11 @@ points the opposite way from the builder's smallest-key representative.
 Agreement with the builder is therefore evidence, not a tautology.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
-from gadgetgraph.graphs import q_name, s_name, t_name, v_name, vhat
+from gadgetgraph.graphs import DELTA, q_name, s_name, t_name, v_name, vhat
 
 #: Filled by the acceptance tests; conftest prints one line per entry
 #: after the run so the verdicts survive pytest's output capture.
@@ -20,6 +22,48 @@ def reference_tau(a, b) -> float:
     """tr(a b)/d by forming the product, as a reference for the O(d^2)
     trace kernels."""
     return float(np.trace(a @ b).real) / a.shape[0]
+
+
+def reference_graph_json(graph) -> dict:
+    """The compiled graph as nested dicts and lists, as a reference for the
+    templated JSON writer: ``json.dumps(reference_graph_json(graph),
+    sort_keys=True, indent=1) + "\\n"`` is the text ``export_graph`` writes."""
+    gadgets = {
+        "delta": list(DELTA),
+        "blocks": [
+            {
+                "alpha": b.alpha,
+                "x": b.x,
+                "cells": {f"{i},{j}": b.cells[(i, j)] for i in (1, 2, 3) for j in (1, 2, 3)},
+                "t": [b.t1, b.t3],
+            }
+            for b in graph.blocks
+        ],
+        "orthogonality": [
+            {
+                "tuple": list(o.tup),
+                "kind": o.kind,
+                "cells": {f"{i},{j}": o.cells[(i, j)] for i in (1, 2, 3) for j in (1, 2, 3)},
+            }
+            for o in graph.orthos
+        ],
+        "rest": [{"tuple": list(t), "edge": [u, v]} for t, (u, v) in graph.rest_edges],
+    }
+    return {
+        "vertices": list(graph.vertices),
+        "edges": [[u, v] for u, v in graph.edges],
+        "gadgets": gadgets,
+        "edge_count_report": asdict(graph.report),
+    }
+
+
+def first_differing_line(got: str, want: str) -> str:
+    """'number: got != want' for the first line where two texts differ."""
+    pairs = zip(got.splitlines(), want.splitlines())
+    for number, (g, w) in enumerate(pairs, 1):
+        if g != w:
+            return f"{number}: {g!r} != {w!r}"
+    return "past the end of the shorter text"
 
 
 def rook_adjacent(c1, c2) -> bool:

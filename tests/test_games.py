@@ -69,6 +69,19 @@ def test_out_of_range_tuple_rejected():
         SyncGame(n=1, m=3, losing=SYNCHRONY_1Q | {(1, 4, 1, 1)})
 
 
+@pytest.mark.parametrize("entry", [0, 2])
+def test_boolean_index_rejected(entry):
+    # JSON true is a Python int; as a question it used to crash compile.
+    raw = [1, 1, 1, 2]
+    raw[entry] = True
+    with pytest.raises(ValidationError, match="integers"):
+        load_game(json.dumps({"n": 2, "m": 3, "losing": [raw]}))
+    with pytest.raises(ValidationError, match="integers"):
+        SyncGame(n=2, m=3, losing=frozenset({tuple(raw)}))
+    with pytest.raises(ValidationError, match="integer"):
+        SyncGame(n=True, m=3, losing=SYNCHRONY_1Q)
+
+
 def test_load_game_rejects_duplicates(tmp_path):
     payload = {
         "n": 1,

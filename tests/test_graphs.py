@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from gadgetgraph.graphs import (
     build_graph,
     edge_count_formula,
     export_graph,
-    graph_to_json,
     q_name,
     s_name,
     t_name,
@@ -237,9 +236,45 @@ def test_json_export_schema(min_graph):
 
 
 def test_json_export_same_graph_as_attributes(min_graph):
-    payload = graph_to_json(min_graph)
+    payload = helpers.reference_graph_json(min_graph)
     assert payload["vertices"] == list(min_graph.vertices)
     assert payload["edges"] == [[u, v] for u, v in min_graph.edges]
+
+
+def assert_json_matches_reference(graph):
+    text = export_graph(graph, "json")
+    reference = helpers.reference_graph_json(graph)
+    want = json.dumps(reference, sort_keys=True, indent=1) + "\n"
+    # A plain bool keeps pytest from diffing megabyte strings on failure.
+    same = text == want
+    assert same, f"first difference at line {helpers.first_differing_line(text, want)}"
+    assert json.loads(text) == reference
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=11),
+    m=st.integers(min_value=3, max_value=6),
+    p=st.floats(min_value=0.0, max_value=0.2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_json_export_matches_reference_dump(n, m, p, seed):
+    """Byte for byte what json.dumps writes; n up to 11 puts two-digit
+    question numbers into names."""
+    assert_json_matches_reference(build_graph(random_game(np.random.default_rng(seed), n, m, p)))
+
+
+def test_json_export_with_empty_gadget_lists(min_graph):
+    # Synchrony alone leaves the f-set empty at m = 3, but never the e-set or
+    # the rest, so those two lists are emptied on the handle level.
+    assert {o.kind for o in min_graph.orthos} == {"e"}
+    assert_json_matches_reference(min_graph)
+    for emptied in (("orthos",), ("rest_edges",), ("orthos", "rest_edges")):
+        graph = replace(min_graph, **dict.fromkeys(emptied, ()))
+        assert_json_matches_reference(graph)
+        text = export_graph(graph, "json")
+        for attr, key in (("orthos", "orthogonality"), ("rest_edges", "rest")):
+            assert (f'"{key}": []' in text) == (attr in emptied)
 
 
 def test_dot_export_parses_back(min_graph):

@@ -215,15 +215,13 @@ def test_basis_lift_is_proper_at_every_dimension(which, d, request):
     assert coloring_value(graph, basis_lift(labels, d=d)).value == 1.0
 
 
-@pytest.mark.parametrize("which", ["minimal", "triangle"])
-def test_twist_sweep_recovers_the_game_at_d8(which, request):
+def assert_twist_sweep_recovers_the_game(game, graph, labels, d):
     # The reverse theorem above d = 3: a coloring that loses eps yields a
     # game strategy that loses at most h(n,m) eps^(1/2), which here falls to
     # zero (up to rounding) once the twist is small.
-    game, graph, labels = game_labels(which, request)
     prior = PriorDistribution.uniform_questions(game.n)
     losses = []
-    for theta, cs in twisted_colorings(labels, (0.1, 0.03, 0.01), seed=5, d=8).items():
+    for theta, cs in twisted_colorings(labels, (0.1, 0.03, 0.01), seed=5, d=d).items():
         for report in certify_reverse_lemmas(game, graph, cs):
             if not math.isinf(report.rhs):
                 assert report.slack >= -1e-9, (theta, report.context)
@@ -231,6 +229,16 @@ def test_twist_sweep_recovers_the_game_at_d8(which, request):
         losses.append(1.0 - sync_value(game, strategy, prior).value)
     assert all(later <= earlier + 1e-12 for earlier, later in zip(losses, losses[1:]))
     assert abs(losses[1]) <= 1e-12 and abs(losses[2]) <= 1e-12  # theta <= 0.03
+
+
+@pytest.mark.parametrize("which", ["minimal", "triangle"])
+def test_twist_sweep_recovers_the_game_at_d8(which, request):
+    assert_twist_sweep_recovers_the_game(*game_labels(which, request), d=8)
+
+
+def test_twist_sweep_recovers_the_game_at_d16(request):
+    # The triangle game only: the minimal game adds time and no new coverage.
+    assert_twist_sweep_recovers_the_game(*game_labels("triangle", request), d=16)
 
 
 # ---------------------------------------------------------------------------
