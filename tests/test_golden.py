@@ -9,9 +9,13 @@ noise around zero.  The entries of written strategy files are compared at
 an absolute tolerance of 1e-12.
 
 Regenerate the files only when a change of output is intended (and say why
-in CHANGES.md):
+in CHANGES.md).  With no argument every case and every input is rewritten;
+naming cases rewrites only those cases' expected outputs and the inputs
+their command lines read, so a new case can be added without touching the
+outputs an earlier version wrote:
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py reverse4
 """
 
 import itertools
@@ -20,6 +24,7 @@ import math
 import os
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,10 +117,8 @@ def _draw_game(rng, n: int, m: int, p: float):
     return SyncGame(n=n, m=m, losing=frozenset(losing))
 
 
-def _regenerate() -> None:
-    import contextlib
-    import io
-
+def _input_writers() -> dict:
+    """input file name -> function writing it into a directory."""
     from gadgetgraph.games import save_game, write_strategy_json
     from gadgetgraph.graphs import build_graph
     from gadgetgraph.instances import (
@@ -126,22 +129,43 @@ def _regenerate() -> None:
         twisted_colorings,
     )
 
-    GOLDEN.mkdir(exist_ok=True)
     game = minimal_game()
-    save_game(game, GOLDEN / "game.json")
-    save_game(_draw_game(np.random.default_rng(10), 10, 4, 0.01), GOLDEN / "game10.json")
-    write_strategy_json(random_strategy(np.random.default_rng(7), game, 2), GOLDEN / "strategy.json")
-    labels = perfect_labels(game, build_graph(game), deterministic_strategy(game, (2,)))
-    twisted = twisted_colorings(labels, (0.05,), seed=5, d=3)[0.05]
-    write_strategy_json(twisted, GOLDEN / "coloring.json")
-    (GOLDEN / "graph.txt").write_text("# a 5-cycle with one chord\n1 2\n2 3\n3 4\n4 5\n5 1\n1 3\n")
+
+    def twisted(d: int):
+        labels = perfect_labels(game, build_graph(game), deterministic_strategy(game, (2,)))
+        return twisted_colorings(labels, (0.05,), seed=5, d=d)[0.05]
+
+    return {
+        "game.json": lambda path: save_game(game, path),
+        "game10.json": lambda path: save_game(_draw_game(np.random.default_rng(10), 10, 4, 0.01), path),
+        "strategy.json": lambda path: write_strategy_json(random_strategy(np.random.default_rng(7), game, 2), path),
+        "coloring.json": lambda path: write_strategy_json(twisted(3), path),
+        "coloring4.json": lambda path: write_strategy_json(twisted(4), path),
+        "graph.txt": lambda path: path.write_text("# a 5-cycle with one chord\n1 2\n2 3\n3 4\n4 5\n5 1\n1 3\n"),
+    }
+
+
+def _regenerate(names=()) -> None:
+    """Rewrite the named cases (all when none is named) and their inputs."""
+    import contextlib
+    import io
+
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden cases {unknown}; known: {sorted(CASES)}")
+    cases = list(names) or list(CASES)
+    inputs = [name for name in INPUTS if not names or any(name in CASES[c][0] for c in cases)]
+    GOLDEN.mkdir(exist_ok=True)
+    writers = _input_writers()
+    for name in inputs:
+        writers[name](GOLDEN / name)
     os.chdir(GOLDEN)
-    for case, (argv, _) in CASES.items():
+    for case in cases:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(argv) == 0
+            assert main(CASES[case][0]) == 0
         (GOLDEN / f"{case}.stdout").write_text(buf.getvalue())
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(sys.argv[1:])
