@@ -33,7 +33,7 @@ import pytest
 from gadgetgraph.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-INPUTS = ("game.json", "game10.json", "strategy.json", "coloring.json", "graph.txt")
+INPUTS = ("game.json", "game10.json", "strategy.json", "coloring.json", "coloring4.json", "graph.txt")
 
 #: name -> (argv, files the command writes)
 CASES = {
@@ -48,6 +48,8 @@ CASES = {
     ),
     "forward": (["forward", "game.json", "strategy.json", "--out", "forward"], ("forward.coloring.json",)),
     "reverse": (["reverse", "game.json", "coloring.json", "--out", "reverse"], ("reverse.strategy.json",)),
+    # d = 4: 4x4 blocks after symmetrization and one surplus lift coordinate.
+    "reverse4": (["reverse", "game.json", "coloring4.json", "--out", "reverse4"], ("reverse4.strategy.json",)),
     "maxcut": (["maxcut", "graph.txt", "--trials", "5", "--d", "3", "--seed", "3"], ()),
     "check": (["check", "--trials", "5", "--seed", "2"], ()),
 }
