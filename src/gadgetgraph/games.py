@@ -123,7 +123,7 @@ class PriorDistribution:
         if self.kind not in (QUESTION_PRIOR, EDGE_PRIOR):
             raise ValidationError(f"unknown prior kind {self.kind!r}")
         for (x, y), w in self.weights:
-            if not (isinstance(x, int) and isinstance(y, int)):
+            if not (_is_int(x) and _is_int(y)):
                 raise ValidationError(f"prior support entry ({x!r},{y!r}) is not a question pair")
             if w < 0.0:
                 raise ValidationError(f"negative prior weight {w!r} on ({x},{y})")

@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .games import (
     GameStrategy,
     PriorDistribution,
+    _is_int,
     _prebuilt,
     coloring_game,
     edge_loss_probability,
@@ -54,7 +55,7 @@ class SimpleGraph:
     edges: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_vertices, int) or self.n_vertices < 0:
+        if not _is_int(self.n_vertices) or self.n_vertices < 0:
             raise ValidationError(f"vertex count {self.n_vertices!r} must be a nonnegative integer")
         seen = set()
         normalized = []
@@ -63,7 +64,7 @@ class SimpleGraph:
                 u, v = edge
             except (TypeError, ValueError):
                 raise ValidationError(f"edge {edge!r} is not a pair") from None
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_int(u) and _is_int(v)):
                 raise ValidationError(f"edge {edge!r} has non-integer endpoints")
             if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
                 raise ValidationError(
@@ -107,7 +108,7 @@ def _graph_from_payload(payload) -> SimpleGraph:
             if not isinstance(e, (list, tuple)) or len(e) != 2:
                 raise ValidationError(f"edge entry {e!r} is not a pair")
             u, v = e
-            if isinstance(u, int) and isinstance(v, int):
+            if _is_int(u) and _is_int(v):
                 n = max(n, u, v)
     else:
         raise ValidationError(f"graph JSON must be an object or a list, got {type(payload).__name__}")

@@ -228,6 +228,16 @@ def test_maxcut_skips_bridge_on_larger_graphs(capsys, tmp_path):
     assert "value bridge: skipped" in out
 
 
+def test_maxcut_rejects_boolean_vertices_before_printing(capsys, tmp_path):
+    # JSON true is a Python int; it used to be drawn as vertex 1 and fail
+    # only in the value bridge, after the graph and cut lines were printed.
+    target = tmp_path / "g.json"
+    target.write_text(json.dumps({"n": 3, "edges": [[True, 2], [2, 3]]}))
+    code, out, err = run(capsys, "maxcut", str(target))
+    assert code == 2 and out == ""
+    assert "non-integer endpoints" in err
+
+
 def test_maxcut_rejects_oversized_graph(capsys, tmp_path):
     target = tmp_path / "big.txt"
     target.write_text("\n".join(f"{v} {v + 1}" for v in range(1, 20)))

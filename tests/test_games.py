@@ -11,6 +11,7 @@ from helpers import reference_tau
 from gadgetgraph import forward, games, maxcut, reverse, rounding
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import (
+    QUESTION_PRIOR,
     ColoringStrategy,
     GameStrategy,
     PriorDistribution,
@@ -80,6 +81,12 @@ def test_boolean_index_rejected(entry):
         SyncGame(n=2, m=3, losing=frozenset({tuple(raw)}))
     with pytest.raises(ValidationError, match="integer"):
         SyncGame(n=True, m=3, losing=SYNCHRONY_1Q)
+
+
+@pytest.mark.parametrize("pair", [(True, 1), (1, False)])
+def test_prior_rejects_boolean_questions(pair):
+    with pytest.raises(ValidationError, match="question pair"):
+        PriorDistribution(QUESTION_PRIOR, ((pair, 1.0),))
 
 
 def test_load_game_rejects_duplicates(tmp_path):

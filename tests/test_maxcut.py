@@ -46,6 +46,8 @@ def test_simple_graph_normalizes_edges():
         (3, ((1,),)),            # not a pair
         (3, ((1.0, 2),)),        # non-integer endpoint
         (-1, ()),                # bad vertex count
+        (3, ((True, 2),)),       # JSON true is a Python int, not a vertex
+        (True, ()),              # nor a vertex count
     ],
 )
 def test_simple_graph_rejects_malformed(n, edges):
