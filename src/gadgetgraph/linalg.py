@@ -8,6 +8,11 @@ rest of the package relies on), spectral projections, and seeded random
 generators for test instances.
 
 Dimensions stay desk-scale (d <= 64), so everything is dense and eigh-based.
+Every function that measures, validates or rounds operators also reads a
+``(k, d, d)`` stack as the block-diagonal matrix of dimension k*d: norms and
+traces are normalized by k*d, spectra range over all blocks, products act
+block by block, and an identity of the block size broadcasts.  Only
+``as_matrix`` and the strategy constructors keep to d-by-d matrices.
 """
 
 from __future__ import annotations
@@ -41,6 +46,14 @@ def as_matrix(m, d: int | None = None) -> np.ndarray:
     return a
 
 
+def _operator(m) -> np.ndarray:
+    """Coerce to complex128: a square matrix or a (k, d, d) block stack."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(f"expected a square matrix or a (k, d, d) stack, got shape {a.shape}")
+    return a
+
+
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """tr(a b)/d as a real number, without forming the product.
 
@@ -48,7 +61,9 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     d-by-d matmul.  The imaginary part is discarded; for the Hermitian
     operators and projection products used here it is zero up to rounding.
     """
-    return float(np.einsum("ij,ji->", a, b).real) / a.shape[0]
+    if a.ndim == 2:
+        return float(np.einsum("ij,ji->", a, b).real) / a.shape[0]
+    return float(np.einsum("kij,kji->", a, b).real) / (a.shape[0] * a.shape[1])
 
 
 def two_norm(m) -> float:
@@ -56,8 +71,8 @@ def two_norm(m) -> float:
 
     Agrees with the Frobenius norm divided by sqrt(d).
     """
-    a = as_matrix(m)
-    return float(np.linalg.norm(a)) / math.sqrt(a.shape[0])
+    a = _operator(m)
+    return float(np.linalg.norm(a)) / math.sqrt(math.prod(a.shape[:-1]))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,16 +93,16 @@ def zero(d: int) -> np.ndarray:
 
 def hermitian_defect(m) -> float:
     """Largest entrywise deviation |m - m*|."""
-    a = as_matrix(m)
+    a = _operator(m)
     if not a.size:
         return 0.0
     # An infinite entry gives inf - inf = NaN here, which the callers reject.
     with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(a - a.conj().T)))
+        return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
 
 
 def require_hermitian(m, tol: float = TOL_HERMITIAN, what: str = "matrix") -> np.ndarray:
-    a = as_matrix(m)
+    a = _operator(m)
     defect = hermitian_defect(a)
     if not defect <= tol:  # written so that a NaN defect fails too
         raise ValidationError(f"{what} is not Hermitian: entrywise defect {defect:.3e} > {tol:.0e}")
@@ -96,7 +111,7 @@ def require_hermitian(m, tol: float = TOL_HERMITIAN, what: str = "matrix") -> np
 
 def projection_defect(m) -> float:
     """||m^2 - m||_2."""
-    a = as_matrix(m)
+    a = _operator(m)
     return two_norm(a @ a - a)
 
 
@@ -117,9 +132,8 @@ def require_projection(m, tol: float = TOL_PROJECTION, what: str = "matrix") -> 
 
 def pvm_defect(mats: Sequence[np.ndarray]) -> float:
     """Worst PVM defect: max of pairwise ||E_a E_b||_2 and ||sum E - 1||_2."""
-    mats = [as_matrix(m) for m in mats]
-    d = mats[0].shape[0]
-    worst = two_norm(sum(mats) - identity(d))
+    mats = [_operator(m) for m in mats]
+    worst = two_norm(sum(mats) - identity(mats[0].shape[-1]))
     for i, a in enumerate(mats):
         for b in mats[i + 1:]:
             worst = max(worst, two_norm(a @ b))
@@ -131,10 +145,11 @@ def require_pvm(mats: Sequence[np.ndarray], tol: float = TOL_PVM, what: str = "P
     if not mats:
         raise ValidationError(f"{what} has no outcomes")
     out = tuple(require_projection(m, what=f"{what} outcome {i + 1}") for i, m in enumerate(mats))
-    d = out[0].shape[0]
     for i, m in enumerate(out):
-        if m.shape[0] != d:
-            raise ValidationError(f"{what} outcome {i + 1} has dimension {m.shape[0]}, expected {d}")
+        if m.shape != out[0].shape:
+            raise ValidationError(
+                f"{what} outcome {i + 1} has shape {m.shape}, expected {out[0].shape}"
+            )
     defect = pvm_defect(out)
     if not defect <= tol:
         raise ValidationError(f"{what} defect {defect:.3e} > {tol:.0e}")
@@ -149,10 +164,11 @@ def require_positive_contraction(m, tol: float = TOL_SPECTRUM, what: str = "matr
 
 
 def _require_spectrum_window(eigs: np.ndarray, tol: float, what: str) -> None:
-    """Raise unless the ascending eigenvalues ``eigs`` lie in [-tol, 1+tol]."""
-    if eigs.size and (eigs[0] < -tol or eigs[-1] > 1.0 + tol):
+    """Raise unless the eigenvalues ``eigs``, of one or more blocks, lie in [-tol, 1+tol]."""
+    if eigs.size and (eigs.min() < -tol or eigs.max() > 1.0 + tol):
         raise ValidationError(
-            f"{what} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] leaves [0,1] beyond tolerance {tol:.0e}"
+            f"{what} spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0,1]"
+            f" beyond tolerance {tol:.0e}"
         )
 
 
@@ -171,10 +187,11 @@ def spectral_projection_half(m) -> np.ndarray:
     a = require_hermitian(m, what="spectral_projection_half input")
     eigs, vecs = np.linalg.eigh(a)
     _require_spectrum_window(eigs, TOL_SPECTRUM, "spectral_projection_half input")
-    eigs = np.clip(eigs, 0.0, 1.0)
-    keep = eigs >= 0.5
-    b = (vecs[:, keep] @ vecs[:, keep].conj().T).astype(np.complex128)
-    b = (b + b.conj().T) / 2.0
+    keep = np.clip(eigs, 0.0, 1.0) >= 0.5
+    d = a.shape[-1]
+    blocks = zip(vecs.reshape(-1, d, d), keep.reshape(-1, d))  # each keeps its own eigenvectors
+    b = np.stack([v[:, k] @ v[:, k].conj().T for v, k in blocks]).reshape(a.shape)
+    b = (b + b.conj().swapaxes(-1, -2)) / 2.0
     lhs = two_norm(a - b)
     rhs = 2.0 * ROOT2 * two_norm(a - a @ a)
     if rhs - lhs < -TOL_SLACK:

@@ -2,8 +2,8 @@
 game strategies.
 
 This is the constructive half of the equivalence.  A coloring strategy is
-first symmetrized so every color-indexed quantity becomes invariant under
-relabeling the three colors.  The control-triangle projections are then
+first symmetrized, as (6, d, d) block stacks, so every color-indexed quantity
+is invariant under relabeling the three colors.  The control-triangle projections are then
 compressed into six sandwich operators (one per color permutation), the
 answer-carrying block cells are squeezed between them, and the resulting
 6m positive contractions per question are rounded into an exact PVM whose
@@ -36,9 +36,6 @@ log = logging.getLogger(__name__)
 #: Largest tolerated drift of the coloring value under symmetrization.
 SYMMETRIZE_TOL = 1e-10
 
-#: Largest tolerated spread between per-color evaluations of a diagnostic.
-COLOR_SPREAD_TOL = 1e-10
-
 #: Clamp window for the sandwich operators' spectra.
 CONTRACTION_TOL = 1e-10
 
@@ -52,30 +49,23 @@ def _require_coverage(graph: GadgetGraph, cs: ColoringStrategy) -> None:
         )
 
 
-def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> ColoringStrategy:
-    """Average over color relabelings by stacking permuted copies.
+#: _RELABEL[c - 1][slot] is the input color that block ``slot`` plays as color c.
+_RELABEL = np.array(PERM3).T - 1
 
-    The output acts on a space six times larger; its block for permutation
-    sigma plays color `c` with the input's color `sigma(c)`.  Same-color
-    products, joint probabilities and sum defects then agree for all three
-    colors by construction.  When the target graph is supplied, the
-    coloring value before and after is compared and must agree within
-    SYMMETRIZE_TOL.
+
+def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> ColoringStrategy:
+    """Average over color relabelings: six relabelled copies side by side.
+
+    The output acts on a space six times larger (its ``d`` is 6d) and is
+    block-diagonal, so each outcome is a (6, d, d) stack whose block for
+    permutation sigma plays color `c` with the input's color `sigma(c)`.
+    Color-indexed quantities then agree for all three colors by
+    construction.  When the target graph is supplied, the coloring value
+    before and after is compared and must agree within SYMMETRIZE_TOL.
     """
-    d = cs.d
-    big = 6 * d
-    pvms = {}
-    for name, mats in cs.pvms.items():
-        out = []
-        for c in (1, 2, 3):
-            stacked = np.zeros((big, big), dtype=np.complex128)
-            for slot, perm in enumerate(PERM3):
-                lo = slot * d
-                stacked[lo:lo + d, lo:lo + d] = mats[perm[c - 1] - 1]
-            out.append(stacked)
-        pvms[name] = out
     # Each block is a validated input PVM, so the defects are the input's.
-    result = _prebuilt(ColoringStrategy, big, pvms)
+    pvms = {name: tuple(np.stack(mats)[_RELABEL]) for name, mats in cs.pvms.items()}
+    result = _prebuilt(ColoringStrategy, 6 * cs.d, pvms)
     if graph is not None:
         _require_coverage(graph, cs)
         before = coloring_value(graph, cs).value
@@ -100,8 +90,8 @@ class Diagnostics:
     its ordered vertex pairs, eta to its three-projection sum defect, xi
     maps each named prism to the sum of its three rung products, and theta
     maps each graph edge to the product norm of its endpoint projections.
-    Everything is evaluated at color 1 after checking that colors 2 and 3
-    agree within COLOR_SPREAD_TOL.
+    Everything is evaluated at color 1, which on a symmetrized strategy
+    stands for all three colors.
     """
 
     zeta: dict
@@ -118,19 +108,10 @@ class Diagnostics:
 
 
 def _edge_products(graph: GadgetGraph, cs: ColoringStrategy) -> dict:
-    """Color-1 product norm per edge, with color independence enforced."""
-    theta = {}
-    for u, v in graph.edges:
-        pu, pv = cs.pvms[u], cs.pvms[v]
-        vals = [two_norm(pu[c] @ pv[c]) for c in range(3)]
-        spread = max(vals) - min(vals)
-        if spread > COLOR_SPREAD_TOL:
-            raise ValidationError(
-                f"edge products at {u!r}~{v!r} depend on the color "
-                f"(spread {spread:.3e}); symmetrize the strategy first"
-            )
-        theta[(u, v)] = vals[0]
-    return theta
+    """Color-1 product norm per edge of symmetrize's output."""
+    if any(mats[0].shape != (6, cs.d // 6, cs.d // 6) for mats in cs.pvms.values()):
+        raise ValidationError("operators are not (6, d, d) stacks; symmetrize the strategy first")
+    return {(u, v): two_norm(cs.pvms[u][0] @ cs.pvms[v][0]) for u, v in graph.edges}
 
 
 def _theta_at(theta: dict, u: str, v: str) -> float:
@@ -165,32 +146,22 @@ def _named_prisms(graph: GadgetGraph):
 def compute_diagnostics(graph: GadgetGraph, cs: ColoringStrategy) -> Diagnostics:
     """Evaluate zeta/eta/xi/theta over the graph's named substructures.
 
-    Expects a symmetrized strategy; a color-dependent input fails the
-    independence checks with a ValidationError.  For every triangle the
-    sum defect eta is certified against 3*sqrt(zeta).
+    Expects symmetrize's output and raises ValidationError on anything
+    else.  For every triangle the sum defect eta is certified against
+    3*sqrt(zeta).
     """
     _require_coverage(graph, cs)
     theta = _edge_products(graph, cs)
-    one = identity(cs.d)
+    one = identity(cs.d // 6)
     zeta, eta, xi = {}, {}, {}
     for label, (u, v, w) in _named_triangles(graph):
         z = 2.0 * (
             _theta_at(theta, u, v) + _theta_at(theta, u, w) + _theta_at(theta, v, w)
         )
-        sums = [
-            two_norm(one - (cs.pvms[u][c] + cs.pvms[v][c] + cs.pvms[w][c]))
-            for c in range(3)
-        ]
-        spread = max(sums) - min(sums)
-        if spread > COLOR_SPREAD_TOL:
-            raise ValidationError(
-                f"triangle defect at {label!r} depends on the color "
-                f"(spread {spread:.3e}); symmetrize the strategy first"
-            )
         zeta[label] = z
-        eta[label] = sums[0]
+        eta[label] = two_norm(one - (cs.pvms[u][0] + cs.pvms[v][0] + cs.pvms[w][0]))
         InequalityReport(
-            f"triangle sum defect at {label!r}", sums[0], 3.0 * math.sqrt(z)
+            f"triangle sum defect at {label!r}", eta[label], 3.0 * math.sqrt(z)
         ).require()
     for label, rungs in _named_prisms(graph):
         xi[label] = math.fsum(_theta_at(theta, u, v) for u, v in rungs)
@@ -248,8 +219,8 @@ def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
         )
         operators[perm] = s
     z_delta = _zeta_color_average(cs, DELTA)
-    one = identity(cs.d)
     total = sum(operators[perm] for perm in PERM3)
+    one = identity(total.shape[-1])
     sum_report = InequalityReport(
         "control sandwich sum-to-1",
         two_norm(one - total),
@@ -365,7 +336,7 @@ def certify_reverse_lemmas(
                     _commutator_rhs(graph, diag, m, a, x),
                 ).require()
             )
-    one = identity(sym.d)
+    one = identity(sym.d // 6)
     for x in range(1, game.n + 1):
         ops = _question_sandwiches(graph, sym, cc, x, m)
         total = sum(ops)
@@ -406,7 +377,7 @@ def reverse_translate(
     answer cell between them (6m positive contractions per question,
     ordered by answer then permutation), round the family into an exact
     PVM, and sum each answer's six permutation blocks into one projection.
-    The output satisfies the exact PVM invariants for every question.
+    Only the output is laid out densely, and checked as an exact PVM family.
     """
     if graph.game != game:
         raise ValidationError("graph was compiled from a different game")
@@ -419,14 +390,22 @@ def reverse_translate(
         ops = _question_sandwiches(graph, sym, cc, x, m)
         if log.isEnabledFor(logging.INFO):
             total = sum(ops)
-            top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().T))[-1])
+            top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().swapaxes(1, 2))).max())
             log.info("question %d: sandwich sum max eigenvalue %.12g", x, top)
         rounded = perturb_pvm(ops)
         pvms[x] = [
-            sum(rounded[(a - 1) * len(PERM3) + r] for r in range(len(PERM3)))
+            _block_diagonal(sum(rounded[(a - 1) * len(PERM3) + r] for r in range(len(PERM3))))
             for a in range(1, m + 1)
         ]
     return GameStrategy(d=sym.d, pvms=pvms)
+
+
+def _block_diagonal(stack: np.ndarray) -> np.ndarray:
+    """The (k*d)-by-(k*d) matrix with the k blocks of a (k, d, d) stack."""
+    k, d, _ = stack.shape
+    dense = np.zeros((k, d, k, d), dtype=np.complex128)
+    dense[range(k), :, range(k), :] = stack
+    return dense.reshape(k * d, k * d)
 
 
 def aggregate_offcolor_estimate(

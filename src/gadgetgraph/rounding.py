@@ -58,11 +58,11 @@ class InequalityReport:
 
 
 def _common_dim(mats) -> int:
-    d = mats[0].shape[0]
+    shape = mats[0].shape
     for m in mats[1:]:
-        if m.shape[0] != d:
-            raise ValidationError(f"mixed dimensions {d} and {m.shape[0]}")
-    return d
+        if m.shape != shape:
+            raise ValidationError(f"mixed dimensions: shapes {shape} and {m.shape}")
+    return shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +260,16 @@ def perturb_pvm_with_reports(mats):
     the complement of everything already produced and then rounded; the last
     entry is whatever is left of the identity.  Distance bounds are asserted
     per index (three cases: first / interior / completion) and returned.
+    On (k, d, d) stacks every block is rounded in the same order, on its own.
     """
     if not mats:
         raise ValidationError("need at least one input")
     inputs = [
-        require_positive_contraction(as_matrix(m), what=f"input {i + 1}")
-        for i, m in enumerate(mats)
+        require_positive_contraction(m, what=f"input {i + 1}") for i, m in enumerate(mats)
     ]
     d = _common_dim(inputs)
     count = len(inputs)
-    one = identity(d)
+    one = np.broadcast_to(identity(d), inputs[0].shape).copy()
 
     outs = []
     for k in range(count - 1):

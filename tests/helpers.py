@@ -24,6 +24,16 @@ def reference_tau(a, b) -> float:
     return float(np.trace(a @ b).real) / a.shape[0]
 
 
+def block_diagonal(stack) -> np.ndarray:
+    """The dense block-diagonal matrix of a (k, d, d) block stack, as a
+    reference for the stack-aware linear algebra."""
+    k, d, _ = stack.shape
+    dense = np.zeros((k * d, k * d), dtype=np.complex128)
+    for i, block in enumerate(stack):
+        dense[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
+    return dense
+
+
 def reference_graph_json(graph) -> dict:
     """The compiled graph as nested dicts and lists, as a reference for the
     templated JSON writer: ``json.dumps(reference_graph_json(graph),

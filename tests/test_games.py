@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_tau
+from helpers import block_diagonal, reference_tau
 from gadgetgraph import forward, games, maxcut, reverse, rounding
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import (
@@ -37,7 +37,7 @@ from gadgetgraph.instances import (
     triangle_coloring_game,
     triangle_strategy,
 )
-from gadgetgraph.linalg import random_pvm
+from gadgetgraph.linalg import as_matrix, random_pvm
 from gadgetgraph.maxcut import SimpleGraph, cycle_graph, roots_identity_check, value_bridge
 from gadgetgraph.reverse import symmetrize
 
@@ -329,11 +329,19 @@ def test_unchecked_strategies_pass_the_validating_constructor(n, m, d, seed):
     # same arrays: the skipped check could not have failed.
     built = []
 
+    def dense(m):
+        return block_diagonal(m) if m.ndim == 3 else m
+
     def validating(cls, dim, pvms):
-        checked, unchecked = cls(d=dim, pvms=pvms), _prebuilt(cls, dim, pvms)
+        # symmetrize builds (6, d, d) stacks; the constructor checks their
+        # block-diagonal matrices.
+        dense_pvms = {key: [dense(m) for m in mats] for key, mats in pvms.items()}
+        checked, unchecked = cls(d=dim, pvms=dense_pvms), _prebuilt(cls, dim, pvms)
         assert list(checked.pvms) == list(unchecked.pvms)
         for key, mats in checked.pvms.items():
-            assert all(np.array_equal(a, b) for a, b in zip(mats, unchecked.pvms[key], strict=True))
+            assert all(
+                np.array_equal(a, dense(b)) for a, b in zip(mats, unchecked.pvms[key], strict=True)
+            )
         built.append(cls)
         return unchecked
 
@@ -389,3 +397,26 @@ def test_forward_rounds_strategy_outcomes_without_rechecking_them(
     assert calls == []  # the strategy's outcomes were validated when it was built
     rounding.perturb_two(strategy.pvms[1][0], strategy.pvms[1][2])
     assert len(calls) == 2  # the public entry point still checks both inputs
+
+
+# ---------------------------------------------------------------------------
+# the trust boundary takes d-by-d matrices only, never (k, d, d) stacks
+
+
+def test_trust_boundary_rejects_stacks(tmp_path):
+    stacks = tuple(np.stack([m] * 6) for m in random_pvm(np.random.default_rng(4), 2, 3))
+    with pytest.raises(ValidationError, match="square matrix"):
+        as_matrix(stacks[0], 12)
+    with pytest.raises(ValidationError, match="square matrix"):
+        GameStrategy(d=12, pvms={1: list(stacks)})
+    with pytest.raises(ValidationError, match="square matrix"):
+        ColoringStrategy(d=12, pvms={"A": list(stacks)})
+    # A stack in a file, at the block size and at the stacked dimension.
+    nested = [[[[z.real, z.imag] for z in block.ravel()] for block in s] for s in stacks]
+    flat = [[pair for block in s for pair in block] for s in nested]
+    for d, mats in ((2, nested), (12, flat)):
+        for key, load in (("1", load_game_strategy), ("A", load_coloring_strategy)):
+            target = tmp_path / "stack.json"
+            target.write_text(json.dumps({"d": d, "pvms": {key: mats}}))
+            with pytest.raises(ValidationError, match="matrix payload"):
+                load(target)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import block_diagonal
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import matrix_from_json
 from gadgetgraph.linalg import (
@@ -25,6 +26,7 @@ from gadgetgraph.linalg import (
     trace_product,
     two_norm,
 )
+from gadgetgraph.rounding import perturb_pvm_with_reports
 
 
 def test_normalized_trace_of_identity_is_one():
@@ -208,3 +210,74 @@ def test_validation_rejects_non_finite_entries(bad, where):
         require_hermitian(p)
     with pytest.raises(ValidationError):
         require_pvm([p, identity(2) - p])
+
+
+# ---------------------------------------------------------------------------
+# (k, d, d) stacks read as their block-diagonal matrices
+
+
+def _twisted_pvm_stack(rng, k: int, d: int, outcomes: int, angle: float) -> list:
+    """Per block, a random PVM whose outcomes are each conjugated by their own
+    small unitary: projections that are almost, not exactly, a PVM."""
+    blocks = []
+    for _ in range(k):
+        twisted = []
+        for p in random_pvm(rng, d, outcomes):
+            w, v = np.linalg.eigh(random_hermitian(rng, d))
+            u = (v * np.exp(1j * angle * w)) @ v.conj().T
+            twisted.append(u @ p @ u.conj().T)
+        blocks.append(twisted)
+    return [np.stack([block[o] for block in blocks]) for o in range(outcomes)]
+
+
+def _accepts_window(m) -> bool:
+    try:
+        require_positive_contraction(m)
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=6),
+    d=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacks_read_as_their_block_diagonal_matrix(k, d, seed):
+    rng = np.random.default_rng(seed)
+
+    def ginibre():
+        return rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+
+    a, b = ginibre(), ginibre()
+    dense_a, dense_b = block_diagonal(a), block_diagonal(b)
+    assert two_norm(a) == pytest.approx(two_norm(dense_a), rel=1e-12)
+    assert trace_product(a, b) == pytest.approx(trace_product(dense_a, dense_b), rel=1e-9, abs=1e-12)
+    assert hermitian_defect(a) == hermitian_defect(dense_a)
+
+    contractions = np.stack([random_positive_contraction(rng, d) for _ in range(k)])
+    j = int(rng.integers(k))
+    for shift, inside in ((1e-10, True), (1e-6, False)):
+        moved = contractions.copy()
+        moved[j] += (1.0 + shift - np.linalg.eigvalsh(moved[j])[-1]) * identity(d)
+        assert _accepts_window(moved) == _accepts_window(block_diagonal(moved)) == inside
+
+    rounded = spectral_projection_half(contractions)
+    assert rounded.shape == (k, d, d)
+    assert np.allclose(block_diagonal(rounded), spectral_projection_half(block_diagonal(contractions)), atol=1e-10)
+    # An eigenvalue of exactly 1/2 in every block goes up in every block.
+    ties = np.stack([np.diag([0.5, *rng.uniform(0.0, 1.0, d - 1)]) for _ in range(k)]).astype(np.complex128)
+    rounded = spectral_projection_half(ties)
+    assert np.all(rounded[:, 0, 0] == 1.0)
+    assert np.array_equal(block_diagonal(rounded), spectral_projection_half(block_diagonal(ties)))
+
+    inputs = _twisted_pvm_stack(rng, k, d, 3, 0.02)
+    pvm, reports = perturb_pvm_with_reports(inputs)
+    dense_pvm, dense_reports = perturb_pvm_with_reports([block_diagonal(m) for m in inputs])
+    for got, want in zip(pvm, dense_pvm, strict=True):
+        assert got.shape == (k, d, d)
+        assert np.allclose(block_diagonal(got), want, atol=1e-10)
+    for got, want in zip(reports, dense_reports, strict=True):
+        assert got.lhs == pytest.approx(want.lhs, rel=1e-9, abs=1e-12)
+        assert got.rhs == pytest.approx(want.rhs, rel=1e-9, abs=1e-12)

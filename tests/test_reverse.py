@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import block_diagonal
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.forward import coloring_value, forward_translate
 from gadgetgraph.games import PriorDistribution, sync_value
@@ -50,11 +51,10 @@ def test_symmetrize_block_structure(rng, min_graph):
     assert sym.vertices == cs.vertices
     name = cs.vertices[0]
     for c in (1, 2, 3):
-        big = sym.pvms[name][c - 1]
+        stack = sym.pvms[name][c - 1]
+        assert stack.shape == (6, 2, 2)
         for slot, perm in enumerate(PERM3):
-            lo = 2 * slot
-            block = big[lo:lo + 2, lo:lo + 2]
-            assert np.array_equal(block, cs.pvms[name][perm[c - 1] - 1])
+            assert np.array_equal(stack[slot], cs.pvms[name][perm[c - 1] - 1])
 
 
 def test_symmetrize_preserves_value(rng, min_graph):
@@ -154,7 +154,8 @@ def test_control_compressions_exact_on_symmetrized_perfect(min_game, min_graph):
     sym = symmetrize(perfect_coloring(min_game, min_graph), min_graph)
     cc = control_compressions(sym)
     total = sum(cc.operators[perm] for perm in PERM3)
-    assert np.allclose(total, np.eye(sym.d), atol=1e-14)
+    assert total.shape == (6, 1, 1)
+    assert np.allclose(block_diagonal(total), np.eye(sym.d), atol=1e-14)
     for report in cc.reports:
         assert report.slack == 0.0
 
