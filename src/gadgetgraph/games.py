@@ -421,6 +421,8 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
     finite float as ``float.__repr__`` does.
     """
     pvms, step = strategy.pvms, strategy.d * strategy.d
+    if any(mats[0].shape != (strategy.d, strategy.d) for mats in pvms.values()):
+        raise ValidationError("only d-by-d strategy operators are written, not symmetrize's stacks")
     with open(path, "w") as fh:
         fh.write('{\n  "d": %s,\n  "pvms": {\n' % json.dumps(strategy.d))
         # sort_keys orders the str keys, so question "10" precedes "2".

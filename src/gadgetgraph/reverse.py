@@ -2,8 +2,8 @@
 game strategies.
 
 This is the constructive half of the equivalence.  A coloring strategy is
-first symmetrized, as (6, d, d) block stacks, so every color-indexed quantity
-is invariant under relabeling the three colors.  The control-triangle projections are then
+first symmetrized so every color-indexed quantity becomes invariant under
+relabeling the three colors.  The control-triangle projections are then
 compressed into six sandwich operators (one per color permutation), the
 answer-carrying block cells are squeezed between them, and the resulting
 6m positive contractions per question are rounded into an exact PVM whose

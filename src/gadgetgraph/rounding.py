@@ -20,7 +20,6 @@ from .errors import BoundViolation, ValidationError
 from .linalg import (
     ROOT2,
     TOL_SLACK,
-    as_matrix,
     commutator,
     identity,
     require_hermitian,
@@ -73,7 +72,7 @@ def check_three_sum_zero(a1, a2, a3) -> InequalityReport:
     """Three Hermitian operators summing to zero are each small in 2-norm
     whenever each is close to being a projection."""
     mats = [
-        require_hermitian(as_matrix(m), what=f"summand {i + 1}")
+        require_hermitian(m, what=f"summand {i + 1}")
         for i, m in enumerate((a1, a2, a3))
     ]
     _common_dim(mats)

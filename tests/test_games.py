@@ -404,7 +404,8 @@ def test_forward_rounds_strategy_outcomes_without_rechecking_them(
 
 
 def test_trust_boundary_rejects_stacks(tmp_path):
-    stacks = tuple(np.stack([m] * 6) for m in random_pvm(np.random.default_rng(4), 2, 3))
+    pvm = random_pvm(np.random.default_rng(4), 2, 3)
+    stacks = tuple(np.stack([m] * 6) for m in pvm)
     with pytest.raises(ValidationError, match="square matrix"):
         as_matrix(stacks[0], 12)
     with pytest.raises(ValidationError, match="square matrix"):
@@ -420,3 +421,8 @@ def test_trust_boundary_rejects_stacks(tmp_path):
             target.write_text(json.dumps({"d": d, "pvms": {key: mats}}))
             with pytest.raises(ValidationError, match="matrix payload"):
                 load(target)
+    # Nor does a stack leave the package: symmetrize's output is not written.
+    target = tmp_path / "symmetrized.json"
+    with pytest.raises(ValidationError, match="only d-by-d"):
+        write_strategy_json(symmetrize(ColoringStrategy(d=2, pvms={"A": list(pvm)})), target)
+    assert not target.exists()
