@@ -63,7 +63,7 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """
     if a.ndim == 2:
         return float(np.einsum("ij,ji->", a, b).real) / a.shape[0]
-    return float(np.einsum("kij,kji->", a, b).real) / (a.shape[0] * a.shape[1])
+    return float(np.einsum("kij,kji->", a, b).real) / math.prod(a.shape[:-1])
 
 
 def two_norm(m) -> float:
