@@ -145,6 +145,8 @@ def cmd_check(args) -> int:
         raise ValidationError(f"trial count must be >= 0, got {args.trials}")
     if args.d < 1:
         raise ValidationError(f"dimension must be >= 1, got {args.d}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValidationError(f"tolerance must be finite and >= 0, got {args.tol}")
     if args.fixture_nonprojection:
         bad = [0.5 * np.eye(2)] * 3
         check_commutator_transfer(bad, bad)
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

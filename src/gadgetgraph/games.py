@@ -179,7 +179,7 @@ def _freeze(pvms) -> dict:
 def _freeze_pvm_family(pvms, d: int, what: str):
     """Validate a {key: list-of-matrices} family, every member a PVM of the
     same outcome count in dimension d, and freeze copies of it into a dict."""
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ValidationError(f"dimension must be a positive integer, got {d!r}")
     if not pvms:
         raise ValidationError(f"{what} has no PVMs")
@@ -212,7 +212,7 @@ class GameStrategy:
 
     def __post_init__(self) -> None:
         for key in self.pvms:
-            if not isinstance(key, int) or key < 1:
+            if not _is_int(key) or key < 1:
                 raise ValidationError(f"question key {key!r} is not a positive integer")
         object.__setattr__(self, "pvms", _freeze_pvm_family(self.pvms, self.d, "game strategy"))
 
@@ -477,7 +477,7 @@ def _load_strategy_parts(path, what: str):
     if not isinstance(payload, dict) or "d" not in payload or "pvms" not in payload:
         raise ValidationError(f"{what} file must be an object with fields 'd' and 'pvms'")
     d = payload["d"]
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ValidationError(f"{what} dimension must be a positive integer, got {d!r}")
     pvms = payload["pvms"]
     if not isinstance(pvms, dict):
@@ -494,10 +494,14 @@ def load_game_strategy(path) -> GameStrategy:
     d, parsed = _load_strategy_parts(path, "game strategy")
     pvms = {}
     for key, mats in parsed.items():
+        # Only the canonical spelling: "01", " 1", "+1" and "1_0" would parse
+        # as an int, and could collide with another key.
         try:
             q = int(key)
         except ValueError:
-            raise ValidationError(f"game strategy key {key!r} is not a question number") from None
+            q = None
+        if q is None or key != str(q):
+            raise ValidationError(f"game strategy key {key!r} is not a question number")
         pvms[q] = mats
     return GameStrategy(d=d, pvms=pvms)
 

@@ -3,12 +3,13 @@
 The graph is assembled from a fixed control triangle {A, B, C}, one 3-by-3
 rook's-graph block per (answer-window, question) pair with a prism on top,
 one orthogonality gadget per losing tuple with endpoint or interior answer
-pairs, and one direct edge per remaining losing tuple.  Each gluing (a
-vertex shared between gadgets) sends a fresh gadget cell onto a vertex
-declared before it, whose canonical vertex has a smaller sort key than the
-cell.  That vertex therefore stays the smallest-key member of the merged
-class, so each name resolves by one lookup when it is declared, and every
-later stage addresses vertices by one stable name.
+pairs, and one direct edge per remaining losing tuple.  A gluing (a vertex
+shared between gadgets) maps a gadget cell to a vertex declared earlier: a
+control letter, an answer cell v̂(a, x) or the previous block's v(3,2).  The
+cell takes that vertex and gets no name of its own, so the graph holds
+canonical vertices only, each named once, and every later stage reaches
+them through the gadget handles (``GadgetGraph.block``,
+``GadgetGraph.answer_vertex``).
 
 Edge accounting is kept honest: every slot the construction *mentions* is
 inserted through a counter that records which slots landed on an edge that
@@ -42,33 +43,24 @@ def t_name(i: int, alpha: int, x: int) -> str:
     return f"t({i},{alpha},{x})"
 
 
-def s_name(j: int, alpha: int, x: int) -> str:
-    return f"s({j},{alpha},{x})"
-
-
 def q_name(i: int, j: int, tup) -> str:
     a, b, x, y = tup
     return f"q({i},{j},{a},{b},{x},{y})"
 
 
-def vhat(a: int, x: int, m: int) -> str:
-    """The block cell that carries answer a at question x.
+def _answer_cell(a: int, m: int) -> tuple:
+    """The block alpha and the cell that carry answer a: the paper's v̂(a, x)
+    is that cell of block (alpha, x).
 
     Answer 1 sits at the first block's top-left corner, answer m at the last
     block's center, and each interior answer a at the center-left cell of
-    block a-1.  The map is injective on (a, x).
+    block a-1.  None of these cells is glued, so v̂ is injective on (a, x).
     """
-    if m < 3:
-        raise ValidationError(f"answer count must be >= 3, got {m}")
-    if not 1 <= a <= m:
-        raise ValidationError(f"answer {a} out of range 1..{m}")
-    if x < 1:
-        raise ValidationError(f"question {x} must be positive")
     if a == 1:
-        return v_name(1, 1, 1, x)
+        return 1, (1, 1)
     if a == m:
-        return v_name(2, 2, m - 2, x)
-    return v_name(2, 1, a - 1, x)
+        return m - 2, (2, 2)
+    return a - 1, (2, 1)
 
 
 #: The nine cells of a 3x3 gadget, row-major.
@@ -146,7 +138,12 @@ class EdgeCountReport:
 
 @dataclass(frozen=True, eq=False)
 class GadgetGraph:
-    """The compiled graph: canonical vertices, edges, and gadget handles."""
+    """The compiled graph: vertices, edges, and gadget handles.
+
+    Every vertex is canonical: a glued gadget cell holds the earlier vertex
+    it was glued to, so a handle's cells name graph vertices directly.
+    ``sort_key`` maps each vertex to the key that orders ``vertices``.
+    """
 
     game: SyncGame
     vertices: tuple
@@ -155,7 +152,6 @@ class GadgetGraph:
     orthos: tuple
     rest_edges: tuple
     report: EdgeCountReport
-    resolution: dict
     sort_key: dict
 
     @property
@@ -166,19 +162,20 @@ class GadgetGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def resolve(self, name: str) -> str:
-        """Canonical representative of any declared vertex name."""
-        try:
-            return self.resolution[name]
-        except KeyError:
-            raise ValidationError(f"unknown vertex name {name!r}") from None
-
     def block(self, alpha: int, x: int) -> BlockHandle:
         """The block (alpha, x); ``blocks`` is x-major and alpha-minor."""
         per_x = self.game.m - 2
         if not (1 <= alpha <= per_x and 1 <= x <= self.game.n):
             raise ValidationError(f"no block with alpha={alpha}, x={x}")
         return self.blocks[(x - 1) * per_x + alpha - 1]
+
+    def answer_vertex(self, a: int, x: int) -> str:
+        """The vertex v̂(a, x) that carries answer a at question x."""
+        m = self.game.m
+        if not 1 <= a <= m:
+            raise ValidationError(f"answer {a} out of range 1..{m}")
+        alpha, cell = _answer_cell(a, m)
+        return self.block(alpha, x).cells[cell]
 
 
 def edge_count_formula(game: SyncGame) -> int:
@@ -195,38 +192,34 @@ def edge_count_formula(game: SyncGame) -> int:
 def build_graph(game: SyncGame) -> GadgetGraph:
     part = partition_losing(game)
     n, m = game.n, game.m
-    # Every gluing sends a fresh cell onto a vertex declared before it whose
-    # canonical vertex has a smaller key than the cell: a control letter, an
-    # answer cell vhat, a block's row-1 cell (under s(j)) or the previous
-    # block's v(3,2).  So each class is one canonical vertex plus aliases with
-    # larger keys, and its smallest-key member is known when a name is declared.
-    resolution = {}  # every declared name -> its canonical vertex
-    # Sort keys, canonical vertices only: control letters (0, ...) before
-    # block cells (1, ...), prism tops (2, ...) and gadget cells (3, ...).
+    # Every gluing maps a fresh cell to a vertex declared before it: a control
+    # letter, an answer cell v̂ or the previous block's v(3,2).  Sort keys:
+    # control letters (0, ...) before block cells (1, ...), prism tops
+    # (2, ...) and gadget cells (3, ...).
     key = {}
 
     def declare(name: str, k: tuple) -> str:
-        if name in resolution:
+        if name in key:
             raise AssertionError(f"vertex {name} registered twice")
-        resolution[name] = name
         key[name] = k
         return name
 
-    def glue(name: str, target: str) -> str:
-        if target not in resolution:
-            raise AssertionError(f"{name} is glued to {target}, which is not declared yet")
-        if name in resolution:
-            raise AssertionError(f"vertex {name} registered twice")
-        canonical = resolution[name] = resolution[target]
-        return canonical
-
-    def gadget(names, head: tuple, glued: dict) -> dict:
-        """Declare one 3x3 gadget's cells; ``glued`` maps a cell to its target."""
+    def gadget(name, head: tuple, glued: dict) -> dict:
+        """One 3x3 gadget's cells: ``glued`` maps a cell to its target vertex,
+        and each other cell is declared under ``name(i, j)``."""
         cells = {}
-        for cell, name in zip(_CELLS, names):
+        for cell in _CELLS:
             target = glued.get(cell)
-            cells[cell] = declare(name, head + cell) if target is None else glue(name, target)
+            if target is None:
+                target = declare(name(*cell), head + cell)
+            elif target not in key:
+                raise AssertionError(f"{name(*cell)} is glued to {target}, which is not declared yet")
+            cells[cell] = target
         return cells
+
+    def answer(a: int, x: int) -> str:
+        alpha, cell = _answer_cell(a, m)
+        return blocks[(x - 1) * (m - 2) + alpha - 1].cells[cell]
 
     edges = set()
     dup_counter = Counter()
@@ -252,19 +245,16 @@ def build_graph(game: SyncGame) -> GadgetGraph:
             glued = {(1, 2): "B"}
             if alpha > 1:
                 glued[(1, 1)] = blocks[-1].cells[(3, 2)]
-            cells = gadget([v_name(i, j, alpha, x) for i, j in _CELLS], (1, x, alpha), glued)
+            cells = gadget(lambda i, j: v_name(i, j, alpha, x), (1, x, alpha), glued)
             t1 = declare(t_name(1, alpha, x), (2, x, alpha, 1))
-            glue(t_name(2, alpha, x), "A")
             t3 = declare(t_name(3, alpha, x), (2, x, alpha, 3))
-            for j in (1, 2, 3):
-                glue(s_name(j, alpha, x), cells[(1, j)])
             blocks.append(BlockHandle(alpha=alpha, x=x, cells=cells, t1=t1, t3=t3))
             for c1, c2 in ROOK_PAIRS:
                 slot(cells[c1], cells[c2], "gadget_block")
             slot("C", cells[(2, 1)], "gadget_block")
             slot("A", cells[(3, 3)], "gadget_block")
             # Prism atop row 1: top triangle t1, t2 = A, t3 plus the two
-            # non-control rungs.  The middle rung s(2)~t(2) is B~A, not a slot.
+            # non-control rungs.  The middle rung v(1,2)~t2 is B~A, not a slot.
             slot(t1, "A", "gadget_block")
             slot("A", t3, "gadget_block")
             slot(t1, t3, "gadget_block")
@@ -276,8 +266,8 @@ def build_graph(game: SyncGame) -> GadgetGraph:
         hub = "B" if kind == "e" else "C"
         for tup in tuples:
             a, b, x, y = tup
-            glued = {(1, 1): vhat(a, x, m), (1, 2): hub, (2, 2): vhat(b, y, m)}
-            cells = gadget([q_name(i, j, tup) for i, j in _CELLS], (3, x, y, a, b), glued)
+            glued = {(1, 1): answer(a, x), (1, 2): hub, (2, 2): answer(b, y)}
+            cells = gadget(lambda i, j: q_name(i, j, tup), (3, x, y, a, b), glued)
             orthos.append(OrthoHandle(tup=tup, kind=kind, cells=cells))
             for c1, c2 in ROOK_PAIRS:
                 slot(cells[c1], cells[c2], "orthogonality_gadget")
@@ -286,7 +276,7 @@ def build_graph(game: SyncGame) -> GadgetGraph:
     rest_edges = []
     for tup in part.rest:
         a, b, x, y = tup
-        u, v = resolution[vhat(a, x, m)], resolution[vhat(b, y, m)]
+        u, v = answer(a, x), answer(b, y)
         slot(u, v, "direct_edge")
         rest_edges.append((tup, (u, v)))
 
@@ -332,8 +322,7 @@ def build_graph(game: SyncGame) -> GadgetGraph:
         orthos=tuple(orthos),
         rest_edges=tuple(rest_edges),
         report=report,
-        resolution=resolution,
-        sort_key={name: key[name] for name in vertices},
+        sort_key=key,
     )
 
 

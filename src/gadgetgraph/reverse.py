@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BoundViolation, ValidationError
 from .forward import coloring_value
 from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt
-from .graphs import DELTA, GadgetGraph, vhat
+from .graphs import DELTA, GadgetGraph
 from .linalg import commutator, identity, require_positive_contraction, two_norm
 from .rounding import PERM3, InequalityReport, perturb_pvm
 
@@ -257,13 +257,13 @@ def _commutator_rhs(graph: GadgetGraph, diag: Diagnostics, m: int, a: int, x: in
     """Explicit bound on ||[P_{i,vhat(a,x)}, S_{i,j,k}]||_2, by answer class."""
     sd = math.sqrt(diag.zeta[("delta",)])
     th = diag.theta_edge
-    res = graph.resolve
+    answer = graph.answer_vertex
     if a == 1:
         return (
             54.0 * sd
             + 48.0 * math.sqrt(diag.zeta[("row", 1, 1, x)])
             + 32.0 * diag.xi[("top", 1, x)]
-            + 36.0 * th(res(vhat(1, x, m)), "B")
+            + 36.0 * th(answer(1, x), "B")
         )
     if a < m:
         al = a - 1
@@ -272,7 +272,7 @@ def _commutator_rhs(graph: GadgetGraph, diag: Diagnostics, m: int, a: int, x: in
             + 72.0 * math.sqrt(diag.zeta[("row", 1, al, x)])
             + 84.0 * math.sqrt(diag.zeta[("row", 2, al, x)])
             + 56.0 * diag.xi[("rows", 1, 2, al, x)]
-            + 16.0 * th(res(vhat(a, x, m)), "C")
+            + 16.0 * th(answer(a, x), "C")
         )
     al = m - 2
     cells = graph.block(al, x).cells
@@ -281,12 +281,12 @@ def _commutator_rhs(graph: GadgetGraph, diag: Diagnostics, m: int, a: int, x: in
         + 66.0 * math.sqrt(diag.zeta[("row", 2, al, x)])
         + 84.0 * math.sqrt(diag.zeta[("row", 1, al, x)])
         + 32.0 * diag.xi[("rows", 1, 2, al, x)]
-        + 4.0 * th(res(vhat(m - 1, x, m)), "C")
+        + 4.0 * th(answer(m - 1, x), "C")
         + 18.0 * math.sqrt(diag.zeta[("col", 3, al, x)])
         + 32.0 * diag.xi[("top", al, x)]
         + 12.0 * th(cells[(2, 1)], "C")
         + 2.0 * th(cells[(3, 3)], "A")
-        + 24.0 * th(res(vhat(m, x, m)), "B")
+        + 24.0 * th(answer(m, x), "B")
     )
 
 
@@ -296,7 +296,7 @@ def _question_sandwiches(
     """The 6m operators S P_{i,vhat(a,x)} S, ordered by (answer, permutation)."""
     ops = []
     for a in range(1, m + 1):
-        block = cs.pvms[graph.resolve(vhat(a, x, m))]
+        block = cs.pvms[graph.answer_vertex(a, x)]
         for perm in PERM3:
             s = cc.operators[perm]
             ops.append(s @ block[perm[0] - 1] @ s)
@@ -324,7 +324,7 @@ def certify_reverse_lemmas(
     m = game.m
     for x in range(1, game.n + 1):
         for a in range(1, m + 1):
-            target = sym.pvms[graph.resolve(vhat(a, x, m))]
+            target = sym.pvms[graph.answer_vertex(a, x)]
             lhs = max(
                 two_norm(commutator(target[perm[0] - 1], cc.operators[perm]))
                 for perm in PERM3

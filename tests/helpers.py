@@ -5,13 +5,18 @@ census from its own tables: its own partition of the losing tuples, its
 own slot lists, and a string-rewriting canonicalization whose chain rule
 points the opposite way from the builder's smallest-key representative.
 Agreement with the builder is therefore evidence, not a tautology.
+
+The builder names only the cells that become vertices.  The paper's other
+names (the prism rungs s(j), the middle top t(2), the answer cells v̂(a, x)
+and every glued cell) are spelled here, and ``handle_names`` reads the
+vertex each of them lands on from the graph's gadget handles.
 """
 
 from dataclasses import asdict
 
 import numpy as np
 
-from gadgetgraph.graphs import DELTA, q_name, s_name, t_name, v_name, vhat
+from gadgetgraph.graphs import DELTA, q_name, t_name, v_name
 
 #: Filled by the acceptance tests; conftest prints one line per entry
 #: after the run so the verdicts survive pytest's output capture.
@@ -74,6 +79,39 @@ def first_differing_line(got: str, want: str) -> str:
         if g != w:
             return f"{number}: {g!r} != {w!r}"
     return "past the end of the shorter text"
+
+
+def s_name(j: int, alpha: int, x: int) -> str:
+    """The paper's prism rung s(j) over block (alpha, x): the row-1 cell v(1,j)."""
+    return f"s({j},{alpha},{x})"
+
+
+def vhat(a: int, x: int, m: int) -> str:
+    """The paper's answer cell v̂(a, x): answer 1 at the first block's top-left
+    corner, answer m at the last block's center, and each interior answer a
+    at the center-left cell of block a-1."""
+    if a == 1:
+        return v_name(1, 1, 1, x)
+    if a == m:
+        return v_name(2, 2, m - 2, x)
+    return v_name(2, 1, a - 1, x)
+
+
+def handle_names(graph) -> dict:
+    """Every name the construction declares, glued cells, s(j) and t(2)
+    included, mapped to the vertex its gadget handle holds."""
+    names = {letter: letter for letter in DELTA}
+    for b in graph.blocks:
+        for (i, j), vertex in b.cells.items():
+            names[v_name(i, j, b.alpha, b.x)] = vertex
+        for j in (1, 2, 3):
+            names[s_name(j, b.alpha, b.x)] = b.cells[(1, j)]
+        for i, vertex in zip((1, 2, 3), b.t_triangle()):
+            names[t_name(i, b.alpha, b.x)] = vertex
+    for o in graph.orthos:
+        for (i, j), vertex in o.cells.items():
+            names[q_name(i, j, o.tup)] = vertex
+    return names
 
 
 def rook_adjacent(c1, c2) -> bool:
@@ -204,8 +242,7 @@ def assert_edge_accounting(game, graph):
     assert len(edges) == formula + 3 - duplicates
     assert len(edges) == graph.n_edges
     assert len(vertices) == graph.n_vertices
-    mapped = {
-        frozenset(graph.resolve(name) for name in pair) for pair in edges
-    }
-    assert all(len(pair) == 2 for pair in mapped), "resolution collapsed an edge"
+    names = handle_names(graph)
+    mapped = {frozenset(names[name] for name in pair) for pair in edges}
+    assert all(len(pair) == 2 for pair in mapped), "the handles collapsed an edge"
     assert mapped == {frozenset(p) for p in graph.edges}

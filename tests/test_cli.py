@@ -278,3 +278,64 @@ def test_same_seed_same_output(capsys):
     _, demo1, _ = run(capsys, "demo", "--seed", "2")
     _, demo2, _ = run(capsys, "demo", "--seed", "2")
     assert demo1 == demo2
+
+
+# ---------------------------------------------------------------------------
+# malformed files and flags: exit 2 with a message, never a traceback
+
+
+def _rewrite(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _boolean_d(payload):
+    payload["d"] = True
+
+
+def _keys(*keys):
+    def edit(payload):
+        (mats,) = payload["pvms"].values()
+        payload["pvms"] = dict.fromkeys(keys, mats)
+
+    return edit
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    return str(path)
+
+
+def _graph_file(tmp_path):
+    target = tmp_path / "triangle.txt"
+    target.write_text("1 2\n2 3\n1 3\n")
+    return target
+
+
+MALFORMED = {
+    "forward-boolean-d": lambda g, s, c, t: ("forward", g, _rewrite(s, _boolean_d)),
+    "reverse-boolean-d": lambda g, s, c, t: ("reverse", g, _rewrite(c, _boolean_d)),
+    "forward-keys-1-01": lambda g, s, c, t: ("forward", g, _rewrite(s, _keys("1", "01"))),
+    "forward-key-underscore": lambda g, s, c, t: ("forward", g, _rewrite(s, _keys("1", "1_0"))),
+    "forward-key-space": lambda g, s, c, t: ("forward", g, _rewrite(s, _keys(" 1"))),
+    "forward-key-plus": lambda g, s, c, t: ("forward", g, _rewrite(s, _keys("+1"))),
+    "compile-game-not-utf8": lambda g, s, c, t: ("compile", _not_utf8(g)),
+    "forward-strategy-not-utf8": lambda g, s, c, t: ("forward", g, _not_utf8(s)),
+    "reverse-coloring-not-utf8": lambda g, s, c, t: ("reverse", g, _not_utf8(c)),
+    "maxcut-graph-not-utf8": lambda g, s, c, t: ("maxcut", _not_utf8(_graph_file(t))),
+    "check-tol-nan": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "nan"),
+    "check-tol-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "inf"),
+    "check-tol-minus-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-inf"),
+    "check-tol-negative": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-1"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_exits_2(capsys, tmp_path, game_file, strategy_file, coloring_file, case):
+    argv = MALFORMED[case](game_file, strategy_file, coloring_file, tmp_path)
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 2, (out, err)
+    assert err.startswith("invalid input: ") and err.count("\n") == 1, err
+    assert "Traceback" not in out + err

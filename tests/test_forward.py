@@ -19,7 +19,7 @@ from gadgetgraph.games import (
     coloring_game,
     sync_value,
 )
-from gadgetgraph.graphs import build_graph, vhat
+from gadgetgraph.graphs import build_graph
 from gadgetgraph.instances import (
     deterministic_strategy,
     minimal_game,
@@ -86,7 +86,7 @@ def test_vhat_color_one_recovers_the_answer_projections(rng):
     strategy = random_strategy(rng, game, 3)
     cs = forward_translate(game, graph, strategy)
     for a in range(1, 5):
-        name = graph.resolve(vhat(a, 1, 4))
+        name = graph.answer_vertex(a, 1)
         assert np.allclose(cs.pvms[name][0], strategy.pvms[1][a - 1], atol=1e-12)
 
 

@@ -155,6 +155,16 @@ def test_game_strategy_rejects_non_pvm():
         GameStrategy(d=2, pvms={1: [half, half, np.zeros((2, 2))]})
 
 
+def test_strategies_reject_boolean_dimension_and_keys():
+    pvm = [np.eye(1), np.zeros((1, 1)), np.zeros((1, 1))]
+    with pytest.raises(ValidationError, match="question key True"):
+        GameStrategy(d=1, pvms={True: pvm})
+    with pytest.raises(ValidationError, match="dimension"):
+        GameStrategy(d=True, pvms={1: pvm})
+    with pytest.raises(ValidationError, match="dimension"):
+        ColoringStrategy(d=True, pvms={"A": pvm})
+
+
 def test_coloring_strategy_needs_three_outcomes():
     with pytest.raises(ValidationError, match="outcomes"):
         ColoringStrategy(d=1, pvms={"A": [np.eye(1), np.zeros((1, 1))]})

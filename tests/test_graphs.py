@@ -16,10 +16,8 @@ from gadgetgraph.graphs import (
     edge_count_formula,
     export_graph,
     q_name,
-    s_name,
     t_name,
     v_name,
-    vhat,
 )
 from gadgetgraph.instances import random_game
 
@@ -115,27 +113,32 @@ def test_independent_accounting_random(seed):
 
 
 def test_delta_vertices_are_canonical(min_graph):
+    names = helpers.handle_names(min_graph)
     for name in DELTA:
-        assert min_graph.resolve(name) == name
+        assert names[name] == name
         assert name in min_graph.vertices
 
 
 def test_block_internal_gluings(min_graph):
     # within block (1,1): middle top vertex is the control vertex A and
     # the (1,2) cell is the control vertex B.
-    assert min_graph.resolve(t_name(2, 1, 1)) == "A"
-    assert min_graph.resolve(v_name(1, 2, 1, 1)) == "B"
+    names = helpers.handle_names(min_graph)
+    block = min_graph.block(1, 1)
+    assert block.t_triangle()[1] == names[t_name(2, 1, 1)] == "A"
+    assert block.cells[(1, 2)] == names[v_name(1, 2, 1, 1)] == "B"
     for j in (1, 2, 3):
-        assert min_graph.resolve(s_name(j, 1, 1)) == min_graph.resolve(v_name(1, j, 1, 1))
+        assert names[helpers.s_name(j, 1, 1)] == block.cells[(1, j)]
+    assert block.cells[(1, 1)] == v_name(1, 1, 1, 1)
+    assert block.cells[(1, 3)] == v_name(1, 3, 1, 1)
 
 
 def test_chain_gluing_links_adjacent_blocks():
     graph = build_graph(sync_only_game(5))
     for alpha in (1, 2):
-        assert graph.resolve(v_name(3, 2, alpha, 1)) == graph.resolve(v_name(1, 1, alpha + 1, 1))
+        assert graph.block(alpha + 1, 1).cells[(1, 1)] == graph.block(alpha, 1).cells[(3, 2)]
     # the last block has no successor to chain into
-    assert graph.resolve(v_name(3, 2, 3, 1)) not in {
-        graph.resolve(v_name(1, 1, a, 1)) for a in (1, 2, 3)
+    assert graph.block(3, 1).cells[(3, 2)] not in {
+        graph.block(a, 1).cells[(1, 1)] for a in (1, 2, 3)
     }
 
 
@@ -147,32 +150,44 @@ def test_chain_gluing_links_adjacent_blocks():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_resolution_agrees_with_rewrite_rules(n, m, p, seed):
-    # Every alias, including those no slot reaches (s(2), t(2), q(1,2)),
-    # resolves where the independent rewrite chain sends it.
+    # Every declared name, including those no slot reaches (s(2), t(2),
+    # q(1,2)), lands on the vertex of the name its rewrite chain ends at, and
+    # two names share a vertex exactly when their rewrite chains meet.
     game = random_game(np.random.default_rng(seed), n, m, p)
     graph = build_graph(game)
     rules = helpers.rewrite_rules(game)
+    names = helpers.handle_names(graph)
+    assert set(rules) <= set(names)
     for name in rules:
-        assert graph.resolve(name) == graph.resolve(helpers.canonicalize(rules, name)), name
+        assert names[name] == names[helpers.canonicalize(rules, name)], name
+    classes = {(helpers.canonicalize(rules, name), vertex) for name, vertex in names.items()}
+    assert len({chain_end for chain_end, _ in classes}) == len(classes)
+    assert {vertex for _, vertex in classes} == set(graph.vertices)
+    assert len(classes) == graph.n_vertices
 
 
 def test_answer_vertex_aliases():
     graph = build_graph(sync_only_game(5))
+    names = helpers.handle_names(graph)
     m = 5
-    assert graph.resolve(vhat(1, 1, m)) == graph.resolve(v_name(1, 1, 1, 1))
+    assert graph.answer_vertex(1, 1) == graph.block(1, 1).cells[(1, 1)]
     for a in (2, 3, 4):
-        assert graph.resolve(vhat(a, 1, m)) == graph.resolve(v_name(2, 1, a - 1, 1))
-    assert graph.resolve(vhat(m, 1, m)) == graph.resolve(v_name(2, 2, m - 2, 1))
+        assert graph.answer_vertex(a, 1) == graph.block(a - 1, 1).cells[(2, 1)]
+    assert graph.answer_vertex(m, 1) == graph.block(m - 2, 1).cells[(2, 2)]
+    for a in range(1, m + 1):
+        assert graph.answer_vertex(a, 1) == names[helpers.vhat(a, 1, m)] == helpers.vhat(a, 1, m)
+    assert len({graph.answer_vertex(a, 1) for a in range(1, m + 1)}) == m
 
 
 def test_ortho_corner_gluings(min_graph):
-    m = min_graph.game.m
     for gadget in min_graph.orthos:
         a, b, x, y = gadget.tup
-        assert min_graph.resolve(q_name(1, 1, gadget.tup)) == min_graph.resolve(vhat(a, x, m))
-        assert min_graph.resolve(q_name(2, 2, gadget.tup)) == min_graph.resolve(vhat(b, y, m))
+        assert gadget.cells[(1, 1)] == min_graph.answer_vertex(a, x)
+        assert gadget.cells[(2, 2)] == min_graph.answer_vertex(b, y)
         hub = "B" if gadget.kind == "e" else "C"
-        assert min_graph.resolve(q_name(1, 2, gadget.tup)) == hub
+        assert gadget.cells[(1, 2)] == hub
+        free = [cell for cell in gadget.cells if cell not in {(1, 1), (1, 2), (2, 2)}]
+        assert all(gadget.cells[cell] == q_name(*cell, gadget.tup) for cell in free)
 
 
 def test_minimal_ortho_kinds(min_graph):
@@ -211,7 +226,8 @@ def test_every_edge_uses_canonical_vertices(min_graph):
     for u, v in min_graph.edges:
         assert u in names and v in names
         assert u != v
-        assert min_graph.resolve(u) == u and min_graph.resolve(v) == v
+    names = helpers.handle_names(min_graph)
+    assert all(names[vertex] == vertex for vertex in min_graph.vertices)
 
 
 def test_no_duplicate_edges(tri_graph):
@@ -303,9 +319,10 @@ def test_export_rejects_unknown_format(min_graph):
 # error paths
 
 
-def test_resolve_unknown_name(min_graph):
-    with pytest.raises(ValidationError, match="unknown vertex"):
-        min_graph.resolve("v~9.9~99~99")
+@pytest.mark.parametrize("a, x", [(0, 1), (4, 1), (-1, 1), (1, 0), (1, 2), (3, 2)])
+def test_answer_vertex_out_of_range(min_graph, a, x):
+    with pytest.raises(ValidationError, match="out of range|no block"):
+        min_graph.answer_vertex(a, x)
 
 
 def test_block_lookup_out_of_range(min_graph):
