@@ -36,7 +36,7 @@ from .games import (
     sync_value,
 )
 from .graphs import ROOK_PAIRS, GadgetGraph
-from .linalg import identity, pvm_defect, require_pvm, trace_product, zero
+from .linalg import identity, pvm_defect, require_pvm_family, trace_product, zero
 from .rounding import InequalityReport, _perturb_checked_two
 
 FORWARD_PVM_TOL = 1e-10
@@ -177,9 +177,9 @@ def forward_translate(
         raise AssertionError(f"vertices never assigned: {unassigned[:5]}")
 
     # The one PVM check of the output, tighter than the constructor's.
-    for name in graph.vertices:
-        require_pvm(assignments[name], tol=FORWARD_PVM_TOL, what=f"coloring PVM at {name}")
-    return _prebuilt(ColoringStrategy, d, {name: assignments[name] for name in graph.vertices})
+    pvms = {name: assignments[name] for name in graph.vertices}
+    require_pvm_family(pvms, tol=FORWARD_PVM_TOL, what="coloring PVM at {}")
+    return _prebuilt(ColoringStrategy, d, pvms)
 
 
 def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:

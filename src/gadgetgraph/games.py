@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, require_pvm, trace_product
+from .linalg import as_matrix, require_pvm_family, trace_product
 
 QUESTION_PRIOR = "uniform-on-questions"
 EDGE_PRIOR = "uniform-on-edges"
@@ -183,10 +183,8 @@ def _freeze_pvm_family(pvms, d: int, what: str):
         raise ValidationError(f"dimension must be a positive integer, got {d!r}")
     if not pvms:
         raise ValidationError(f"{what} has no PVMs")
-    checked = {
-        key: require_pvm([as_matrix(m, d).copy() for m in pvms[key]], what=f"{what} PVM at {key!r}")
-        for key in sorted(pvms)
-    }
+    checked = {key: [as_matrix(m, d).copy() for m in pvms[key]] for key in sorted(pvms)}
+    require_pvm_family(checked, what=f"{what} PVM at {{!r}}")
     outcome_counts = {len(mats) for mats in checked.values()}
     if len(outcome_counts) != 1:
         raise ValidationError(f"{what} mixes outcome counts {sorted(outcome_counts)}")
@@ -381,11 +379,26 @@ def _game_from_payload(payload) -> SyncGame:
     return SyncGame(n=n, m=m, losing=frozenset(tuples))
 
 
+def _unique_keys(what: str):
+    """A ``json`` object hook that rejects a repeated key, which ``json``
+    would otherwise resolve silently by keeping the last value."""
+
+    def hook(pairs) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValidationError(f"{what} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
+    return hook
+
+
 def load_game(source) -> SyncGame:
     """Load a SyncGame from a JSON file path or a JSON string."""
     text = Path(source).read_text() if _looks_like_path(source) else source
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys("game file"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"game file is not valid JSON: {exc}") from None
     return _game_from_payload(payload)
@@ -419,20 +432,32 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
     of [re, im] pairs, written one key at a time without building the nested
     lists.  Validation keeps every entry finite, and ``json`` writes a
     finite float as ``float.__repr__`` does.
+
+    Each distinct matrix is rendered once per call and its text reused,
+    looked up by its bytes, so ``-0.0`` and ``0.0`` stay apart: the 648
+    matrices of the benchmark's forward colorings at d = 16 hold 79 to 116
+    distinct ones.
     """
-    pvms, step = strategy.pvms, strategy.d * strategy.d
+    pvms = strategy.pvms
     if any(mats[0].shape != (strategy.d, strategy.d) for mats in pvms.values()):
         raise ValidationError("only d-by-d strategy operators are written, not symmetrize's stacks")
+    rendered: dict = {}
+
+    def render(m) -> str:
+        raw = m.tobytes()  # C order, interleaved re and im, whatever m's strides
+        text = rendered.get(raw)
+        if text is None:
+            floats = list(map(float.__repr__, np.frombuffer(raw).tolist()))
+            text = rendered[raw] = _BETWEEN_PAIRS.join(
+                map(_WITHIN_PAIR.join, zip(floats[0::2], floats[1::2]))
+            )
+        return text
+
     with open(path, "w") as fh:
         fh.write('{\n  "d": %s,\n  "pvms": {\n' % json.dumps(strategy.d))
         # sort_keys orders the str keys, so question "10" precedes "2".
         for i, key in enumerate(sorted(pvms, key=str)):
-            mats = pvms[key]
-            floats = list(map(float.__repr__, np.stack(mats).view(np.float64).ravel().tolist()))
-            pairs = list(map(_WITHIN_PAIR.join, zip(floats[0::2], floats[1::2])))
-            body = _BETWEEN_MATRICES.join(
-                [_BETWEEN_PAIRS.join(pairs[j:j + step]) for j in range(0, len(pairs), step)]
-            )
+            body = _BETWEEN_MATRICES.join(map(render, pvms[key]))
             fh.write(
                 "%s    %s: [\n      [\n        [\n          %s\n        ]\n      ]\n    ]"
                 % (",\n" if i else "", json.dumps(str(key)), body)
@@ -471,7 +496,7 @@ def matrix_from_json(data, d: int) -> np.ndarray:
 def _load_strategy_parts(path, what: str):
     """The dimension and {key: matrices} of a strategy file, in any JSON layout."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys(f"{what} file"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "d" not in payload or "pvms" not in payload:

@@ -13,6 +13,12 @@ Every function that measures, validates or rounds operators also reads a
 traces are normalized by k*d, spectra range over all blocks, products act
 block by block, and an identity of the block size broadcasts.  Only
 ``as_matrix`` and the strategy constructors keep to d-by-d matrices.
+
+Whole strategies are validated by ``require_pvm_family``, which stacks 16
+PVMs at a time into a (16, k, d, d) array and computes ``require_pvm``'s
+defects on the stack, each bit for bit as the per-PVM check does, with the
+same tolerances; a stack that fails is checked again PVM by PVM, so its
+error message is ``require_pvm``'s.
 """
 
 from __future__ import annotations
@@ -154,6 +160,81 @@ def require_pvm(mats: Sequence[np.ndarray], tol: float = TOL_PVM, what: str = "P
     if not defect <= tol:
         raise ValidationError(f"{what} defect {defect:.3e} > {tol:.0e}")
     return out
+
+
+#: Keys of a PVM family validated as one stack; bounds the memory of a check.
+PVM_CHUNK = 16
+
+
+def require_pvm_family(family: dict, tol: float = TOL_PVM, what: str = "PVM at {!r}") -> None:
+    """Validate every PVM of a {key: outcomes} family as ``require_pvm`` does.
+
+    The keys are taken in the family's order, 16 at a time, each chunk as
+    one (K, k, d, d) stack with each of ``require_pvm``'s defects computed
+    bit for bit as it computes them.  A chunk that fails a check, or whose
+    PVMs do not stack (no outcomes, mixed outcome counts or shapes), is run
+    through ``require_pvm`` key by key, labelled ``what.format(key)``, so
+    the error is the one the first bad key raises there.
+    """
+    for keys, stack in _pvm_chunks(family):
+        if stack is None or not all(
+            defects.max() <= limit for defects, limit in _stack_defects(stack, tol)
+        ):  # a NaN defect fails too
+            for key in keys:
+                require_pvm(family[key], tol=tol, what=what.format(key))
+
+
+def _pvm_chunks(family: dict):
+    """(keys, stack) per PVM_CHUNK keys of a family, the stack None unless
+    every PVM of the chunk is k d-by-d matrices, for one k >= 1 and d >= 1."""
+    keys = list(family)
+    for start in range(0, len(keys), PVM_CHUNK):
+        chunk = keys[start:start + PVM_CHUNK]
+        try:
+            stack = np.array([family[key] for key in chunk], dtype=np.complex128)
+        except ValueError:  # ragged
+            stack = None
+        else:
+            if stack.ndim != 4 or 0 in stack.shape or stack.shape[2] != stack.shape[3]:
+                stack = None
+        yield chunk, stack
+
+
+def _stack_defects(stack: np.ndarray, tol: float):
+    """``require_pvm``'s checks on a (K, k, d, d) stack of K PVMs, in its
+    order, as (defects, limit) pairs: Hermitian, projection and eigenvalue
+    defects per outcome (K, k), then the PVM defect per key (K,).
+
+    The Hermitian check comes first because any inf or NaN entry fails it,
+    so a consumer that stops at the first failure never hands one to
+    ``eigvalsh``.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf, as in hermitian_defect
+        hermitian = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    yield hermitian, TOL_HERMITIAN
+    yield _two_norms(stack @ stack - stack), TOL_PROJECTION
+    eigs = np.linalg.eigvalsh(stack)
+    yield np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max(axis=-1), TOL_EIGENVALUE
+    outcomes = [stack[:, i] for i in range(stack.shape[1])]
+    total = outcomes[0]
+    for m in outcomes[1:]:
+        total = total + m  # summed in pvm_defect's order
+    worst = _two_norms(total - identity(stack.shape[-1]))
+    for i, a in enumerate(outcomes):
+        for b in outcomes[i + 1:]:
+            worst = np.maximum(worst, _two_norms(a @ b))
+    yield worst, tol
+
+
+def _two_norms(stack: np.ndarray) -> np.ndarray:
+    """``two_norm`` of each d-by-d matrix of a C-ordered stack, bit for bit:
+    ``np.linalg.norm`` sums the squares of the real and the imaginary parts
+    with one ``dot`` each, and a row-times-column ``matmul`` makes that same
+    ``dot`` call per matrix."""
+    flat = stack.reshape(*stack.shape[:-2], -1)
+    re, im = flat.real, flat.imag
+    squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(squares[..., 0, 0]) / math.sqrt(stack.shape[-1])
 
 
 def require_positive_contraction(m, tol: float = TOL_SPECTRUM, what: str = "matrix") -> np.ndarray:

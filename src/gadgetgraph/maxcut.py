@@ -27,6 +27,7 @@ from .games import (
     PriorDistribution,
     _is_int,
     _prebuilt,
+    _unique_keys,
     coloring_game,
     edge_loss_probability,
     sync_value,
@@ -127,7 +128,7 @@ def load_simple_graph(source) -> SimpleGraph:
     stripped = content.lstrip()
     if stripped[0] in "{[":
         try:
-            payload = json.loads(content)
+            payload = json.loads(content, object_pairs_hook=_unique_keys("graph JSON"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed graph JSON: {exc}") from None
         return _graph_from_payload(payload)

@@ -12,6 +12,7 @@ and every glued cell) are spelled here, and ``handle_names`` reads the
 vertex each of them lands on from the graph's gadget handles.
 """
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -37,6 +38,17 @@ def block_diagonal(stack) -> np.ndarray:
     for i, block in enumerate(stack):
         dense[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
     return dense
+
+
+def indented_reference(strategy) -> str:
+    """A strategy file spelled out with the json module, as a reference for
+    ``write_strategy_json``: each matrix a row-major list of [re, im] pairs,
+    keys as strings."""
+    pvms = {
+        str(key): [np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist() for m in mats]
+        for key, mats in strategy.pvms.items()
+    }
+    return json.dumps({"d": strategy.d, "pvms": pvms}, indent=2, sort_keys=True) + "\n"
 
 
 def reference_graph_json(graph) -> dict:

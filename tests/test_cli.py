@@ -308,6 +308,31 @@ def _not_utf8(path):
     return str(path)
 
 
+def _repeat(*where):
+    """Rewrite a JSON file so that the object reached through the keys
+    ``where[:-1]`` lists its key ``where[-1]`` twice, with the same value.
+    ``json.dumps`` cannot write that, so the entry is doubled in the text."""
+
+    def edit(path):
+        payload = json.loads(path.read_text())
+        obj = payload
+        for key in where[:-1]:
+            obj = obj[key]
+        entry = json.dumps({where[-1]: obj[where[-1]]})[1:-1]
+        text = json.dumps(payload)
+        assert text.count(entry) == 1
+        path.write_text(text.replace(entry, f"{entry}, {entry}"))
+        return str(path)
+
+    return edit
+
+
+def _graph_json_file(tmp_path):
+    target = tmp_path / "triangle.json"
+    target.write_text(json.dumps({"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}))
+    return target
+
+
 def _graph_file(tmp_path):
     target = tmp_path / "triangle.txt"
     target.write_text("1 2\n2 3\n1 3\n")
@@ -325,6 +350,11 @@ MALFORMED = {
     "forward-strategy-not-utf8": lambda g, s, c, t: ("forward", g, _not_utf8(s)),
     "reverse-coloring-not-utf8": lambda g, s, c, t: ("reverse", g, _not_utf8(c)),
     "maxcut-graph-not-utf8": lambda g, s, c, t: ("maxcut", _not_utf8(_graph_file(t))),
+    "forward-repeated-question": lambda g, s, c, t: ("forward", g, _repeat("pvms", "1")(s)),
+    "reverse-repeated-vertex": lambda g, s, c, t: ("reverse", g, _repeat("pvms", "A")(c)),
+    "forward-repeated-d": lambda g, s, c, t: ("forward", g, _repeat("d")(s)),
+    "compile-game-repeated-n": lambda g, s, c, t: ("compile", _repeat("n")(g)),
+    "maxcut-graph-repeated-key": lambda g, s, c, t: ("maxcut", _repeat("edges")(_graph_json_file(t))),
     "check-tol-nan": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "nan"),
     "check-tol-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "inf"),
     "check-tol-minus-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-inf"),

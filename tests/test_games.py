@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_diagonal, reference_tau
-from gadgetgraph import forward, games, maxcut, reverse, rounding
+from helpers import block_diagonal, indented_reference, reference_tau
+from gadgetgraph import forward, games, linalg, maxcut, reverse, rounding
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import (
     QUESTION_PRIOR,
@@ -26,7 +26,7 @@ from gadgetgraph.games import (
     sync_value,
     write_strategy_json,
 )
-from gadgetgraph.forward import forward_translate
+from gadgetgraph.forward import FORWARD_PVM_TOL, forward_translate
 from gadgetgraph.graphs import build_graph
 from gadgetgraph.instances import (
     deterministic_strategy,
@@ -37,7 +37,7 @@ from gadgetgraph.instances import (
     triangle_coloring_game,
     triangle_strategy,
 )
-from gadgetgraph.linalg import as_matrix, random_pvm
+from gadgetgraph.linalg import TOL_PVM, as_matrix, random_pvm, require_pvm
 from gadgetgraph.maxcut import SimpleGraph, cycle_graph, roots_identity_check, value_bridge
 from gadgetgraph.reverse import symmetrize
 
@@ -165,6 +165,22 @@ def test_strategies_reject_boolean_dimension_and_keys():
         ColoringStrategy(d=True, pvms={"A": pvm})
 
 
+def test_loaders_name_a_repeated_key(tmp_path):
+    # json keeps the last of two equal keys; every input loader refuses instead.
+    one = '[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]'
+    target = tmp_path / "s.json"
+    target.write_text('{"d": 1, "pvms": {"1": [%s], "1": [%s]}}' % (one, one))
+    with pytest.raises(ValidationError, match="game strategy file repeats the key '1'"):
+        load_game_strategy(target)
+    target.write_text('{"d": 1, "d": 1, "pvms": {"A": [%s]}}' % one)
+    with pytest.raises(ValidationError, match="coloring strategy file repeats the key 'd'"):
+        load_coloring_strategy(target)
+    with pytest.raises(ValidationError, match="game file repeats the key 'n'"):
+        load_game('{"n": 1, "m": 3, "n": 2, "losing": []}')
+    with pytest.raises(ValidationError, match="graph JSON repeats the key 'edges'"):
+        maxcut.load_simple_graph('{"n": 2, "edges": [[1, 2]], "edges": []}')
+
+
 def test_coloring_strategy_needs_three_outcomes():
     with pytest.raises(ValidationError, match="outcomes"):
         ColoringStrategy(d=1, pvms={"A": [np.eye(1), np.zeros((1, 1))]})
@@ -261,20 +277,10 @@ def test_coloring_strategy_json_round_trip(rng, tmp_path):
 # the streaming strategy writer
 
 
-def _indented_reference(strategy) -> str:
-    # The file format spelled out with the json module: each matrix a
-    # row-major list of [re, im] pairs, keys as strings.
-    pvms = {
-        str(key): [np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist() for m in mats]
-        for key, mats in strategy.pvms.items()
-    }
-    return json.dumps({"d": strategy.d, "pvms": pvms}, indent=2, sort_keys=True) + "\n"
-
-
 def _assert_writer_matches(strategy, path) -> str:
     write_strategy_json(strategy, path)
     text = path.read_text()
-    assert text == _indented_reference(strategy)
+    assert text == indented_reference(strategy)
     return text
 
 
@@ -320,6 +326,42 @@ def test_writer_matches_indented_json(tmp_path_factory, n, m, d, names, seed):
     _assert_writer_matches(GameStrategy(d=d, pvms=game_pvms), path)
     coloring_pvms = {v: list(random_pvm(rng, d, 3)) for v in names}
     _assert_writer_matches(ColoringStrategy(d=d, pvms=coloring_pvms), path)
+
+
+#: Entries whose spelling is easy to get wrong: both zeros, the smallest
+#: subnormal, exponents near the top of the range, 17 significant digits.
+_AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1 + 0.2, 1.0)
+
+
+@st.composite
+def _repeating_strategies(draw):
+    """Unvalidated strategies built from a few matrices, each also appearing
+    with the sign of every zero entry flipped and as non-contiguous views."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    entry = st.one_of(st.sampled_from(_AWKWARD), st.floats(allow_nan=False, allow_infinity=False))
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        parts = np.array(draw(st.lists(entry, min_size=2 * d * d, max_size=2 * d * d)))
+        m = parts.view(np.complex128).reshape(d, d)
+        # Value-equal to m, with other bits wherever m has a zero.
+        flipped = np.where(parts == 0.0, -parts, parts).view(np.complex128).reshape(d, d)
+        wide = np.zeros((d, 2 * d), dtype=np.complex128)
+        wide[:, ::2] = m
+        pool += [m, flipped, np.asfortranarray(m), wide[:, ::2], np.flipud(np.flipud(m).copy())]
+    outcomes = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(range(len(pool))), min_size=outcomes, max_size=outcomes),
+        min_size=1, max_size=12,
+    ))
+    return _prebuilt(GameStrategy, d, {x: [pool[i] for i in row] for x, row in enumerate(rows, 1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategy=_repeating_strategies())
+def test_writer_renders_repeated_matrices_as_the_reference_does(tmp_path_factory, strategy):
+    # Rendering each distinct matrix once must give every occurrence the
+    # reference's spelling, whatever the zero signs and strides.
+    _assert_writer_matches(strategy, tmp_path_factory.mktemp("writer") / "s.json")
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +416,103 @@ def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_
     strategy = random_strategy(np.random.default_rng(3), min_game, 3)
     coloring = forward_translate(min_game, min_graph, strategy)
     write_strategy_json(coloring, tmp_path / "c.json")
-    calls, real = [], games.require_pvm
+    calls, fallbacks, real, real_pvm = [], [], linalg.require_pvm_family, linalg.require_pvm
 
-    def counting(mats, *args, **kwargs):
-        calls.append(len(mats))
-        return real(mats, *args, **kwargs)
+    def counting(family, *args, **kwargs):
+        calls.append(len(family))
+        return real(family, *args, **kwargs)
 
-    monkeypatch.setattr(games, "require_pvm", counting)
-    monkeypatch.setattr(forward, "require_pvm", counting)
+    def falling_back(mats, *args, **kwargs):
+        fallbacks.append(len(mats))
+        return real_pvm(mats, *args, **kwargs)
+
+    monkeypatch.setattr(games, "require_pvm_family", counting)
+    monkeypatch.setattr(forward, "require_pvm_family", counting)
+    monkeypatch.setattr(linalg, "require_pvm", falling_back)
     forward_translate(min_game, min_graph, strategy)
-    assert len(calls) == min_graph.n_vertices  # forward's own loop, nothing more
+    assert calls == [min_graph.n_vertices]  # forward checks its output once, nothing more
     calls.clear()
     symmetrize(coloring)
     value_bridge(cycle_graph(5))
     assert calls == []
     load_coloring_strategy(tmp_path / "c.json")
-    assert len(calls) == len(coloring.pvms)  # the loader still checks every key
+    assert calls == [len(coloring.pvms)]  # the loader still checks every key
+    assert fallbacks == []  # valid families pass as stacks
+
+
+#: One bad outcome per case.  An eigenvalue more than 1e-8 off {0, 1} puts
+#: ||P^2 - P||_2 above 1e-8 / sqrt(d), so below d = 100 the projection check
+#: fails first; at d = 128 an eigenvalue 1 + 1.05e-8 passes it
+#: (||P^2 - P||_2 = 9.3e-10) and fails the eigenvalue check.
+_BAD_OUTCOME = {
+    "non-hermitian": (3, lambda p: p + np.triu(np.full_like(p, 1e-6), 1)),
+    "non-projection": (3, lambda p: 0.5 * np.eye(len(p))),
+    "eigenvalue": (128, lambda p: np.diag([1.0 + 1.05e-8] + [0.0] * (len(p) - 1))),
+    "pvm-defect": (3, lambda p: np.eye(len(p))),
+    "inf": (3, lambda p: p + np.diag([np.inf] + [0.0] * (len(p) - 1))),
+    "nan": (3, lambda p: p + np.triu(np.full_like(p, np.nan), 1)),
+}
+
+
+def _spoiled(case, mats):
+    """A PVM with its second outcome made bad, no outcomes, or one extra zero outcome."""
+    mats = list(mats)
+    if case == "no-outcomes":
+        return []
+    if case == "mixed-outcomes":
+        return mats + [np.zeros_like(mats[0])]
+    mats[1] = np.asarray(_BAD_OUTCOME[case][1](np.array(mats[1])), dtype=np.complex128)
+    return mats
+
+
+def _raised(call):
+    """The message of the ValidationError ``call()`` raises, or None."""
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _loop_error(family, tol, label):
+    """The message of ``require_pvm`` run key by key, or None."""
+    return _raised(lambda: [require_pvm(mats, tol=tol, what=label(key)) for key, mats in family.items()])
+
+
+@pytest.mark.parametrize("case", [*_BAD_OUTCOME, "no-outcomes", "mixed-outcomes"])
+def test_family_check_raises_the_per_key_message(monkeypatch, min_game, min_graph, case):
+    # A bad PVM at the 18th key, in the second 16-key stack, after a whole
+    # stack that passes.  No inf or NaN may reach an eigensolver.
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def finite_eigvalsh(a):
+        assert np.isfinite(a).all()
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_eigvalsh)
+    d = _BAD_OUTCOME.get(case, (3,))[0]
+    rng = np.random.default_rng(11)
+    pvms = {x: _spoiled(case, random_pvm(rng, d, 3)) if x == 18 else list(random_pvm(rng, d, 3))
+            for x in range(1, 21)}
+    want = _loop_error(pvms, TOL_PVM, lambda key: f"game strategy PVM at {key!r}")
+    if case == "mixed-outcomes":
+        assert want is None
+        want = "game strategy mixes outcome counts [3, 4]"
+    assert want is not None and _raised(lambda: GameStrategy(d=d, pvms=pvms)) == want
+
+    # forward_translate's own output, spoiled in the same way at its 18th vertex.
+    seen, real = [], forward.require_pvm_family
+
+    def spoiling(family, *args, **kwargs):
+        name = list(family)[17]
+        family[name] = _spoiled(case, family[name])
+        seen.append(_loop_error(family, FORWARD_PVM_TOL, lambda key: f"coloring PVM at {key}"))
+        return real(family, *args, **kwargs)
+
+    monkeypatch.setattr(forward, "require_pvm_family", spoiling)
+    got = _raised(lambda: forward_translate(min_game, min_graph, random_strategy(rng, min_game, d)))
+    assert got == seen[0]
+    assert (got is None) == (case == "mixed-outcomes")  # forward has no count check of its own
 
 
 def test_forward_rounds_strategy_outcomes_without_rechecking_them(

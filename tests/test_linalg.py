@@ -9,11 +9,16 @@ from helpers import block_diagonal
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import matrix_from_json
 from gadgetgraph.linalg import (
+    PVM_CHUNK,
+    TOL_PVM,
+    _pvm_chunks,
+    _stack_defects,
     commutator,
     haar_unitary,
     hermitian_defect,
     identity,
     projection_defect,
+    pvm_defect,
     random_hermitian,
     random_positive_contraction,
     random_projection,
@@ -96,6 +101,39 @@ def test_require_pvm_rejects_broken_sum(rng):
     mats[0] = np.zeros((4, 4))
     with pytest.raises(ValidationError):
         require_pvm(mats)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size=st.sampled_from([1, 15, 16, 17, 33]),
+    d=st.integers(min_value=1, max_value=6),
+    k=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_family_defects_match_the_per_member_checks_bit_for_bit(size, d, k, seed):
+    # Near-PVMs, off by noise around the tolerances so that no defect is 0;
+    # 1, 15, 16, 17 and 33 keys put every stack boundary somewhere new.
+    rng = np.random.default_rng(seed)
+
+    def noise():
+        return 1e-10 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+
+    family = {f"v{i}": [p + noise() for p in random_pvm(rng, d, k)] for i in range(size)}
+    chunks = list(_pvm_chunks(family))
+    assert [keys for keys, _ in chunks] == [
+        list(family)[start:start + PVM_CHUNK] for start in range(0, size, PVM_CHUNK)
+    ]
+    for keys, stack in chunks:
+        members = [family[key] for key in keys]
+        (herm, _), (proj, _), (off, _), (pvm, _) = _stack_defects(stack, TOL_PVM)
+        assert herm.tolist() == [[hermitian_defect(m) for m in mats] for mats in members]
+        assert proj.tolist() == [[projection_defect(m) for m in mats] for mats in members]
+        eigs = [[np.linalg.eigvalsh(m) for m in mats] for mats in members]
+        assert np.array_equal(np.linalg.eigvalsh(stack), eigs)
+        assert off.tolist() == [
+            [float(np.max(np.minimum(np.abs(e), np.abs(e - 1.0)))) for e in row] for row in eigs
+        ]
+        assert pvm.tolist() == [pvm_defect(mats) for mats in members]
 
 
 def test_positive_contraction_window():
