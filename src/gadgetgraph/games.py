@@ -15,6 +15,7 @@ kind), and the synchronous value of a game against a strategy and prior.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
@@ -436,21 +437,26 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
     Each distinct matrix is rendered once per call and its text reused,
     looked up by its bytes, so ``-0.0`` and ``0.0`` stay apart: the 648
     matrices of the benchmark's forward colorings at d = 16 hold 79 to 116
-    distinct ones.
+    distinct ones.  The uses of each matrix are counted first, and a text is
+    kept only until its last use, so a strategy with no repeated matrix
+    holds one matrix's text at a time.
     """
     pvms = strategy.pvms
     if any(mats[0].shape != (strategy.d, strategy.d) for mats in pvms.values()):
         raise ValidationError("only d-by-d strategy operators are written, not symmetrize's stacks")
+    # C order, interleaved re and im, whatever a matrix's strides
+    uses = Counter(m.tobytes() for mats in pvms.values() for m in mats)
     rendered: dict = {}
 
     def render(m) -> str:
-        raw = m.tobytes()  # C order, interleaved re and im, whatever m's strides
-        text = rendered.get(raw)
+        raw = m.tobytes()
+        uses[raw] -= 1
+        text = rendered.get(raw) if uses[raw] else rendered.pop(raw, None)
         if text is None:
             floats = list(map(float.__repr__, np.frombuffer(raw).tolist()))
-            text = rendered[raw] = _BETWEEN_PAIRS.join(
-                map(_WITHIN_PAIR.join, zip(floats[0::2], floats[1::2]))
-            )
+            text = _BETWEEN_PAIRS.join(map(_WITHIN_PAIR.join, zip(floats[0::2], floats[1::2])))
+            if uses[raw]:
+                rendered[raw] = text
         return text
 
     with open(path, "w") as fh:

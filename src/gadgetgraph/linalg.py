@@ -208,13 +208,26 @@ def _stack_defects(stack: np.ndarray, tol: float):
     The Hermitian check comes first because any inf or NaN entry fails it,
     so a consumer that stops at the first failure never hands one to
     ``eigvalsh``.
+
+    The eigenvalue check is skipped when the projection defects already
+    pass it, that is when 2 sqrt(d) p <= TOL_EIGENVALUE for the stack's
+    largest defect p.  For Hermitian H, ||H^2 - H||_F = sqrt(d) ||H^2 - H||_2
+    bounds every |lambda (lambda - 1)|, which is at least delta / 2 for an
+    eigenvalue at distance delta <= 1/2 from {0, 1} and about delta for a
+    small delta; so delta <= sqrt(d) p (1 + 2 delta), half the tolerance.
+    The other half covers the Hermitian defect: ``eigvalsh`` reads the
+    Hermitian matrix L of each member's lower triangle, ||L - P||_F <=
+    d TOL_HERMITIAN, which moves ||L^2 - L||_F by about 3 d TOL_HERMITIAN,
+    below TOL_EIGENVALUE / 2 up to d = 1,600.
     """
     with np.errstate(invalid="ignore"):  # inf - inf, as in hermitian_defect
         hermitian = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     yield hermitian, TOL_HERMITIAN
-    yield _two_norms(stack @ stack - stack), TOL_PROJECTION
-    eigs = np.linalg.eigvalsh(stack)
-    yield np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max(axis=-1), TOL_EIGENVALUE
+    projection = _two_norms(stack @ stack - stack)
+    yield projection, TOL_PROJECTION
+    if 2.0 * math.sqrt(stack.shape[-1]) * projection.max() > TOL_EIGENVALUE:
+        eigs = np.linalg.eigvalsh(stack)
+        yield np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max(axis=-1), TOL_EIGENVALUE
     outcomes = [stack[:, i] for i in range(stack.shape[1])]
     total = outcomes[0]
     for m in outcomes[1:]:

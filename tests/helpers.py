@@ -4,7 +4,9 @@ The edge-accounting enumerator here recomputes the gadget-graph edge
 census from its own tables: its own partition of the losing tuples, its
 own slot lists, and a string-rewriting canonicalization whose chain rule
 points the opposite way from the builder's smallest-key representative.
-Agreement with the builder is therefore evidence, not a tautology.
+Agreement with the builder is therefore evidence, not a tautology.  The
+canonical keys parsed from names here (``canonical_key``) order that census
+as ``reference_order`` and group the DOT clusters of ``reference_dot``.
 
 The builder names only the cells that become vertices.  The paper's other
 names (the prism rungs s(j), the middle top t(2), the answer cells v̂(a, x)
@@ -194,11 +196,12 @@ def canonicalize(rules, name):
 
 
 def enumerate_edges(game):
-    """Full slot census: (formula, edge set, duplicate count, vertex set).
+    """Full slot census: (formula, edge set, duplicates by source, vertex set).
 
     Edges are frozensets of this module's canonical names.  The three
     control-triangle edges are seeded first, exactly like the builder, so
-    a gadget slot landing on one of them counts as a duplicate.
+    a gadget slot landing on one of them counts as a duplicate; a slot
+    whose edge an earlier slot made counts against its own source.
     """
     n, m = game.n, game.m
     e_set, f_set, rest = classify_losing(game)
@@ -207,33 +210,35 @@ def enumerate_edges(game):
     slots = []
     for x in range(1, n + 1):
         for alpha in range(1, m - 1):
+            block = []
             for c1, c2 in rook_cell_pairs():
-                slots.append((v_name(*c1, alpha, x), v_name(*c2, alpha, x)))
-            slots.append(("C", v_name(2, 1, alpha, x)))
-            slots.append(("A", v_name(3, 3, alpha, x)))
-            slots.append((t_name(1, alpha, x), t_name(2, alpha, x)))
-            slots.append((t_name(2, alpha, x), t_name(3, alpha, x)))
-            slots.append((t_name(1, alpha, x), t_name(3, alpha, x)))
-            slots.append((s_name(1, alpha, x), t_name(1, alpha, x)))
-            slots.append((s_name(3, alpha, x), t_name(3, alpha, x)))
+                block.append((v_name(*c1, alpha, x), v_name(*c2, alpha, x)))
+            block.append(("C", v_name(2, 1, alpha, x)))
+            block.append(("A", v_name(3, 3, alpha, x)))
+            block.append((t_name(1, alpha, x), t_name(2, alpha, x)))
+            block.append((t_name(2, alpha, x), t_name(3, alpha, x)))
+            block.append((t_name(1, alpha, x), t_name(3, alpha, x)))
+            block.append((s_name(1, alpha, x), t_name(1, alpha, x)))
+            block.append((s_name(3, alpha, x), t_name(3, alpha, x)))
+            slots += [("gadget_block", u, v) for u, v in block]
     for tup in e_set + f_set:
         for c1, c2 in rook_cell_pairs():
-            slots.append((q_name(*c1, tup), q_name(*c2, tup)))
-        slots.append(("A", q_name(3, 3, tup)))
+            slots.append(("orthogonality_gadget", q_name(*c1, tup), q_name(*c2, tup)))
+        slots.append(("orthogonality_gadget", "A", q_name(3, 3, tup)))
     for a, b, x, y in rest:
-        slots.append((vhat(a, x, m), vhat(b, y, m)))
+        slots.append(("direct_edge", vhat(a, x, m), vhat(b, y, m)))
 
     formula = 25 * n * (m - 2) + 19 * len(e_set) + 19 * len(f_set) + len(rest)
     assert len(slots) == formula, "slot census disagrees with the closed form"
 
     edges = {frozenset(p) for p in (("A", "B"), ("B", "C"), ("A", "C"))}
-    duplicates = 0
-    for u_raw, v_raw in slots:
+    duplicates = dict.fromkeys(("gadget_block", "orthogonality_gadget", "direct_edge"), 0)
+    for source, u_raw, v_raw in slots:
         u, v = canonicalize(rules, u_raw), canonicalize(rules, v_raw)
         assert u != v, f"slot {u_raw}~{v_raw} collapsed to a self-loop"
         pair = frozenset((u, v))
         if pair in edges:
-            duplicates += 1
+            duplicates[source] += 1
         else:
             edges.add(pair)
 
@@ -243,15 +248,85 @@ def enumerate_edges(game):
     return formula, edges, duplicates, vertices
 
 
+def canonical_key(name):
+    """The key that orders a vertex name in ``graph.vertices``: control
+    letters, then block cells by (x, alpha, i, j), prism tops by (x, alpha,
+    i) and orthogonality cells by (x, y, a, b, i, j)."""
+    if name in DELTA:
+        return (0, DELTA.index(name))
+    kind, args = name[0], tuple(int(part) for part in name[2:-1].split(","))
+    if kind == "v":
+        i, j, alpha, x = args
+        return (1, x, alpha, i, j)
+    if kind == "t":
+        i, alpha, x = args
+        return (2, x, alpha, i)
+    assert kind == "q", name
+    i, j, a, b, x, y = args
+    return (3, x, y, a, b, i, j)
+
+
+def reference_order(game):
+    """(vertices, edges) of the census as the builder names and orders them.
+
+    A vertex is named by the member of its class (the names whose rewrite
+    chains meet) with the smallest canonical key, prism rungs s(j) aside;
+    vertices are sorted by key, each edge's ends by key, and edges by the
+    keys of their ends.
+    """
+    _, edges, _, vertices = enumerate_edges(game)
+    rules = rewrite_rules(game)
+    members = {vertex: [vertex] for vertex in vertices}
+    for name in rules:
+        members[canonicalize(rules, name)].append(name)
+    named = {
+        end: min((name for name in names if not name.startswith("s(")), key=canonical_key)
+        for end, names in members.items()
+    }
+    ordered = [tuple(sorted((named[u] for u in pair), key=canonical_key)) for pair in edges]
+    return (
+        tuple(sorted(named.values(), key=canonical_key)),
+        tuple(sorted(ordered, key=lambda edge: (canonical_key(edge[0]), canonical_key(edge[1])))),
+    )
+
+
+def reference_dot(graph) -> str:
+    """The DOT text spelled out line by line: one cluster per gadget,
+    clusters ordered by the keys of their vertices, each listing its
+    vertices in vertex order, then every edge."""
+    clusters = {}
+    for name in graph.vertices:
+        key = canonical_key(name)
+        if key[0] == 0:
+            cluster = ((0,), "delta", "control triangle")
+        elif key[0] in (1, 2):
+            x, alpha = key[1], key[2]
+            cluster = ((1, x, alpha), f"block_x{x}_a{alpha}", f"block alpha={alpha} x={x}")
+        else:
+            x, y, a, b = key[1:5]
+            cluster = ((2, x, y, a, b), f"ortho_a{a}_b{b}_x{x}_y{y}", f"orthogonality ({a},{b},{x},{y})")
+        clusters.setdefault(cluster, []).append(name)
+    lines = ["graph gadget_graph {"]
+    for (_, cid, label), names in sorted(clusters.items()):
+        lines.append(f'  subgraph "cluster_{cid}" {{')
+        lines.append(f'    label="{label}";')
+        lines.extend(f'    "{name}";' for name in names)
+        lines.append("  }")
+    lines.extend(f'  "{u}" -- "{v}";' for u, v in graph.edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def assert_edge_accounting(game, graph):
     """Check the builder's census against this module's independent one,
     down to a name-level bijection of the realized edge sets."""
     formula, edges, duplicates, vertices = enumerate_edges(game)
     report = graph.report
     assert formula == report.formula
-    assert duplicates == report.duplicate_slots
+    assert sum(duplicates.values()) == report.duplicate_slots
+    assert duplicates == report.duplicates_by_source
     assert report.delta_correction == 3
-    assert len(edges) == formula + 3 - duplicates
+    assert len(edges) == formula + 3 - sum(duplicates.values())
     assert len(edges) == graph.n_edges
     assert len(vertices) == graph.n_vertices
     names = handle_names(graph)

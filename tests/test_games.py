@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -364,6 +365,23 @@ def test_writer_renders_repeated_matrices_as_the_reference_does(tmp_path_factory
     _assert_writer_matches(strategy, tmp_path_factory.mktemp("writer") / "s.json")
 
 
+def test_writer_keeps_no_text_it_will_not_reuse(tmp_path):
+    # 648 distinct matrices at d = 16 make a 13 MB file; a writer that kept
+    # every text until the end peaked 15 MB above its start.  Only the use
+    # counts (one copy of each matrix's bytes, 2.7 MB) and one text remain.
+    rng = np.random.default_rng(3)
+    cs = ColoringStrategy(16, {f"v{i}": list(random_pvm(rng, 16, 3)) for i in range(216)})
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_strategy_json(cs, tmp_path / "c.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "c.json").stat().st_size > 13e6
+    assert peak - start < 4e6
+
+
 # ---------------------------------------------------------------------------
 # validate once: package-built strategies skip the constructor's re-check
 
@@ -440,14 +458,23 @@ def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_
     assert fallbacks == []  # valid families pass as stacks
 
 
+def _lift_top_eigenvalue(p):
+    """p with its top eigenvalue moved up by 1.05e-8 along its eigenvector."""
+    v = np.linalg.eigh(p)[1][:, -1:]
+    return p + 1.05e-8 * (v @ v.conj().T)
+
+
 #: One bad outcome per case.  An eigenvalue more than 1e-8 off {0, 1} puts
 #: ||P^2 - P||_2 above 1e-8 / sqrt(d), so below d = 100 the projection check
 #: fails first; at d = 128 an eigenvalue 1 + 1.05e-8 passes it
-#: (||P^2 - P||_2 = 9.3e-10) and fails the eigenvalue check.
+#: (||P^2 - P||_2 = 9.3e-10) and fails the eigenvalue check.  Lifted along
+#: the outcome's own range it also keeps the sum and product defects below
+#: 1e-9, so that no check but the eigenvalue check can see it.
 _BAD_OUTCOME = {
     "non-hermitian": (3, lambda p: p + np.triu(np.full_like(p, 1e-6), 1)),
     "non-projection": (3, lambda p: 0.5 * np.eye(len(p))),
     "eigenvalue": (128, lambda p: np.diag([1.0 + 1.05e-8] + [0.0] * (len(p) - 1))),
+    "eigenvalue-alone": (128, _lift_top_eigenvalue),
     "pvm-defect": (3, lambda p: np.eye(len(p))),
     "inf": (3, lambda p: p + np.diag([np.inf] + [0.0] * (len(p) - 1))),
     "nan": (3, lambda p: p + np.triu(np.full_like(p, np.nan), 1)),

@@ -108,6 +108,40 @@ def test_independent_accounting_random(seed):
     helpers.assert_edge_accounting(game, build_graph(game))
 
 
+def mirrored_game(n: int, m: int, p: float, seed: int, mirror: bool) -> SyncGame:
+    """A random game, with the mirror (b, a, y, x) of every losing tuple added
+    when ``mirror`` is set, so that mirrored rest tuples ask for one direct
+    edge twice."""
+    game = random_game(np.random.default_rng(seed), n, m, p)
+    if not mirror:
+        return game
+    return SyncGame(n=n, m=m, losing=game.losing | {(b, a, y, x) for a, b, x, y in game.losing})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=3, max_value=6),
+    p=st.floats(min_value=0.0, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    mirror=st.booleans(),
+)
+def test_vertices_and_edges_come_out_in_the_reference_order(n, m, p, seed, mirror):
+    # The census, named and sorted by the canonical keys of helpers, is the
+    # builder's output name for name and position for position.  Synchrony
+    # puts direct edges on block edges in every game, and the mirrors make
+    # direct edges repeat each other.
+    game = mirrored_game(n, m, p, seed, mirror)
+    graph = build_graph(game)
+    helpers.assert_edge_accounting(game, graph)
+    vertices, edges = helpers.reference_order(game)
+    assert graph.vertices == vertices
+    assert graph.edges == edges
+    assert graph.report.duplicates_by_source["direct_edge"] > 0
+    if mirror and graph.rest_edges:
+        assert graph.report.symmetric_rest_pairs > 0
+
+
 # ---------------------------------------------------------------------------
 # gluing spot checks
 
@@ -291,6 +325,39 @@ def test_json_export_with_empty_gadget_lists(min_graph):
         text = export_graph(graph, "json")
         for attr, key in (("orthos", "orthogonality"), ("rest_edges", "rest")):
             assert (f'"{key}": []' in text) == (attr in emptied)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=11),
+    m=st.integers(min_value=3, max_value=6),
+    p=st.floats(min_value=0.0, max_value=0.2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dot_export_matches_reference(n, m, p, seed):
+    """Byte for byte the DOT text spelled out line by line; n up to 11 puts
+    two-digit question numbers into names and cluster ids."""
+    graph = build_graph(random_game(np.random.default_rng(seed), n, m, p))
+    text, want = export_graph(graph, "dot"), helpers.reference_dot(graph)
+    same = text == want
+    assert same, f"first difference at line {helpers.first_differing_line(text, want)}"
+
+
+def test_dot_export_with_no_orthogonality_gadgets(min_graph):
+    # Every game has e-set gadgets, so the gadget-free graph is cut from the
+    # minimal one: no gadget handles, vertices or edges.
+    gadget_vertices = {v for o in min_graph.orthos for v in o.cells.values()} - {
+        v for b in min_graph.blocks for v in b.cells.values()
+    } - set(DELTA)
+    graph = replace(
+        min_graph,
+        orthos=(),
+        vertices=tuple(v for v in min_graph.vertices if v not in gadget_vertices),
+        edges=tuple(e for e in min_graph.edges if not gadget_vertices & set(e)),
+    )
+    assert len(graph.vertices) == len(min_graph.vertices) - 6 * len(min_graph.orthos)
+    assert export_graph(graph, "dot") == helpers.reference_dot(graph)
+    assert "cluster_ortho" not in export_graph(graph, "dot")
 
 
 def test_dot_export_parses_back(min_graph):

@@ -10,6 +10,7 @@ from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import matrix_from_json
 from gadgetgraph.linalg import (
     PVM_CHUNK,
+    TOL_EIGENVALUE,
     TOL_PVM,
     _pvm_chunks,
     _stack_defects,
@@ -27,6 +28,7 @@ from gadgetgraph.linalg import (
     require_positive_contraction,
     require_projection,
     require_pvm,
+    require_pvm_family,
     spectral_projection_half,
     trace_product,
     two_norm,
@@ -108,15 +110,17 @@ def test_require_pvm_rejects_broken_sum(rng):
     size=st.sampled_from([1, 15, 16, 17, 33]),
     d=st.integers(min_value=1, max_value=6),
     k=st.integers(min_value=1, max_value=4),
+    scale=st.sampled_from([1e-10, 1e-8]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_family_defects_match_the_per_member_checks_bit_for_bit(size, d, k, seed):
+def test_family_defects_match_the_per_member_checks_bit_for_bit(size, d, k, scale, seed):
     # Near-PVMs, off by noise around the tolerances so that no defect is 0;
-    # 1, 15, 16, 17 and 33 keys put every stack boundary somewhere new.
+    # 1, 15, 16, 17 and 33 keys put every stack boundary somewhere new.  At
+    # the smaller noise the projection defects settle the eigenvalue check.
     rng = np.random.default_rng(seed)
 
     def noise():
-        return 1e-10 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
     family = {f"v{i}": [p + noise() for p in random_pvm(rng, d, k)] for i in range(size)}
     chunks = list(_pvm_chunks(family))
@@ -125,15 +129,32 @@ def test_family_defects_match_the_per_member_checks_bit_for_bit(size, d, k, seed
     ]
     for keys, stack in chunks:
         members = [family[key] for key in keys]
-        (herm, _), (proj, _), (off, _), (pvm, _) = _stack_defects(stack, TOL_PVM)
+        (herm, _), (proj, _), *eigen, (pvm, _) = _stack_defects(stack, TOL_PVM)
         assert herm.tolist() == [[hermitian_defect(m) for m in mats] for mats in members]
         assert proj.tolist() == [[projection_defect(m) for m in mats] for mats in members]
         eigs = [[np.linalg.eigvalsh(m) for m in mats] for mats in members]
         assert np.array_equal(np.linalg.eigvalsh(stack), eigs)
-        assert off.tolist() == [
-            [float(np.max(np.minimum(np.abs(e), np.abs(e - 1.0)))) for e in row] for row in eigs
-        ]
+        off = [[float(np.max(np.minimum(np.abs(e), np.abs(e - 1.0)))) for e in row] for row in eigs]
+        if eigen:
+            assert eigen[0][0].tolist() == off
+        else:
+            assert 2.0 * math.sqrt(d) * proj.max() <= TOL_EIGENVALUE
+            assert max(map(max, off)) <= TOL_EIGENVALUE
         assert pvm.tolist() == [pvm_defect(mats) for mats in members]
+
+
+def test_valid_families_skip_the_eigenvalue_check(monkeypatch):
+    # PVMs exact to rounding have projection defects near 1e-16, far below
+    # the 1e-8 / (2 sqrt(d)) that settles the eigenvalue check, so no stack
+    # of them reaches eigvalsh up to the documented d = 64.
+    def forbidden(a):
+        raise AssertionError("eigvalsh called")
+
+    rng = np.random.default_rng(5)
+    families = [{i: list(random_pvm(rng, d, 3)) for i in range(20)} for d in (1, 16, 64)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    for family in families:
+        require_pvm_family(family)
 
 
 def test_positive_contraction_window():
