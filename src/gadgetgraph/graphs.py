@@ -200,6 +200,12 @@ class GadgetGraph:
         """Each vertex's integer id: its position in ``vertices``."""
         return dict(zip(self.vertices, range(len(self.vertices))))
 
+    def edge_key(self, u: str, v: str) -> tuple:
+        """The pair (u, v) with its ends in vertex order, as ``edges`` lists
+        an edge; names that are not vertices come first."""
+        ids = self.vertex_id
+        return (u, v) if ids.get(u, -1) < ids.get(v, -1) else (v, u)
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)

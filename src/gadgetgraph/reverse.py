@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,27 +93,22 @@ class Diagnostics:
     maps each graph edge to the product norm of its endpoint projections.
     Everything is evaluated at color 1, which on a symmetrized strategy
     stands for all three colors.  theta is keyed by the pairs of
-    ``graph.edges``; vertex_id is the graph's name-to-id map, which puts
-    any pair of names in that order.
+    ``graph.edges``, and edge_key is the graph's ``GadgetGraph.edge_key``,
+    which orders any pair of names that way.
     """
 
     zeta: dict
     eta: dict
     xi: dict
     theta: dict
-    vertex_id: dict
+    edge_key: Callable[[str, str], tuple]
 
     def theta_edge(self, u: str, v: str) -> float:
         """Theta for an edge named in either endpoint order."""
-        pair = _oriented(self.vertex_id, u, v)
+        pair = self.edge_key(u, v)
         if pair not in self.theta:
             raise ValidationError(f"no edge between {u!r} and {v!r}")
         return self.theta[pair]
-
-
-def _oriented(vertex_id: dict, u: str, v: str) -> tuple:
-    """(u, v) in the graph's vertex order, the order of an edge's endpoints."""
-    return (u, v) if vertex_id.get(u, -1) < vertex_id.get(v, -1) else (v, u)
 
 
 def _edge_products(graph: GadgetGraph, cs: ColoringStrategy) -> dict:
@@ -122,8 +118,8 @@ def _edge_products(graph: GadgetGraph, cs: ColoringStrategy) -> dict:
     return {(u, v): two_norm(cs.pvms[u][0] @ cs.pvms[v][0]) for u, v in graph.edges}
 
 
-def _theta_at(theta: dict, vertex_id: dict, u: str, v: str) -> float:
-    pair = _oriented(vertex_id, u, v)
+def _theta_at(theta: dict, edge_key, u: str, v: str) -> float:
+    pair = edge_key(u, v)
     if pair not in theta:
         raise AssertionError(f"gadget edge {u}~{v} missing from the edge table")
     return theta[pair]
@@ -160,12 +156,12 @@ def compute_diagnostics(graph: GadgetGraph, cs: ColoringStrategy) -> Diagnostics
     """
     _require_coverage(graph, cs)
     theta = _edge_products(graph, cs)
-    ids = graph.vertex_id
+    key = graph.edge_key
     one = identity(cs.d // 6)
     zeta, eta, xi = {}, {}, {}
     for label, (u, v, w) in _named_triangles(graph):
         z = 2.0 * (
-            _theta_at(theta, ids, u, v) + _theta_at(theta, ids, u, w) + _theta_at(theta, ids, v, w)
+            _theta_at(theta, key, u, v) + _theta_at(theta, key, u, w) + _theta_at(theta, key, v, w)
         )
         zeta[label] = z
         eta[label] = two_norm(one - (cs.pvms[u][0] + cs.pvms[v][0] + cs.pvms[w][0]))
@@ -173,8 +169,8 @@ def compute_diagnostics(graph: GadgetGraph, cs: ColoringStrategy) -> Diagnostics
             f"triangle sum defect at {label!r}", eta[label], 3.0 * math.sqrt(z)
         ).require()
     for label, rungs in _named_prisms(graph):
-        xi[label] = math.fsum(_theta_at(theta, ids, u, v) for u, v in rungs)
-    return Diagnostics(zeta=zeta, eta=eta, xi=xi, theta=theta, vertex_id=ids)
+        xi[label] = math.fsum(_theta_at(theta, key, u, v) for u, v in rungs)
+    return Diagnostics(zeta=zeta, eta=eta, xi=xi, theta=theta, edge_key=key)
 
 
 # ---------------------------------------------------------------------------

@@ -128,18 +128,20 @@ def mirrored_game(n: int, m: int, p: float, seed: int, mirror: bool) -> SyncGame
 )
 def test_vertices_and_edges_come_out_in_the_reference_order(n, m, p, seed, mirror):
     # The census, named and sorted by the canonical keys of helpers, is the
-    # builder's output name for name and position for position.  Synchrony
-    # puts direct edges on block edges in every game, and the mirrors make
-    # direct edges repeat each other.
+    # builder's output name for name and position for position, and its
+    # duplicates by source are the builder's.  Synchrony puts direct edges
+    # on block edges in every game (v̂(1, x)~v̂(2, x) is a rook edge of block
+    # (1, x)); with the mirrors every direct edge is asked for twice.
     game = mirrored_game(n, m, p, seed, mirror)
     graph = build_graph(game)
     helpers.assert_edge_accounting(game, graph)
     vertices, edges = helpers.reference_order(game)
     assert graph.vertices == vertices
     assert graph.edges == edges
-    assert graph.report.duplicates_by_source["direct_edge"] > 0
-    if mirror and graph.rest_edges:
-        assert graph.report.symmetric_rest_pairs > 0
+    cells = graph.block(1, 1).cells
+    assert (cells[(1, 1)], cells[(2, 1)]) == (graph.answer_vertex(1, 1), graph.answer_vertex(2, 1))
+    if mirror:
+        assert 2 * graph.report.symmetric_rest_pairs == len(graph.rest_edges)
 
 
 # ---------------------------------------------------------------------------
