@@ -195,12 +195,11 @@ def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:
     if missing:
         raise ValidationError(f"coloring strategy missing vertices {missing[:5]}")
     weight = 1.0 / graph.n_edges
-    losses = []
-    for u, v in graph.edges:
-        p = edge_loss_probability(cs.pvms[u], cs.pvms[v])
-        losses.append(LossEntry((u, v), weight, p))
-    value = 1.0 - fsum(e.weight * e.probability for e in losses)
-    return ValueReport(value=value, losses=tuple(losses))
+    probabilities = [edge_loss_probability(cs.pvms[u], cs.pvms[v]) for u, v in graph.edges]
+    value = 1.0 - fsum(weight * p for p in probabilities)
+    return ValueReport(
+        value, lambda: tuple(LossEntry(e, weight, p) for e, p in zip(graph.edges, probabilities))
+    )
 
 
 @dataclass(frozen=True)

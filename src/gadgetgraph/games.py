@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
 from pathlib import Path
 
@@ -43,6 +45,12 @@ class SyncGame:
     losing: frozenset
 
     def __post_init__(self) -> None:
+        self._validate(typed=False)
+
+    def _validate(self, typed: bool) -> None:
+        """Check the counts, every losing tuple and synchrony, and store the
+        losing set as a frozenset of tuples.  ``typed`` skips the type check
+        of each tuple's entries, for callers that made it already."""
         if not _is_int(self.n) or self.n < 1:
             raise ValidationError(f"question count must be a positive integer, got {self.n!r}")
         if not _is_int(self.m) or self.m < 3:
@@ -50,7 +58,7 @@ class SyncGame:
         tuples = []
         for raw in self.losing:
             t = tuple(raw)
-            if len(t) != 4 or not all(map(_is_int, t)):
+            if not typed and (len(t) != 4 or not all(map(_is_int, t))):
                 raise ValidationError(f"losing tuple {raw!r} is not a 4-tuple of integers")
             a, b, x, y = t
             if not (1 <= a <= self.m and 1 <= b <= self.m):
@@ -67,6 +75,14 @@ class SyncGame:
                         raise ValidationError(
                             f"synchrony violation: ({a},{b},{x},{x}) must be a losing tuple"
                         )
+
+    @cached_property
+    def _losing_mask(self) -> np.ndarray:
+        """``mask[x-1, y-1, a-1, b-1]`` is True exactly when (a, b, x, y) loses."""
+        mask = np.zeros((self.n, self.n, self.m, self.m), dtype=bool)
+        a, b, x, y = np.array(list(self.losing), dtype=np.intp).reshape(-1, 4).T - 1
+        mask[x, y, a, b] = True
+        return mask
 
     @property
     def losing_sorted(self) -> tuple:
@@ -131,6 +147,14 @@ class PriorDistribution:
         total = fsum(w for _, w in self.weights)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"prior weights sum to {total!r}, expected 1")
+
+    @cached_property
+    def _support(self) -> tuple:
+        """The support as arrays (xs, ys, ws) in the order of ``weights``,
+        the questions 0-based."""
+        pairs, ws = zip(*self.weights)
+        xs, ys = np.array(pairs, dtype=np.intp).T - 1
+        return xs, ys, np.array(ws, dtype=np.float64)
 
     @classmethod
     def uniform_questions(cls, n: int) -> "PriorDistribution":
@@ -259,12 +283,20 @@ class LossEntry:
     probability: float
 
 
-@dataclass(frozen=True)
 class ValueReport:
-    """A game (or coloring) value with its per-tuple loss breakdown."""
+    """A game (or coloring) value with its per-term loss breakdown.
 
-    value: float
-    losses: tuple
+    ``losses`` is built by the given function on first read and kept, so a
+    caller that reads only ``value`` builds no ``LossEntry``.
+    """
+
+    def __init__(self, value: float, build_losses: Callable[[], tuple]) -> None:
+        self.value = value
+        self._build_losses = build_losses
+
+    @cached_property
+    def losses(self) -> tuple:
+        return self._build_losses()
 
     @property
     def lost_mass(self) -> float:
@@ -293,27 +325,30 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
 
     Every overlap tr(E_a^x E_b^y)/d comes out of one GEMM over the strategy
     stacked as (n, m, d, d): tr(A B) = sum_ij A_ij B_ji is the inner product
-    of A's entries with those of B transposed.
+    of A's entries with those of B transposed.  The terms w * tau are then
+    gathered for every support pair as one (pairs, m, m) array, in the
+    prior's (pair, a, b) order, and the game's losing mask splits them;
+    ``fsum`` is exactly rounded, so the value does not depend on the order.
     """
     _require_strategy_fits(game, strategy)
     n, m, d = game.n, game.m, strategy.d
-    stack = np.array([strategy.pvms[x] for x in range(1, n + 1)])
-    gram = stack.reshape(n * m, d * d) @ stack.transpose(0, 1, 3, 2).reshape(n * m, d * d).T
-    overlaps = (gram.real / d).reshape(n, m, n, m).tolist()
-    win_terms = []
-    losses = []
-    for (x, y), w in prior.weights:
+    for (x, y), _ in prior.weights:
         if not (1 <= x <= n and 1 <= y <= n):
             raise ValidationError(f"prior supports ({x},{y}) outside 1..{n}")
-        for a in range(1, m + 1):
-            row = overlaps[x - 1][a - 1][y - 1]
-            for b in range(1, m + 1):
-                p = row[b - 1]
-                if (a, b, x, y) in game.losing:
-                    losses.append(LossEntry((a, b, x, y), w, p))
-                else:
-                    win_terms.append(w * p)
-    return ValueReport(value=fsum(win_terms), losses=tuple(losses))
+    stack = np.array([strategy.pvms[x] for x in range(1, n + 1)])
+    gram = stack.reshape(n * m, d * d) @ stack.transpose(0, 1, 3, 2).reshape(n * m, d * d).T
+    overlaps = (gram.real / d).reshape(n, m, n, m).transpose(0, 2, 1, 3)
+    xs, ys, ws = prior._support
+    probabilities = overlaps[xs, ys]
+    lost = game._losing_mask[xs, ys]
+    value = fsum((ws[:, None, None] * probabilities)[~lost].tolist())
+
+    def build_losses() -> tuple:
+        pair, a, b = np.nonzero(lost)
+        keys = zip(*(np.stack([a, b, xs[pair], ys[pair]]) + 1).tolist())
+        return tuple(map(LossEntry, keys, ws[pair].tolist(), probabilities[lost].tolist()))
+
+    return ValueReport(value, build_losses)
 
 
 def edge_loss_probability(p_u, p_v) -> float:
@@ -377,7 +412,13 @@ def _game_from_payload(payload) -> SyncGame:
     if len(set(tuples)) != len(tuples):
         dupes = sorted({t for t in tuples if tuples.count(t) > 1})
         raise ValidationError(f"duplicate losing tuples {dupes}")
-    return SyncGame(n=n, m=m, losing=frozenset(tuples))
+    # Every entry's type is checked above, so the constructor's check is skipped.
+    game = object.__new__(SyncGame)
+    object.__setattr__(game, "n", n)
+    object.__setattr__(game, "m", m)
+    object.__setattr__(game, "losing", frozenset(tuples))
+    game._validate(typed=True)
+    return game
 
 
 def _unique_keys(what: str):

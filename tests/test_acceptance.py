@@ -252,6 +252,8 @@ def test_criterion_8_cut_identities():
         for graph, cut in zip(graphs, (3, 5, 5)):
             assert max3cut_bruteforce(graph) == cut
             assert value_bridge(graph).lhs <= SLACK_TOL
+        # 3^8 labelings, above the six vertices the CLI bridges.
+        assert value_bridge(cycle_graph(8)).lhs <= SLACK_TOL
         rng = np.random.default_rng(88)
         for trial in range(500):
             graph = graphs[trial % 3]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -82,6 +83,32 @@ def test_boolean_index_rejected(entry):
         SyncGame(n=2, m=3, losing=frozenset({tuple(raw)}))
     with pytest.raises(ValidationError, match="integer"):
         SyncGame(n=True, m=3, losing=SYNCHRONY_1Q)
+
+
+@pytest.mark.parametrize(
+    "raw,payload_message,direct_message",
+    [
+        ([1, 2, 1], "losing entry [1, 2, 1] is not a list of four integers",
+         "losing tuple (1, 2, 1) is not a 4-tuple of integers"),
+        ([1, 2, 1, 1.5], "losing entry [1, 2, 1, 1.5] is not a list of four integers",
+         "losing tuple (1, 2, 1, 1.5) is not a 4-tuple of integers"),
+        ("abcd", "losing entry 'abcd' is not a list of four integers",
+         "losing tuple 'abcd' is not a 4-tuple of integers"),
+        ([1, 4, 1, 1], "losing tuple (1, 4, 1, 1): answers out of range 1..3",
+         "losing tuple (1, 4, 1, 1): answers out of range 1..3"),
+        ([1, 2, 1, 2], "losing tuple (1, 2, 1, 2): questions out of range 1..1",
+         "losing tuple (1, 2, 1, 2): questions out of range 1..1"),
+    ],
+)
+def test_both_game_paths_name_a_bad_losing_tuple(raw, payload_message, direct_message):
+    # The file loader checks each entry's types once, and the constructor
+    # checks them for direct callers; each path keeps its own message.
+    synchrony = sorted(SYNCHRONY_1Q)
+    with pytest.raises(ValidationError, match=f"^{re.escape(payload_message)}$"):
+        load_game(json.dumps({"n": 1, "m": 3, "losing": [list(t) for t in synchrony] + [raw]}))
+    direct = raw if isinstance(raw, str) else tuple(raw)
+    with pytest.raises(ValidationError, match=f"^{re.escape(direct_message)}$"):
+        SyncGame(n=1, m=3, losing=frozenset(synchrony + [direct]))
 
 
 @pytest.mark.parametrize("pair", [(True, 1), (1, False)])
@@ -218,6 +245,43 @@ def test_value_plus_lost_mass_is_one(rng):
     report = sync_value(game, strategy, PriorDistribution.uniform_questions(2))
     assert report.value + report.lost_mass == pytest.approx(1.0, abs=1e-12)
     assert all(e.weight > 0 for e in report.losses)
+
+
+def test_sync_value_rejects_prior_pairs_outside_the_questions(rng):
+    # Support out of the prior's sorted order: the message names the first
+    # offending pair as listed, not the smallest one.
+    game = random_game(rng, 2, 3)
+    strategy = random_strategy(rng, game, 2)
+    cases = [
+        ((((1, 1), 0.25), ((2, 5), 0.25), ((0, 1), 0.25), ((1, 2), 0.25)), "(2,5)"),
+        ((((1, 1), 0.5), ((3, 1), 0.5)), "(3,1)"),
+        ((((1, 1), 0.5), ((1, -1), 0.5)), "(1,-1)"),
+        ((((2**70, 1), 0.5), ((1, 1), 0.5)), f"({2**70},1)"),
+    ]
+    for weights, pair in cases:
+        prior = PriorDistribution(QUESTION_PRIOR, weights)
+        message = f"prior supports {pair} outside 1..2"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sync_value(game, strategy, prior)
+
+
+def test_losses_are_built_only_when_read(monkeypatch, rng):
+    built, entry = [], games.LossEntry
+
+    def counting_entry(*args):
+        built.append(args)
+        return entry(*args)
+
+    monkeypatch.setattr(games, "LossEntry", counting_entry)
+    assert maxcut.value_bridge(maxcut.cycle_graph(5)).lhs == 0.0
+    assert built == []
+    game = random_game(rng, 2, 3)
+    report = sync_value(game, random_strategy(rng, game, 2), PriorDistribution.uniform_questions(2))
+    assert built == []
+    losses = report.losses
+    assert len(built) == len(losses) > 0
+    assert report.losses is losses
+    assert len(built) == len(losses)
 
 
 def test_sync_identity_same_question(rng):

@@ -5,6 +5,10 @@ edge sums contract each pair in O(d^2); the reference functions below form
 every product the way the package did before.  Summation order differs, so
 values agree to 1e-12, not bit for bit; the loss bookkeeping (keys,
 weights, order) must be identical.
+
+``sync_value`` then scores the overlaps as arrays.  Against the same GEMM
+followed by the per-term Python loop (``loop_sync_value``) nothing about the
+arithmetic changes, so there value and losses must agree exactly.
 """
 
 from math import fsum
@@ -16,7 +20,13 @@ from hypothesis import strategies as st
 
 from helpers import reference_tau
 from gadgetgraph.forward import coloring_value
-from gadgetgraph.games import PriorDistribution, edge_loss_probability, sync_value
+from gadgetgraph.games import (
+    LossEntry,
+    PriorDistribution,
+    _require_strategy_fits,
+    edge_loss_probability,
+    sync_value,
+)
 from gadgetgraph.instances import (
     random_coloring,
     random_game,
@@ -47,6 +57,28 @@ def reference_sync_value(game, strategy, prior):
                 else:
                     win_terms.append(w * p)
     return fsum(win_terms), losses
+
+
+def loop_sync_value(game, strategy, prior):
+    """``sync_value`` as one GEMM for the overlaps and a Python loop over
+    every (pair, a, b) term: the value and the losses entry by entry."""
+    _require_strategy_fits(game, strategy)
+    n, m, d = game.n, game.m, strategy.d
+    stack = np.array([strategy.pvms[x] for x in range(1, n + 1)])
+    gram = stack.reshape(n * m, d * d) @ stack.transpose(0, 1, 3, 2).reshape(n * m, d * d).T
+    overlaps = (gram.real / d).reshape(n, m, n, m).tolist()
+    win_terms = []
+    losses = []
+    for (x, y), w in prior.weights:
+        for a in range(1, m + 1):
+            row = overlaps[x - 1][a - 1][y - 1]
+            for b in range(1, m + 1):
+                p = row[b - 1]
+                if (a, b, x, y) in game.losing:
+                    losses.append(LossEntry((a, b, x, y), w, p))
+                else:
+                    win_terms.append(w * p)
+    return fsum(win_terms), tuple(losses)
 
 
 def reference_edge_loss(p_u, p_v) -> float:
@@ -100,6 +132,28 @@ def test_sync_value_matches_the_product_loop(n, m, d, seed):
     strategy = random_strategy(rng, game, d)
     for prior in priors(n):
         assert_sync_value_matches(game, strategy, prior)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=3, max_value=6),
+    d=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sync_value_equals_the_term_loop_exactly(n, m, d, seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, n, m)
+    strategy = random_strategy(rng, game, d)
+    for prior in priors(n):
+        report = sync_value(game, strategy, prior)
+        value, losses = loop_sync_value(game, strategy, prior)
+        assert report.value == value
+        assert len(report.losses) == len(losses)
+        for entry, expected in zip(report.losses, losses):
+            assert (entry.key, entry.weight, entry.probability) == (
+                expected.key, expected.weight, expected.probability
+            )
 
 
 @settings(max_examples=15, deadline=None)
