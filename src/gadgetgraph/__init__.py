@@ -12,6 +12,7 @@ from .games import (
     ColoringStrategy,
     GameStrategy,
     PriorDistribution,
+    SimpleGraph,
     SyncGame,
     ValueReport,
     coloring_game,
@@ -24,7 +25,6 @@ from .graphs import GadgetGraph, build_graph, edge_count_formula, export_graph
 from .linalg import require_pvm, two_norm
 from .maxcut import (
     OrderKUnitaryFamily,
-    SimpleGraph,
     complete_graph,
     cycle_graph,
     load_simple_graph,

@@ -179,7 +179,7 @@ def cmd_maxcut(args) -> int:
         raise ValidationError(f"trial count must be >= 0, got {args.trials}")
     if args.d < 1:
         raise ValidationError(f"dimension must be >= 1, got {args.d}")
-    g = load_simple_graph(args.graph)
+    g = load_simple_graph(Path(args.graph))
     print(f"graph: {g.n_vertices} vertices, {g.n_edges} edges")
     print(f"max 3-cut: {max3cut_bruteforce(g)}")
     rng = np.random.default_rng(args.seed)

@@ -182,6 +182,16 @@ def forward_translate(
     return _prebuilt(ColoringStrategy, d, pvms)
 
 
+def _require_coverage(graph: GadgetGraph, cs: ColoringStrategy) -> None:
+    """Raise unless the coloring strategy has a PVM for every graph vertex."""
+    missing = [v for v in graph.vertices if v not in cs.pvms]
+    if missing:
+        raise ValidationError(
+            f"coloring strategy lacks PVMs for {len(missing)} graph "
+            f"vertices, first {missing[0]!r}"
+        )
+
+
 def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:
     """Value of the 3-coloring game of the graph under the edge-uniform prior.
 
@@ -191,9 +201,7 @@ def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:
     edge costs three O(d^2) trace contractions (``edge_loss_probability``),
     read straight off the strategy's arrays without gathering them.
     """
-    missing = [v for v in graph.vertices if v not in cs.pvms]
-    if missing:
-        raise ValidationError(f"coloring strategy missing vertices {missing[:5]}")
+    _require_coverage(graph, cs)
     weight = 1.0 / graph.n_edges
     probabilities = [edge_loss_probability(cs.pvms[u], cs.pvms[v]) for u, v in graph.edges]
     value = 1.0 - fsum(weight * p for p in probabilities)

@@ -6,10 +6,12 @@ answers to a repeated question always lose — is *validated*, never inserted
 silently, so a game file is its own complete record.  All indices are
 1-based, in files and in memory.
 
-The module also houses the two priors used everywhere (uniform on question
-pairs, uniform on the ordered edges of a graph), finite-dimensional
-projective strategies with their file format (one writer, one loader per
-kind), and the synchronous value of a game against a strategy and prior.
+The module also houses the simple-graph type, the one check of an edge
+list, which the 3-coloring game and the edge prior take; the two priors
+used everywhere (uniform on question pairs, uniform on the ordered edges of
+a graph); finite-dimensional projective strategies with their file format
+(one writer, one loader per kind); and the synchronous value of a game
+against a strategy and prior.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class SyncGame:
 
     def _validate(self, typed: bool) -> None:
         """Check the counts, every losing tuple and synchrony, and store the
-        losing set as a frozenset of tuples.  ``typed`` skips the type check
-        of each tuple's entries, for callers that made it already."""
+        losing set as a frozenset of tuples.  ``typed`` is for callers that
+        hand over that frozenset with each entry's type checked already: it
+        skips the type check and keeps the set as it is."""
         if not _is_int(self.n) or self.n < 1:
             raise ValidationError(f"question count must be a positive integer, got {self.n!r}")
         if not _is_int(self.m) or self.m < 3:
@@ -66,8 +69,9 @@ class SyncGame:
             if not (1 <= x <= self.n and 1 <= y <= self.n):
                 raise ValidationError(f"losing tuple {t}: questions out of range 1..{self.n}")
             tuples.append(t)
-        losing = frozenset(tuples)
-        object.__setattr__(self, "losing", losing)
+        if not typed:
+            object.__setattr__(self, "losing", frozenset(tuples))
+        losing = self.losing
         for x in range(1, self.n + 1):
             for a in range(1, self.m + 1):
                 for b in range(1, self.m + 1):
@@ -87,9 +91,6 @@ class SyncGame:
     @property
     def losing_sorted(self) -> tuple:
         return tuple(sorted(self.losing))
-
-    def loses(self, a: int, b: int, x: int, y: int) -> bool:
-        return (a, b, x, y) in self.losing
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,50 @@ def partition_losing(game: SyncGame) -> LosingPartition:
         else:
             rest.append(t)
     return LosingPartition(tuple(e_set), tuple(f_set), tuple(rest))
+
+
+# ---------------------------------------------------------------------------
+# simple graphs
+
+
+@dataclass(frozen=True)
+class SimpleGraph:
+    """An undirected graph on vertices 1..n with no loops or multi-edges.
+
+    The one check of an edge list: everything that takes edges as input
+    takes a SimpleGraph."""
+
+    n_vertices: int
+    edges: tuple
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.n_vertices) or self.n_vertices < 0:
+            raise ValidationError(f"vertex count {self.n_vertices!r} must be a nonnegative integer")
+        seen = set()
+        normalized = []
+        for edge in self.edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {edge!r} is not a pair") from None
+            if not (_is_int(u) and _is_int(v)):
+                raise ValidationError(f"edge {edge!r} has non-integer endpoints")
+            if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
+                raise ValidationError(
+                    f"edge {edge!r} leaves the vertex range 1..{self.n_vertices}"
+                )
+            if u == v:
+                raise ValidationError(f"loop at vertex {u} is not allowed")
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                raise ValidationError(f"duplicate edge {pair!r}")
+            seen.add(pair)
+            normalized.append(pair)
+        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +211,13 @@ class PriorDistribution:
         return cls(QUESTION_PRIOR, pairs)
 
     @classmethod
-    def uniform_edges(cls, edges) -> "PriorDistribution":
-        """Uniform on the 2|E| ordered copies of an edge list (1-based vertices)."""
-        seen = set()
-        for e in edges:
-            u, v = e
-            if u == v:
-                raise ValidationError(f"edge ({u},{v}) is a self-loop")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValidationError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-        if not seen:
+    def uniform_edges(cls, g: SimpleGraph) -> "PriorDistribution":
+        """Uniform on the 2|E| ordered copies of a graph's edges."""
+        if not g.edges:
             raise ValidationError("edge prior needs at least one edge")
-        w = 1.0 / (2 * len(seen))
+        w = 1.0 / (2 * g.n_edges)
         pairs = []
-        for u, v in sorted(seen):
+        for u, v in g.edges:
             pairs.append(((u, v), w))
             pairs.append(((v, u), w))
         return cls(EDGE_PRIOR, tuple(sorted(pairs)))
@@ -361,32 +397,23 @@ def edge_loss_probability(p_u, p_v) -> float:
 # the 3-coloring game of a graph
 
 
-def coloring_game(edges, n_vertices: int) -> SyncGame:
-    """The 3-coloring game of a simple graph on vertices 1..n_vertices.
+def coloring_game(g: SimpleGraph) -> SyncGame:
+    """The 3-coloring game of a simple graph.
 
     Questions are vertices, answers are colors; a pair loses when it colors
     the two ends of an edge the same, or breaks synchrony.
     """
     losing = set()
-    for x in range(1, n_vertices + 1):
+    for x in range(1, g.n_vertices + 1):
         for a in range(1, 4):
             for b in range(1, 4):
                 if a != b:
                     losing.add((a, b, x, x))
-    seen = set()
-    for u, v in edges:
-        if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
-            raise ValidationError(f"edge ({u},{v}) outside vertex range 1..{n_vertices}")
-        if u == v:
-            raise ValidationError(f"edge ({u},{v}) is a self-loop")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValidationError(f"duplicate edge ({u},{v})")
-        seen.add(key)
+    for u, v in g.edges:
         for c in range(1, 4):
             losing.add((c, c, u, v))
             losing.add((c, c, v, u))
-    return SyncGame(n=n_vertices, m=3, losing=frozenset(losing))
+    return SyncGame(n=g.n_vertices, m=3, losing=frozenset(losing))
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +436,15 @@ def _game_from_payload(payload) -> SyncGame:
         if not isinstance(raw, list) or len(raw) != 4 or not all(map(_is_int, raw)):
             raise ValidationError(f"losing entry {raw!r} is not a list of four integers")
         tuples.append(tuple(raw))
-    if len(set(tuples)) != len(tuples):
-        dupes = sorted({t for t in tuples if tuples.count(t) > 1})
+    unique = frozenset(tuples)
+    if len(unique) != len(tuples):
+        dupes = sorted(t for t, count in Counter(tuples).items() if count > 1)
         raise ValidationError(f"duplicate losing tuples {dupes}")
     # Every entry's type is checked above, so the constructor's check is skipped.
     game = object.__new__(SyncGame)
     object.__setattr__(game, "n", n)
     object.__setattr__(game, "m", m)
-    object.__setattr__(game, "losing", frozenset(tuples))
+    object.__setattr__(game, "losing", unique)
     game._validate(typed=True)
     return game
 

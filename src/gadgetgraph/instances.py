@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .forward import forward_translate
-from .games import ColoringStrategy, GameStrategy, SyncGame, coloring_game
+from .games import ColoringStrategy, GameStrategy, SimpleGraph, SyncGame, coloring_game
 from .graphs import GadgetGraph
 from .linalg import (
     ROOT2,
@@ -25,7 +25,7 @@ from .linalg import (
     spectral_projection_half,
     two_norm,
 )
-from .maxcut import OrderKUnitaryFamily, SimpleGraph
+from .maxcut import OrderKUnitaryFamily
 from .rounding import (
     InequalityReport,
     check_commutator_transfer,
@@ -45,7 +45,7 @@ def minimal_game() -> SyncGame:
 
 
 def triangle_coloring_game() -> SyncGame:
-    return coloring_game(((1, 2), (1, 3), (2, 3)), 3)
+    return coloring_game(SimpleGraph(3, ((1, 2), (1, 3), (2, 3))))
 
 
 def random_game(

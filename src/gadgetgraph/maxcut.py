@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .games import (
     GameStrategy,
     PriorDistribution,
+    SimpleGraph,
     _is_int,
     _prebuilt,
     _unique_keys,
@@ -46,43 +47,6 @@ BRUTE_FORCE_LIMIT = 18
 
 #: Both-sides deterministic enumeration refuses graphs larger than this.
 VALUE_BRIDGE_LIMIT = 10
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """An undirected graph on vertices 1..n with no loops or multi-edges."""
-
-    n_vertices: int
-    edges: tuple
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.n_vertices) or self.n_vertices < 0:
-            raise ValidationError(f"vertex count {self.n_vertices!r} must be a nonnegative integer")
-        seen = set()
-        normalized = []
-        for edge in self.edges:
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge {edge!r} is not a pair") from None
-            if not (_is_int(u) and _is_int(v)):
-                raise ValidationError(f"edge {edge!r} has non-integer endpoints")
-            if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
-                raise ValidationError(
-                    f"edge {edge!r} leaves the vertex range 1..{self.n_vertices}"
-                )
-            if u == v:
-                raise ValidationError(f"loop at vertex {u} is not allowed")
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise ValidationError(f"duplicate edge {pair!r}")
-            seen.add(pair)
-            normalized.append(pair)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
 
 
 def complete_graph(k: int) -> SimpleGraph:
@@ -204,20 +168,17 @@ class OrderKUnitaryFamily:
     unitaries: dict
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise ValidationError(f"order {self.k!r} must be a positive integer")
+        if not _is_int(self.d) or self.d < 1:
+            raise ValidationError(f"dimension must be a positive integer, got {self.d!r}")
         one = identity(self.d)
         frozen = {}
         for vertex, raw in self.unitaries.items():
-            if not isinstance(vertex, int) or vertex < 1:
+            if not _is_int(vertex) or vertex < 1:
                 raise ValidationError(f"vertex key {vertex!r} is not a positive integer")
             u = as_matrix(raw, self.d)
-            if two_norm(u.conj().T @ u - one) > UNITARY_TOL:
-                raise ValidationError(f"matrix at vertex {vertex} is not unitary")
-            if two_norm(np.linalg.matrix_power(u, self.k) - one) > UNITARY_TOL:
-                raise ValidationError(
-                    f"matrix at vertex {vertex} does not have order {self.k}"
-                )
+            _require_unitary_of_order(u, self.k, one, f"matrix at vertex {vertex}")
             u = u.copy()
             u.setflags(write=False)
             frozen[vertex] = u
@@ -226,6 +187,15 @@ class OrderKUnitaryFamily:
     @property
     def vertices(self) -> tuple:
         return tuple(sorted(self.unitaries))
+
+
+def _require_unitary_of_order(u: np.ndarray, k: int, one: np.ndarray, label: str) -> None:
+    """Raise unless u is unitary with u^k = 1 (``one`` is the identity of
+    u's dimension), both within UNITARY_TOL."""
+    if two_norm(u.conj().T @ u - one) > UNITARY_TOL:
+        raise ValidationError(f"{label} is not unitary")
+    if two_norm(np.linalg.matrix_power(u, k) - one) > UNITARY_TOL:
+        raise ValidationError(f"{label} does not have order {k}")
 
 
 def _powers(u: np.ndarray, k: int) -> list:
@@ -265,12 +235,7 @@ def pvm_from_unitary(u) -> list:
     omega^a times the outcomes reconstructs the unitary.
     """
     a = as_matrix(u)
-    d = a.shape[0]
-    one = identity(d)
-    if two_norm(a.conj().T @ a - one) > UNITARY_TOL:
-        raise ValidationError("input is not unitary")
-    if two_norm(np.linalg.matrix_power(a, 3) - one) > UNITARY_TOL:
-        raise ValidationError("input does not have order 3")
+    _require_unitary_of_order(a, 3, identity(a.shape[0]), "input")
     omega = np.exp(2j * np.pi / 3)
     powers = _powers(a, 3)
     mats = []
@@ -318,9 +283,9 @@ def roots_identity_check(g: SimpleGraph, fam: OrderKUnitaryFamily) -> Inequality
         GameStrategy, fam.d, {v: spectral[v] for v in range(1, g.n_vertices + 1)}
     )
     game_value = sync_value(
-        coloring_game(g.edges, g.n_vertices),
+        coloring_game(g),
         strategy,
-        PriorDistribution.uniform_edges(g.edges),
+        PriorDistribution.uniform_edges(g),
     ).value
     aggregate_gap = abs(unitary_cut_value(g, fam) - g.n_edges * game_value)
     if aggregate_gap > worst:
@@ -346,8 +311,8 @@ def value_bridge(g: SimpleGraph) -> InequalityReport:
     if g.n_edges == 0:
         report = InequalityReport("cut value bridge (no edges)", float(cut), 0.0)
         return report.require()
-    game = coloring_game(g.edges, n)
-    prior = PriorDistribution.uniform_edges(g.edges)
+    game = coloring_game(g)
+    prior = PriorDistribution.uniform_edges(g)
     # Exact 0/1 labelings are PVMs by construction.
     one = np.eye(1, dtype=np.complex128)
     zero = np.zeros((1, 1), dtype=np.complex128)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, ValidationError
-from .forward import coloring_value
+from .forward import _require_coverage, coloring_value
 from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt
 from .graphs import DELTA, GadgetGraph
 from .linalg import commutator, identity, require_positive_contraction, two_norm
@@ -39,15 +39,6 @@ SYMMETRIZE_TOL = 1e-10
 
 #: Clamp window for the sandwich operators' spectra.
 CONTRACTION_TOL = 1e-10
-
-
-def _require_coverage(graph: GadgetGraph, cs: ColoringStrategy) -> None:
-    missing = [v for v in graph.vertices if v not in cs.pvms]
-    if missing:
-        raise ValidationError(
-            f"coloring strategy lacks PVMs for {len(missing)} graph "
-            f"vertices, first {missing[0]!r}"
-        )
 
 
 #: _RELABEL[c - 1][slot] is the input color that block ``slot`` plays as color c.
@@ -68,7 +59,6 @@ def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> Colori
     pvms = {name: tuple(np.stack(mats)[_RELABEL]) for name, mats in cs.pvms.items()}
     result = _prebuilt(ColoringStrategy, 6 * cs.d, pvms)
     if graph is not None:
-        _require_coverage(graph, cs)
         before = coloring_value(graph, cs).value
         after = coloring_value(graph, result).value
         if abs(after - before) > SYMMETRIZE_TOL:
@@ -321,7 +311,6 @@ def certify_reverse_lemmas(
     """
     if graph.game != game:
         raise ValidationError("graph was compiled from a different game")
-    _require_coverage(graph, cs)
     sym = symmetrize(cs, graph)
     diag = compute_diagnostics(graph, sym)
     cc = control_compressions(sym)
@@ -386,7 +375,6 @@ def reverse_translate(
     """
     if graph.game != game:
         raise ValidationError("graph was compiled from a different game")
-    _require_coverage(graph, cs)
     sym = symmetrize(cs, graph)
     cc = control_compressions(sym)
     m = game.m

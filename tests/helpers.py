@@ -19,6 +19,8 @@ from dataclasses import asdict
 
 import numpy as np
 
+from gadgetgraph.errors import ValidationError
+from gadgetgraph.games import EDGE_PRIOR, PriorDistribution, SyncGame
 from gadgetgraph.graphs import DELTA, q_name, t_name, v_name
 
 #: Filled by the acceptance tests; conftest prints one line per entry
@@ -84,6 +86,54 @@ def reference_graph_json(graph) -> dict:
         "gadgets": gadgets,
         "edge_count_report": asdict(graph.report),
     }
+
+
+def reference_coloring_game(edges, n_vertices: int) -> SyncGame:
+    """The 3-coloring game of an edge list, with its own edge checks, as
+    ``coloring_game`` built it before it took a ``SimpleGraph``."""
+    losing = set()
+    for x in range(1, n_vertices + 1):
+        for a in range(1, 4):
+            for b in range(1, 4):
+                if a != b:
+                    losing.add((a, b, x, x))
+    seen = set()
+    for u, v in edges:
+        if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
+            raise ValidationError(f"edge ({u},{v}) outside vertex range 1..{n_vertices}")
+        if u == v:
+            raise ValidationError(f"edge ({u},{v}) is a self-loop")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValidationError(f"duplicate edge ({u},{v})")
+        seen.add(key)
+        for c in range(1, 4):
+            losing.add((c, c, u, v))
+            losing.add((c, c, v, u))
+    return SyncGame(n=n_vertices, m=3, losing=frozenset(losing))
+
+
+def reference_uniform_edges(edges) -> PriorDistribution:
+    """The uniform prior on the ordered copies of an edge list, with its own
+    edge checks, as ``PriorDistribution.uniform_edges`` built it before it
+    took a ``SimpleGraph``."""
+    seen = set()
+    for e in edges:
+        u, v = e
+        if u == v:
+            raise ValidationError(f"edge ({u},{v}) is a self-loop")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValidationError(f"duplicate edge ({u},{v})")
+        seen.add(key)
+    if not seen:
+        raise ValidationError("edge prior needs at least one edge")
+    w = 1.0 / (2 * len(seen))
+    pairs = []
+    for u, v in sorted(seen):
+        pairs.append(((u, v), w))
+        pairs.append(((v, u), w))
+    return PriorDistribution(EDGE_PRIOR, tuple(sorted(pairs)))
 
 
 def first_differing_line(got: str, want: str) -> str:

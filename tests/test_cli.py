@@ -355,11 +355,17 @@ MALFORMED = {
     "forward-repeated-d": lambda g, s, c, t: ("forward", g, _repeat("d")(s)),
     "compile-game-repeated-n": lambda g, s, c, t: ("compile", _repeat("n")(g)),
     "maxcut-graph-repeated-key": lambda g, s, c, t: ("maxcut", _repeat("edges")(_graph_json_file(t))),
+    "maxcut-missing-file": lambda g, s, c, t: ("maxcut", t / "missing.json"),
     "check-tol-nan": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "nan"),
     "check-tol-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "inf"),
     "check-tol-minus-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-inf"),
     "check-tol-negative": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-1"),
 }
+
+
+#: What the message must say, for the cases whose exit code and prefix
+#: alone could come from a wrong diagnosis.
+MALFORMED_MESSAGES = {"maxcut-missing-file": "No such file or directory"}
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -368,4 +374,5 @@ def test_malformed_input_exits_2(capsys, tmp_path, game_file, strategy_file, col
     code, out, err = run(capsys, *map(str, argv))
     assert code == 2, (out, err)
     assert err.startswith("invalid input: ") and err.count("\n") == 1, err
+    assert MALFORMED_MESSAGES.get(case, "") in err, err
     assert "Traceback" not in out + err

@@ -15,6 +15,7 @@ from gadgetgraph.forward import (
 from gadgetgraph.games import (
     GameStrategy,
     PriorDistribution,
+    SimpleGraph,
     SyncGame,
     coloring_game,
     sync_value,
@@ -68,12 +69,14 @@ def test_coloring_value_agrees_with_game_value(rng, min_game, min_graph):
     direct = coloring_value(min_graph, cs)
 
     index = {name: i + 1 for i, name in enumerate(min_graph.vertices)}
-    edges = tuple((index[u], index[v]) for u, v in min_graph.edges)
-    relabeled = coloring_game(edges, min_graph.n_vertices)
+    relabeled_graph = SimpleGraph(
+        min_graph.n_vertices, tuple((index[u], index[v]) for u, v in min_graph.edges)
+    )
+    relabeled = coloring_game(relabeled_graph)
     as_game_strategy = GameStrategy(
         d=cs.d, pvms={index[name]: list(cs.pvms[name]) for name in min_graph.vertices}
     )
-    routed = sync_value(relabeled, as_game_strategy, PriorDistribution.uniform_edges(edges))
+    routed = sync_value(relabeled, as_game_strategy, PriorDistribution.uniform_edges(relabeled_graph))
     assert direct.value == pytest.approx(routed.value, abs=1e-12)
     assert direct.lost_mass == pytest.approx(routed.lost_mass, abs=1e-12)
 
@@ -92,7 +95,7 @@ def test_vhat_color_one_recovers_the_answer_projections(rng):
 
 def test_certify_forward_random_sweep():
     rng = np.random.default_rng(77)
-    games = [sync_only_game(3), coloring_game(((1, 2),), 2)]
+    games = [sync_only_game(3), coloring_game(SimpleGraph(2, ((1, 2),)))]
     graphs = [build_graph(g) for g in games]
     for trial in range(30):
         game = games[trial % 2]
@@ -164,5 +167,5 @@ def test_coloring_value_requires_full_cover(min_graph):
     pruned = {k: list(v) for k, v in partial.pvms.items() if k != "A"}
     from gadgetgraph.games import ColoringStrategy
 
-    with pytest.raises(ValidationError, match="missing vertices"):
+    with pytest.raises(ValidationError, match="lacks PVMs for 1 graph vertices, first 'A'"):
         coloring_value(min_graph, ColoringStrategy(d=1, pvms=pruned))

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_diagonal, indented_reference, reference_tau
+from helpers import (
+    block_diagonal,
+    indented_reference,
+    reference_coloring_game,
+    reference_tau,
+    reference_uniform_edges,
+)
 from gadgetgraph import forward, games, linalg, maxcut, reverse, rounding
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import (
@@ -17,6 +23,7 @@ from gadgetgraph.games import (
     ColoringStrategy,
     GameStrategy,
     PriorDistribution,
+    SimpleGraph,
     SyncGame,
     _prebuilt,
     coloring_game,
@@ -40,7 +47,7 @@ from gadgetgraph.instances import (
     triangle_strategy,
 )
 from gadgetgraph.linalg import TOL_PVM, as_matrix, random_pvm, require_pvm
-from gadgetgraph.maxcut import SimpleGraph, cycle_graph, roots_identity_check, value_bridge
+from gadgetgraph.maxcut import cycle_graph, roots_identity_check, value_bridge
 from gadgetgraph.reverse import symmetrize
 
 
@@ -125,8 +132,19 @@ def test_load_game_rejects_duplicates(tmp_path):
     }
     target = tmp_path / "dup.json"
     target.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError, match="duplicate"):
+    with pytest.raises(ValidationError, match=r"^duplicate losing tuples \[\(1, 2, 1, 1\)\]$"):
         load_game(target)
+
+
+def test_typed_validation_keeps_the_handed_over_set():
+    # load_game deduplicates with one frozenset and hands it over; the
+    # typed check reads it in place instead of hashing every tuple again.
+    losing = frozenset(SYNCHRONY_1Q)
+    game = object.__new__(SyncGame)
+    for field, value in (("n", 1), ("m", 3), ("losing", losing)):
+        object.__setattr__(game, field, value)
+    game._validate(typed=True)
+    assert game.losing is losing
 
 
 def test_game_json_round_trip(tmp_path):
@@ -165,16 +183,11 @@ def test_uniform_questions_prior():
 
 
 def test_uniform_edges_prior():
-    prior = PriorDistribution.uniform_edges(((1, 2), (2, 3)))
+    prior = PriorDistribution.uniform_edges(SimpleGraph(3, ((1, 2), (2, 3))))
     weights = dict(prior.weights)
     assert weights[(1, 2)] == pytest.approx(1 / 4)
     assert weights[(2, 1)] == pytest.approx(1 / 4)
     assert len(weights) == 4
-
-
-def test_uniform_edges_rejects_loop():
-    with pytest.raises(ValidationError):
-        PriorDistribution.uniform_edges(((1, 1),))
 
 
 def test_game_strategy_rejects_non_pvm():
@@ -306,9 +319,56 @@ def test_triangle_coloring_game_census(tri_game):
     assert (1, 2, 1, 2) not in tri_game.losing
 
 
-def test_coloring_game_rejects_bad_vertex():
+@pytest.mark.parametrize(
+    "edges,prior_rejected",
+    [
+        pytest.param(((1, 1),), True, id="loop"),
+        pytest.param(((1, 2), (1, 2)), True, id="duplicate"),
+        pytest.param(((1, 2), (2, 1)), True, id="duplicate-reversed"),
+        pytest.param(((1, 4),), False, id="end-above-range"),
+        pytest.param(((0, 1),), False, id="end-below-range"),
+        # JSON true is a Python int, not a vertex
+        pytest.param(((True, 2),), True, id="bool-end"),
+        pytest.param(((1.0, 2),), True, id="float-end"),
+    ],
+)
+def test_edge_lists_the_old_checks_rejected_fail_in_simple_graph(edges, prior_rejected):
+    # coloring_game and uniform_edges take a SimpleGraph, so an edge list
+    # they once rejected (the bool and float ends through the game's and
+    # the prior's own constructors) now fails where the graph is built.
+    # The edge-list prior let ends outside the graph through.
     with pytest.raises(ValidationError):
-        coloring_game(((1, 4),), 3)
+        reference_coloring_game(edges, 3)
+    if prior_rejected:
+        with pytest.raises(ValidationError):
+            reference_uniform_edges(edges)
+    with pytest.raises(ValidationError):
+        SimpleGraph(3, edges)
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count up to 8 and a simple edge list on it, in any order
+    and orientation."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, tuple((v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists())
+def test_graph_games_and_priors_match_the_edge_list_versions(case):
+    n, edges = case
+    g = SimpleGraph(n, edges)
+    assert coloring_game(g).losing == reference_coloring_game(edges, n).losing
+    if edges:
+        assert PriorDistribution.uniform_edges(g).weights == reference_uniform_edges(edges).weights
+    else:
+        for build in (lambda: PriorDistribution.uniform_edges(g), lambda: reference_uniform_edges(edges)):
+            with pytest.raises(ValidationError, match="at least one edge"):
+                build()
 
 
 def test_triangle_strategy_is_perfect(tri_game):

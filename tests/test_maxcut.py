@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import gadgetgraph
+from gadgetgraph import games, maxcut
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.instances import random_order3_family, random_order3_unitary
 from gadgetgraph.maxcut import (
@@ -29,6 +31,10 @@ def path_graph(k: int) -> SimpleGraph:
 
 # ---------------------------------------------------------------------------
 # graphs and loading
+
+
+def test_simple_graph_is_one_type_under_three_names():
+    assert maxcut.SimpleGraph is games.SimpleGraph is gadgetgraph.SimpleGraph
 
 
 def test_simple_graph_normalizes_edges():
@@ -137,6 +143,24 @@ def test_max3cut_at_the_limit_runs():
 def test_family_validates_order():
     with pytest.raises(ValidationError, match="order"):
         OrderKUnitaryFamily(3, 2, {1: np.diag([1.0, 1j])})
+
+
+@pytest.mark.parametrize(
+    "k,d,unitaries",
+    [
+        (True, 1, {1: np.eye(1)}),      # JSON true is not an order
+        (0, 1, {1: np.eye(1)}),
+        (3, True, {1: np.eye(1)}),      # nor a dimension
+        (3, 0, {}),
+        (3, -1, {1: np.eye(1)}),
+        (3, 1.0, {1: np.eye(1)}),
+        (3, 1, {True: np.eye(1)}),      # nor a vertex
+        (3, 1, {0: np.eye(1)}),
+    ],
+)
+def test_family_rejects_bad_numbers(k, d, unitaries):
+    with pytest.raises(ValidationError, match="positive integer"):
+        OrderKUnitaryFamily(k, d, unitaries)
 
 
 def test_family_validates_unitarity():

@@ -6,7 +6,7 @@ import pytest
 from helpers import block_diagonal
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.forward import coloring_value, forward_translate
-from gadgetgraph.games import PriorDistribution, sync_value
+from gadgetgraph.games import ColoringStrategy, PriorDistribution, sync_value
 from gadgetgraph.instances import (
     basis_lift,
     deterministic_strategy,
@@ -278,6 +278,25 @@ def test_reverse_rejects_cross_game(min_game, tri_graph, min_graph, tri_game):
         reverse_translate(tri_game, min_graph, cs)
     with pytest.raises(ValidationError, match="lacks PVMs"):
         reverse_translate(tri_game, tri_graph, cs)
+
+
+COVERAGE_CHECKS = {
+    "coloring_value": lambda game, graph, cs: coloring_value(graph, cs),
+    "symmetrize": lambda game, graph, cs: symmetrize(cs, graph),
+    "compute_diagnostics": lambda game, graph, cs: compute_diagnostics(graph, cs),
+    "certify_reverse_lemmas": certify_reverse_lemmas,
+    "reverse_translate": reverse_translate,
+    "aggregate_offcolor_estimate": lambda game, graph, cs: aggregate_offcolor_estimate(graph, cs),
+}
+
+
+@pytest.mark.parametrize("check", COVERAGE_CHECKS)
+def test_a_coloring_missing_a_vertex_gets_one_message(min_game, min_graph, check):
+    cs = perfect_coloring(min_game, min_graph)
+    pruned = ColoringStrategy(cs.d, {k: v for k, v in cs.pvms.items() if k != "B"})
+    message = "coloring strategy lacks PVMs for 1 graph vertices, first 'B'"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        COVERAGE_CHECKS[check](min_game, min_graph, pruned)
 
 
 # ---------------------------------------------------------------------------

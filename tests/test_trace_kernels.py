@@ -115,7 +115,7 @@ def priors(n: int):
     out = [PriorDistribution.uniform_questions(n)]
     if n > 1:
         pairs = [(x, y) for x in range(1, n) for y in range(x + 1, n + 1)]
-        out.append(PriorDistribution.uniform_edges(pairs))
+        out.append(PriorDistribution.uniform_edges(SimpleGraph(n, pairs)))
     return out
 
 
