@@ -55,7 +55,6 @@ from .reverse import (
     reverse_translate,
     symmetrize,
 )
-from .rounding import check_commutator_transfer
 
 
 def _fmt(x: float) -> str:
@@ -87,7 +86,7 @@ def _out_base(explicit, fallback) -> str:
 
 
 def cmd_compile(args) -> int:
-    game = load_game(args.game)
+    game = load_game(Path(args.game))
     graph = build_graph(game)
     rep = graph.report
     print(f"game: n={game.n} m={game.m} losing={len(game.losing)}")
@@ -109,7 +108,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    game = load_game(args.game)
+    game = load_game(Path(args.game))
     strategy = load_game_strategy(args.strategy)
     graph = build_graph(game)
     cs = forward_translate(game, graph, strategy)
@@ -123,7 +122,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_reverse(args) -> int:
-    game = load_game(args.game)
+    game = load_game(Path(args.game))
     cs = load_coloring_strategy(args.coloring)
     graph = build_graph(game)
     for rep in certify_reverse_lemmas(game, graph, cs):
@@ -147,11 +146,6 @@ def cmd_check(args) -> int:
         raise ValidationError(f"dimension must be >= 1, got {args.d}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValidationError(f"tolerance must be finite and >= 0, got {args.tol}")
-    if args.fixture_nonprojection:
-        bad = [0.5 * np.eye(2)] * 3
-        check_commutator_transfer(bad, bad)
-        print("fixture error: non-projection input was accepted", file=sys.stderr)
-        return 1
     rng = np.random.default_rng(args.seed)
     worst = {}
     violations = 0
@@ -260,11 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--trials", type=int, default=1000)
     k.add_argument("--d", type=int, default=4, help="matrix dimension")
     k.add_argument("--tol", type=float, default=1e-9, help="slack tolerance")
-    k.add_argument(
-        "--fixture-nonprojection",
-        action="store_true",
-        help="feed a deliberately non-projection input and exit with its validation error",
-    )
     k.set_defaults(func=cmd_check)
 
     m = sub.add_parser("maxcut", help="exact cut, unitary labelings, and identities")

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from math import fsum
+from itertools import chain
+from math import fsum, isfinite
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -40,53 +42,69 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class SyncGame:
-    """A synchronous game: n questions, m answers, explicit losing tuples."""
+    """A synchronous game: n questions, m answers, explicit losing tuples,
+    given as any iterable of 4-sequences and stored as a frozenset of tuples."""
 
     n: int
     m: int
     losing: frozenset
 
     def __post_init__(self) -> None:
-        self._validate(typed=False)
-
-    def _validate(self, typed: bool) -> None:
-        """Check the counts, every losing tuple and synchrony, and store the
-        losing set as a frozenset of tuples.  ``typed`` is for callers that
-        hand over that frozenset with each entry's type checked already: it
-        skips the type check and keeps the set as it is."""
-        if not _is_int(self.n) or self.n < 1:
-            raise ValidationError(f"question count must be a positive integer, got {self.n!r}")
-        if not _is_int(self.m) or self.m < 3:
-            raise ValidationError(f"answer count must be an integer >= 3, got {self.m!r}")
-        tuples = []
-        for raw in self.losing:
-            t = tuple(raw)
-            if not typed and (len(t) != 4 or not all(map(_is_int, t))):
-                raise ValidationError(f"losing tuple {raw!r} is not a 4-tuple of integers")
-            a, b, x, y = t
-            if not (1 <= a <= self.m and 1 <= b <= self.m):
-                raise ValidationError(f"losing tuple {t}: answers out of range 1..{self.m}")
-            if not (1 <= x <= self.n and 1 <= y <= self.n):
-                raise ValidationError(f"losing tuple {t}: questions out of range 1..{self.n}")
-            tuples.append(t)
-        if not typed:
-            object.__setattr__(self, "losing", frozenset(tuples))
-        losing = self.losing
-        for x in range(1, self.n + 1):
-            for a in range(1, self.m + 1):
-                for b in range(1, self.m + 1):
-                    if a != b and (a, b, x, x) not in losing:
-                        raise ValidationError(
-                            f"synchrony violation: ({a},{b},{x},{x}) must be a losing tuple"
-                        )
-
-    @cached_property
-    def _losing_mask(self) -> np.ndarray:
-        """``mask[x-1, y-1, a-1, b-1]`` is True exactly when (a, b, x, y) loses."""
-        mask = np.zeros((self.n, self.n, self.m, self.m), dtype=bool)
-        a, b, x, y = np.array(list(self.losing), dtype=np.intp).reshape(-1, 4).T - 1
+        """The one check of a game: the counts, each losing tuple's type,
+        answers and questions, duplicates, then synchrony."""
+        n, m = self.n, self.m
+        if not _is_int(n) or n < 1:
+            raise ValidationError(f"question count must be a positive integer, got {n!r}")
+        if not _is_int(m) or m < 3:
+            raise ValidationError(f"answer count must be an integer >= 3, got {m!r}")
+        entries = list(self.losing)
+        try:
+            tuples = list(map(tuple, entries))
+        except TypeError:  # an entry that is not iterable
+            tuples = [tuple(raw) if isinstance(raw, Iterable) else () for raw in entries]
+        kinds = set(map(type, chain.from_iterable(tuples)))
+        first_bad = len(entries)
+        if not (set(map(len, tuples)) <= {4} and kinds <= {int}):
+            # Only the tuples before the first entry that is not four integers
+            # are range-checked, so that the first bad tuple received is named.
+            good = (len(t) == 4 and all(map(_is_int, t)) for t in tuples)
+            first_bad = next((i for i, ok in enumerate(good) if not ok), first_bad)
+            del tuples[first_bad:]
+        # int64 unless an entry is beyond its range, which the check names
+        arr = np.array(tuples).reshape(-1, 4)
+        bad_answers = ((arr[:, :2] < 1) | (arr[:, :2] > m)).any(axis=1)
+        bad_questions = ((arr[:, 2:] < 1) | (arr[:, 2:] > n)).any(axis=1)
+        out_of_range = np.flatnonzero(bad_answers | bad_questions)
+        if out_of_range.size:
+            i = out_of_range[0]
+            if bad_answers[i]:
+                raise ValidationError(f"losing tuple {tuples[i]}: answers out of range 1..{m}")
+            raise ValidationError(f"losing tuple {tuples[i]}: questions out of range 1..{n}")
+        if first_bad < len(entries):
+            raise ValidationError(f"losing tuple {entries[first_bad]!r} is not a 4-tuple of integers")
+        losing = frozenset(tuples)
+        if len(losing) != len(tuples):
+            dupes = sorted(t for t, count in Counter(tuples).items() if count > 1)
+            raise ValidationError(f"duplicate losing tuples {dupes}")
+        if n * m * (m - 1) > len(losing):
+            # Too few tuples for synchrony.  The mask below is not bounded by
+            # the input size yet, so name the first missing tuple without it.
+            required = ((a, b, x, x) for x in range(1, n + 1)
+                        for a in range(1, m + 1) for b in range(1, m + 1) if a != b)
+            a, b, x, _ = next(t for t in required if t not in losing)
+            raise ValidationError(f"synchrony violation: ({a},{b},{x},{x}) must be a losing tuple")
+        # mask[x-1, y-1, a-1, b-1] is True exactly when (a, b, x, y) loses
+        mask = np.zeros((n, n, m, m), dtype=bool)
+        a, b, x, y = arr.T.astype(np.intp) - 1
         mask[x, y, a, b] = True
-        return mask
+        # missing[x-1, a-1, b-1]: the synchrony tuple (a, b, x, x) is absent
+        missing = ~mask[np.arange(n), np.arange(n)] & ~np.eye(m, dtype=bool)
+        if missing.any():
+            x, a, b = np.argwhere(missing)[0] + 1
+            raise ValidationError(f"synchrony violation: ({a},{b},{x},{x}) must be a losing tuple")
+        mask.setflags(write=False)
+        object.__setattr__(self, "losing", losing)
+        object.__setattr__(self, "_losing_mask", mask)
 
     @property
     def losing_sorted(self) -> tuple:
@@ -187,7 +205,9 @@ class PriorDistribution:
         for (x, y), w in self.weights:
             if not (_is_int(x) and _is_int(y)):
                 raise ValidationError(f"prior support entry ({x!r},{y!r}) is not a question pair")
-            if w < 0.0:
+            if isinstance(w, bool) or not isinstance(w, Real) or not isfinite(w):
+                raise ValidationError(f"prior weight {w!r} on ({x},{y}) is not a finite number")
+            if not w >= 0.0:
                 raise ValidationError(f"negative prior weight {w!r} on ({x},{y})")
         total = fsum(w for _, w in self.weights)
         if abs(total - 1.0) > 1e-12:
@@ -426,27 +446,9 @@ def _game_from_payload(payload) -> SyncGame:
     for field in ("n", "m", "losing"):
         if field not in payload:
             raise ValidationError(f"game file missing field {field!r}")
-    n, m, losing = payload["n"], payload["m"], payload["losing"]
-    if not (_is_int(n) and _is_int(m)):
-        raise ValidationError("game fields n and m must be integers")
-    if not isinstance(losing, list):
+    if not isinstance(payload["losing"], list):
         raise ValidationError("game field 'losing' must be a list of 4-tuples")
-    tuples = []
-    for raw in losing:
-        if not isinstance(raw, list) or len(raw) != 4 or not all(map(_is_int, raw)):
-            raise ValidationError(f"losing entry {raw!r} is not a list of four integers")
-        tuples.append(tuple(raw))
-    unique = frozenset(tuples)
-    if len(unique) != len(tuples):
-        dupes = sorted(t for t, count in Counter(tuples).items() if count > 1)
-        raise ValidationError(f"duplicate losing tuples {dupes}")
-    # Every entry's type is checked above, so the constructor's check is skipped.
-    game = object.__new__(SyncGame)
-    object.__setattr__(game, "n", n)
-    object.__setattr__(game, "m", m)
-    object.__setattr__(game, "losing", unique)
-    game._validate(typed=True)
-    return game
+    return SyncGame(payload["n"], payload["m"], payload["losing"])
 
 
 def _unique_keys(what: str):
@@ -464,20 +466,25 @@ def _unique_keys(what: str):
     return hook
 
 
+def _read_text(source):
+    """The text of a loader's input: a ``Path``, or a str that does not start
+    with ``{`` or ``[`` after whitespace, names a file; anything else is
+    literal JSON, returned as it is."""
+    if isinstance(source, Path) or (
+        isinstance(source, str) and not source.lstrip().startswith(("{", "["))
+    ):
+        return Path(source).read_text()
+    return source
+
+
 def load_game(source) -> SyncGame:
     """Load a SyncGame from a JSON file path or a JSON string."""
-    text = Path(source).read_text() if _looks_like_path(source) else source
+    text = _read_text(source)
     try:
         payload = json.loads(text, object_pairs_hook=_unique_keys("game file"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"game file is not valid JSON: {exc}") from None
     return _game_from_payload(payload)
-
-
-def _looks_like_path(source) -> bool:
-    if isinstance(source, Path):
-        return True
-    return isinstance(source, str) and not source.lstrip().startswith("{")
 
 
 def game_to_json(game: SyncGame) -> dict:

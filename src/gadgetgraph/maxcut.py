@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +26,7 @@ from .games import (
     SimpleGraph,
     _is_int,
     _prebuilt,
+    _read_text,
     _unique_keys,
     coloring_game,
     edge_loss_probability,
@@ -81,12 +80,11 @@ def _graph_from_payload(payload) -> SimpleGraph:
 
 
 def load_simple_graph(source) -> SimpleGraph:
-    """Read a graph from a path or literal: JSON ({"n", "edges"} or a bare
-    edge list) or whitespace text with one `u v` pair per line, 1-based."""
-    if isinstance(source, Path) or (isinstance(source, str) and os.path.exists(source)):
-        content = Path(source).read_text()
-    else:
-        content = source
+    """Read a graph from a file, or from literal JSON in a str: JSON ({"n",
+    "edges"} or a bare edge list) or whitespace text with one `u v` pair per
+    line, 1-based.  A str that does not start with ``{`` or ``[`` names a
+    file."""
+    content = _read_text(source)
     if not isinstance(content, str) or not content.strip():
         raise ValidationError("empty graph input")
     stripped = content.lstrip()
@@ -211,6 +209,15 @@ def _require_family(g: SimpleGraph, fam: OrderKUnitaryFamily) -> None:
         raise ValidationError(f"family lacks unitaries for vertices {missing}")
 
 
+def _edge_overlaps(g: SimpleGraph, fam: OrderKUnitaryFamily) -> list:
+    """(1/k) sum_s tau(u_i^s (u_j^s)*) for each edge (i, j) of g, in edge order."""
+    powers = {v: _powers(fam.unitaries[v], fam.k) for v in fam.unitaries}
+    return [
+        math.fsum(trace_product(powers[u][s], powers[v][s].conj().T) for s in range(fam.k)) / fam.k
+        for u, v in g.edges
+    ]
+
+
 def unitary_cut_value(g: SimpleGraph, fam: OrderKUnitaryFamily) -> float:
     """Sum over edges of 1 - (1/k) * sum_s tau(u_i^s (u_j^s)*).
 
@@ -218,14 +225,7 @@ def unitary_cut_value(g: SimpleGraph, fam: OrderKUnitaryFamily) -> float:
     families reduce to classical cuts, and the value never exceeds |E|.
     """
     _require_family(g, fam)
-    powers = {v: _powers(fam.unitaries[v], fam.k) for v in fam.unitaries}
-    terms = []
-    for u, v in g.edges:
-        overlap = math.fsum(
-            trace_product(powers[u][s], powers[v][s].conj().T) for s in range(fam.k)
-        )
-        terms.append(1.0 - overlap / fam.k)
-    return math.fsum(terms)
+    return math.fsum(1.0 - overlap for overlap in _edge_overlaps(g, fam))
 
 
 def pvm_from_unitary(u) -> list:
@@ -268,12 +268,10 @@ def roots_identity_check(g: SimpleGraph, fam: OrderKUnitaryFamily) -> Inequality
     _require_family(g, fam)
     if g.n_edges == 0:
         return InequalityReport("roots-of-unity identity (no edges)", 0.0, ROOTS_IDENTITY_TOL)
-    powers = {v: _powers(fam.unitaries[v], 3) for v in fam.unitaries}
     spectral = {v: pvm_from_unitary(fam.unitaries[v]) for v in fam.unitaries}
     worst = 0.0
     worst_label = "no edge"
-    for u, v in g.edges:
-        lhs = math.fsum(trace_product(powers[u][s], powers[v][s].conj().T) for s in range(3)) / 3.0
+    for (u, v), lhs in zip(g.edges, _edge_overlaps(g, fam)):
         rhs = edge_loss_probability(spectral[u], spectral[v])
         gap = abs(lhs - rhs)
         if gap > worst:

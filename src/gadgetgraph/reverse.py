@@ -409,9 +409,8 @@ def aggregate_offcolor_estimate(
     For a symmetrized strategy with coloring value 1 - eps, the sum over
     edges of theta^(1/2) is at most 2|E| eps^(1/4).
     """
-    _require_coverage(graph, cs)
-    theta = _edge_products(graph, cs)
     value = coloring_value(graph, cs).value
+    theta = _edge_products(graph, cs)
     eps = max(0.0, 1.0 - value)
     lhs = math.fsum(math.sqrt(theta[edge]) for edge in graph.edges)
     rhs = 2.0 * graph.n_edges * eps**0.25

@@ -15,6 +15,7 @@ vertex each of them lands on from the graph's gadget handles.
 """
 
 import json
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -111,6 +112,48 @@ def reference_coloring_game(edges, n_vertices: int) -> SyncGame:
             losing.add((c, c, u, v))
             losing.add((c, c, v, u))
     return SyncGame(n=n_vertices, m=3, losing=frozenset(losing))
+
+
+def reference_game_check(n, m, losing):
+    """The losing set and (n, n, m, m) losing mask of a game, or the
+    ValidationError its check raises, by the per-tuple loop that SyncGame
+    ran before it checked the tuples as one array.  The order: the counts,
+    each tuple's type, answers and questions in the order received, the
+    file loader's duplicate check, then synchrony in (x, a, b) order."""
+
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    if not is_int(n) or n < 1:
+        raise ValidationError(f"question count must be a positive integer, got {n!r}")
+    if not is_int(m) or m < 3:
+        raise ValidationError(f"answer count must be an integer >= 3, got {m!r}")
+    tuples = []
+    for raw in losing:
+        t = tuple(raw)
+        if len(t) != 4 or not all(map(is_int, t)):
+            raise ValidationError(f"losing tuple {raw!r} is not a 4-tuple of integers")
+        a, b, x, y = t
+        if not (1 <= a <= m and 1 <= b <= m):
+            raise ValidationError(f"losing tuple {t}: answers out of range 1..{m}")
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValidationError(f"losing tuple {t}: questions out of range 1..{n}")
+        tuples.append(t)
+    unique = frozenset(tuples)
+    if len(unique) != len(tuples):
+        dupes = sorted(t for t, count in Counter(tuples).items() if count > 1)
+        raise ValidationError(f"duplicate losing tuples {dupes}")
+    for x in range(1, n + 1):
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                if a != b and (a, b, x, x) not in unique:
+                    raise ValidationError(
+                        f"synchrony violation: ({a},{b},{x},{x}) must be a losing tuple"
+                    )
+    mask = np.zeros((n, n, m, m), dtype=bool)
+    for a, b, x, y in unique:
+        mask[x - 1, y - 1, a - 1, b - 1] = True
+    return unique, mask
 
 
 def reference_uniform_edges(edges) -> PriorDistribution:

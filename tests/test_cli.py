@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from gadgetgraph.cli import main
+from gadgetgraph.cli import _build_parser, main
 from gadgetgraph.games import (
     load_coloring_strategy,
     load_game_strategy,
@@ -57,6 +60,15 @@ def test_compile_writes_json(capsys, game_file):
     payload = json.loads((game_file.parent / "minimal.graph.json").read_text())
     assert len(payload["vertices"]) == 25
     assert not (game_file.parent / "minimal.dot").exists()
+
+
+def test_compile_reads_a_game_file_named_like_json(capsys, game_file):
+    # The CLI passes a Path, so a file name starting with "[" is still a file.
+    bracketed = game_file.with_name("[set1].json")
+    bracketed.write_text(game_file.read_text())
+    code, out, err = run(capsys, "compile", str(bracketed))
+    assert code == 0 and err == ""
+    assert "game: n=1 m=3 losing=6" in out
 
 
 def test_compile_dot_only(capsys, game_file):
@@ -193,10 +205,18 @@ def test_check_small_run(capsys):
     assert "over 2 trials, 0 violations" in lines[-1]
 
 
-def test_check_fixture_nonprojection(capsys):
-    code, _, err = run(capsys, "check", "--fixture-nonprojection")
-    assert code == 2
-    assert "invalid input" in err
+def test_every_option_is_documented():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    undocumented = [
+        f"{name} {option}"
+        for name, command in commands.choices.items()
+        for action in command._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if not re.search(rf"{re.escape(option)}(?![\w-])", readme)
+    ]
+    assert not undocumented, f"options missing from README.md: {undocumented}"
 
 
 def test_check_rejects_negative_trials(capsys):

@@ -13,6 +13,7 @@ from helpers import (
     block_diagonal,
     indented_reference,
     reference_coloring_game,
+    reference_game_check,
     reference_tau,
     reference_uniform_edges,
 )
@@ -92,30 +93,109 @@ def test_boolean_index_rejected(entry):
         SyncGame(n=True, m=3, losing=SYNCHRONY_1Q)
 
 
+SYNCHRONY_ENTRIES = [list(t) for t in sorted(SYNCHRONY_1Q)]
+NOT_FOUR_INTEGERS = "losing tuple {} is not a 4-tuple of integers"
+QUESTIONS_1_2_1_2 = "losing tuple (1, 2, 1, 2): questions out of range 1..1"
+
+
 @pytest.mark.parametrize(
-    "raw,payload_message,direct_message",
+    "n,entries,message",
     [
-        ([1, 2, 1], "losing entry [1, 2, 1] is not a list of four integers",
-         "losing tuple (1, 2, 1) is not a 4-tuple of integers"),
-        ([1, 2, 1, 1.5], "losing entry [1, 2, 1, 1.5] is not a list of four integers",
-         "losing tuple (1, 2, 1, 1.5) is not a 4-tuple of integers"),
-        ("abcd", "losing entry 'abcd' is not a list of four integers",
-         "losing tuple 'abcd' is not a 4-tuple of integers"),
-        ([1, 4, 1, 1], "losing tuple (1, 4, 1, 1): answers out of range 1..3",
-         "losing tuple (1, 4, 1, 1): answers out of range 1..3"),
-        ([1, 2, 1, 2], "losing tuple (1, 2, 1, 2): questions out of range 1..1",
-         "losing tuple (1, 2, 1, 2): questions out of range 1..1"),
+        pytest.param(1, SYNCHRONY_ENTRIES + [[1, 2, 1]], NOT_FOUR_INTEGERS.format("[1, 2, 1]"),
+                     id="three-integers"),
+        pytest.param(1, SYNCHRONY_ENTRIES + [[1, 2, 1, 1.5]],
+                     NOT_FOUR_INTEGERS.format("[1, 2, 1, 1.5]"), id="float"),
+        pytest.param(1, SYNCHRONY_ENTRIES + [[1, True, 1, 1]],
+                     NOT_FOUR_INTEGERS.format("[1, True, 1, 1]"), id="bool"),
+        pytest.param(1, SYNCHRONY_ENTRIES + ["abcd"], NOT_FOUR_INTEGERS.format("'abcd'"), id="str"),
+        pytest.param(1, SYNCHRONY_ENTRIES + [5], NOT_FOUR_INTEGERS.format("5"), id="number"),
+        pytest.param(1, SYNCHRONY_ENTRIES + [[1, 4, 1, 1]],
+                     "losing tuple (1, 4, 1, 1): answers out of range 1..3", id="answer-range"),
+        pytest.param(1, SYNCHRONY_ENTRIES + [[1, 2, 1, 2]], QUESTIONS_1_2_1_2, id="question-range"),
+        pytest.param(1, SYNCHRONY_ENTRIES + [[1, 2, 1, 1]], "duplicate losing tuples [(1, 2, 1, 1)]",
+                     id="duplicate"),
+        pytest.param(1, SYNCHRONY_ENTRIES[:2] + SYNCHRONY_ENTRIES[3:],
+                     "synchrony violation: (2,1,1,1) must be a losing tuple", id="synchrony"),
+        # The first bad tuple in the order received is named, even when a
+        # later one fails a check that comes earlier.
+        pytest.param(1, SYNCHRONY_ENTRIES + [[1, 2, 1, 2], [1, 4, 1, 1]], QUESTIONS_1_2_1_2,
+                     id="questions-then-answers"),
+        pytest.param(1, SYNCHRONY_ENTRIES + [[1, 2, 1, 2], [1, 2, 1]], QUESTIONS_1_2_1_2,
+                     id="questions-then-type"),
+        # A large n with too few tuples is refused before the (n, n, m, m)
+        # mask is allocated.
+        pytest.param(200_000, [], "synchrony violation: (1,2,1,1) must be a losing tuple",
+                     id="large-n-empty"),
     ],
 )
-def test_both_game_paths_name_a_bad_losing_tuple(raw, payload_message, direct_message):
-    # The file loader checks each entry's types once, and the constructor
-    # checks them for direct callers; each path keeps its own message.
-    synchrony = sorted(SYNCHRONY_1Q)
-    with pytest.raises(ValidationError, match=f"^{re.escape(payload_message)}$"):
-        load_game(json.dumps({"n": 1, "m": 3, "losing": [list(t) for t in synchrony] + [raw]}))
-    direct = raw if isinstance(raw, str) else tuple(raw)
-    with pytest.raises(ValidationError, match=f"^{re.escape(direct_message)}$"):
-        SyncGame(n=1, m=3, losing=frozenset(synchrony + [direct]))
+def test_one_check_names_a_bad_game(tmp_path, n, entries, message):
+    # A game file and a direct caller reach the same check, so the same
+    # entries in the same order get the same message.
+    target = tmp_path / "game.json"
+    target.write_text(json.dumps({"n": n, "m": 3, "losing": entries}))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_game(target)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SyncGame(n, 3, entries)
+
+
+def test_huge_answer_count_is_refused_without_the_mask():
+    with pytest.raises(ValidationError, match=r"^synchrony violation: \(1,3,1,1\) must be"):
+        SyncGame(1, 10**30, [(1, 2, 1, 1)])
+
+
+INDEX = st.integers(-1, 7)
+BAD_ENTRY = st.one_of(
+    st.tuples(INDEX, INDEX, INDEX, INDEX),
+    st.lists(st.integers(1, 3), max_size=5).filter(lambda t: len(t) != 4).map(tuple),
+    st.tuples(
+        st.integers(1, 3),
+        st.sampled_from([True, False, 1.0, 2.5, "1", None]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    ),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(3, 6), as_set=st.booleans())
+def test_the_array_check_agrees_with_the_per_tuple_loop(data, n, m, as_set):
+    synchrony = [(a, b, x, x) for x in range(1, n + 1) for a in range(1, m + 1)
+                 for b in range(1, m + 1) if a != b]
+    others = [(a, b, x, y) for x in range(1, n + 1) for y in range(1, n + 1)
+              for a in range(1, m + 1) for b in range(1, m + 1) if x != y or a == b]
+    entries = data.draw(st.permutations(synchrony + data.draw(
+        st.lists(st.sampled_from(others), unique=True, max_size=12))))
+    for kind, at in data.draw(st.lists(
+        st.tuples(st.sampled_from(["drop", "copy", "put", "put"]), st.integers(0, 10**6)), max_size=4
+    )):
+        at %= len(entries) + 1
+        if kind == "put":
+            entries.insert(at, data.draw(BAD_ENTRY))
+        elif kind == "copy" and entries:
+            entries.insert(at, entries[at % len(entries)])
+        elif entries:
+            entries.pop(at % len(entries))
+    losing = frozenset(entries) if as_set else entries
+
+    def checked():
+        game = SyncGame(n, m, losing)
+        return game.losing, game._losing_mask
+
+    def outcome(check):
+        try:
+            return check()
+        except ValidationError as exc:
+            return str(exc)
+
+    want = outcome(lambda: reference_game_check(n, m, losing))
+    got = outcome(checked)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("pair", [(True, 1), (1, False)])
@@ -136,15 +216,19 @@ def test_load_game_rejects_duplicates(tmp_path):
         load_game(target)
 
 
-def test_typed_validation_keeps_the_handed_over_set():
-    # load_game deduplicates with one frozenset and hands it over; the
-    # typed check reads it in place instead of hashing every tuple again.
-    losing = frozenset(SYNCHRONY_1Q)
-    game = object.__new__(SyncGame)
-    for field, value in (("n", 1), ("m", 3), ("losing", losing)):
-        object.__setattr__(game, field, value)
-    game._validate(typed=True)
-    assert game.losing is losing
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), "1", True, None])
+def test_prior_rejects_a_weight_that_is_not_a_finite_real(weight):
+    # NaN compares false either way, so it slips past a sign test written as
+    # ``w < 0`` and past the sum test alike.
+    with pytest.raises(ValidationError, match="is not a finite number"):
+        PriorDistribution(QUESTION_PRIOR, (((1, 1), weight),))
+
+
+@pytest.mark.parametrize("loader", [load_game, maxcut.load_simple_graph])
+def test_loaders_read_a_str_path_as_a_file(tmp_path, loader):
+    # Not as literal text: a missing file is named by the operating system.
+    with pytest.raises(OSError, match="missing.json"):
+        loader(str(tmp_path / "missing.json"))
 
 
 def test_game_json_round_trip(tmp_path):

@@ -96,9 +96,11 @@ def test_load_graph_json_file(tmp_path):
         ("[1, 2]", "not a pair"),
     ],
 )
-def test_load_graph_rejects_bad_input(text, fragment):
+def test_load_graph_rejects_bad_input(tmp_path, text, fragment):
+    target = tmp_path / "graph.txt"
+    target.write_text(text)
     with pytest.raises(ValidationError, match=fragment):
-        load_simple_graph(text)
+        load_simple_graph(target)
 
 
 # ---------------------------------------------------------------------------
