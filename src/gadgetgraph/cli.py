@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -63,22 +62,6 @@ def _fmt(x: float) -> str:
 
 def _report_line(rep) -> str:
     return f"{rep.context}: lhs {_fmt(rep.lhs)} rhs {_fmt(rep.rhs)} slack {_fmt(rep.slack)}"
-
-
-def _threads_cap() -> None:
-    """Validate GADGETGRAPH_THREADS so that a typo fails loudly.  The value
-    limits nothing: numpy's BLAS pool follows OPENBLAS_NUM_THREADS."""
-    raw = os.environ.get("GADGETGRAPH_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"GADGETGRAPH_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise ValidationError(f"GADGETGRAPH_THREADS must be >= 1, got {n}")
 
 
 def _out_base(explicit, fallback) -> str:
@@ -272,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _threads_cap()
         return args.func(args)
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)

@@ -14,11 +14,12 @@ traces are normalized by k*d, spectra range over all blocks, products act
 block by block, and an identity of the block size broadcasts.  Only
 ``as_matrix`` and the strategy constructors keep to d-by-d matrices.
 
-Whole strategies are validated by ``require_pvm_family``, which stacks 16
-PVMs at a time into a (16, k, d, d) array and computes ``require_pvm``'s
-defects on the stack, each bit for bit as the per-PVM check does, with the
-same tolerances; a stack that fails is checked again PVM by PVM, so its
-error message is ``require_pvm``'s.
+One stack check validates projections and PVMs: ``_stack_defects`` takes
+K PVMs of k outcomes as a (K, k, ...) stack.  ``require_projection`` is its
+1 x 1 case, ``require_pvm`` its K = 1 case, ``require_pvm_family`` takes a
+strategy 16 keys at a time, and ``pvm_defect`` reads its last defect.  An
+error names the first failure in check order (Hermitian, projection,
+eigenvalue, PVM defect), within a check the first failing key, then outcome.
 """
 
 from __future__ import annotations
@@ -102,9 +103,8 @@ def hermitian_defect(m) -> float:
     a = _operator(m)
     if not a.size:
         return 0.0
-    # An infinite entry gives inf - inf = NaN here, which the callers reject.
-    with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
+    defects, _, _ = next(_stack_defects(a[None, None]))
+    return float(defects[0, 0])
 
 
 def require_hermitian(m, tol: float = TOL_HERMITIAN, what: str = "matrix") -> np.ndarray:
@@ -115,50 +115,32 @@ def require_hermitian(m, tol: float = TOL_HERMITIAN, what: str = "matrix") -> np
     return a
 
 
-def projection_defect(m) -> float:
-    """||m^2 - m||_2."""
-    a = _operator(m)
-    return two_norm(a @ a - a)
-
-
 def require_projection(m, tol: float = TOL_PROJECTION, what: str = "matrix") -> np.ndarray:
     """Validate a projection: Hermitian, ||P^2-P||_2 small, spectrum on {0,1}."""
-    a = require_hermitian(m, what=what)
-    defect = projection_defect(a)
-    if not defect <= tol:
-        raise ValidationError(f"{what} is not a projection: ||P^2-P||_2 = {defect:.3e} > {tol:.0e}")
-    eigs = np.linalg.eigvalsh(a)
-    off = float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - 1.0)))) if eigs.size else 0.0
-    if not off <= TOL_EIGENVALUE:
-        raise ValidationError(
-            f"{what} has an eigenvalue {off:.3e} away from {{0,1}} (tolerance {TOL_EIGENVALUE:.0e})"
-        )
+    a = _operator(m)
+    _require_stack(a[None, None], lambda key: what, None, tol)
     return a
 
 
 def pvm_defect(mats: Sequence[np.ndarray]) -> float:
     """Worst PVM defect: max of pairwise ||E_a E_b||_2 and ||sum E - 1||_2."""
-    mats = [_operator(m) for m in mats]
-    worst = two_norm(sum(mats) - identity(mats[0].shape[-1]))
-    for i, a in enumerate(mats):
-        for b in mats[i + 1:]:
-            worst = max(worst, two_norm(a @ b))
-    return worst
+    *_, (worst, _, _) = _stack_defects(np.stack([_operator(m) for m in mats])[None])
+    return float(worst[0])
 
 
 def require_pvm(mats: Sequence[np.ndarray], tol: float = TOL_PVM, what: str = "PVM") -> tuple[np.ndarray, ...]:
     """Validate a PVM: each outcome a projection, pairwise orthogonal, summing to 1."""
     if not mats:
         raise ValidationError(f"{what} has no outcomes")
-    out = tuple(require_projection(m, what=f"{what} outcome {i + 1}") for i, m in enumerate(mats))
-    for i, m in enumerate(out):
-        if m.shape != out[0].shape:
-            raise ValidationError(
-                f"{what} outcome {i + 1} has shape {m.shape}, expected {out[0].shape}"
-            )
-    defect = pvm_defect(out)
-    if not defect <= tol:
-        raise ValidationError(f"{what} defect {defect:.3e} > {tol:.0e}")
+    out = tuple(np.asarray(m, dtype=np.complex128) for m in mats)
+    shape = _operator(out[0]).shape
+    ragged = [i for i, m in enumerate(out) if m.shape != shape]
+    if ragged:  # each outcome's own faults are named before the mismatch
+        for i, m in enumerate(out):
+            require_projection(m, what=f"{what} outcome {i + 1}")
+        i = ragged[0]
+        raise ValidationError(f"{what} outcome {i + 1} has shape {out[i].shape}, expected {shape}")
+    _require_stack(np.stack(out)[None], lambda key: what, tol)
     return out
 
 
@@ -170,18 +152,16 @@ def require_pvm_family(family: dict, tol: float = TOL_PVM, what: str = "PVM at {
     """Validate every PVM of a {key: outcomes} family as ``require_pvm`` does.
 
     The keys are taken in the family's order, 16 at a time, each chunk as
-    one (K, k, d, d) stack with each of ``require_pvm``'s defects computed
-    bit for bit as it computes them.  A chunk that fails a check, or whose
-    PVMs do not stack (no outcomes, mixed outcome counts or shapes), is run
-    through ``require_pvm`` key by key, labelled ``what.format(key)``, so
-    the error is the one the first bad key raises there.
+    one (K, k, d, d) stack labelled ``what.format(key)``.  A chunk whose
+    PVMs do not stack (no outcomes, mixed outcome counts or shapes) goes
+    through ``require_pvm`` key by key.
     """
     for keys, stack in _pvm_chunks(family):
-        if stack is None or not all(
-            defects.max() <= limit for defects, limit in _stack_defects(stack, tol)
-        ):  # a NaN defect fails too
+        if stack is None:
             for key in keys:
                 require_pvm(family[key], tol=tol, what=what.format(key))
+        else:
+            _require_stack(stack, lambda key: what.format(keys[key]), tol)
 
 
 def _pvm_chunks(family: dict):
@@ -200,54 +180,81 @@ def _pvm_chunks(family: dict):
         yield chunk, stack
 
 
-def _stack_defects(stack: np.ndarray, tol: float):
-    """``require_pvm``'s checks on a (K, k, d, d) stack of K PVMs, in its
-    order, as (defects, limit) pairs: Hermitian, projection and eigenvalue
-    defects per outcome (K, k), then the PVM defect per key (K,).
+def _require_stack(stack: np.ndarray, name, tol: float | None, projection_tol: float = TOL_PROJECTION) -> None:
+    """Raise the first failure of ``_stack_defects``: in check order, then
+    by key, then by outcome.  ``name(key)`` labels a PVM and "<name> outcome
+    i" its outcomes, unless ``tol`` is None: then each is a lone operator."""
+    for defects, limit, message in _stack_defects(stack, tol, projection_tol):
+        failed = ~(defects <= limit)  # a NaN defect fails too
+        if failed.any():
+            at = np.unravel_index(np.argmax(failed), failed.shape)
+            label = name(at[0])
+            if len(at) == 2 and tol is not None:
+                label = f"{label} outcome {at[1] + 1}"
+            raise ValidationError(message.format(label, defects[at], limit))
+
+
+def _stack_defects(stack: np.ndarray, tol: float | None = TOL_PVM, projection_tol: float = TOL_PROJECTION):
+    """The checks of a PVM on a (K, k, *op) stack of K PVMs with k outcomes,
+    in the order they run, as (defects, limit, message) triples: the
+    Hermitian, projection and eigenvalue defects per outcome (K, k), then
+    the PVM defect per key (K,), left out when ``tol`` is None.  An outcome
+    ``op`` is a d-by-d matrix or a (b, d, d) block operator, read as the
+    block-diagonal matrix of dimension N = b d: each defect reduces over
+    all of its trailing axes, bit for bit as ``two_norm`` and ``eigvalsh``
+    give it for that matrix.
 
     The Hermitian check comes first because any inf or NaN entry fails it,
     so a consumer that stops at the first failure never hands one to
     ``eigvalsh``.
 
     The eigenvalue check is skipped when the projection defects already
-    pass it, that is when 2 sqrt(d) p <= TOL_EIGENVALUE for the stack's
-    largest defect p.  For Hermitian H, ||H^2 - H||_F = sqrt(d) ||H^2 - H||_2
+    pass it, that is when 2 sqrt(N) p <= TOL_EIGENVALUE for the stack's
+    largest defect p.  For Hermitian H, ||H^2 - H||_F = sqrt(N) ||H^2 - H||_2
     bounds every |lambda (lambda - 1)|, which is at least delta / 2 for an
     eigenvalue at distance delta <= 1/2 from {0, 1} and about delta for a
-    small delta; so delta <= sqrt(d) p (1 + 2 delta), half the tolerance.
+    small delta; so delta <= sqrt(N) p (1 + 2 delta), half the tolerance.
     The other half covers the Hermitian defect: ``eigvalsh`` reads the
-    Hermitian matrix L of each member's lower triangle, ||L - P||_F <=
-    d TOL_HERMITIAN, which moves ||L^2 - L||_F by about 3 d TOL_HERMITIAN,
-    below TOL_EIGENVALUE / 2 up to d = 1,600.
+    Hermitian matrix L of each block's lower triangle, ||L - P||_F <=
+    N TOL_HERMITIAN, which moves ||L^2 - L||_F by about 3 N TOL_HERMITIAN,
+    below TOL_EIGENVALUE / 2 up to N = 1,600.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf, as in hermitian_defect
-        hermitian = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    yield hermitian, TOL_HERMITIAN
-    projection = _two_norms(stack @ stack - stack)
-    yield projection, TOL_PROJECTION
-    if 2.0 * math.sqrt(stack.shape[-1]) * projection.max() > TOL_EIGENVALUE:
-        eigs = np.linalg.eigvalsh(stack)
-        yield np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max(axis=-1), TOL_EIGENVALUE
-    outcomes = [stack[:, i] for i in range(stack.shape[1])]
-    total = outcomes[0]
-    for m in outcomes[1:]:
-        total = total + m  # summed in pvm_defect's order
-    worst = _two_norms(total - identity(stack.shape[-1]))
-    for i, a in enumerate(outcomes):
-        for b in outcomes[i + 1:]:
-            worst = np.maximum(worst, _two_norms(a @ b))
-    yield worst, tol
+    d = stack.shape[-1]
+    blocks = stack.reshape(*stack.shape[:2], -1, d, d)
+    # An entry that overflows gives a failing inf or NaN defect, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = np.abs(blocks - blocks.conj().swapaxes(-1, -2)).max(axis=(-3, -2, -1))
+    yield hermitian, TOL_HERMITIAN, "{} is not Hermitian: entrywise defect {:.3e} > {:.0e}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        projection = _two_norms(blocks @ blocks - blocks)
+    yield projection, projection_tol, "{} is not a projection: ||P^2-P||_2 = {:.3e} > {:.0e}"
+    if 2.0 * math.sqrt(blocks.shape[2] * d) * projection.max() > TOL_EIGENVALUE:
+        eigs = np.linalg.eigvalsh(blocks)
+        off = np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max(axis=(-2, -1))
+        yield off, TOL_EIGENVALUE, "{} has an eigenvalue {:.3e} away from {{0,1}} (tolerance {:.0e})"
+    if tol is None:
+        return
+    outcomes = [blocks[:, i] for i in range(blocks.shape[1])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = outcomes[0]
+        for m in outcomes[1:]:
+            total = total + m  # summed in the order sum() adds them
+        worst = _two_norms(total - identity(d))
+        for i, a in enumerate(outcomes):
+            for b in outcomes[i + 1:]:
+                worst = np.maximum(worst, _two_norms(a @ b))
+    yield worst, tol, "{} defect {:.3e} > {:.0e}"
 
 
 def _two_norms(stack: np.ndarray) -> np.ndarray:
-    """``two_norm`` of each d-by-d matrix of a C-ordered stack, bit for bit:
-    ``np.linalg.norm`` sums the squares of the real and the imaginary parts
-    with one ``dot`` each, and a row-times-column ``matmul`` makes that same
-    ``dot`` call per matrix."""
-    flat = stack.reshape(*stack.shape[:-2], -1)
+    """``two_norm`` of each (b, d, d) block operator of a C-ordered stack,
+    bit for bit: ``np.linalg.norm`` sums the squares of the real and the
+    imaginary parts with one ``dot`` each, and a row-times-column ``matmul``
+    makes that same ``dot`` call per operator."""
+    flat = stack.reshape(*stack.shape[:-3], -1)
     re, im = flat.real, flat.imag
     squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
-    return np.sqrt(squares[..., 0, 0]) / math.sqrt(stack.shape[-1])
+    return np.sqrt(squares[..., 0, 0]) / math.sqrt(stack.shape[-3] * stack.shape[-2])
 
 
 def require_positive_contraction(m, tol: float = TOL_SPECTRUM, what: str = "matrix") -> np.ndarray:

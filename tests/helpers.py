@@ -12,6 +12,11 @@ The builder names only the cells that become vertices.  The paper's other
 names (the prism rungs s(j), the middle top t(2), the answer cells v̂(a, x)
 and every glued cell) are spelled here, and ``handle_names`` reads the
 vertex each of them lands on from the graph's gadget handles.
+
+The ``reference_*`` PVM checks are the per-operator code ``linalg`` ran
+before its one stack check: each outcome checked in full, one after the
+other, then the PVM defect.  Every defect of the stack check must equal
+theirs bit for bit.
 """
 
 import json
@@ -23,6 +28,15 @@ import numpy as np
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import EDGE_PRIOR, PriorDistribution, SyncGame
 from gadgetgraph.graphs import DELTA, q_name, t_name, v_name
+from gadgetgraph.linalg import (
+    TOL_EIGENVALUE,
+    TOL_PROJECTION,
+    TOL_PVM,
+    _operator,
+    identity,
+    require_hermitian,
+    two_norm,
+)
 
 #: Filled by the acceptance tests; conftest prints one line per entry
 #: after the run so the verdicts survive pytest's output capture.
@@ -43,6 +57,78 @@ def block_diagonal(stack) -> np.ndarray:
     for i, block in enumerate(stack):
         dense[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
     return dense
+
+
+def raised_message(call):
+    """The message of the ValidationError ``call()`` raises, or None."""
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+#: A strategy file whose first outcome is finite but overflows when squared:
+#: its projection defect is NaN.
+OVERFLOWING_STRATEGY = {"d": 2, "pvms": {"1": [[[1e308, 0.0]] * 4, [[0.0, 0.0]] * 4, [[0.0, 0.0]] * 4]}}
+OVERFLOW_MESSAGE = "game strategy PVM at 1 outcome 1 is not a projection: ||P^2-P||_2 = nan > 1e-09"
+
+
+def reference_hermitian_defect(m) -> float:
+    """Largest entrywise deviation |m - m*|."""
+    a = _operator(m)
+    if not a.size:
+        return 0.0
+    # An infinite entry gives inf - inf = NaN here, which the callers reject.
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
+
+
+def reference_projection_defect(m) -> float:
+    """||m^2 - m||_2."""
+    a = _operator(m)
+    return two_norm(a @ a - a)
+
+
+def reference_require_projection(m, tol: float = TOL_PROJECTION, what: str = "matrix") -> np.ndarray:
+    """Validate a projection: Hermitian, ||P^2-P||_2 small, spectrum on {0,1}."""
+    a = require_hermitian(m, what=what)
+    defect = reference_projection_defect(a)
+    if not defect <= tol:
+        raise ValidationError(f"{what} is not a projection: ||P^2-P||_2 = {defect:.3e} > {tol:.0e}")
+    eigs = np.linalg.eigvalsh(a)
+    off = float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - 1.0)))) if eigs.size else 0.0
+    if not off <= TOL_EIGENVALUE:
+        raise ValidationError(
+            f"{what} has an eigenvalue {off:.3e} away from {{0,1}} (tolerance {TOL_EIGENVALUE:.0e})"
+        )
+    return a
+
+
+def reference_pvm_defect(mats) -> float:
+    """Worst PVM defect: max of pairwise ||E_a E_b||_2 and ||sum E - 1||_2."""
+    mats = [_operator(m) for m in mats]
+    worst = two_norm(sum(mats) - identity(mats[0].shape[-1]))
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            worst = max(worst, two_norm(a @ b))
+    return worst
+
+
+def reference_require_pvm(mats, tol: float = TOL_PVM, what: str = "PVM") -> tuple:
+    """Validate a PVM: each outcome a projection, pairwise orthogonal, summing to 1."""
+    if not mats:
+        raise ValidationError(f"{what} has no outcomes")
+    out = tuple(reference_require_projection(m, what=f"{what} outcome {i + 1}") for i, m in enumerate(mats))
+    for i, m in enumerate(out):
+        if m.shape != out[0].shape:
+            raise ValidationError(
+                f"{what} outcome {i + 1} has shape {m.shape}, expected {out[0].shape}"
+            )
+    defect = reference_pvm_defect(out)
+    if not defect <= tol:
+        raise ValidationError(f"{what} defect {defect:.3e} > {tol:.0e}")
+    return out
 
 
 def indented_reference(strategy) -> str:

@@ -277,7 +277,7 @@ def _run_cli_everywhere(workdir: Path) -> dict:
         "maxcut": ["maxcut", "triangle.txt", "--trials", "5", "--d", "2", "--seed", "3"],
         "demo": ["demo", "--seed", "11"],
     }
-    env = {k: v for k, v in os.environ.items() if k != "GADGETGRAPH_THREADS"}
+    env = dict(os.environ)
     # The child runs in workdir, where a relative PYTHONPATH would not find
     # the package under test; put the directory it was imported from first.
     package_root = str(Path(gadgetgraph.__file__).resolve().parent.parent)

@@ -1,10 +1,12 @@
 import argparse
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
 
+from helpers import OVERFLOW_MESSAGE, OVERFLOWING_STRATEGY
 from gadgetgraph.cli import _build_parser, main
 from gadgetgraph.games import (
     load_coloring_strategy,
@@ -176,6 +178,15 @@ def test_forward_rejects_non_finite_entries(capsys, game_file, strategy_file, va
     assert not (strategy_file.parent / "strategy.coloring.json").exists()
 
 
+def test_forward_names_an_overflowing_entry_in_one_line(capsys, tmp_path, game_file):
+    target = tmp_path / "overflow.json"
+    target.write_text(json.dumps(OVERFLOWING_STRATEGY))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape main
+        code, out, err = run(capsys, "forward", str(game_file), str(target))
+    assert (code, out, err) == (2, "", f"invalid input: {OVERFLOW_MESSAGE}\n")
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("whole_block", [False, True])
 def test_reverse_rejects_non_finite_entries(capsys, game_file, coloring_file, value, whole_block):
@@ -276,19 +287,6 @@ def test_demo_runs(capsys):
     assert "minimal game compiles to 25 vertices / 62 edges" in out
     assert "twist sweep (seed 11):" in out
     assert "K4: max 3-cut 5" in out
-
-
-def test_threads_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("GADGETGRAPH_THREADS", "soon")
-    code, _, err = run(capsys, "check", "--trials", "0")
-    assert code == 2
-    assert "GADGETGRAPH_THREADS" in err
-    monkeypatch.setenv("GADGETGRAPH_THREADS", "0")
-    code, _, err = run(capsys, "check", "--trials", "0")
-    assert code == 2
-    monkeypatch.setenv("GADGETGRAPH_THREADS", "4")
-    code, _, _ = run(capsys, "check", "--trials", "0")
-    assert code == 0
 
 
 def test_same_seed_same_output(capsys):

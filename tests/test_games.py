@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -10,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    OVERFLOW_MESSAGE,
+    OVERFLOWING_STRATEGY,
     block_diagonal,
     indented_reference,
+    raised_message,
     reference_coloring_game,
     reference_game_check,
+    reference_require_pvm,
     reference_tau,
     reference_uniform_edges,
 )
@@ -47,7 +52,7 @@ from gadgetgraph.instances import (
     triangle_coloring_game,
     triangle_strategy,
 )
-from gadgetgraph.linalg import TOL_PVM, as_matrix, random_pvm, require_pvm
+from gadgetgraph.linalg import TOL_PVM, as_matrix, random_pvm
 from gadgetgraph.maxcut import cycle_graph, roots_identity_check, value_bridge
 from gadgetgraph.reverse import symmetrize
 
@@ -700,18 +705,12 @@ def _spoiled(case, mats):
     return mats
 
 
-def _raised(call):
-    """The message of the ValidationError ``call()`` raises, or None."""
-    try:
-        call()
-    except ValidationError as exc:
-        return str(exc)
-    return None
-
-
 def _loop_error(family, tol, label):
-    """The message of ``require_pvm`` run key by key, or None."""
-    return _raised(lambda: [require_pvm(mats, tol=tol, what=label(key)) for key, mats in family.items()])
+    """The message of the per-operator reference ``require_pvm`` run key by
+    key, or None."""
+    return raised_message(
+        lambda: [reference_require_pvm(mats, tol=tol, what=label(key)) for key, mats in family.items()]
+    )
 
 
 @pytest.mark.parametrize("case", [*_BAD_OUTCOME, "no-outcomes", "mixed-outcomes"])
@@ -733,7 +732,7 @@ def test_family_check_raises_the_per_key_message(monkeypatch, min_game, min_grap
     if case == "mixed-outcomes":
         assert want is None
         want = "game strategy mixes outcome counts [3, 4]"
-    assert want is not None and _raised(lambda: GameStrategy(d=d, pvms=pvms)) == want
+    assert want is not None and raised_message(lambda: GameStrategy(d=d, pvms=pvms)) == want
 
     # forward_translate's own output, spoiled in the same way at its 18th vertex.
     seen, real = [], forward.require_pvm_family
@@ -745,9 +744,21 @@ def test_family_check_raises_the_per_key_message(monkeypatch, min_game, min_grap
         return real(family, *args, **kwargs)
 
     monkeypatch.setattr(forward, "require_pvm_family", spoiling)
-    got = _raised(lambda: forward_translate(min_game, min_graph, random_strategy(rng, min_game, d)))
+    got = raised_message(lambda: forward_translate(min_game, min_graph, random_strategy(rng, min_game, d)))
     assert got == seen[0]
     assert (got is None) == (case == "mixed-outcomes")  # forward has no count check of its own
+
+
+def test_an_entry_that_overflows_is_rejected_without_a_warning(tmp_path):
+    # 1e308 is finite, but its square overflows; the check names the NaN
+    # defect, and no numpy RuntimeWarning comes before it.
+    target = tmp_path / "overflow.json"
+    target.write_text(json.dumps(OVERFLOWING_STRATEGY))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as raised:
+            load_game_strategy(target)
+    assert str(raised.value) == OVERFLOW_MESSAGE
 
 
 def test_forward_rounds_strategy_outcomes_without_rechecking_them(

@@ -5,20 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_diagonal
+from helpers import (
+    block_diagonal,
+    raised_message,
+    reference_hermitian_defect,
+    reference_projection_defect,
+    reference_pvm_defect,
+    reference_require_projection,
+    reference_require_pvm,
+)
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import matrix_from_json
 from gadgetgraph.linalg import (
     PVM_CHUNK,
     TOL_EIGENVALUE,
-    TOL_PVM,
+    TOL_PROJECTION,
     _pvm_chunks,
     _stack_defects,
     commutator,
     haar_unitary,
     hermitian_defect,
     identity,
-    projection_defect,
     pvm_defect,
     random_hermitian,
     random_positive_contraction,
@@ -88,7 +95,7 @@ def test_require_projection_accepts_noisy_exact(rng):
 def test_require_projection_rejects_half():
     with pytest.raises(ValidationError):
         require_projection(0.5 * identity(3))
-    assert projection_defect(0.5 * identity(3)) == pytest.approx(0.25)
+    assert reference_projection_defect(0.5 * identity(3)) == pytest.approx(0.25)
 
 
 def test_require_pvm_happy_path(rng):
@@ -108,39 +115,57 @@ def test_require_pvm_rejects_broken_sum(rng):
 @settings(max_examples=25, deadline=None)
 @given(
     size=st.sampled_from([1, 15, 16, 17, 33]),
+    b=st.sampled_from([None, 1, 3]),
     d=st.integers(min_value=1, max_value=6),
     k=st.integers(min_value=1, max_value=4),
     scale=st.sampled_from([1e-10, 1e-8]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_family_defects_match_the_per_member_checks_bit_for_bit(size, d, k, scale, seed):
+def test_family_defects_match_the_per_member_checks_bit_for_bit(size, b, d, k, scale, seed):
     # Near-PVMs, off by noise around the tolerances so that no defect is 0;
     # 1, 15, 16, 17 and 33 keys put every stack boundary somewhere new.  At
     # the smaller noise the projection defects settle the eigenvalue check.
+    # Outcomes are d-by-d matrices (b None) or (b, d, d) block operators.
     rng = np.random.default_rng(seed)
+    shape = (d, d) if b is None else (b, d, d)
 
-    def noise():
-        return scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    def near_pvm():
+        if b is None:
+            pvm = random_pvm(rng, d, k)
+        else:
+            pvm = [np.stack(blocks) for blocks in zip(*(random_pvm(rng, d, k) for _ in range(b)))]
+        return [p + scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for p in pvm]
 
-    family = {f"v{i}": [p + noise() for p in random_pvm(rng, d, k)] for i in range(size)}
-    chunks = list(_pvm_chunks(family))
-    assert [keys for keys, _ in chunks] == [
-        list(family)[start:start + PVM_CHUNK] for start in range(0, size, PVM_CHUNK)
-    ]
-    for keys, stack in chunks:
-        members = [family[key] for key in keys]
-        (herm, _), (proj, _), *eigen, (pvm, _) = _stack_defects(stack, TOL_PVM)
-        assert herm.tolist() == [[hermitian_defect(m) for m in mats] for mats in members]
-        assert proj.tolist() == [[projection_defect(m) for m in mats] for mats in members]
+    family = {f"v{i}": near_pvm() for i in range(size)}
+    keys = list(family)
+    chunks = [keys[start:start + PVM_CHUNK] for start in range(0, size, PVM_CHUNK)]
+    if b is None:  # the stacks require_pvm_family checks
+        assert [(chunk, stack.tolist()) for chunk, stack in _pvm_chunks(family)] == [
+            (chunk, np.array([family[key] for key in chunk]).tolist()) for chunk in chunks
+        ]
+    # Each chunk as one stack, and each PVM alone as require_pvm stacks it.
+    for chunk in chunks + [[key] for key in keys]:
+        members = [family[key] for key in chunk]
+        stack = np.array(members)
+        (herm, *_), (proj, *_), *eigen, (pvm, *_) = _stack_defects(stack)
+        assert herm.tolist() == [[reference_hermitian_defect(m) for m in mats] for mats in members]
+        assert proj.tolist() == [[reference_projection_defect(m) for m in mats] for mats in members]
         eigs = [[np.linalg.eigvalsh(m) for m in mats] for mats in members]
-        assert np.array_equal(np.linalg.eigvalsh(stack), eigs)
         off = [[float(np.max(np.minimum(np.abs(e), np.abs(e - 1.0)))) for e in row] for row in eigs]
         if eigen:
             assert eigen[0][0].tolist() == off
         else:
-            assert 2.0 * math.sqrt(d) * proj.max() <= TOL_EIGENVALUE
+            assert 2.0 * math.sqrt((b or 1) * d) * proj.max() <= TOL_EIGENVALUE
             assert max(map(max, off)) <= TOL_EIGENVALUE
-        assert pvm.tolist() == [pvm_defect(mats) for mats in members]
+        assert pvm.tolist() == [reference_pvm_defect(mats) for mats in members]
+    for mats in family.values():
+        assert pvm_defect(mats) == reference_pvm_defect(mats)
+        assert [hermitian_defect(m) for m in mats] == [reference_hermitian_defect(m) for m in mats]
+        # Same verdicts; the messages may differ when two checks fail.
+        for check, reference, arg in [(require_pvm, reference_require_pvm, mats)] + [
+            (require_projection, reference_require_projection, m) for m in mats
+        ]:
+            assert (raised_message(lambda: check(arg)) is None) == (raised_message(lambda: reference(arg)) is None)
 
 
 def test_valid_families_skip_the_eigenvalue_check(monkeypatch):
@@ -155,6 +180,74 @@ def test_valid_families_skip_the_eigenvalue_check(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     for family in families:
         require_pvm_family(family)
+
+
+def test_block_operators_take_the_skip_rule_at_their_full_dimension():
+    # A PVM of (6, 22, 22) block operators, N = 132, whose outcome 1 has one
+    # eigenvalue at 1 + 1.05e-8, lifted along its own range so that the PVM
+    # defect stays 9.1e-10.  ||P^2 - P||_2 = 1.05e-8 / sqrt(132) = 9.1e-10
+    # passes the projection check; 2 sqrt(132) times it is 2.1e-8, so the
+    # eigenvalue check runs and fails.  At d = 22 the rule would skip it.
+    u = haar_unitary(np.random.default_rng(9), 22)
+    parts = [u[:, lo:hi] @ u[:, lo:hi].conj().T for lo, hi in ((0, 7), (7, 15), (15, 22))]
+    mats = [np.stack([(p + p.conj().T) / 2.0] * 6) for p in parts]
+    require_pvm(mats)
+    v = u[:, :1]
+    mats[0][3] += 1.05e-8 * (v @ v.conj().T)
+    defect = reference_projection_defect(mats[0])
+    assert defect <= TOL_PROJECTION
+    assert 2.0 * math.sqrt(22) * defect <= TOL_EIGENVALUE < 2.0 * math.sqrt(132) * defect
+    eigenvalue = r"has an eigenvalue 1\.05\de-08 away from \{0,1\} \(tolerance 1e-08\)$"
+    with pytest.raises(ValidationError, match="^PVM outcome 1 " + eigenvalue):
+        require_pvm(mats)
+    with pytest.raises(ValidationError, match="^matrix " + eigenvalue):
+        require_projection(mats[0])
+
+
+_FAULTS = {
+    "hermitian": lambda p: p + np.triu(np.full_like(p, 1e-6), 1),
+    "projection": lambda p: 0.5 * identity(len(p)),
+    "pvm": lambda p: identity(len(p)),
+}
+
+
+#: Faults at (key, outcome) of a 20-key family, and the error's start: the
+#: first failing check, in it the first key, then the first outcome, all
+#: within the first 16-key stack that fails.
+@pytest.mark.parametrize(
+    "faults,named",
+    [
+        ({(5, 1): "projection", (5, 2): "hermitian"}, "PVM at 5 outcome 2 is not Hermitian"),
+        ({(3, 1): "projection", (5, 3): "hermitian"}, "PVM at 5 outcome 3 is not Hermitian"),
+        ({(1, 2): "pvm", (4, 1): "projection"}, "PVM at 4 outcome 1 is not a projection"),
+        ({(5, 1): "projection", (3, 3): "projection", (3, 2): "projection"}, "PVM at 3 outcome 2 is not a projection"),
+        ({(2, 1): "projection", (18, 1): "hermitian"}, "PVM at 2 outcome 1 is not a projection"),
+    ],
+)
+def test_two_fault_families_name_the_first_failure_in_check_order(faults, named):
+    rng = np.random.default_rng(13)
+    family = {key: list(random_pvm(rng, 3, 3)) for key in range(1, 21)}
+    for (key, outcome), kind in faults.items():
+        family[key][outcome - 1] = _FAULTS[kind](family[key][outcome - 1])
+    assert raised_message(lambda: require_pvm_family(family)).startswith(named)
+    key = int(named.split()[2])
+    assert raised_message(lambda: require_pvm(family[key], what=f"PVM at {key}")).startswith(named)
+
+
+@pytest.mark.parametrize(
+    "outcomes,message",
+    [
+        (("half", "ok", "small"), "PVM outcome 1 is not a projection"),
+        (("ok", "small", "half"), "PVM outcome 3 is not a projection"),
+        (("ok", "ok", "small"), "PVM outcome 3 has shape (2, 2), expected (3, 3)"),
+    ],
+)
+def test_ragged_pvms_name_each_outcome_before_the_shape_mismatch(outcomes, message):
+    spelled = {"ok": np.diag([1.0, 0.0, 0.0]), "half": 0.5 * identity(3), "small": np.zeros((2, 2))}
+    mats = [spelled[name] for name in outcomes]
+    got = raised_message(lambda: require_pvm(mats))
+    assert got.startswith(message) and got == raised_message(lambda: reference_require_pvm(mats))
+    assert raised_message(lambda: require_pvm([])) == "PVM has no outcomes"
 
 
 def test_positive_contraction_window():
@@ -179,7 +272,7 @@ def test_spectral_projection_half_respects_distance_bound(rng):
     for _ in range(50):
         a = random_positive_contraction(rng, 6)
         b = spectral_projection_half(a)
-        assert projection_defect(b) < 1e-12
+        assert reference_projection_defect(b) < 1e-12
         assert two_norm(a - b) <= 2.0 * math.sqrt(2.0) * two_norm(a - a @ a) + 1e-9
 
 
@@ -210,7 +303,7 @@ def test_haar_unitary_is_unitary(rng):
 def test_random_projection_rank(rng):
     p = random_projection(rng, 6, rank=4)
     assert round(np.trace(p).real) == 4
-    assert projection_defect(p) < 1e-12
+    assert reference_projection_defect(p) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
