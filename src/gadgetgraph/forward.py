@@ -36,7 +36,7 @@ from .games import (
     sync_value,
 )
 from .graphs import ROOK_PAIRS, GadgetGraph
-from .linalg import identity, pvm_defect, require_pvm_family, trace_product, zero
+from .linalg import _stack_defects, identity, require_pvm_family, trace_product, zero
 from .rounding import InequalityReport, _perturb_checked_two
 
 FORWARD_PVM_TOL = 1e-10
@@ -127,7 +127,9 @@ def _check_inputs(game: SyncGame, graph: GadgetGraph, strategy: GameStrategy) ->
     if graph.game != game:
         raise ValidationError("graph was built from a different game")
     _require_strategy_fits(game, strategy)
-    return max(pvm_defect(strategy.pvms[x]) for x in range(1, game.n + 1))
+    stack = np.array([strategy.pvms[x] for x in range(1, game.n + 1)])
+    *_, (defects, _, _) = _stack_defects(stack)
+    return float(defects.max())
 
 
 def forward_translate(

@@ -21,7 +21,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, permutations
 from math import fsum, isfinite
 from numbers import Real
 from pathlib import Path
@@ -43,7 +43,8 @@ def _is_int(value) -> bool:
 @dataclass(frozen=True)
 class SyncGame:
     """A synchronous game: n questions, m answers, explicit losing tuples,
-    given as any iterable of 4-sequences and stored as a frozenset of tuples."""
+    given as any iterable of 4-sequences and stored as a frozenset of tuples
+    and as ``losing_table``, a read-only (N, 4) array in (a, b, x, y) order."""
 
     n: int
     m: int
@@ -70,8 +71,10 @@ class SyncGame:
             good = (len(t) == 4 and all(map(_is_int, t)) for t in tuples)
             first_bad = next((i for i, ok in enumerate(good) if not ok), first_bad)
             del tuples[first_bad:]
-        # int64 unless an entry is beyond its range, which the check names
-        arr = np.array(tuples).reshape(-1, 4)
+        try:
+            arr = np.array(tuples, dtype=np.int64).reshape(-1, 4)
+        except OverflowError:  # an entry beyond int64, which the check names
+            arr = np.array(tuples, dtype=object).reshape(-1, 4)
         bad_answers = ((arr[:, :2] < 1) | (arr[:, :2] > m)).any(axis=1)
         bad_questions = ((arr[:, 2:] < 1) | (arr[:, 2:] > n)).any(axis=1)
         out_of_range = np.flatnonzero(bad_answers | bad_questions)
@@ -82,33 +85,51 @@ class SyncGame:
             raise ValidationError(f"losing tuple {tuples[i]}: questions out of range 1..{n}")
         if first_bad < len(entries):
             raise ValidationError(f"losing tuple {entries[first_bad]!r} is not a 4-tuple of integers")
-        losing = frozenset(tuples)
-        if len(losing) != len(tuples):
-            dupes = sorted(t for t, count in Counter(tuples).items() if count > 1)
+        table = arr[np.lexsort(arr.T[::-1])]
+        repeated = (table[1:] == table[:-1]).all(axis=1)
+        if repeated.any():
+            dupes = sorted(set(map(tuple, table[1:][repeated].tolist())))
             raise ValidationError(f"duplicate losing tuples {dupes}")
-        if n * m * (m - 1) > len(losing):
-            # Too few tuples for synchrony.  The mask below is not bounded by
-            # the input size yet, so name the first missing tuple without it.
-            required = ((a, b, x, x) for x in range(1, n + 1)
-                        for a in range(1, m + 1) for b in range(1, m + 1) if a != b)
-            a, b, x, _ = next(t for t in required if t not in losing)
+        # Synchrony: the (a, b, x, x) rows with a != b, taken in (x, a, b)
+        # order, match the closed form of the required ones up to the first
+        # tuple missing, in O(N) for N tuples whatever n is.  A divisor capped
+        # at k + 1 splits every i <= k as the true one does, in int64.
+        a, b, x, y = table.T
+        present = table[(x == y) & (a != b)][:, :3]
+        present = present[np.lexsort(present.T[[1, 0, 2]])]
+        k = len(present)
+        xs, rem = np.divmod(np.arange(k + 1), min(m * (m - 1), k + 1))
+        a, c = np.divmod(rem, min(m - 1, k + 1))
+        required = np.stack([a + 1, c + (c >= a) + 1, xs + 1], axis=1)
+        differ = np.flatnonzero((present != required[:k]).any(axis=1))
+        first = differ[0] if differ.size else k
+        if first < n * m * (m - 1):
+            a, b, x = required[first].tolist()
             raise ValidationError(f"synchrony violation: ({a},{b},{x},{x}) must be a losing tuple")
-        # mask[x-1, y-1, a-1, b-1] is True exactly when (a, b, x, y) loses
-        mask = np.zeros((n, n, m, m), dtype=bool)
-        a, b, x, y = arr.T.astype(np.intp) - 1
-        mask[x, y, a, b] = True
-        # missing[x-1, a-1, b-1]: the synchrony tuple (a, b, x, x) is absent
-        missing = ~mask[np.arange(n), np.arange(n)] & ~np.eye(m, dtype=bool)
-        if missing.any():
-            x, a, b = np.argwhere(missing)[0] + 1
-            raise ValidationError(f"synchrony violation: ({a},{b},{x},{x}) must be a losing tuple")
-        mask.setflags(write=False)
-        object.__setattr__(self, "losing", losing)
-        object.__setattr__(self, "_losing_mask", mask)
+        table.setflags(write=False)
+        object.__setattr__(self, "losing", frozenset(tuples))
+        object.__setattr__(self, "losing_table", table)
 
-    @property
+    @cached_property
     def losing_sorted(self) -> tuple:
-        return tuple(sorted(self.losing))
+        return tuple(map(tuple, self.losing_table.tolist()))
+
+    @cached_property
+    def _losing_mask(self) -> np.ndarray:
+        """mask[x-1, y-1, a-1, b-1] is True exactly when (a, b, x, y) loses.
+        Only ``sync_value`` reads it, so it is built on its first read."""
+        n, m = self.n, self.m
+        mask = np.zeros((n, n, m, m), dtype=bool)
+        a, b, x, y = self.losing_table.T - 1
+        mask[x, y, a, b] = True
+        mask.setflags(write=False)
+        return mask
+
+
+def synchrony_tuples(n: int, m: int) -> list:
+    """The losing tuples (a, b, x, x), a != b, that synchrony requires, in
+    (x, a, b) order."""
+    return [(a, b, x, x) for x in range(1, n + 1) for a, b in permutations(range(1, m + 1), 2)]
 
 
 @dataclass(frozen=True)
@@ -126,18 +147,17 @@ class LosingPartition:
     rest: tuple
 
 
+def _answer_classes(game: SyncGame) -> tuple:
+    """Masks over the rows of ``game.losing_table``, one per part of
+    ``LosingPartition``: both answers in {1, m}, both inside, the rest."""
+    ends = np.isin(game.losing_table[:, :2], (1, game.m))
+    e_set, f_set = ends.all(axis=1), ~ends.any(axis=1)
+    return e_set, f_set, ~(e_set | f_set)
+
+
 def partition_losing(game: SyncGame) -> LosingPartition:
-    endpoints = {1, game.m}
-    e_set, f_set, rest = [], [], []
-    for t in game.losing_sorted:
-        a, b = t[0], t[1]
-        if a in endpoints and b in endpoints:
-            e_set.append(t)
-        elif 2 <= a <= game.m - 1 and 2 <= b <= game.m - 1:
-            f_set.append(t)
-        else:
-            rest.append(t)
-    return LosingPartition(tuple(e_set), tuple(f_set), tuple(rest))
+    rows = (game.losing_table[mask].tolist() for mask in _answer_classes(game))
+    return LosingPartition(*(tuple(map(tuple, part)) for part in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +443,8 @@ def coloring_game(g: SimpleGraph) -> SyncGame:
     Questions are vertices, answers are colors; a pair loses when it colors
     the two ends of an edge the same, or breaks synchrony.
     """
-    losing = set()
-    for x in range(1, g.n_vertices + 1):
-        for a in range(1, 4):
-            for b in range(1, 4):
-                if a != b:
-                    losing.add((a, b, x, x))
-    for u, v in g.edges:
-        for c in range(1, 4):
-            losing.add((c, c, u, v))
-            losing.add((c, c, v, u))
-    return SyncGame(n=g.n_vertices, m=3, losing=frozenset(losing))
+    edges = [(c, c, x, y) for u, v in g.edges for x, y in ((u, v), (v, u)) for c in range(1, 4)]
+    return SyncGame(n=g.n_vertices, m=3, losing=synchrony_tuples(g.n_vertices, 3) + edges)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +499,7 @@ def load_game(source) -> SyncGame:
 
 
 def game_to_json(game: SyncGame) -> dict:
-    return {"n": game.n, "m": game.m, "losing": [list(t) for t in game.losing_sorted]}
+    return {"n": game.n, "m": game.m, "losing": game.losing_table.tolist()}
 
 
 def save_game(game: SyncGame, path) -> None:

@@ -35,7 +35,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ValidationError
-from .games import SyncGame, partition_losing
+from .games import SyncGame, _answer_classes
 
 DELTA = ("A", "B", "C")
 
@@ -232,13 +232,8 @@ class GadgetGraph:
 
 def edge_count_formula(game: SyncGame) -> int:
     """Closed-form slot count: 25n(m-2) + 19|e| + 19|f| + |rest|."""
-    part = partition_losing(game)
-    return (
-        25 * game.n * (game.m - 2)
-        + 19 * len(part.e_set)
-        + 19 * len(part.f_set)
-        + len(part.rest)
-    )
+    e_set, f_set, rest = map(np.count_nonzero, _answer_classes(game))
+    return 25 * game.n * (game.m - 2) + 19 * (e_set + f_set) + rest
 
 
 def _answer_pairs(answers: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -249,10 +244,12 @@ def _answer_pairs(answers: np.ndarray, tuples: np.ndarray) -> np.ndarray:
 
 
 def build_graph(game: SyncGame) -> GadgetGraph:
-    part = partition_losing(game)
     n, m = game.n, game.m
-    tuples = part.e_set + part.f_set
-    n_blocks, n_orthos, n_e = n * (m - 2), len(tuples), len(part.e_set)
+    e_rows, f_rows, rest = (game.losing_table[mask] for mask in _answer_classes(game))
+    gadget_tuples = np.concatenate([e_rows, f_rows])
+    tuples = list(map(tuple, gadget_tuples.tolist()))
+    rest_tuples = list(map(tuple, rest.tolist()))
+    n_blocks, n_orthos, n_e = n * (m - 2), len(tuples), len(e_rows)
 
     # Blocks, x-major and alpha-minor, one _BLOCK_COLUMNS row each.  The
     # cells they declare are numbered after the control letters, block by
@@ -275,7 +272,6 @@ def build_graph(game: SyncGame) -> GadgetGraph:
     # Orthogonality gadgets in ``orthos`` order, one _ORTHO_COLUMNS row each.
     # The cells they declare are numbered after the prism tops, six per
     # gadget, the gadgets taken by (x, y, a, b).
-    gadget_tuples = np.array(tuples, dtype=np.int64).reshape(-1, 4)
     ranked = np.lexsort(gadget_tuples.T[[1, 0, 3, 2]])
     rank = np.empty(n_orthos, dtype=np.int64)
     rank[ranked] = np.arange(n_orthos)
@@ -284,7 +280,7 @@ def build_graph(game: SyncGame) -> GadgetGraph:
     ortho_rows[:, [_CELL[(1, 1)], _CELL[(2, 2)]]] = _answer_pairs(answers, gadget_tuples)
     ortho_rows[:, _CELL[(1, 2)]] = np.where(np.arange(n_orthos) < n_e, _B, _C)
     ortho_rows[:, 9] = _A
-    rest_rows = _answer_pairs(answers, np.array(part.rest, dtype=np.int64).reshape(-1, 4))
+    rest_rows = _answer_pairs(answers, rest)
 
     # Names, formatted once, in id order.
     names = list(DELTA)
@@ -318,7 +314,7 @@ def build_graph(game: SyncGame) -> GadgetGraph:
         ortho_rows[:, _ORTHO_SLOTS].reshape(-1, 2),
         rest_rows,
     ])
-    source = np.repeat(np.arange(4), (3, 25 * n_blocks, 19 * n_orthos, len(part.rest)))
+    source = np.repeat(np.arange(4), (3, 25 * n_blocks, 19 * n_orthos, len(rest)))
     lo, hi = slots.min(axis=1), slots.max(axis=1)
     loops = np.flatnonzero(lo == hi)
     if loops.size:
@@ -331,7 +327,7 @@ def build_graph(game: SyncGame) -> GadgetGraph:
     dup_counts = np.bincount(source[duplicate], minlength=4).tolist()
 
     block_term = 25 * n_blocks
-    e_term, f_term, rest_term = 19 * n_e, 19 * (n_orthos - n_e), len(part.rest)
+    e_term, f_term, rest_term = 19 * n_e, 19 * (n_orthos - n_e), len(rest)
     formula = block_term + e_term + f_term + rest_term
     realized = len(codes)
     duplicate_slots = len(slots) - realized
@@ -341,9 +337,9 @@ def build_graph(game: SyncGame) -> GadgetGraph:
             f"formula {formula} + 3 - duplicates {duplicate_slots}"
         )
 
-    rest_set = set(part.rest)
+    rest_set = set(rest_tuples)
     symmetric_rest_pairs = sum(
-        1 for a, b, x, y in part.rest if (b, a, y, x) in rest_set and (a, b, x, y) < (b, a, y, x)
+        1 for a, b, x, y in rest_tuples if (b, a, y, x) in rest_set and (a, b, x, y) < (b, a, y, x)
     )
 
     report = EdgeCountReport(
@@ -374,7 +370,7 @@ def build_graph(game: SyncGame) -> GadgetGraph:
             OrthoHandle(tup, "e" if k < n_e else "f", dict(zip(_CELLS, map(name, row[:9]))))
             for k, (tup, row) in enumerate(zip(tuples, ortho_rows.tolist()))
         ),
-        rest_edges=tuple((tup, (name(u), name(v))) for tup, (u, v) in zip(part.rest, rest_rows.tolist())),
+        rest_edges=tuple((tup, (name(u), name(v))) for tup, (u, v) in zip(rest_tuples, rest_rows.tolist())),
         report=report,
     )
 

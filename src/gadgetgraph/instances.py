@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .forward import forward_translate
-from .games import ColoringStrategy, GameStrategy, SimpleGraph, SyncGame, coloring_game
+from .games import ColoringStrategy, GameStrategy, SimpleGraph, SyncGame, coloring_game, synchrony_tuples
 from .graphs import GadgetGraph
 from .linalg import (
     ROOT2,
@@ -40,8 +40,7 @@ from .rounding import (
 
 def minimal_game() -> SyncGame:
     """One question, three answers, synchrony constraints only."""
-    losing = frozenset((a, b, 1, 1) for a in (1, 2, 3) for b in (1, 2, 3) if a != b)
-    return SyncGame(n=1, m=3, losing=losing)
+    return SyncGame(n=1, m=3, losing=frozenset(synchrony_tuples(1, 3)))
 
 
 def triangle_coloring_game() -> SyncGame:
@@ -55,13 +54,7 @@ def random_game(
     of cross-question losing tuples."""
     if not 0.0 <= losing_probability <= 1.0:
         raise ValidationError(f"losing probability {losing_probability} outside [0, 1]")
-    losing = {
-        (a, b, x, x)
-        for x in range(1, n_questions + 1)
-        for a in range(1, n_answers + 1)
-        for b in range(1, n_answers + 1)
-        if a != b
-    }
+    losing = set(synchrony_tuples(n_questions, n_answers))
     for x in range(1, n_questions + 1):
         for y in range(1, n_questions + 1):
             if x == y:

@@ -54,10 +54,12 @@ def as_matrix(m, d: int | None = None) -> np.ndarray:
 
 
 def _operator(m) -> np.ndarray:
-    """Coerce to complex128: a square matrix or a (k, d, d) block stack."""
+    """Coerce to complex128: a nonempty square matrix or (k, d, d) block stack."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix or a (k, d, d) stack, got shape {a.shape}")
+    if not a.size:
+        raise ValidationError(f"expected a nonempty operator, got shape {a.shape}")
     return a
 
 
@@ -100,10 +102,7 @@ def zero(d: int) -> np.ndarray:
 
 def hermitian_defect(m) -> float:
     """Largest entrywise deviation |m - m*|."""
-    a = _operator(m)
-    if not a.size:
-        return 0.0
-    defects, _, _ = next(_stack_defects(a[None, None]))
+    defects, _, _ = next(_stack_defects(_operator(m)[None, None]))
     return float(defects[0, 0])
 
 

@@ -65,18 +65,16 @@ def _graph_from_payload(payload) -> SimpleGraph:
             edges = payload["edges"]
         except KeyError as exc:
             raise ValidationError(f"graph JSON lacks key {exc}") from None
+        if not isinstance(edges, list):
+            raise ValidationError("graph field 'edges' must be a list of pairs")
     elif isinstance(payload, list):
-        edges = payload
-        n = 0
-        for e in edges:
-            if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise ValidationError(f"edge entry {e!r} is not a pair")
-            u, v = e
-            if _is_int(u) and _is_int(v):
-                n = max(n, u, v)
+        edges, n = payload, 0
+        for e in edges:  # SimpleGraph names an entry that is not a pair of integers
+            if isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)):
+                n = max(n, *e)
     else:
         raise ValidationError(f"graph JSON must be an object or a list, got {type(payload).__name__}")
-    return SimpleGraph(n, tuple(tuple(e) for e in edges))
+    return SimpleGraph(n, tuple(tuple(e) if isinstance(e, list) else e for e in edges))
 
 
 def load_simple_graph(source) -> SimpleGraph:

@@ -13,6 +13,10 @@ names (the prism rungs s(j), the middle top t(2), the answer cells v̂(a, x)
 and every glued cell) are spelled here, and ``handle_names`` reads the
 vertex each of them lands on from the graph's gadget handles.
 
+``reference_game_check``, ``reference_losing_sorted`` and
+``reference_partition_losing`` are the per-tuple loops a game was checked,
+sorted and split by before ``SyncGame`` kept its tuples as one sorted array.
+
 The ``reference_*`` PVM checks are the per-operator code ``linalg`` ran
 before its one stack check: each outcome checked in full, one after the
 other, then the PVM defect.  Every defect of the stack check must equal
@@ -26,7 +30,7 @@ from dataclasses import asdict
 import numpy as np
 
 from gadgetgraph.errors import ValidationError
-from gadgetgraph.games import EDGE_PRIOR, PriorDistribution, SyncGame
+from gadgetgraph.games import EDGE_PRIOR, LosingPartition, PriorDistribution, SyncGame
 from gadgetgraph.graphs import DELTA, q_name, t_name, v_name
 from gadgetgraph.linalg import (
     TOL_EIGENVALUE,
@@ -240,6 +244,29 @@ def reference_game_check(n, m, losing):
     for a, b, x, y in unique:
         mask[x - 1, y - 1, a - 1, b - 1] = True
     return unique, mask
+
+
+def reference_losing_sorted(losing) -> tuple:
+    """The losing tuples in sorted order, as ``SyncGame.losing_sorted`` gave
+    them by sorting the frozenset on every read."""
+    return tuple(sorted(losing))
+
+
+def reference_partition_losing(m, losing) -> LosingPartition:
+    """The split of a game's losing tuples by answer range, by the loop over
+    Python tuples that ``partition_losing`` ran before it read masks off the
+    answer columns of the losing table."""
+    endpoints = {1, m}
+    e_set, f_set, rest = [], [], []
+    for t in reference_losing_sorted(losing):
+        a, b = t[0], t[1]
+        if a in endpoints and b in endpoints:
+            e_set.append(t)
+        elif 2 <= a <= m - 1 and 2 <= b <= m - 1:
+            f_set.append(t)
+        else:
+            rest.append(t)
+    return LosingPartition(tuple(e_set), tuple(f_set), tuple(rest))
 
 
 def reference_uniform_edges(edges) -> PriorDistribution:

@@ -351,6 +351,15 @@ def _graph_json_file(tmp_path):
     return target
 
 
+def _graph_edges(edges):
+    def write(tmp_path):
+        target = tmp_path / "graph.json"
+        target.write_text(json.dumps({"n": 3, "edges": edges}))
+        return target
+
+    return write
+
+
 def _graph_file(tmp_path):
     target = tmp_path / "triangle.txt"
     target.write_text("1 2\n2 3\n1 3\n")
@@ -374,6 +383,10 @@ MALFORMED = {
     "compile-game-repeated-n": lambda g, s, c, t: ("compile", _repeat("n")(g)),
     "maxcut-graph-repeated-key": lambda g, s, c, t: ("maxcut", _repeat("edges")(_graph_json_file(t))),
     "maxcut-missing-file": lambda g, s, c, t: ("maxcut", t / "missing.json"),
+    "maxcut-edge-a-number": lambda g, s, c, t: ("maxcut", _graph_edges([5])(t)),
+    "maxcut-edges-a-number": lambda g, s, c, t: ("maxcut", _graph_edges(5)(t)),
+    "maxcut-edges-null": lambda g, s, c, t: ("maxcut", _graph_edges(None)(t)),
+    "maxcut-edge-float": lambda g, s, c, t: ("maxcut", _graph_edges([[1, 2.5]])(t)),
     "check-tol-nan": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "nan"),
     "check-tol-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "inf"),
     "check-tol-minus-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-inf"),
@@ -383,7 +396,13 @@ MALFORMED = {
 
 #: What the message must say, for the cases whose exit code and prefix
 #: alone could come from a wrong diagnosis.
-MALFORMED_MESSAGES = {"maxcut-missing-file": "No such file or directory"}
+MALFORMED_MESSAGES = {
+    "maxcut-missing-file": "No such file or directory",
+    "maxcut-edge-a-number": "edge 5 is not a pair",
+    "maxcut-edges-a-number": "graph field 'edges' must be a list of pairs",
+    "maxcut-edges-null": "graph field 'edges' must be a list of pairs",
+    "maxcut-edge-float": "edge (1, 2.5) has non-integer endpoints",
+}
 
 
 @pytest.mark.parametrize("case", MALFORMED)

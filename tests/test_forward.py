@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import reference_tau
+from helpers import reference_pvm_defect, reference_tau
+from gadgetgraph import forward
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.forward import (
     FORWARD_FACTOR,
@@ -24,6 +25,7 @@ from gadgetgraph.graphs import build_graph
 from gadgetgraph.instances import (
     deterministic_strategy,
     minimal_game,
+    random_game,
     random_strategy,
     triangle_strategy,
 )
@@ -169,3 +171,14 @@ def test_coloring_value_requires_full_cover(min_graph):
 
     with pytest.raises(ValidationError, match="lacks PVMs for 1 graph vertices, first 'A'"):
         coloring_value(min_graph, ColoringStrategy(d=1, pvms=pruned))
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_input_defect_is_the_per_question_maximum_bit_for_bit(d):
+    # One stack pass over the (n, m, d, d) strategy must give the largest
+    # per-PVM defect exactly, so that the gluing tolerance does not move.
+    rng = np.random.default_rng(d)
+    game = random_game(rng, 5, 4)
+    strategy = random_strategy(rng, game, d)
+    want = max(reference_pvm_defect(strategy.pvms[x]) for x in range(1, game.n + 1))
+    assert forward._check_inputs(game, build_graph(game), strategy) == want

@@ -18,6 +18,8 @@ from helpers import (
     raised_message,
     reference_coloring_game,
     reference_game_check,
+    reference_losing_sorted,
+    reference_partition_losing,
     reference_require_pvm,
     reference_tau,
     reference_uniform_edges,
@@ -38,7 +40,9 @@ from gadgetgraph.games import (
     load_game,
     load_game_strategy,
     partition_losing,
+    save_game,
     sync_value,
+    synchrony_tuples,
     write_strategy_json,
 )
 from gadgetgraph.forward import FORWARD_PVM_TOL, forward_translate
@@ -149,6 +153,61 @@ def test_huge_answer_count_is_refused_without_the_mask():
         SyncGame(1, 10**30, [(1, 2, 1, 1)])
 
 
+@pytest.mark.parametrize(
+    "n,m,entries",
+    [
+        pytest.param(2**70, 3, [(1, 2, 2**65, 1)], id="question-beyond-int64"),
+        pytest.param(2**70, 3, [(1, 2, 2**65, 1)] * 2, id="duplicate-beyond-int64"),
+        # Both round to the float 2**64: as floats they would be duplicates.
+        pytest.param(2**64, 3, [(1, 2, 2**64 - 1, 1), (1, 2, 2**64 - 2, 1)], id="beyond-float"),
+        pytest.param(2, 2**70, [(1, 2, 1, 1), (2, 1, 1, 1)], id="answers-beyond-int64"),
+    ],
+)
+def test_counts_beyond_int64_get_the_per_tuple_messages(n, m, entries):
+    want = raised_message(lambda: reference_game_check(n, m, entries))
+    assert want is not None
+    assert raised_message(lambda: SyncGame(n, m, entries)) == want
+
+
+def test_synchrony_names_the_first_gap_at_every_position():
+    # n = 7, m = 5, 20 required tuples per question: every seventh dropped
+    # in turn, then the last of each question, so that the closed form's
+    # skips of b = a and carries into the next x are all crossed.
+    required = synchrony_tuples(7, 5)
+    for i in list(range(0, len(required), 7)) + list(range(19, len(required), 20)):
+        entries = required[:i] + required[i + 1:]
+        a, b, x, _ = required[i]
+        with pytest.raises(ValidationError, match=rf"^synchrony violation: \({a},{b},{x},{x}\) must"):
+            SyncGame(7, 5, entries)
+    assert SyncGame(7, 5, required).losing == frozenset(required)
+
+
+def test_no_dense_mask_until_a_value_reads_it(tmp_path):
+    rng = np.random.default_rng(2)
+    game = random_game(rng, 3, 4)
+    assert "_losing_mask" not in vars(game)
+    save_game(game, tmp_path / "g.json")
+    loaded = load_game(tmp_path / "g.json")
+    build_graph(loaded)
+    assert "_losing_mask" not in vars(loaded)
+    sync_value(loaded, random_strategy(rng, loaded, 2), PriorDistribution.uniform_questions(3))
+    assert vars(loaded)["_losing_mask"].shape == (3, 3, 4, 4)
+
+
+def test_a_synchrony_only_game_is_bounded_by_its_tuples():
+    # n = 3,000, m = 3: the dense (n, n, m, m) mask of its 18,000 tuples
+    # alone takes 81 MB, and building it in the constructor peaked at 83 MB.
+    tuples = synchrony_tuples(3000, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        SyncGame(3000, 3, tuples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 20e6
+
+
 INDEX = st.integers(-1, 7)
 BAD_ENTRY = st.one_of(
     st.tuples(INDEX, INDEX, INDEX, INDEX),
@@ -186,7 +245,8 @@ def test_the_array_check_agrees_with_the_per_tuple_loop(data, n, m, as_set):
 
     def checked():
         game = SyncGame(n, m, losing)
-        return game.losing, game._losing_mask
+        assert "_losing_mask" not in vars(game)
+        return game.losing, game._losing_mask, game.losing_sorted, partition_losing(game)
 
     def outcome(check):
         try:
@@ -201,6 +261,8 @@ def test_the_array_check_agrees_with_the_per_tuple_loop(data, n, m, as_set):
     else:
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
+        assert got[2] == reference_losing_sorted(want[0])
+        assert got[3] == reference_partition_losing(m, want[0])
 
 
 @pytest.mark.parametrize("pair", [(True, 1), (1, False)])

@@ -433,3 +433,23 @@ def test_stacks_read_as_their_block_diagonal_matrix(k, d, seed):
     for got, want in zip(reports, dense_reports, strict=True):
         assert got.lhs == pytest.approx(want.lhs, rel=1e-9, abs=1e-12)
         assert got.rhs == pytest.approx(want.rhs, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2), (2, 0, 0)])
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda m: require_pvm([m]), id="require_pvm"),
+        pytest.param(lambda m: require_pvm_family({1: [m]}), id="require_pvm_family"),
+        pytest.param(require_projection, id="require_projection"),
+        pytest.param(lambda m: pvm_defect([m]), id="pvm_defect"),
+        pytest.param(two_norm, id="two_norm"),
+        pytest.param(hermitian_defect, id="hermitian_defect"),
+        pytest.param(require_hermitian, id="require_hermitian"),
+    ],
+)
+def test_an_empty_operator_is_invalid_input(check, shape):
+    # It used to fail with a raw numpy ValueError or a ZeroDivisionError,
+    # and hermitian_defect called it exactly Hermitian.
+    with pytest.raises(ValidationError, match=r"^expected a nonempty operator, got shape"):
+        check(np.zeros(shape))

@@ -94,6 +94,10 @@ def test_load_graph_json_file(tmp_path):
         ("1 2 3", "expected"),
         ("1 x", "non-integer"),
         ("[1, 2]", "not a pair"),
+        # Both JSON layouts name a bad entry through SimpleGraph, alike.
+        ("[[1, 2], [1, 2, 3]]", r"^edge \(1, 2, 3\) is not a pair$"),
+        ('{"n": 3, "edges": [[1, 2], [1, 2, 3]]}', r"^edge \(1, 2, 3\) is not a pair$"),
+        ('{"n": 3, "edges": {}}', r"^graph field 'edges' must be a list of pairs$"),
     ],
 )
 def test_load_graph_rejects_bad_input(tmp_path, text, fragment):
