@@ -35,7 +35,7 @@ from .games import (
     edge_loss_probability,
     sync_value,
 )
-from .graphs import ROOK_PAIRS, GadgetGraph
+from .graphs import DELTA, ROOK_PAIRS, GadgetGraph
 from .linalg import _stack_defects, identity, require_pvm_family, trace_product, zero
 from .rounding import InequalityReport, _perturb_checked_two
 
@@ -56,10 +56,7 @@ def interval_sum(strategy: GameStrategy, s: int, t: int, x: int) -> np.ndarray:
         raise ValidationError(f"strategy has no question {x}")
     if not (1 <= s <= m + 1) or not (0 <= t <= m):
         raise ValidationError(f"interval [{s},{t}] out of range for {m} outcomes")
-    total = zero(strategy.d)
-    for k in range(s, t + 1):
-        total = total + strategy.pvms[x][k - 1]
-    return total
+    return sum(strategy.pvms[x][s - 1:t], zero(strategy.d))
 
 
 def _block_colors(strategy: GameStrategy, alpha: int, x: int):
@@ -127,8 +124,7 @@ def _check_inputs(game: SyncGame, graph: GadgetGraph, strategy: GameStrategy) ->
     if graph.game != game:
         raise ValidationError("graph was built from a different game")
     _require_strategy_fits(game, strategy)
-    stack = np.array([strategy.pvms[x] for x in range(1, game.n + 1)])
-    *_, (defects, _, _) = _stack_defects(stack)
+    *_, (defects, _, _) = _stack_defects(strategy.stack[:game.n])  # questions 1..n
     return float(defects.max())
 
 
@@ -142,14 +138,18 @@ def forward_translate(
     # input family's sum-to-identity defect; wiring bugs show up at order 1.
     cross_tol = max(1e-12, 4.0 * np.sqrt(d) * input_defect)
 
-    assignments = {"A": (one, z, z), "B": (z, one, z), "C": (z, z, one)}
+    names = sorted(graph.vertices)  # the rows of the output stack
+    row = dict(zip(names, range(len(names))))
+    stack = np.empty((len(names), 3, d, d), dtype=np.complex128)
+    assigned = np.zeros(len(names), dtype=bool)
 
     def put(name: str, colors, gadget: str, cell, exact: bool) -> None:
-        stored = assignments.get(name)
-        if stored is None:
-            assignments[name] = tuple(colors)
+        i = row[name]
+        if not assigned[i]:
+            stack[i] = colors
+            assigned[i] = True
             return
-        for c, (old, new) in enumerate(zip(stored, colors)):
+        for c, (old, new) in enumerate(zip(stack[i], colors)):
             if exact:
                 ok = np.array_equal(old, new)
             else:
@@ -159,6 +159,9 @@ def forward_translate(
                     f"gluing inconsistency at {name} ({gadget}, cell {cell}, color {c + 1}): "
                     "two gadgets assign different operators"
                 )
+
+    for letter, colors in zip(DELTA, ((one, z, z), (z, one, z), (z, z, one))):
+        put(letter, colors, "control triangle", letter, exact=True)
 
     for block in graph.blocks:
         colors, t1, t3 = _block_colors(strategy, block.alpha, block.x)
@@ -174,14 +177,13 @@ def forward_translate(
         for cell, name in ortho.cells.items():
             put(name, colors[cell], gadget, cell, exact=False)
 
-    unassigned = [v for v in graph.vertices if v not in assignments]
+    unassigned = [v for v in graph.vertices if not assigned[row[v]]]
     if unassigned:
         raise AssertionError(f"vertices never assigned: {unassigned[:5]}")
 
     # The one PVM check of the output, tighter than the constructor's.
-    pvms = {name: assignments[name] for name in graph.vertices}
-    require_pvm_family(pvms, tol=FORWARD_PVM_TOL, what="coloring PVM at {}")
-    return _prebuilt(ColoringStrategy, d, pvms)
+    require_pvm_family(stack, names, tol=FORWARD_PVM_TOL, what="coloring PVM at {}")
+    return _prebuilt(ColoringStrategy, d, names, stack)
 
 
 def _require_coverage(graph: GadgetGraph, cs: ColoringStrategy) -> None:

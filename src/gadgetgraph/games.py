@@ -12,14 +12,17 @@ used everywhere (uniform on question pairs, uniform on the ordered edges of
 a graph); finite-dimensional projective strategies with their file format
 (one writer, one loader per kind); and the synchronous value of a game
 against a strategy and prior.
+
+A strategy holds its PVMs as one read-only (K, k, d, d) ``stack``, rows in
+sorted key order, built and checked as one array; ``pvms[key]`` is a row.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, permutations
 from math import fsum, isfinite
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, require_pvm_family, trace_product
+from .linalg import as_matrix, require_pvm, require_pvm_family, trace_product
 
 QUESTION_PRIOR = "uniform-on-questions"
 EDGE_PRIOR = "uniform-on-edges"
@@ -43,8 +46,9 @@ def _is_int(value) -> bool:
 @dataclass(frozen=True)
 class SyncGame:
     """A synchronous game: n questions, m answers, explicit losing tuples,
-    given as any iterable of 4-sequences and stored as a frozenset of tuples
-    and as ``losing_table``, a read-only (N, 4) array in (a, b, x, y) order."""
+    given as any iterable of 4-sequences.  They are stored as ``losing_table``,
+    a read-only (N, 4) array in (a, b, x, y) order, as ``losing_sorted``, its
+    rows as tuples, and as ``losing``, a frozenset of those same tuples."""
 
     n: int
     m: int
@@ -107,12 +111,10 @@ class SyncGame:
             a, b, x = required[first].tolist()
             raise ValidationError(f"synchrony violation: ({a},{b},{x},{x}) must be a losing tuple")
         table.setflags(write=False)
-        object.__setattr__(self, "losing", frozenset(tuples))
+        losing_sorted = tuple(map(tuple, table.tolist()))
+        object.__setattr__(self, "losing", frozenset(losing_sorted))
         object.__setattr__(self, "losing_table", table)
-
-    @cached_property
-    def losing_sorted(self) -> tuple:
-        return tuple(map(tuple, self.losing_table.tolist()))
+        object.__setattr__(self, "losing_sorted", losing_sorted)
 
     @cached_property
     def _losing_mask(self) -> np.ndarray:
@@ -181,6 +183,8 @@ class SimpleGraph:
         normalized = []
         for edge in self.edges:
             try:
+                if isinstance(edge, (str, bytes, Mapping)):  # two items, but no pair
+                    raise TypeError
                 u, v = edge
             except (TypeError, ValueError):
                 raise ValidationError(f"edge {edge!r} is not a pair") from None
@@ -267,83 +271,93 @@ class PriorDistribution:
 # strategies
 
 
-def _freeze(pvms) -> dict:
-    """Write-lock a {key: complex128 arrays} family in place, as tuples with
-    keys sorted, so a strategy cannot be edited behind our back."""
-    frozen = {key: tuple(pvms[key]) for key in sorted(pvms)}
-    for mats in frozen.values():
-        for m in mats:
-            m.setflags(write=False)
-    return frozen
+@dataclass(frozen=True, eq=False)
+class _Strategy:
+    """One PVM per key, all with the same outcome count k, in a common
+    dimension d.  They are held as one read-only, C-contiguous (K, k, d, d)
+    ``stack``, rows in the order of the sorted ``keys``; ``pvms[key]`` is a
+    row, as a view."""
+
+    d: int
+    pvms: dict
+    keys: tuple = field(init=False, repr=False)
+    stack: np.ndarray = field(init=False, repr=False)
+
+    def _hold(self, keys, stack: np.ndarray) -> None:
+        stack.setflags(write=False)  # so that it cannot be edited behind our back
+        object.__setattr__(self, "keys", tuple(keys))
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "pvms", dict(zip(self.keys, stack)))
+
+    def _check(self, what: str) -> None:
+        """Validate ``pvms`` and hold a copy of it as one stack.  Input that
+        does not stack as (K, k, d, d), k >= 1, is checked key by key."""
+        d, pvms = self.d, self.pvms
+        if not _is_int(d) or d < 1:
+            raise ValidationError(f"dimension must be a positive integer, got {d!r}")
+        if not pvms:
+            raise ValidationError(f"{what} has no PVMs")
+        keys = sorted(pvms)
+        rows = [list(pvms[key]) for key in keys]  # each key's outcomes, read once
+        try:
+            stack = np.array(rows, dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+            stack = np.empty(0)
+        if stack.ndim != 4 or stack.shape[1] == 0 or stack.shape[2:] != (d, d):
+            ragged = [[as_matrix(m, d) for m in row] for row in rows]
+            for key, mats in zip(keys, ragged):
+                require_pvm(mats, what=f"{what} PVM at {key!r}")
+            raise ValidationError(f"{what} mixes outcome counts {sorted(set(map(len, ragged)))}")
+        require_pvm_family(stack, keys, what=f"{what} PVM at {{!r}}")
+        self._hold(keys, stack)
 
 
-def _freeze_pvm_family(pvms, d: int, what: str):
-    """Validate a {key: list-of-matrices} family, every member a PVM of the
-    same outcome count in dimension d, and freeze copies of it into a dict."""
-    if not _is_int(d) or d < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {d!r}")
-    if not pvms:
-        raise ValidationError(f"{what} has no PVMs")
-    checked = {key: [as_matrix(m, d).copy() for m in pvms[key]] for key in sorted(pvms)}
-    require_pvm_family(checked, what=f"{what} PVM at {{!r}}")
-    outcome_counts = {len(mats) for mats in checked.values()}
-    if len(outcome_counts) != 1:
-        raise ValidationError(f"{what} mixes outcome counts {sorted(outcome_counts)}")
-    return _freeze(checked)
-
-
-def _prebuilt(cls, d: int, pvms: dict):
-    """A ``cls`` strategy from PVMs the package built out of validated ones,
-    not checked again.  Outside data goes through the validating constructor
-    instead.  The arrays are handed over: they are write-locked, not copied."""
+def _prebuilt(cls, d: int, keys, stack: np.ndarray):
+    """A ``cls`` strategy from a C-contiguous stack whose row i is the PVM at
+    ``keys[i]``, the keys sorted, that the package built out of validated
+    PVMs: not checked again, and handed over, write-locked, not copied."""
     strategy = object.__new__(cls)
     object.__setattr__(strategy, "d", d)
-    object.__setattr__(strategy, "pvms", _freeze(pvms))
+    strategy._hold(keys, stack)
     return strategy
 
 
 @dataclass(frozen=True, eq=False)
-class GameStrategy:
-    """One m-outcome PVM per question, all in a common dimension d."""
-
-    d: int
-    pvms: dict
+class GameStrategy(_Strategy):
+    """One m-outcome PVM per question: ``stack`` is (K, m, d, d)."""
 
     def __post_init__(self) -> None:
         for key in self.pvms:
             if not _is_int(key) or key < 1:
                 raise ValidationError(f"question key {key!r} is not a positive integer")
-        object.__setattr__(self, "pvms", _freeze_pvm_family(self.pvms, self.d, "game strategy"))
+        self._check("game strategy")
 
     @property
     def outcomes(self) -> int:
-        return len(next(iter(self.pvms.values())))
+        return self.stack.shape[1]
 
     @property
     def questions(self) -> tuple:
-        return tuple(sorted(self.pvms))
+        return self.keys
 
 
 @dataclass(frozen=True, eq=False)
-class ColoringStrategy:
-    """One 3-outcome PVM per vertex name, all in a common dimension d."""
-
-    d: int
-    pvms: dict
+class ColoringStrategy(_Strategy):
+    """One 3-outcome PVM per vertex name: ``stack`` is (K, 3, d, d), or
+    (K, 3, 6, d, d) block operators for ``symmetrize``'s output."""
 
     def __post_init__(self) -> None:
         for key in self.pvms:
             if not isinstance(key, str) or not key:
                 raise ValidationError(f"vertex key {key!r} is not a non-empty string")
-        frozen = _freeze_pvm_family(self.pvms, self.d, "coloring strategy")
-        for key, mats in frozen.items():
-            if len(mats) != 3:
-                raise ValidationError(f"vertex {key!r} has {len(mats)} outcomes, expected 3")
-        object.__setattr__(self, "pvms", frozen)
+        self._check("coloring strategy")
+        outcomes = self.stack.shape[1]
+        if outcomes != 3:
+            raise ValidationError(f"vertex {self.keys[0]!r} has {outcomes} outcomes, expected 3")
 
     @property
     def vertices(self) -> tuple:
-        return tuple(sorted(self.pvms))
+        return self.keys
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +413,11 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
     ``1 - value == lost_mass`` is an identity checkable to machine precision
     rather than something baked in by construction.
 
-    Every overlap tr(E_a^x E_b^y)/d comes out of one GEMM over the strategy
-    stacked as (n, m, d, d): tr(A B) = sum_ij A_ij B_ji is the inner product
-    of A's entries with those of B transposed.  The terms w * tau are then
-    gathered for every support pair as one (pairs, m, m) array, in the
-    prior's (pair, a, b) order, and the game's losing mask splits them;
+    Every overlap tr(E_a^x E_b^y)/d comes out of one GEMM over the first n
+    rows of the strategy's stack, (n, m, d, d): tr(A B) = sum_ij A_ij B_ji
+    is the inner product of A's entries with those of B transposed.  The
+    terms w * tau are then gathered for every support pair as one (pairs, m,
+    m) array, in the prior's (pair, a, b) order, and the losing mask splits them;
     ``fsum`` is exactly rounded, so the value does not depend on the order.
     """
     _require_strategy_fits(game, strategy)
@@ -411,7 +425,7 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
     for (x, y), _ in prior.weights:
         if not (1 <= x <= n and 1 <= y <= n):
             raise ValidationError(f"prior supports ({x},{y}) outside 1..{n}")
-    stack = np.array([strategy.pvms[x] for x in range(1, n + 1)])
+    stack = strategy.stack[:n]  # keys 1..n, since the strategy fits
     gram = stack.reshape(n * m, d * d) @ stack.transpose(0, 1, 3, 2).reshape(n * m, d * d).T
     overlaps = (gram.real / d).reshape(n, m, n, m).transpose(0, 2, 1, 3)
     xs, ys, ws = prior._support
@@ -528,11 +542,11 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
     kept only until its last use, so a strategy with no repeated matrix
     holds one matrix's text at a time.
     """
-    pvms = strategy.pvms
-    if any(mats[0].shape != (strategy.d, strategy.d) for mats in pvms.values()):
+    pvms, d = strategy.pvms, strategy.d
+    if strategy.stack.shape[2:] != (d, d):
         raise ValidationError("only d-by-d strategy operators are written, not symmetrize's stacks")
-    # C order, interleaved re and im, whatever a matrix's strides
-    uses = Counter(m.tobytes() for mats in pvms.values() for m in mats)
+    # C order, interleaved re and im
+    uses = Counter(m.tobytes() for m in strategy.stack.reshape(-1, d, d))
     rendered: dict = {}
 
     def render(m) -> str:
@@ -560,30 +574,20 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
 
 def matrix_from_json(data, d: int) -> np.ndarray:
     """A d-by-d complex matrix from parsed JSON: a row-major list of d*d
-    [re, im] pairs, as ``write_strategy_json`` writes them.
-
-    ``data`` is converted in one pass; only when that pass does not give
-    d*d pairs of numbers is it scanned entry by entry, to name the first
-    bad entry.
-    """
+    [re, im] pairs, as ``write_strategy_json`` writes them.  Its entries are
+    checked one by one, so that the first bad entry is named."""
     if not isinstance(data, list) or len(data) != d * d:
         raise ValidationError(f"matrix payload must be a list of {d * d} [re, im] pairs")
+    for i, pair in enumerate(data):
+        if (not isinstance(pair, list)) or len(pair) != 2:
+            raise ValidationError(f"matrix entry {i} is not an [re, im] pair")
+        if not all(isinstance(x, (int, float)) for x in pair):
+            raise ValidationError(f"matrix entry {i} has non-numeric parts")
     try:
-        parts = np.array(data)
-    except ValueError:  # ragged entries
-        parts = None
-    if parts is None or parts.shape != (d * d, 2) or parts.dtype.kind not in "biuf":
-        for i, pair in enumerate(data):
-            if (not isinstance(pair, list)) or len(pair) != 2:
-                raise ValidationError(f"matrix entry {i} is not an [re, im] pair")
-            if not all(isinstance(x, (int, float)) for x in pair):
-                raise ValidationError(f"matrix entry {i} has non-numeric parts")
-        # Only integer parts too large for int64 and uint64 get this far.
-        try:
-            parts = np.array(data, dtype=np.float64)
-        except OverflowError:
-            raise ValidationError("matrix payload has a part beyond the float range") from None
-    return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128).reshape(d, d)
+        parts = np.array(data, dtype=np.float64)
+    except OverflowError:  # an integer part beyond the float range
+        raise ValidationError("matrix payload has a part beyond the float range") from None
+    return parts.view(np.complex128).reshape(d, d)
 
 
 def _load_strategy_parts(path, what: str):
@@ -600,7 +604,14 @@ def _load_strategy_parts(path, what: str):
     pvms = payload["pvms"]
     if not isinstance(pvms, dict):
         raise ValidationError(f"{what} field 'pvms' must be an object")
-    parsed = {}
+    try:  # every key's matrices at once, in file order, as (K, k, d*d, 2) parts
+        parts = np.array(list(pvms.values()))
+    except ValueError:  # ragged
+        parts = np.empty(0)
+    if parts.ndim == 4 and parts.shape[2:] == (d * d, 2) and parts.dtype.kind in "biuf":
+        parts = np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)
+        return d, dict(zip(pvms, parts.reshape(len(pvms), -1, d, d)))
+    parsed = {}  # matrix by matrix, which names the first bad entry
     for key, mats in pvms.items():
         if not isinstance(mats, list):
             raise ValidationError(f"{what} entry {key!r} must be a list of matrices")

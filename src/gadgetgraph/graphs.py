@@ -245,11 +245,12 @@ def _answer_pairs(answers: np.ndarray, tuples: np.ndarray) -> np.ndarray:
 
 def build_graph(game: SyncGame) -> GadgetGraph:
     n, m = game.n, game.m
-    e_rows, f_rows, rest = (game.losing_table[mask] for mask in _answer_classes(game))
-    gadget_tuples = np.concatenate([e_rows, f_rows])
-    tuples = list(map(tuple, gadget_tuples.tolist()))
-    rest_tuples = list(map(tuple, rest.tolist()))
-    n_blocks, n_orthos, n_e = n * (m - 2), len(tuples), len(e_rows)
+    # Table rows and the game's own tuple objects, per answer class.
+    e_at, f_at, rest_at = map(np.flatnonzero, _answer_classes(game))
+    gadget_at = np.concatenate([e_at, f_at])
+    gadget_tuples, rest = game.losing_table[gadget_at], game.losing_table[rest_at]
+    tuples, rest_tuples = ([game.losing_sorted[i] for i in at.tolist()] for at in (gadget_at, rest_at))
+    n_blocks, n_orthos, n_e = n * (m - 2), len(tuples), len(e_at)
 
     # Blocks, x-major and alpha-minor, one _BLOCK_COLUMNS row each.  The
     # cells they declare are numbered after the control letters, block by

@@ -16,10 +16,11 @@ block by block, and an identity of the block size broadcasts.  Only
 
 One stack check validates projections and PVMs: ``_stack_defects`` takes
 K PVMs of k outcomes as a (K, k, ...) stack.  ``require_projection`` is its
-1 x 1 case, ``require_pvm`` its K = 1 case, ``require_pvm_family`` takes a
-strategy 16 keys at a time, and ``pvm_defect`` reads its last defect.  An
-error names the first failure in check order (Hermitian, projection,
-eigenvalue, PVM defect), within a check the first failing key, then outcome.
+1 x 1 case, ``require_pvm`` its K = 1 case, ``require_pvm_family`` takes
+slices of a strategy's stack, 16 rows each, and ``pvm_defect`` reads its last
+defect.  An error names the first failure in check order (Hermitian,
+projection, eigenvalue, PVM defect), within a check the first failing key,
+then outcome.
 """
 
 from __future__ import annotations
@@ -143,40 +144,20 @@ def require_pvm(mats: Sequence[np.ndarray], tol: float = TOL_PVM, what: str = "P
     return out
 
 
-#: Keys of a PVM family validated as one stack; bounds the memory of a check.
+#: Rows of a PVM stack validated at a time; bounds the memory of a check.
 PVM_CHUNK = 16
 
 
-def require_pvm_family(family: dict, tol: float = TOL_PVM, what: str = "PVM at {!r}") -> None:
-    """Validate every PVM of a {key: outcomes} family as ``require_pvm`` does.
-
-    The keys are taken in the family's order, 16 at a time, each chunk as
-    one (K, k, d, d) stack labelled ``what.format(key)``.  A chunk whose
-    PVMs do not stack (no outcomes, mixed outcome counts or shapes) goes
-    through ``require_pvm`` key by key.
-    """
-    for keys, stack in _pvm_chunks(family):
-        if stack is None:
-            for key in keys:
-                require_pvm(family[key], tol=tol, what=what.format(key))
-        else:
-            _require_stack(stack, lambda key: what.format(keys[key]), tol)
-
-
-def _pvm_chunks(family: dict):
-    """(keys, stack) per PVM_CHUNK keys of a family, the stack None unless
-    every PVM of the chunk is k d-by-d matrices, for one k >= 1 and d >= 1."""
-    keys = list(family)
+def require_pvm_family(
+    stack: np.ndarray, keys: Sequence, tol: float = TOL_PVM, what: str = "PVM at {!r}"
+) -> None:
+    """Validate every row of a (K, k, *op) stack of K PVMs as ``require_pvm``
+    validates one, row i labelled ``what.format(keys[i])``, 16 rows at a time:
+    each is a slice of the stack, not a copy, and the first that fails raises."""
+    if not stack.size:
+        raise ValidationError(f"expected a nonempty operator, got shape {stack.shape[2:]}")
     for start in range(0, len(keys), PVM_CHUNK):
-        chunk = keys[start:start + PVM_CHUNK]
-        try:
-            stack = np.array([family[key] for key in chunk], dtype=np.complex128)
-        except ValueError:  # ragged
-            stack = None
-        else:
-            if stack.ndim != 4 or 0 in stack.shape or stack.shape[2] != stack.shape[3]:
-                stack = None
-        yield chunk, stack
+        _require_stack(stack[start:start + PVM_CHUNK], lambda i: what.format(keys[start + i]), tol)
 
 
 def _require_stack(stack: np.ndarray, name, tol: float | None, projection_tol: float = TOL_PROJECTION) -> None:

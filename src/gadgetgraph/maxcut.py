@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -58,6 +59,13 @@ def cycle_graph(k: int) -> SimpleGraph:
     return SimpleGraph(k, tuple((v, v % k + 1) for v in range(1, k + 1)))
 
 
+def _vertex_count(edges) -> int:
+    """The vertex count of a layout that gives none: the largest endpoint of
+    an entry that is a pair of integers, or 0.  SimpleGraph names the rest."""
+    pairs = (e for e in edges if isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e)))
+    return max(chain([0], *pairs))
+
+
 def _graph_from_payload(payload) -> SimpleGraph:
     if isinstance(payload, dict):
         try:
@@ -68,10 +76,7 @@ def _graph_from_payload(payload) -> SimpleGraph:
         if not isinstance(edges, list):
             raise ValidationError("graph field 'edges' must be a list of pairs")
     elif isinstance(payload, list):
-        edges, n = payload, 0
-        for e in edges:  # SimpleGraph names an entry that is not a pair of integers
-            if isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)):
-                n = max(n, *e)
+        edges, n = payload, _vertex_count(payload)
     else:
         raise ValidationError(f"graph JSON must be an object or a list, got {type(payload).__name__}")
     return SimpleGraph(n, tuple(tuple(e) if isinstance(e, list) else e for e in edges))
@@ -104,8 +109,7 @@ def load_simple_graph(source) -> SimpleGraph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ValidationError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-    n = max((max(e) for e in edges), default=0)
-    return SimpleGraph(n, tuple(edges))
+    return SimpleGraph(_vertex_count(edges), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +279,8 @@ def roots_identity_check(g: SimpleGraph, fam: OrderKUnitaryFamily) -> Inequality
         if gap > worst:
             worst, worst_label = gap, f"edge ({u},{v})"
     # pvm_from_unitary has validated every spectral PVM.
-    strategy = _prebuilt(
-        GameStrategy, fam.d, {v: spectral[v] for v in range(1, g.n_vertices + 1)}
-    )
+    questions = range(1, g.n_vertices + 1)
+    strategy = _prebuilt(GameStrategy, fam.d, questions, np.array([spectral[v] for v in questions]))
     game_value = sync_value(
         coloring_game(g),
         strategy,
@@ -309,22 +312,16 @@ def value_bridge(g: SimpleGraph) -> InequalityReport:
         return report.require()
     game = coloring_game(g)
     prior = PriorDistribution.uniform_edges(g)
+    # Labeling `code` colours vertex x with base-3 digit x - 1 of the code,
+    # plus 1; as a strategy, row x - 1 is that colour's one-hot 1x1 PVM.
     # Exact 0/1 labelings are PVMs by construction.
-    one = np.eye(1, dtype=np.complex128)
-    zero = np.zeros((1, 1), dtype=np.complex128)
+    digits = np.arange(3**n)[:, None] // 3 ** np.arange(n) % 3
+    labelings = (digits[..., None] == np.arange(3)).astype(np.complex128).reshape(3**n, n, 3, 1, 1)
+    labelings.setflags(write=False)
+    questions = tuple(range(1, n + 1))
     best = 0.0
-    for code in range(3**n):
-        labels = []
-        rest = code
-        for _ in range(n):
-            labels.append(rest % 3 + 1)
-            rest //= 3
-        strategy = _prebuilt(
-            GameStrategy,
-            1,
-            {x: [one if a == labels[x - 1] else zero for a in (1, 2, 3)] for x in range(1, n + 1)},
-        )
-        best = max(best, sync_value(game, strategy, prior).value)
+    for stack in labelings:
+        best = max(best, sync_value(game, _prebuilt(GameStrategy, 1, questions, stack), prior).value)
     return InequalityReport(
         "cut value bridge (cut %d, best coloring value %.12g)" % (cut, best),
         abs(cut - g.n_edges * best),

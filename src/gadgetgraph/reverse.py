@@ -56,8 +56,8 @@ def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> Colori
     before and after is compared and must agree within SYMMETRIZE_TOL.
     """
     # Each block is a validated input PVM, so the defects are the input's.
-    pvms = {name: tuple(np.stack(mats)[_RELABEL]) for name, mats in cs.pvms.items()}
-    result = _prebuilt(ColoringStrategy, 6 * cs.d, pvms)
+    # np.take, unlike cs.stack[:, _RELABEL], lays the result out in C order.
+    result = _prebuilt(ColoringStrategy, 6 * cs.d, cs.keys, np.take(cs.stack, _RELABEL, axis=1))
     if graph is not None:
         before = coloring_value(graph, cs).value
         after = coloring_value(graph, result).value
@@ -103,7 +103,7 @@ class Diagnostics:
 
 def _edge_products(graph: GadgetGraph, cs: ColoringStrategy) -> dict:
     """Color-1 product norm per edge of symmetrize's output."""
-    if any(mats[0].shape != (6, cs.d // 6, cs.d // 6) for mats in cs.pvms.values()):
+    if cs.stack.shape[2:] != (6, cs.d // 6, cs.d // 6):
         raise ValidationError("operators are not (6, d, d) stacks; symmetrize the strategy first")
     return {(u, v): two_norm(cs.pvms[u][0] @ cs.pvms[v][0]) for u, v in graph.edges}
 

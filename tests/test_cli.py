@@ -387,6 +387,8 @@ MALFORMED = {
     "maxcut-edges-a-number": lambda g, s, c, t: ("maxcut", _graph_edges(5)(t)),
     "maxcut-edges-null": lambda g, s, c, t: ("maxcut", _graph_edges(None)(t)),
     "maxcut-edge-float": lambda g, s, c, t: ("maxcut", _graph_edges([[1, 2.5]])(t)),
+    "maxcut-edge-a-string": lambda g, s, c, t: ("maxcut", _graph_edges(["ab"])(t)),
+    "maxcut-edge-a-mapping": lambda g, s, c, t: ("maxcut", _graph_edges([{"a": 1, "b": 2}])(t)),
     "check-tol-nan": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "nan"),
     "check-tol-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "inf"),
     "check-tol-minus-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-inf"),
@@ -402,6 +404,8 @@ MALFORMED_MESSAGES = {
     "maxcut-edges-a-number": "graph field 'edges' must be a list of pairs",
     "maxcut-edges-null": "graph field 'edges' must be a list of pairs",
     "maxcut-edge-float": "edge (1, 2.5) has non-integer endpoints",
+    "maxcut-edge-a-string": "edge 'ab' is not a pair",
+    "maxcut-edge-a-mapping": "edge {'a': 1, 'b': 2} is not a pair",
 }
 
 

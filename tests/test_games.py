@@ -378,20 +378,56 @@ def test_coloring_strategy_needs_three_outcomes():
         ColoringStrategy(d=1, pvms={"A": [np.eye(1), np.zeros((1, 1))]})
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_strategy_is_one_read_only_stack_in_sorted_key_order(tmp_path_factory, data, d, seed):
+    # Keys in any order, n <= 4 of them, k <= 4 outcomes (3 for a coloring).
+    if data.draw(st.booleans(), label="coloring"):
+        cls, load, k = ColoringStrategy, load_coloring_strategy, 3
+        keys = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    else:
+        cls, load, k = GameStrategy, load_game_strategy, data.draw(st.integers(min_value=1, max_value=4))
+        questions = st.integers(min_value=1, max_value=50)
+        keys = data.draw(st.lists(questions, min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(seed)
+    pvms = {key: list(random_pvm(rng, d, k)) for key in keys}
+    strategy = cls(d=d, pvms=pvms)
+    stack = strategy.stack
+    assert strategy.keys == tuple(sorted(keys)) and list(strategy.pvms) == list(strategy.keys)
+    assert stack.shape == (len(keys), k, d, d)
+    assert stack.flags.c_contiguous and not stack.flags.writeable
+    for i, key in enumerate(strategy.keys):
+        assert stack[i].tobytes() == np.array(pvms[key], dtype=np.complex128).tobytes()
+        row = strategy.pvms[key]
+        assert np.shares_memory(row, stack) and row.tobytes() == stack[i].tobytes()
+    # The loader reads the written file back into the same stack.
+    path = tmp_path_factory.mktemp("stack") / "s.json"
+    write_strategy_json(strategy, path)
+    loaded = load(path)
+    assert loaded.keys == strategy.keys and loaded.stack.tobytes() == stack.tobytes()
+
+
 def test_strategy_matrices_are_write_locked(min_game, min_graph):
     strategy = deterministic_strategy(min_game, (1,))
     coloring = forward_translate(min_game, min_graph, strategy)
     one = np.eye(1, dtype=np.complex128)
     GameStrategy(d=1, pvms={1: [one, 0 * one, 0 * one]})
     assert one.flags.writeable  # the validating constructor copies
-    prebuilt = _prebuilt(GameStrategy, 1, {1: [one, 0 * one, 0 * one]})
+    stack = np.array([[one, 0 * one, 0 * one]])
+    prebuilt = _prebuilt(GameStrategy, 1, (1,), stack)
     # The validating constructor, then the unchecked path of the package's
     # own producers: forward translation, symmetrization, and a direct call.
     for s, key in ((strategy, 1), (coloring, "A"), (symmetrize(coloring), "A"), (prebuilt, 1)):
-        assert all(isinstance(mats, tuple) for mats in s.pvms.values())
+        assert s.stack.flags.c_contiguous and not s.stack.flags.writeable
+        assert all(np.shares_memory(mats, s.stack) for mats in s.pvms.values())
         with pytest.raises(ValueError):
             s.pvms[key][0][0, 0] = 5.0
-    assert not one.flags.writeable  # handed over, not copied
+    assert one.flags.writeable and not stack.flags.writeable  # handed over, not copied
+    assert prebuilt.stack is stack
 
 
 def test_perfect_minimal_value(min_game):
@@ -629,7 +665,8 @@ def _repeating_strategies(draw):
         st.lists(st.sampled_from(range(len(pool))), min_size=outcomes, max_size=outcomes),
         min_size=1, max_size=12,
     ))
-    return _prebuilt(GameStrategy, d, {x: [pool[i] for i in row] for x, row in enumerate(rows, 1)})
+    stack = np.array([[pool[i] for i in row] for row in rows])
+    return _prebuilt(GameStrategy, d, range(1, len(rows) + 1), stack)
 
 
 @settings(max_examples=60, deadline=None)
@@ -670,19 +707,19 @@ def test_writer_keeps_no_text_it_will_not_reuse(tmp_path):
 )
 def test_unchecked_strategies_pass_the_validating_constructor(n, m, d, seed):
     # Every strategy the four producers build unchecked is handed to the full
-    # validating constructor as well, which must accept it and freeze the
-    # same arrays: the skipped check could not have failed.
+    # validating constructor as well, which must accept it and hold the same
+    # keys and arrays: the skipped check could not have failed.
     built = []
 
     def dense(m):
         return block_diagonal(m) if m.ndim == 3 else m
 
-    def validating(cls, dim, pvms):
+    def validating(cls, dim, keys, stack):
         # symmetrize builds (6, d, d) stacks; the constructor checks their
         # block-diagonal matrices.
-        dense_pvms = {key: [dense(m) for m in mats] for key, mats in pvms.items()}
-        checked, unchecked = cls(d=dim, pvms=dense_pvms), _prebuilt(cls, dim, pvms)
-        assert list(checked.pvms) == list(unchecked.pvms)
+        dense_pvms = {key: [dense(m) for m in mats] for key, mats in zip(keys, stack, strict=True)}
+        checked, unchecked = cls(d=dim, pvms=dense_pvms), _prebuilt(cls, dim, keys, stack)
+        assert checked.keys == unchecked.keys
         for key, mats in checked.pvms.items():
             assert all(
                 np.array_equal(a, dense(b)) for a, b in zip(mats, unchecked.pvms[key], strict=True)
@@ -711,9 +748,9 @@ def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_
     write_strategy_json(coloring, tmp_path / "c.json")
     calls, fallbacks, real, real_pvm = [], [], linalg.require_pvm_family, linalg.require_pvm
 
-    def counting(family, *args, **kwargs):
-        calls.append(len(family))
-        return real(family, *args, **kwargs)
+    def counting(stack, keys, *args, **kwargs):
+        calls.append(len(keys))
+        return real(stack, keys, *args, **kwargs)
 
     def falling_back(mats, *args, **kwargs):
         fallbacks.append(len(mats))
@@ -721,7 +758,7 @@ def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_
 
     monkeypatch.setattr(games, "require_pvm_family", counting)
     monkeypatch.setattr(forward, "require_pvm_family", counting)
-    monkeypatch.setattr(linalg, "require_pvm", falling_back)
+    monkeypatch.setattr(games, "require_pvm", falling_back)
     forward_translate(min_game, min_graph, strategy)
     assert calls == [min_graph.n_vertices]  # forward checks its output once, nothing more
     calls.clear()
@@ -796,19 +833,23 @@ def test_family_check_raises_the_per_key_message(monkeypatch, min_game, min_grap
         want = "game strategy mixes outcome counts [3, 4]"
     assert want is not None and raised_message(lambda: GameStrategy(d=d, pvms=pvms)) == want
 
-    # forward_translate's own output, spoiled in the same way at its 18th vertex.
+    # forward_translate's own output, spoiled in the same way at its 18th
+    # vertex.  It is one (V, 3, d, d) stack, which cannot lack outcomes or
+    # mix their counts.
+    if case in ("no-outcomes", "mixed-outcomes"):
+        return
     seen, real = [], forward.require_pvm_family
 
-    def spoiling(family, *args, **kwargs):
-        name = list(family)[17]
-        family[name] = _spoiled(case, family[name])
+    def spoiling(stack, keys, *args, **kwargs):
+        stack = stack.copy()
+        stack[17] = _spoiled(case, stack[17])
+        family = dict(zip(keys, map(list, stack)))
         seen.append(_loop_error(family, FORWARD_PVM_TOL, lambda key: f"coloring PVM at {key}"))
-        return real(family, *args, **kwargs)
+        return real(stack, keys, *args, **kwargs)
 
     monkeypatch.setattr(forward, "require_pvm_family", spoiling)
     got = raised_message(lambda: forward_translate(min_game, min_graph, random_strategy(rng, min_game, d)))
-    assert got == seen[0]
-    assert (got is None) == (case == "mixed-outcomes")  # forward has no count check of its own
+    assert got is not None and got == seen[0]
 
 
 def test_an_entry_that_overflows_is_rejected_without_a_warning(tmp_path):

@@ -27,6 +27,16 @@ def sync_only_game(m: int) -> SyncGame:
     return SyncGame(n=1, m=m, losing=losing)
 
 
+def test_gadget_handles_hold_the_games_own_tuples():
+    # The builder hands out the game's tuple objects rather than equal copies.
+    game = random_game(np.random.default_rng(7), 3, 4, 0.3)
+    graph = build_graph(game)
+    held = {id(t) for t in game.losing}
+    assert graph.orthos and graph.rest_edges
+    assert all(id(o.tup) in held for o in graph.orthos)
+    assert all(id(t) in held for t, _ in graph.rest_edges)
+
+
 # ---------------------------------------------------------------------------
 # frozen census oracles (counts hand-derived from the slot inventory, then
 # pinned; the independent enumerator in helpers re-derives them each run)

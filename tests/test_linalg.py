@@ -14,13 +14,13 @@ from helpers import (
     reference_require_projection,
     reference_require_pvm,
 )
+from gadgetgraph import linalg
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import matrix_from_json
 from gadgetgraph.linalg import (
     PVM_CHUNK,
     TOL_EIGENVALUE,
     TOL_PROJECTION,
-    _pvm_chunks,
     _stack_defects,
     commutator,
     haar_unitary,
@@ -137,16 +137,23 @@ def test_family_defects_match_the_per_member_checks_bit_for_bit(size, b, d, k, s
         return [p + scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for p in pvm]
 
     family = {f"v{i}": near_pvm() for i in range(size)}
-    keys = list(family)
-    chunks = [keys[start:start + PVM_CHUNK] for start in range(0, size, PVM_CHUNK)]
-    if b is None:  # the stacks require_pvm_family checks
-        assert [(chunk, stack.tolist()) for chunk, stack in _pvm_chunks(family)] == [
-            (chunk, np.array([family[key] for key in chunk]).tolist()) for chunk in chunks
-        ]
-    # Each chunk as one stack, and each PVM alone as require_pvm stacks it.
-    for chunk in chunks + [[key] for key in keys]:
-        members = [family[key] for key in chunk]
-        stack = np.array(members)
+    keys, pvms = list(family), list(family.values())
+    full = np.array(pvms)
+    slices = [(start, start + PVM_CHUNK) for start in range(0, size, PVM_CHUNK)]
+    checked = []  # the stacks require_pvm_family checks, with their labels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_require_stack", lambda stack, name, tol: checked.append(
+            (stack, [name(i) for i in range(len(stack))])
+        ))
+        require_pvm_family(full, keys)
+    labels = [[f"PVM at {key!r}" for key in keys[lo:hi]] for lo, hi in slices]
+    assert [names for _, names in checked] == labels
+    for (stack, _), (lo, hi) in zip(checked, slices, strict=True):
+        assert np.shares_memory(stack, full) and np.array_equal(stack, full[lo:hi])
+    # Each 16-row slice of the stack, and each PVM alone as require_pvm stacks it.
+    for lo, hi in slices + [(i, i + 1) for i in range(size)]:
+        members = pvms[lo:hi]
+        stack = full[lo:hi]
         (herm, *_), (proj, *_), *eigen, (pvm, *_) = _stack_defects(stack)
         assert herm.tolist() == [[reference_hermitian_defect(m) for m in mats] for mats in members]
         assert proj.tolist() == [[reference_projection_defect(m) for m in mats] for mats in members]
@@ -176,10 +183,10 @@ def test_valid_families_skip_the_eigenvalue_check(monkeypatch):
         raise AssertionError("eigvalsh called")
 
     rng = np.random.default_rng(5)
-    families = [{i: list(random_pvm(rng, d, 3)) for i in range(20)} for d in (1, 16, 64)]
+    stacks = [np.array([random_pvm(rng, d, 3) for _ in range(20)]) for d in (1, 16, 64)]
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    for family in families:
-        require_pvm_family(family)
+    for stack in stacks:
+        require_pvm_family(stack, range(20))
 
 
 def test_block_operators_take_the_skip_rule_at_their_full_dimension():
@@ -213,7 +220,7 @@ _FAULTS = {
 
 #: Faults at (key, outcome) of a 20-key family, and the error's start: the
 #: first failing check, in it the first key, then the first outcome, all
-#: within the first 16-key stack that fails.
+#: within the first 16-row slice that fails.
 @pytest.mark.parametrize(
     "faults,named",
     [
@@ -229,7 +236,8 @@ def test_two_fault_families_name_the_first_failure_in_check_order(faults, named)
     family = {key: list(random_pvm(rng, 3, 3)) for key in range(1, 21)}
     for (key, outcome), kind in faults.items():
         family[key][outcome - 1] = _FAULTS[kind](family[key][outcome - 1])
-    assert raised_message(lambda: require_pvm_family(family)).startswith(named)
+    stack = np.array([family[key] for key in range(1, 21)])
+    assert raised_message(lambda: require_pvm_family(stack, range(1, 21))).startswith(named)
     key = int(named.split()[2])
     assert raised_message(lambda: require_pvm(family[key], what=f"PVM at {key}")).startswith(named)
 
@@ -440,7 +448,7 @@ def test_stacks_read_as_their_block_diagonal_matrix(k, d, seed):
     "check",
     [
         pytest.param(lambda m: require_pvm([m]), id="require_pvm"),
-        pytest.param(lambda m: require_pvm_family({1: [m]}), id="require_pvm_family"),
+        pytest.param(lambda m: require_pvm_family(m[None, None], [1]), id="require_pvm_family"),
         pytest.param(require_projection, id="require_projection"),
         pytest.param(lambda m: pvm_defect([m]), id="pvm_defect"),
         pytest.param(two_norm, id="two_norm"),

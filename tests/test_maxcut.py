@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,26 @@ def test_simple_graph_normalizes_edges():
 def test_simple_graph_rejects_malformed(n, edges):
     with pytest.raises(ValidationError):
         SimpleGraph(n, edges)
+
+
+@pytest.mark.parametrize("edge", ["ab", b"ab", {"a": 1, "b": 2}], ids=["str", "bytes", "mapping"])
+def test_simple_graph_names_a_two_item_non_pair(edge):
+    # A str, bytes or mapping of two items unpacks into two names; it used
+    # to be reported as having non-integer endpoints.
+    with pytest.raises(ValidationError, match=rf"^edge {re.escape(repr(edge))} is not a pair$"):
+        SimpleGraph(3, (edge,))
+    if not isinstance(edge, bytes):
+        with pytest.raises(ValidationError, match=rf"^edge {re.escape(repr(edge))} is not a pair$"):
+            load_simple_graph(json.dumps({"n": 3, "edges": [edge]}))
+
+
+@pytest.mark.parametrize("text", ["-1 -2\n", "[[-1, -2]]"], ids=["text", "json-list"])
+def test_both_edge_layouts_take_the_vertex_count_alike(tmp_path, text):
+    # Neither layout states n; both take the largest endpoint, at least 0.
+    target = tmp_path / "graph"
+    target.write_text(text)
+    with pytest.raises(ValidationError, match=r"^edge \(-1, -2\) leaves the vertex range 1\.\.0$"):
+        load_simple_graph(target)
 
 
 def test_load_graph_json_object():
