@@ -18,6 +18,7 @@ sum-to-identity relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
 
 import numpy as np
@@ -32,11 +33,11 @@ from .games import (
     ValueReport,
     _prebuilt,
     _require_strategy_fits,
-    edge_loss_probability,
+    _rows,
     sync_value,
 )
 from .graphs import DELTA, ROOK_PAIRS, GadgetGraph
-from .linalg import _stack_defects, identity, require_pvm_family, trace_product, zero
+from .linalg import _overlaps, _stack_defects, identity, require_pvm_family, trace_product, zero
 from .rounding import InequalityReport, _perturb_checked_two
 
 FORWARD_PVM_TOL = 1e-10
@@ -196,18 +197,27 @@ def _require_coverage(graph: GadgetGraph, cs: ColoringStrategy) -> None:
         )
 
 
+def _edge_losses(cs: ColoringStrategy, edges) -> list:
+    """Same-color probability of each (u, v) pair of ``edges``, as
+    ``edge_loss_probability`` gives it: every overlap tr(P_{c,u} P_{c,v})/d
+    comes from one gathered ``einsum`` per chunk of edges, and each edge
+    ``fsum``s its three."""
+    rows = _rows(cs, chain.from_iterable(edges)).reshape(-1, 2)
+    return list(map(fsum, _overlaps(cs.stack, rows[:, 0], rows[:, 1]).tolist()))
+
+
 def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:
     """Value of the 3-coloring game of the graph under the edge-uniform prior.
 
     Equal to 1 minus the average same-color mass per edge; summing each
     unordered edge once at weight 1/|E| agrees with summing both orders at
     1/(2|E|) because the trace is symmetric in the two projections.  Each
-    edge costs three O(d^2) trace contractions (``edge_loss_probability``),
-    read straight off the strategy's arrays without gathering them.
+    edge costs three O(d^2) trace contractions, gathered over chunks of
+    edges (``_edge_losses``).
     """
     _require_coverage(graph, cs)
     weight = 1.0 / graph.n_edges
-    probabilities = [edge_loss_probability(cs.pvms[u], cs.pvms[v]) for u, v in graph.edges]
+    probabilities = _edge_losses(cs, graph.edges)
     value = 1.0 - fsum(weight * p for p in probabilities)
     return ValueReport(
         value, lambda: tuple(LossEntry(e, weight, p) for e, p in zip(graph.edges, probabilities))
@@ -239,12 +249,20 @@ def ortho_gadget_losses(
     cs: ColoringStrategy,
 ) -> tuple:
     """Per-gadget loss accounting for every orthogonality gadget."""
-    out = []
+    if graph.game != game:
+        raise ValidationError("graph was compiled from a different game")
+    _require_strategy_fits(game, strategy)
+    _require_coverage(graph, cs)
+    per = len(ROOK_PAIRS) + 1  # edges of one gadget
+    edges = []
     for ortho in graph.orthos:
-        a, b, x, y = ortho.tup
-        edges = [(ortho.cells[c1], ortho.cells[c2]) for c1, c2 in ROOK_PAIRS]
+        edges += [(ortho.cells[c1], ortho.cells[c2]) for c1, c2 in ROOK_PAIRS]
         edges.append(("A", ortho.cells[(3, 3)]))
-        loss = fsum(edge_loss_probability(cs.pvms[u], cs.pvms[v]) for u, v in edges)
+    losses = _edge_losses(cs, edges)
+    out = []
+    for i, ortho in enumerate(graph.orthos):
+        a, b, x, y = ortho.tup
+        loss = fsum(losses[i * per:(i + 1) * per])
         p = trace_product(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1])
         out.append(GadgetLoss(tup=ortho.tup, kind=ortho.kind, loss=loss, probability=p))
     return tuple(out)

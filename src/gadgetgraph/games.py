@@ -322,6 +322,13 @@ def _prebuilt(cls, d: int, keys, stack: np.ndarray):
     return strategy
 
 
+def _rows(strategy: _Strategy, keys) -> np.ndarray:
+    """The stack rows of ``keys``, in their order, as an intp array; each
+    key must be one of the strategy's."""
+    row = dict(zip(strategy.keys, range(len(strategy.keys))))
+    return np.fromiter(map(row.__getitem__, keys), np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class GameStrategy(_Strategy):
     """One m-outcome PVM per question: ``stack`` is (K, m, d, d)."""

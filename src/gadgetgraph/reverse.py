@@ -22,14 +22,16 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import BoundViolation, ValidationError
 from .forward import _require_coverage, coloring_value
-from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt
+from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt, _rows
 from .graphs import DELTA, GadgetGraph
-from .linalg import commutator, identity, require_positive_contraction, two_norm
+from .linalg import _gathered, _two_norms, identity, require_positive_contraction, two_norm
 from .rounding import PERM3, InequalityReport, perturb_pvm
 
 log = logging.getLogger(__name__)
@@ -43,6 +45,9 @@ CONTRACTION_TOL = 1e-10
 
 #: _RELABEL[c - 1][slot] is the input color that block ``slot`` plays as color c.
 _RELABEL = np.array(PERM3).T - 1
+
+#: The index i - 1 of the first color of each permutation (i, j, k) of PERM3.
+_FIRST_COLOR = np.array([perm[0] for perm in PERM3]) - 1
 
 
 def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> ColoringStrategy:
@@ -105,7 +110,11 @@ def _edge_products(graph: GadgetGraph, cs: ColoringStrategy) -> dict:
     """Color-1 product norm per edge of symmetrize's output."""
     if cs.stack.shape[2:] != (6, cs.d // 6, cs.d // 6):
         raise ValidationError("operators are not (6, d, d) stacks; symmetrize the strategy first")
-    return {(u, v): two_norm(cs.pvms[u][0] @ cs.pvms[v][0]) for u, v in graph.edges}
+    rows = _rows(cs, chain.from_iterable(graph.edges)).reshape(-1, 2)
+    norms = []
+    for _, (u, v) in _gathered(cs.stack[:, 0], *rows.T):
+        norms.extend(_two_norms(u @ v).tolist())
+    return dict(zip(graph.edges, norms))
 
 
 def _theta_at(theta: dict, edge_key, u: str, v: str) -> float:
@@ -137,6 +146,17 @@ def _named_prisms(graph: GadgetGraph):
             yield ("rows", i, j, b.alpha, b.x), tuple(zip(b.row(i), b.row(j)))
 
 
+def _triangle_sum_defects(cs: ColoringStrategy, triangles) -> list:
+    """eta of each (u, v, w) triangle at color 1, ||1 - (P_u + P_v + P_w)||_2,
+    over gathered (T, 6, d, d) stacks, chunk by chunk."""
+    rows = _rows(cs, chain.from_iterable(triangles)).reshape(-1, 3)
+    one = identity(cs.d // 6)
+    out = []
+    for _, (u, v, w) in _gathered(cs.stack[:, 0], *rows.T):
+        out.extend(_two_norms(one - (u + v + w)).tolist())
+    return out
+
+
 def compute_diagnostics(graph: GadgetGraph, cs: ColoringStrategy) -> Diagnostics:
     """Evaluate zeta/eta/xi/theta over the graph's named substructures.
 
@@ -147,14 +167,15 @@ def compute_diagnostics(graph: GadgetGraph, cs: ColoringStrategy) -> Diagnostics
     _require_coverage(graph, cs)
     theta = _edge_products(graph, cs)
     key = graph.edge_key
-    one = identity(cs.d // 6)
+    triangles = list(_named_triangles(graph))
+    defects = _triangle_sum_defects(cs, [names for _, names in triangles])
     zeta, eta, xi = {}, {}, {}
-    for label, (u, v, w) in _named_triangles(graph):
+    for (label, (u, v, w)), defect in zip(triangles, defects):
         z = 2.0 * (
             _theta_at(theta, key, u, v) + _theta_at(theta, key, u, w) + _theta_at(theta, key, v, w)
         )
         zeta[label] = z
-        eta[label] = two_norm(one - (cs.pvms[u][0] + cs.pvms[v][0] + cs.pvms[w][0]))
+        eta[label] = defect
         InequalityReport(
             f"triangle sum defect at {label!r}", eta[label], 3.0 * math.sqrt(z)
         ).require()
@@ -182,6 +203,11 @@ class ControlCompressions:
 
     def operator(self, perm) -> np.ndarray:
         return self.operators[tuple(perm)]
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The six operators as one (6, 6, d, d) stack, in PERM3 order."""
+        return np.stack([self.operators[perm] for perm in PERM3])
 
 
 def _zeta_color_average(cs: ColoringStrategy, names) -> float:
@@ -287,15 +313,18 @@ def _commutator_rhs(graph: GadgetGraph, diag: Diagnostics, m: int, a: int, x: in
 
 def _question_sandwiches(
     graph: GadgetGraph, cs: ColoringStrategy, cc: ControlCompressions, x: int, m: int
-):
-    """The 6m operators S P_{i,vhat(a,x)} S, ordered by (answer, permutation)."""
-    ops = []
-    for a in range(1, m + 1):
-        block = cs.pvms[graph.answer_vertex(a, x)]
-        for perm in PERM3:
-            s = cc.operators[perm]
-            ops.append(s @ block[perm[0] - 1] @ s)
-    return ops
+) -> np.ndarray:
+    """The 6m operators S P_{i,vhat(a,x)} S as a (6m, 6, d, d) stack, ordered
+    by (answer, permutation)."""
+    s = cc.stack
+    return (s @ _answer_cells(graph, cs, x, m) @ s).reshape(-1, *s.shape[1:])
+
+
+def _answer_cells(graph: GadgetGraph, cs: ColoringStrategy, x: int, m: int) -> np.ndarray:
+    """P_{i,vhat(a,x)} for every answer a and permutation (i, j, k), as an
+    (m, 6, 6, d, d) stack."""
+    rows = _rows(cs, (graph.answer_vertex(a, x) for a in range(1, m + 1)))
+    return cs.stack[rows[:, None], _FIRST_COLOR]
 
 
 def certify_reverse_lemmas(
@@ -315,18 +344,16 @@ def certify_reverse_lemmas(
     diag = compute_diagnostics(graph, sym)
     cc = control_compressions(sym)
     reports = list(cc.reports)
-    m = game.m
+    m, s = game.m, cc.stack
     for x in range(1, game.n + 1):
-        for a in range(1, m + 1):
-            target = sym.pvms[graph.answer_vertex(a, x)]
-            lhs = max(
-                two_norm(commutator(target[perm[0] - 1], cc.operators[perm]))
-                for perm in PERM3
-            )
+        target = _answer_cells(graph, sym, x, m)
+        # per answer, the largest ||[P_{i,vhat(a,x)}, S_{i,j,k}]||_2 over the permutations
+        lhs = _two_norms(target @ s - s @ target).max(axis=1).tolist()
+        for a, norm in enumerate(lhs, start=1):
             reports.append(
                 InequalityReport(
                     f"sandwich commutator (answer {a}, question {x})",
-                    lhs,
+                    norm,
                     _commutator_rhs(graph, diag, m, a, x),
                 ).require()
             )
@@ -334,21 +361,14 @@ def certify_reverse_lemmas(
     for x in range(1, game.n + 1):
         ops = _question_sandwiches(graph, sym, cc, x, m)
         total = sum(ops)
+        # ||ops[p] @ ops[q]||_2 for q != p, one p at a time against slices (views) of ops
+        cross = [
+            _two_norms(op @ others).tolist() for p, op in enumerate(ops) for others in (ops[:p], ops[p + 1:])
+        ]
         quantities = (
             ("sandwich family sum defect", two_norm(one - total)),
-            (
-                "sandwich family projection defect",
-                math.fsum(two_norm(op @ op - op) for op in ops),
-            ),
-            (
-                "sandwich family cross products",
-                math.fsum(
-                    two_norm(ops[p] @ ops[q])
-                    for p in range(len(ops))
-                    for q in range(len(ops))
-                    if p != q
-                ),
-            ),
+            ("sandwich family projection defect", math.fsum(_two_norms(ops @ ops - ops).tolist())),
+            ("sandwich family cross products", math.fsum(chain.from_iterable(cross))),
         )
         for label, value in quantities:
             log.info("question %d: %s %.12g", x, label, value)

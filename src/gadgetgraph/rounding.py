@@ -20,6 +20,7 @@ from .errors import BoundViolation, ValidationError
 from .linalg import (
     ROOT2,
     TOL_SLACK,
+    _two_norms,
     commutator,
     identity,
     require_hermitian,
@@ -260,8 +261,9 @@ def perturb_pvm_with_reports(mats):
     entry is whatever is left of the identity.  Distance bounds are asserted
     per index (three cases: first / interior / completion) and returned.
     On (k, d, d) stacks every block is rounded in the same order, on its own.
+    ``mats`` is a sequence of operators or a (count, *op) array of them.
     """
-    if not mats:
+    if len(mats) == 0:
         raise ValidationError("need at least one input")
     inputs = [
         require_positive_contraction(m, what=f"input {i + 1}") for i, m in enumerate(mats)
@@ -279,13 +281,19 @@ def perturb_pvm_with_reports(mats):
             outs.append(spectral_projection_half(comp @ inputs[k] @ comp))
     outs.append(one - sum(outs) if outs else one)
 
-    distances = [two_norm(b - a) for a, b in zip(inputs, outs)]
+    # The norms over (count, b, d, d) stacks of the b-block operators: the
+    # distances and own defects at once, the cross norms one input at a time.
+    stacked = np.stack(inputs).reshape(count, -1, d, d)
+    distances = _two_norms(np.stack(outs).reshape(stacked.shape) - stacked).tolist()
+    owns = _two_norms(stacked @ stacked - stacked).tolist()
     sum_defect = two_norm(one - sum(inputs))
     reports = []
     for idx in range(count):
         i = idx + 1
-        own = two_norm(inputs[idx] @ inputs[idx] - inputs[idx])
-        history = sum(distances[j] + two_norm(inputs[idx] @ inputs[j]) for j in range(idx))
+        own = owns[idx]
+        cross = _two_norms(stacked[idx] @ stacked[:idx]).tolist()  # with each j < idx
+        # left to right, as the bits of the bound depend on the order
+        history = sum(distances[j] + cross[j] for j in range(idx))
         if i == count:
             rhs = 38.0 * history + 4.0 * ROOT2 * own + sum_defect
         elif i == 1:

@@ -21,26 +21,39 @@ The ``reference_*`` PVM checks are the per-operator code ``linalg`` ran
 before its one stack check: each outcome checked in full, one after the
 other, then the PVM defect.  Every defect of the stack check must equal
 theirs bit for bit.
+
+The ``reference_*`` kernels of the reverse path (the coloring value, the
+edge products, the triangle sum defects, the sandwich commutators and
+families, and the rounding reports) are the per-edge, per-triangle and
+per-pair loops that ran before they were gathered into stacks.
 """
 
 import json
+import math
 from collections import Counter
 from dataclasses import asdict
+from math import fsum
 
 import numpy as np
 
 from gadgetgraph.errors import ValidationError
-from gadgetgraph.games import EDGE_PRIOR, LosingPartition, PriorDistribution, SyncGame
-from gadgetgraph.graphs import DELTA, q_name, t_name, v_name
+from gadgetgraph.forward import _require_coverage
+from gadgetgraph.games import EDGE_PRIOR, LosingPartition, PriorDistribution, SyncGame, edge_loss_probability
+from gadgetgraph.graphs import DELTA, ROOK_PAIRS, q_name, t_name, v_name
 from gadgetgraph.linalg import (
+    ROOT2,
     TOL_EIGENVALUE,
     TOL_PROJECTION,
     TOL_PVM,
     _operator,
+    commutator,
     identity,
     require_hermitian,
+    trace_product,
     two_norm,
 )
+from gadgetgraph.reverse import _named_triangles
+from gadgetgraph.rounding import PERM3
 
 #: Filled by the acceptance tests; conftest prints one line per entry
 #: after the run so the verdicts survive pytest's output capture.
@@ -539,3 +552,103 @@ def assert_edge_accounting(game, graph):
     mapped = {frozenset(names[name] for name in pair) for pair in edges}
     assert all(len(pair) == 2 for pair in mapped), "the handles collapsed an edge"
     assert mapped == {frozenset(p) for p in graph.edges}
+
+
+def reference_coloring_value(graph, cs) -> tuple:
+    """The coloring value and the per-edge same-color probabilities, edge by
+    edge through ``edge_loss_probability``."""
+    _require_coverage(graph, cs)
+    weight = 1.0 / graph.n_edges
+    probabilities = [edge_loss_probability(cs.pvms[u], cs.pvms[v]) for u, v in graph.edges]
+    value = 1.0 - fsum(weight * p for p in probabilities)
+    return value, probabilities
+
+
+def reference_gadget_losses(graph, strategy, cs) -> list:
+    """(loss, probability) of every orthogonality gadget, gadget by gadget."""
+    out = []
+    for ortho in graph.orthos:
+        a, b, x, y = ortho.tup
+        edges = [(ortho.cells[c1], ortho.cells[c2]) for c1, c2 in ROOK_PAIRS]
+        edges.append(("A", ortho.cells[(3, 3)]))
+        loss = fsum(edge_loss_probability(cs.pvms[u], cs.pvms[v]) for u, v in edges)
+        out.append((loss, trace_product(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1])))
+    return out
+
+
+def reference_edge_products(graph, cs) -> dict:
+    """Color-1 product norm per edge of symmetrize's output."""
+    return {(u, v): two_norm(cs.pvms[u][0] @ cs.pvms[v][0]) for u, v in graph.edges}
+
+
+def reference_eta(graph, cs) -> dict:
+    """The color-1 sum defect eta of every named triangle."""
+    one = identity(cs.d // 6)
+    return {
+        label: two_norm(one - (cs.pvms[u][0] + cs.pvms[v][0] + cs.pvms[w][0]))
+        for label, (u, v, w) in _named_triangles(graph)
+    }
+
+
+def reference_commutator_norms(graph, sym, cc, n: int, m: int) -> list:
+    """max over the permutations of ||[P_{i,vhat(a,x)}, S_{i,j,k}]||_2, per
+    question x and then answer a."""
+    out = []
+    for x in range(1, n + 1):
+        for a in range(1, m + 1):
+            target = sym.pvms[graph.answer_vertex(a, x)]
+            out.append(max(
+                two_norm(commutator(target[perm[0] - 1], cc.operators[perm]))
+                for perm in PERM3
+            ))
+    return out
+
+
+def reference_question_sandwiches(graph, cs, cc, x: int, m: int) -> list:
+    """The 6m operators S P_{i,vhat(a,x)} S, ordered by (answer, permutation)."""
+    ops = []
+    for a in range(1, m + 1):
+        block = cs.pvms[graph.answer_vertex(a, x)]
+        for perm in PERM3:
+            s = cc.operators[perm]
+            ops.append(s @ block[perm[0] - 1] @ s)
+    return ops
+
+
+def reference_family_norms(ops) -> tuple:
+    """The sum defect, projection defect and cross products of one
+    question's sandwich family."""
+    one = identity(ops[0].shape[-1])
+    total = sum(ops)
+    return (
+        two_norm(one - total),
+        math.fsum(two_norm(op @ op - op) for op in ops),
+        math.fsum(
+            two_norm(ops[p] @ ops[q])
+            for p in range(len(ops))
+            for q in range(len(ops))
+            if p != q
+        ),
+    )
+
+
+def reference_rounding_reports(inputs, outs) -> list:
+    """(context, lhs, rhs) of each report ``perturb_pvm_with_reports`` gives
+    for rounding ``inputs`` into ``outs``."""
+    count = len(inputs)
+    one = np.broadcast_to(identity(inputs[0].shape[-1]), inputs[0].shape).copy()
+    distances = [two_norm(b - a) for a, b in zip(inputs, outs)]
+    sum_defect = two_norm(one - sum(inputs))
+    reports = []
+    for idx in range(count):
+        i = idx + 1
+        own = two_norm(inputs[idx] @ inputs[idx] - inputs[idx])
+        history = sum(distances[j] + two_norm(inputs[idx] @ inputs[j]) for j in range(idx))
+        if i == count:
+            rhs = 38.0 * history + 4.0 * ROOT2 * own + sum_defect
+        elif i == 1:
+            rhs = 2.0 * ROOT2 * own
+        else:
+            rhs = 19.0 * history + 2.0 * ROOT2 * own
+        reports.append((f"rounded outcome {i} of {count}", distances[idx], rhs))
+    return reports

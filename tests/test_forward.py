@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gadgetgraph.forward import (
     ortho_gadget_losses,
 )
 from gadgetgraph.games import (
+    ColoringStrategy,
     GameStrategy,
     PriorDistribution,
     SimpleGraph,
@@ -149,6 +152,22 @@ def test_ortho_gadget_losses_accounting(rng, min_game, min_graph):
         assert gadget.loss >= -1e-12
         gadget.report.require(tol=1e-9)
         assert gadget.report.rhs == pytest.approx(GADGET_LOSS_FACTOR * gadget.probability)
+
+
+def test_ortho_gadget_losses_rejects_mismatched_inputs(min_game, min_graph, tri_game, tri_graph):
+    strategy = deterministic_strategy(tri_game, (1, 2, 3))
+    cs = forward_translate(tri_game, tri_graph, strategy)
+    with pytest.raises(ValidationError, match="graph was compiled from a different game"):
+        ortho_gadget_losses(tri_game, min_graph, strategy, cs)
+    with pytest.raises(ValidationError, match="missing questions"):
+        ortho_gadget_losses(tri_game, tri_graph, deterministic_strategy(min_game, (1,)), cs)
+    wide = deterministic_strategy(sync_only_game(4), (1,))
+    with pytest.raises(ValidationError, match="4-outcome PVMs, game has m=3"):
+        ortho_gadget_losses(tri_game, tri_graph, wide, cs)
+    gadget_cell = tri_graph.orthos[0].cells[(1, 1)]
+    pruned = {k: list(v) for k, v in cs.pvms.items() if k != gadget_cell}
+    with pytest.raises(ValidationError, match=re.escape(f"lacks PVMs for 1 graph vertices, first {gadget_cell!r}")):
+        ortho_gadget_losses(tri_game, tri_graph, strategy, ColoringStrategy(d=1, pvms=pruned))
 
 
 def test_forward_rejects_mismatched_inputs(min_game, min_graph, tri_game, tri_graph):

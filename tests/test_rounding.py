@@ -196,6 +196,18 @@ def test_perturb_pvm_rejects_empty_and_noncontraction():
         perturb_pvm([1.5 * coord(2, 0), 0.5 * np.eye(2)])
 
 
+def test_perturb_pvm_takes_a_stack(rng):
+    with pytest.raises(ValidationError, match="need at least one input"):
+        perturb_pvm(np.zeros((0, 4, 4)))
+    pvm = random_pvm(rng, 4, 3)
+    blocks = [np.stack([pvm[0], 0.5 * np.eye(4)]), np.stack([pvm[1], 0.25 * np.eye(4)])]
+    for mats in (list(pvm), blocks):
+        from_list, list_reports = perturb_pvm_with_reports(mats)
+        from_stack, stack_reports = perturb_pvm_with_reports(np.stack(mats))
+        assert all(np.array_equal(a, b) for a, b in zip(from_list, from_stack, strict=True))
+        assert stack_reports == list_reports
+
+
 def test_perturb_pvm_output_is_exact(rng):
     noisy = [m + 0.0 for m in random_pvm(rng, 5, 4)]
     pvm, _ = perturb_pvm_with_reports(noisy)
