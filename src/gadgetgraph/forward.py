@@ -122,8 +122,7 @@ def _ortho_colors(strategy: GameStrategy, tup, kind: str):
 
 
 def _check_inputs(game: SyncGame, graph: GadgetGraph, strategy: GameStrategy) -> float:
-    if graph.game != game:
-        raise ValidationError("graph was built from a different game")
+    _require_compiled_from(graph, game)
     _require_strategy_fits(game, strategy)
     *_, (defects, _, _) = _stack_defects(strategy.stack[:game.n])  # questions 1..n
     return float(defects.max())
@@ -185,6 +184,12 @@ def forward_translate(
     # The one PVM check of the output, tighter than the constructor's.
     require_pvm_family(stack, names, tol=FORWARD_PVM_TOL, what="coloring PVM at {}")
     return _prebuilt(ColoringStrategy, d, names, stack)
+
+
+def _require_compiled_from(graph: GadgetGraph, game: SyncGame) -> None:
+    """Raise unless ``graph`` is the gadget graph of ``game``."""
+    if graph.game != game:
+        raise ValidationError("graph was compiled from a different game")
 
 
 def _require_coverage(graph: GadgetGraph, cs: ColoringStrategy) -> None:
@@ -249,8 +254,7 @@ def ortho_gadget_losses(
     cs: ColoringStrategy,
 ) -> tuple:
     """Per-gadget loss accounting for every orthogonality gadget."""
-    if graph.game != game:
-        raise ValidationError("graph was compiled from a different game")
+    _require_compiled_from(graph, game)
     _require_strategy_fits(game, strategy)
     _require_coverage(graph, cs)
     per = len(ROOK_PAIRS) + 1  # edges of one gadget

@@ -532,6 +532,23 @@ _WITHIN_PAIR = ",\n" + " " * 10
 _BETWEEN_PAIRS = "\n        ],\n        [\n          "
 _BETWEEN_MATRICES = "\n        ]\n      ],\n      [\n        [\n          "
 
+# Distinct matrices spelled together: enough to share the spelling of the
+# values they repeat, few enough that their texts stay small.
+_CHUNK = 16
+_MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF  # every bit of a float64 but the sign
+
+
+def _spell_chunk(bits: np.ndarray, template: str) -> list:
+    """The texts of the matrices whose float64 bit patterns are the rows of
+    ``bits``.  Each distinct magnitude is spelled once by ``float.__repr__``;
+    an entry with the sign bit set, ``-0.0`` included, is "-" and its
+    magnitude's spelling, as ``repr`` spells it."""
+    magnitudes, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
+    spelled = list(map(float.__repr__, magnitudes.view(np.float64).tolist()))
+    table = np.array(spelled + ["-" + text for text in spelled], dtype=object)
+    picks = inverse.reshape(bits.shape) + (bits < 0) * len(spelled)
+    return [template % tuple(floats) for floats in table[picks].tolist()]
+
 
 def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None:
     """Write a game or coloring strategy as indented, key-sorted JSON.
@@ -542,39 +559,51 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
     lists.  Validation keeps every entry finite, and ``json`` writes a
     finite float as ``float.__repr__`` does.
 
-    Each distinct matrix is rendered once per call and its text reused,
-    looked up by its bytes, so ``-0.0`` and ``0.0`` stay apart: the 648
+    Each distinct matrix, told apart by its bytes so that ``-0.0`` and
+    ``0.0`` stay apart, is rendered once and its text reused: the 648
     matrices of the benchmark's forward colorings at d = 16 hold 79 to 116
-    distinct ones.  The uses of each matrix are counted first, and a text is
-    kept only until its last use, so a strategy with no repeated matrix
-    holds one matrix's text at a time.
+    distinct ones.  They are rendered in order of first use, 16 at a time,
+    and within such a chunk each distinct float magnitude is spelled once:
+    Hermitian symmetry and shared operators repeat most of them.  The work
+    goes chunk by chunk because a table of spellings for the whole file
+    would hold as much text as a file of distinct matrices.  Besides the
+    use counts, the writer holds one chunk's spellings and texts, and a
+    text only until its last use.  To number the distinct matrices it holds
+    one copy of each one's bytes for a moment, before any text is made.
     """
-    pvms, d = strategy.pvms, strategy.d
-    if strategy.stack.shape[2:] != (d, d):
+    d, keys, stack = strategy.d, strategy.keys, strategy.stack
+    if stack.shape[2:] != (d, d):
         raise ValidationError("only d-by-d strategy operators are written, not symmetrize's stacks")
-    # C order, interleaved re and im
-    uses = Counter(m.tobytes() for m in strategy.stack.reshape(-1, d, d))
-    rendered: dict = {}
+    k = stack.shape[1]
+    bits = stack.reshape(-1, d * d).view(np.int64)  # C order, interleaved re and im
+    # sort_keys orders the str keys, so question "10" precedes "2".
+    rows = sorted(range(len(keys)), key=lambda i: str(keys[i]))
+    index: dict = {}  # a matrix's bytes -> the slot of its first use
+    slots = [s for row in rows for s in range(row * k, row * k + k)]  # in file order
+    firsts = [index.setdefault(bits[s].tobytes(), s) for s in slots]
+    order = list(index.values())  # the distinct matrices, in order of first use
+    del index
+    uses = Counter(firsts)
+    template = _BETWEEN_PAIRS.join(["%s" + _WITHIN_PAIR + "%s"] * (d * d))
+    texts: dict = {}
+    rendered = 0  # how many of ``order`` have been rendered
 
-    def render(m) -> str:
-        raw = m.tobytes()
-        uses[raw] -= 1
-        text = rendered.get(raw) if uses[raw] else rendered.pop(raw, None)
-        if text is None:
-            floats = list(map(float.__repr__, np.frombuffer(raw).tolist()))
-            text = _BETWEEN_PAIRS.join(map(_WITHIN_PAIR.join, zip(floats[0::2], floats[1::2])))
-            if uses[raw]:
-                rendered[raw] = text
-        return text
+    def render(first: int) -> str:
+        nonlocal rendered
+        if first not in texts:  # never rendered yet, so the next in order of first use
+            chunk = order[rendered : rendered + _CHUNK]
+            texts.update(zip(chunk, _spell_chunk(bits[chunk], template)))
+            rendered += len(chunk)
+        uses[first] -= 1
+        return texts[first] if uses[first] else texts.pop(first)
 
     with open(path, "w") as fh:
-        fh.write('{\n  "d": %s,\n  "pvms": {\n' % json.dumps(strategy.d))
-        # sort_keys orders the str keys, so question "10" precedes "2".
-        for i, key in enumerate(sorted(pvms, key=str)):
-            body = _BETWEEN_MATRICES.join(map(render, pvms[key]))
+        fh.write('{\n  "d": %s,\n  "pvms": {\n' % json.dumps(d))
+        for i, row in enumerate(rows):
+            body = _BETWEEN_MATRICES.join(map(render, firsts[i * k : i * k + k]))
             fh.write(
                 "%s    %s: [\n      [\n        [\n          %s\n        ]\n      ]\n    ]"
-                % (",\n" if i else "", json.dumps(str(key)), body)
+                % (",\n" if i else "", json.dumps(str(keys[row])), body)
             )
         fh.write("\n  }\n}\n")
 

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import BoundViolation, ValidationError
-from .forward import _require_coverage, coloring_value
+from .forward import _require_compiled_from, _require_coverage, coloring_value
 from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt, _rows
 from .graphs import DELTA, GadgetGraph
 from .linalg import _gathered, _two_norms, identity, require_positive_contraction, two_norm
@@ -48,6 +48,15 @@ _RELABEL = np.array(PERM3).T - 1
 
 #: The index i - 1 of the first color of each permutation (i, j, k) of PERM3.
 _FIRST_COLOR = np.array([perm[0] for perm in PERM3]) - 1
+
+#: The nine products P_{c,p} P_{c,q} of a triangle's zeta, color by color,
+#: each as (vertex p, vertex q, color c) indices of its three vertices.
+_ZETA_LEFT, _ZETA_RIGHT, _ZETA_COLOR = np.array(
+    [(p, q, c) for c in range(3) for p, q in ((0, 1), (0, 2), (1, 2))]
+).T
+
+#: The 30 ordered pairs (p1, p2), p1 != p2, of the six control sandwiches.
+_CROSS_LEFT, _CROSS_RIGHT = np.array([(p1, p2) for p1 in range(6) for p2 in range(6) if p1 != p2]).T
 
 
 def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> ColoringStrategy:
@@ -210,16 +219,18 @@ class ControlCompressions:
         return np.stack([self.operators[perm] for perm in PERM3])
 
 
+def _operator_norms(stack: np.ndarray) -> list:
+    """``two_norm`` of each operator of a C-ordered stack of (d, d) or
+    (6, d, d) block operators, bit for bit."""
+    return _two_norms(stack.reshape(len(stack), -1, *stack.shape[-2:])).tolist()
+
+
 def _zeta_color_average(cs: ColoringStrategy, names) -> float:
     """Color-averaged zeta of a triangle; defined for any strategy and
     equal to the color-1 zeta once the strategy is symmetrized."""
-    u, v, w = names
-    terms = [
-        two_norm(cs.pvms[p][c] @ cs.pvms[q][c])
-        for c in range(3)
-        for p, q in ((u, v), (u, w), (v, w))
-    ]
-    return 2.0 * math.fsum(terms) / 3.0
+    ops = np.stack([cs.pvms[name] for name in names])  # (vertex, color, ...)
+    products = ops[_ZETA_LEFT, _ZETA_COLOR] @ ops[_ZETA_RIGHT, _ZETA_COLOR]
+    return 2.0 * math.fsum(_operator_norms(products)) / 3.0
 
 
 def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
@@ -247,22 +258,15 @@ def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
         two_norm(one - total),
         238.5 * z_delta,
     ).require()
+    stack = np.stack([operators[perm] for perm in PERM3])
     proj_report = InequalityReport(
         "control sandwich projection defect",
-        math.fsum(
-            two_norm(operators[perm] @ operators[perm] - operators[perm])
-            for perm in PERM3
-        ),
+        math.fsum(_operator_norms(stack @ stack - stack)),
         72.0 * z_delta,
     ).require()
     cross_report = InequalityReport(
         "control sandwich cross products",
-        math.fsum(
-            two_norm(operators[p1] @ operators[p2])
-            for p1 in PERM3
-            for p2 in PERM3
-            if p1 != p2
-        ),
+        math.fsum(_operator_norms(stack[_CROSS_LEFT] @ stack[_CROSS_RIGHT])),
         36.0 * z_delta,
     ).require()
     return ControlCompressions(
@@ -338,8 +342,7 @@ def certify_reverse_lemmas(
     whose constants the analysis leaves implicit.  Explicit bounds are
     certified; a violation raises BoundViolation.
     """
-    if graph.game != game:
-        raise ValidationError("graph was compiled from a different game")
+    _require_compiled_from(graph, game)
     sym = symmetrize(cs, graph)
     diag = compute_diagnostics(graph, sym)
     cc = control_compressions(sym)
@@ -393,8 +396,7 @@ def reverse_translate(
     PVM, and sum each answer's six permutation blocks into one projection.
     Only the output is laid out densely, and checked as an exact PVM family.
     """
-    if graph.game != game:
-        raise ValidationError("graph was compiled from a different game")
+    _require_compiled_from(graph, game)
     sym = symmetrize(cs, graph)
     cc = control_compressions(sym)
     m = game.m

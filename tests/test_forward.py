@@ -32,6 +32,7 @@ from gadgetgraph.instances import (
     random_strategy,
     triangle_strategy,
 )
+from gadgetgraph.reverse import certify_reverse_lemmas, reverse_translate
 
 
 def sync_only_game(m: int) -> SyncGame:
@@ -168,6 +169,25 @@ def test_ortho_gadget_losses_rejects_mismatched_inputs(min_game, min_graph, tri_
     pruned = {k: list(v) for k, v in cs.pvms.items() if k != gadget_cell}
     with pytest.raises(ValidationError, match=re.escape(f"lacks PVMs for 1 graph vertices, first {gadget_cell!r}")):
         ortho_gadget_losses(tri_game, tri_graph, strategy, ColoringStrategy(d=1, pvms=pruned))
+
+
+DIFFERENT_GAME_ENTRY_POINTS = {
+    "forward_translate": lambda game, graph, strategy, cs: forward_translate(game, graph, strategy),
+    "certify_forward": lambda game, graph, strategy, cs: certify_forward(game, graph, strategy),
+    "ortho_gadget_losses": ortho_gadget_losses,
+    "certify_reverse_lemmas": lambda game, graph, strategy, cs: certify_reverse_lemmas(game, graph, cs),
+    "reverse_translate": lambda game, graph, strategy, cs: reverse_translate(game, graph, cs),
+}
+
+
+@pytest.mark.parametrize("entry", DIFFERENT_GAME_ENTRY_POINTS.values(), ids=DIFFERENT_GAME_ENTRY_POINTS)
+def test_entry_points_reject_a_graph_of_a_different_game_alike(entry, min_graph, tri_game, tri_graph):
+    # Inputs that fit tri_game, with the graph of another game.
+    strategy = triangle_strategy()
+    cs = forward_translate(tri_game, tri_graph, strategy)
+    with pytest.raises(ValidationError) as excinfo:
+        entry(tri_game, min_graph, strategy, cs)
+    assert str(excinfo.value) == "graph was compiled from a different game"
 
 
 def test_forward_rejects_mismatched_inputs(min_game, min_graph, tri_game, tri_graph):

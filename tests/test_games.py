@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -677,10 +678,58 @@ def test_writer_renders_repeated_matrices_as_the_reference_does(tmp_path_factory
     _assert_writer_matches(strategy, tmp_path_factory.mktemp("writer") / "s.json")
 
 
+def _assert_writes_the_reference(strategy, path) -> None:
+    # As _assert_writer_matches, but a failure names the first differing
+    # character: pytest's diff of two texts this long would take minutes.
+    write_strategy_json(strategy, path)
+    text, reference = path.read_text(), indented_reference(strategy)
+    same = text == reference
+    assert same, f"differs from the reference at character {len(os.path.commonprefix([text, reference]))}"
+
+
+@st.composite
+def _strategies_past_one_chunk(draw):
+    """Unvalidated strategies with more distinct matrices than the writer
+    spells in one chunk, the first of them used again in the last slot,
+    after the later chunks have begun."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    entry = st.one_of(st.sampled_from(_AWKWARD), st.floats(allow_nan=False, allow_infinity=False))
+    pool = []
+    for i in range(draw(st.integers(min_value=games._CHUNK + 1, max_value=3 * games._CHUNK))):
+        parts = draw(st.lists(entry, min_size=2 * d * d, max_size=2 * d * d))
+        parts[0] = i + 0.5  # keeps the matrices distinct
+        pool.append(np.array(parts).view(np.complex128).reshape(d, d))
+    repeats = draw(st.lists(st.sampled_from(range(len(pool))), max_size=2 * games._CHUNK))
+    slots = [0, *draw(st.permutations(list(range(1, len(pool))) + repeats)), 0]
+    outcomes = draw(st.integers(min_value=1, max_value=3))
+    slots += [0] * (-len(slots) % outcomes)
+    stack = np.array([pool[i] for i in slots]).reshape(-1, outcomes, d, d)
+    # From ten keys on, the file's order ("10" before "2") is not the stack's.
+    return _prebuilt(GameStrategy, d, range(1, len(stack) + 1), stack)
+
+
+@settings(max_examples=30, deadline=None)
+@given(strategy=_strategies_past_one_chunk())
+def test_writer_reuses_texts_across_chunks_as_the_reference_spells_them(tmp_path_factory, strategy):
+    _assert_writes_the_reference(strategy, tmp_path_factory.mktemp("writer") / "s.json")
+
+
+def test_writer_forward_coloring_at_the_benchmark_size(tmp_path):
+    # A forward coloring of a 3-question, 4-answer game at d = 16, the size
+    # the benchmark's forward command writes: hundreds of matrix slots, many
+    # chunks of distinct matrices, and repeats across them.
+    rng = np.random.default_rng(11)
+    game = random_game(rng, 3, 4)
+    coloring = forward_translate(game, build_graph(game), random_strategy(rng, game, 16))
+    _assert_writes_the_reference(coloring, tmp_path / "c.json")
+
+
 def test_writer_keeps_no_text_it_will_not_reuse(tmp_path):
     # 648 distinct matrices at d = 16 make a 13 MB file; a writer that kept
-    # every text until the end peaked 15 MB above its start.  Only the use
-    # counts (one copy of each matrix's bytes, 2.7 MB) and one text remain.
+    # every text until the end peaked 15 MB above its start.  One copy of
+    # each matrix's bytes (2.7 MB) is held while the distinct matrices are
+    # numbered, and dropped before any text is made; then only the use
+    # counts and one chunk's spellings and texts (16 matrices) remain.
     rng = np.random.default_rng(3)
     cs = ColoringStrategy(16, {f"v{i}": list(random_pvm(rng, 16, 3)) for i in range(216)})
     tracemalloc.start()
