@@ -79,14 +79,11 @@ def cmd_compile(args) -> int:
         f" - duplicates {rep.duplicate_slots} = {rep.realized}"
     )
     base = _out_base(args.out, args.game)
-    if args.format in ("json", "both"):
-        target = Path(base + ".graph.json")
-        target.write_text(export_graph(graph, "json"))
-        print(f"wrote {target}")
-    if args.format in ("dot", "both"):
-        target = Path(base + ".dot")
-        target.write_text(export_graph(graph, "dot"))
-        print(f"wrote {target}")
+    for fmt, suffix in (("json", ".graph.json"), ("dot", ".dot")):
+        if args.format in (fmt, "both"):
+            target = Path(base + suffix)
+            target.write_text(export_graph(graph, fmt))
+            print(f"wrote {target}")
     return 0
 
 

@@ -134,32 +134,12 @@ def synchrony_tuples(n: int, m: int) -> list:
     return [(a, b, x, x) for x in range(1, n + 1) for a, b in permutations(range(1, m + 1), 2)]
 
 
-@dataclass(frozen=True)
-class LosingPartition:
-    """Losing tuples split by answer range.
-
-    ``e_set`` holds tuples whose answers both sit on the endpoints {1, m},
-    ``f_set`` those with both answers strictly inside, and ``rest`` everything
-    else (in particular every tuple mixing an endpoint answer with an interior
-    one).  The three parts are disjoint and cover the losing set.
-    """
-
-    e_set: tuple
-    f_set: tuple
-    rest: tuple
-
-
 def _answer_classes(game: SyncGame) -> tuple:
-    """Masks over the rows of ``game.losing_table``, one per part of
-    ``LosingPartition``: both answers in {1, m}, both inside, the rest."""
+    """Masks over the rows of ``game.losing_table``: the e-set (both answers
+    in {1, m}), the f-set (both inside) and the rest (one of each)."""
     ends = np.isin(game.losing_table[:, :2], (1, game.m))
     e_set, f_set = ends.all(axis=1), ~ends.any(axis=1)
     return e_set, f_set, ~(e_set | f_set)
-
-
-def partition_losing(game: SyncGame) -> LosingPartition:
-    rows = (game.losing_table[mask].tolist() for mask in _answer_classes(game))
-    return LosingPartition(*(tuple(map(tuple, part)) for part in rows))
 
 
 # ---------------------------------------------------------------------------

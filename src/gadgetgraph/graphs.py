@@ -15,7 +15,7 @@ The builder works on integer vertex ids, numbered in the canonical order of
 ``vertices``: the control letters, the block cells, the prism tops, then the
 orthogonality gadgets' cells, gadget by gadget in (x, y, a, b) order.  Each
 gadget is one row of ids, the template's slot pairs are mapped through the
-rows, and each name is formatted once, at the end.
+rows, and each name is formatted once; the graph keeps the rows of ids.
 
 Edge accounting is kept honest: every slot the construction *mentions* is
 counted, and a slot whose edge an earlier slot already made is a duplicate of
@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -44,10 +43,6 @@ DUP_SOURCES = ("gadget_block", "orthogonality_gadget", "direct_edge")
 
 def v_name(i: int, j: int, alpha: int, x: int) -> str:
     return f"v({i},{j},{alpha},{x})"
-
-
-def t_name(i: int, alpha: int, x: int) -> str:
-    return f"t({i},{alpha},{x})"
 
 
 def q_name(i: int, j: int, tup) -> str:
@@ -179,21 +174,54 @@ class EdgeCountReport:
 
 @dataclass(frozen=True, eq=False)
 class GadgetGraph:
-    """The compiled graph: vertices, edges, and gadget handles.
+    """The compiled graph as read-only int32 id tables, named on first read.
 
-    Every vertex is canonical: a glued gadget cell holds the earlier vertex
-    it was glued to, so a handle's cells name graph vertices directly.
-    ``vertices`` lists the names in id order, and each edge is a pair of
-    names in that order, the edges sorted by their ids.
+    ``vertices`` lists the names in id order, ``edge_ids`` each edge's ids in
+    order, the edges sorted.  A _BLOCK_COLUMNS row per block, x-major and
+    alpha-minor, an _ORTHO_COLUMNS row per gadget and each direct edge are in
+    ``block_rows``, ``ortho_rows`` and ``rest_rows``, the gadgets' and direct
+    edges' rows of ``game.losing_table`` in ``ortho_at`` and ``rest_at``.
+    ``edges``, ``blocks``, ``orthos`` and ``rest_edges`` are views in names.
     """
 
     game: SyncGame
     vertices: tuple
-    edges: tuple
-    blocks: tuple
-    orthos: tuple
-    rest_edges: tuple
+    edge_ids: np.ndarray
+    block_rows: np.ndarray
+    ortho_rows: np.ndarray
+    ortho_at: np.ndarray
+    rest_rows: np.ndarray
+    rest_at: np.ndarray
     report: EdgeCountReport
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Each edge as a pair of names in vertex order."""
+        return tuple(zip(*(map(self.vertices.__getitem__, ids) for ids in self.edge_ids.T.tolist())))
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """One ``BlockHandle`` per block, x-major and alpha-minor."""
+        name, per_x = self.vertices.__getitem__, self.game.m - 2
+        return tuple(
+            BlockHandle(k % per_x + 1, k // per_x + 1, dict(zip(_CELLS, map(name, row))), name(row[11]), name(row[12]))
+            for k, row in enumerate(self.block_rows.tolist())
+        )
+
+    @cached_property
+    def orthos(self) -> tuple:
+        """One ``OrthoHandle`` per gadget, the e-set's first; its hub q(1,2) gives its kind."""
+        name, tuples = self.vertices.__getitem__, self.game.losing_sorted
+        return tuple(
+            OrthoHandle(tuples[i], "e" if row[_CELL[(1, 2)]] == _B else "f", dict(zip(_CELLS, map(name, row))))
+            for i, row in zip(self.ortho_at.tolist(), self.ortho_rows.tolist())
+        )
+
+    @cached_property
+    def rest_edges(self) -> tuple:
+        """(tuple, (u, v)) for each losing tuple that asks for a direct edge."""
+        name, tuples = self.vertices.__getitem__, self.game.losing_sorted
+        return tuple((tuples[i], tuple(map(name, uv))) for i, uv in zip(self.rest_at.tolist(), self.rest_rows.tolist()))
 
     @cached_property
     def vertex_id(self) -> dict:
@@ -212,7 +240,7 @@ class GadgetGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_ids)
 
     def block(self, alpha: int, x: int) -> BlockHandle:
         """The block (alpha, x); ``blocks`` is x-major and alpha-minor."""
@@ -249,7 +277,7 @@ def build_graph(game: SyncGame) -> GadgetGraph:
     e_at, f_at, rest_at = map(np.flatnonzero, _answer_classes(game))
     gadget_at = np.concatenate([e_at, f_at])
     gadget_tuples, rest = game.losing_table[gadget_at], game.losing_table[rest_at]
-    tuples, rest_tuples = ([game.losing_sorted[i] for i in at.tolist()] for at in (gadget_at, rest_at))
+    tuples = list(map(tuple, gadget_tuples.tolist()))
     n_blocks, n_orthos, n_e = n * (m - 2), len(tuples), len(e_at)
 
     # Blocks, x-major and alpha-minor, one _BLOCK_COLUMNS row each.  The
@@ -290,9 +318,8 @@ def build_graph(game: SyncGame) -> GadgetGraph:
             suffix = f",{alpha},{x})"
             names += ["v(%d,%d" % c + suffix for c in (_CHAINED_OWN if alpha > 1 else _FIRST_OWN)]
     names += [f"t({i},{alpha},{x})" for x in range(1, n + 1) for alpha in range(1, m - 1) for i in (1, 3)]
-    for k in ranked.tolist():
-        suffix = ",%d,%d,%d,%d)" % tuples[k]
-        names += ["q(%d,%d" % c + suffix for c in _ORTHO_OWN]
+    suffixes = np.array([",%d,%d,%d,%d)" % tuples[k] for k in ranked.tolist()], dtype=object)
+    names += (np.array(["q(%d,%d" % c for c in _ORTHO_OWN], dtype=object) + suffixes[:, None]).ravel().tolist()
     n_vertices = len(names)
 
     # A glued cell holds a vertex declared before its gadget's own cells.
@@ -316,7 +343,7 @@ def build_graph(game: SyncGame) -> GadgetGraph:
         rest_rows,
     ])
     source = np.repeat(np.arange(4), (3, 25 * n_blocks, 19 * n_orthos, len(rest)))
-    lo, hi = slots.min(axis=1), slots.max(axis=1)
+    lo, hi = np.minimum(*slots.T), np.maximum(*slots.T)
     loops = np.flatnonzero(lo == hi)
     if loops.size:
         k = loops[0]
@@ -338,42 +365,18 @@ def build_graph(game: SyncGame) -> GadgetGraph:
             f"formula {formula} + 3 - duplicates {duplicate_slots}"
         )
 
-    rest_set = set(rest_tuples)
-    symmetric_rest_pairs = sum(
-        1 for a, b, x, y in rest_tuples if (b, a, y, x) in rest_set and (a, b, x, y) < (b, a, y, x)
-    )
+    rest_set = set(map(tuple, rest.tolist()))
+    symmetric_rest_pairs = sum(1 for a, b, x, y in rest_set if (b, a, y, x) in rest_set and (a, b, x, y) < (b, a, y, x))
 
     report = EdgeCountReport(
-        block_term=block_term,
-        e_term=e_term,
-        f_term=f_term,
-        rest_term=rest_term,
-        formula=formula,
-        delta_correction=3,
-        duplicate_slots=duplicate_slots,
-        duplicates_by_source=dict(zip(DUP_SOURCES, dup_counts[1:])),
-        symmetric_rest_pairs=symmetric_rest_pairs,
-        realized=realized,
+        block_term, e_term, f_term, rest_term, formula, 3, duplicate_slots,
+        dict(zip(DUP_SOURCES, dup_counts[1:])), symmetric_rest_pairs, realized,
     )
-
-    name = names.__getitem__
-    xa = ((x, alpha) for x in range(1, n + 1) for alpha in range(1, m - 1))
-    edge_lo, edge_hi = np.divmod(codes, n_vertices)
-    return GadgetGraph(
-        game=game,
-        vertices=tuple(names),
-        edges=tuple(zip(map(name, edge_lo.tolist()), map(name, edge_hi.tolist()))),
-        blocks=tuple(
-            BlockHandle(alpha, x, dict(zip(_CELLS, map(name, row[:9]))), name(row[11]), name(row[12]))
-            for (x, alpha), row in zip(xa, block_rows.tolist())
-        ),
-        orthos=tuple(
-            OrthoHandle(tup, "e" if k < n_e else "f", dict(zip(_CELLS, map(name, row[:9]))))
-            for k, (tup, row) in enumerate(zip(tuples, ortho_rows.tolist()))
-        ),
-        rest_edges=tuple((tup, (name(u), name(v))) for tup, (u, v) in zip(rest_tuples, rest_rows.tolist())),
-        report=report,
-    )
+    edge_ids = np.stack(np.divmod(codes, n_vertices), axis=1)
+    tables = [t.astype(np.int32) for t in (edge_ids, block_rows, ortho_rows, gadget_at, rest_rows, rest_at)]
+    for t in tables:
+        t.flags.writeable = False
+    return GadgetGraph(game, tuple(names), *tables, report)
 
 
 # ---------------------------------------------------------------------------
@@ -383,31 +386,47 @@ def build_graph(game: SyncGame) -> GadgetGraph:
 # The JSON text is exactly json.dumps(payload, sort_keys=True, indent=1) of
 # the payload {"edge_count_report", "edges", "gadgets": {"blocks", "delta",
 # "orthogonality", "rest"}, "vertices"}, written from templates of that fixed
-# layout: every key order below is already sorted, and %d writes the game's
+# layout: every key order below is already sorted, and str spells the game's
 # indices as json does because SyncGame admits ints only, never bools.  Both
 # exports write a name between plain quotes: names are spelled from A, B, C,
 # q, t, v, digits, commas and parentheses, none of which JSON or DOT escapes.
+# A JSON item's template ends with the list's separator.
 _CELL_KEYS = ",\n".join(f'     "{i},{j}": "%s"' for i, j in _CELLS)
-_cell_values = itemgetter(*_CELLS)
-_TUPLE = '    "tuple": [\n     %d,\n     %d,\n     %d,\n     %d\n    ]'
+_TUPLE = '    "tuple": [\n     %s,\n     %s,\n     %s,\n     %s\n    ]'
 _BLOCK = (
-    '   {\n    "alpha": %d,\n    "cells": {\n' + _CELL_KEYS + "\n    },\n"
-    '    "t": [\n     "%s",\n     "%s"\n    ],\n    "x": %d\n   }'
+    '   {\n    "alpha": %s,\n    "cells": {\n' + _CELL_KEYS + "\n    },\n"
+    '    "t": [\n     "%s",\n     "%s"\n    ],\n    "x": %s\n   },\n'
 )
-_ORTHO = '   {\n    "cells": {\n' + _CELL_KEYS + '\n    },\n    "kind": "%s",\n' + _TUPLE + "\n   }"
-_REST = '   {\n    "edge": [\n     "%s",\n     "%s"\n    ],\n' + _TUPLE + "\n   }"
+_ORTHO = '   {\n    "cells": {\n' + _CELL_KEYS + '\n    },\n    "kind": "%s",\n' + _TUPLE + "\n   },\n"
+_REST = '   {\n    "edge": [\n     "%s",\n     "%s"\n    ],\n' + _TUPLE + "\n   },\n"
 
 
-def _json_list(items, indent: str) -> str:
-    """A JSON array of already indented items; its bracket closes at ``indent``."""
-    text = ",\n".join(items)
-    return "[\n" + text + "\n" + indent + "]" if text else "[]"
+def _fill(template: str, *columns: np.ndarray) -> str:
+    """``"".join(template % row for row in zip(*columns))`` for object arrays
+    of strs, as one join over a table of the fixed pieces and the values."""
+    pieces = template.split("%s")
+    table = np.empty((len(columns[0]), 2 * len(pieces) - 1), dtype=object)
+    table[:, 0::2] = np.array(pieces, dtype=object)
+    table[:, 1::2] = np.column_stack(columns)
+    return "".join(table.ravel().tolist())
+
+
+def _lookups(graph: GadgetGraph) -> tuple:
+    """Object arrays of the names in id order and of the spellings of 0..max(n, m)."""
+    numbers = np.array([str(i) for i in range(max(graph.game.n, graph.game.m) + 1)], dtype=object)
+    return np.array(graph.vertices, dtype=object), numbers
+
+
+def _json_list(items: str, indent: str) -> str:
+    """A JSON array of indented items, each followed by ",\n", closed at ``indent``."""
+    return "[\n" + items[:-2] + "\n" + indent + "]" if items else "[]"
 
 
 def _graph_json(graph: GadgetGraph) -> str:
-    blocks = (_BLOCK % (b.alpha, *_cell_values(b.cells), b.t1, b.t3, b.x) for b in graph.blocks)
-    orthos = (_ORTHO % (*_cell_values(o.cells), o.kind, *o.tup) for o in graph.orthos)
-    rest = (_REST % (u, v, *t) for t, (u, v) in graph.rest_edges)
+    (names, numbers), blocks, orthos = _lookups(graph), graph.block_rows, graph.ortho_rows
+    x, alpha = numbers[1 + np.stack(np.divmod(np.arange(len(blocks)), graph.game.m - 2))]
+    kinds = np.where(orthos[:, _CELL[(1, 2)]] == _B, "e", "f").astype(object)
+    tuples, rest = (numbers[graph.game.losing_table[at]] for at in (graph.ortho_at, graph.rest_at))
     report = json.dumps(asdict(graph.report), sort_keys=True, indent=1).replace("\n", "\n ")
     return (
         '{\n "edge_count_report": %s,\n "edges": %s,\n'
@@ -415,37 +434,41 @@ def _graph_json(graph: GadgetGraph) -> str:
         ' "vertices": %s\n}\n'
     ) % (
         report,
-        _json_list(map('  [\n   "%s",\n   "%s"\n  ]'.__mod__, graph.edges), " "),
-        _json_list(blocks, "  "),
-        _json_list(map('   "%s"'.__mod__, DELTA), "  "),
-        _json_list(orthos, "  "),
-        _json_list(rest, "  "),
-        _json_list(map('  "%s"'.__mod__, graph.vertices), " "),
+        _json_list(_fill('  [\n   "%s",\n   "%s"\n  ],\n', names[graph.edge_ids]), " "),
+        _json_list(_fill(_BLOCK, alpha, names[blocks[:, :9]], names[blocks[:, 11:]], x), "  "),
+        _json_list("".join(f'   "{letter}",\n' for letter in DELTA), "  "),
+        _json_list(_fill(_ORTHO, names[orthos[:, :9]], kinds, tuples), "  "),
+        _json_list(_fill(_REST, names[graph.rest_rows], rest), "  "),
+        _json_list(_fill('  "%s",\n', names), " "),
     )
 
 
 # The DOT text lists one cluster per gadget, in the order of their vertices:
 # the control triangle, the blocks by (x, alpha), then the orthogonality
-# gadgets by (x, y, a, b).  A cluster holds the vertices its gadget declares,
-# in vertex order, and the edges follow the clusters.
+# gadgets by (x, y, a, b), which is the order of their first own cell.  A
+# cluster holds the vertices its gadget declares, in vertex order, and the
+# edges follow the clusters.
 _DOT_VERTEX = '    "%s";'.__mod__
-_DOT_DELTA = '  subgraph "cluster_delta" {\n    label="control triangle";\n%s\n  }'
-_DOT_BLOCK = '  subgraph "cluster_block_x%d_a%d" {\n    label="block alpha=%d x=%d";\n%s\n  }'
-_DOT_ORTHO = '  subgraph "cluster_ortho_a%d_b%d_x%d_y%d" {\n    label="orthogonality (%d,%d,%d,%d)";\n%s\n  }'
-_ORTHO_OWN_CELLS = itemgetter(*_ORTHO_OWN)
+_DOT_DELTA = '  subgraph "cluster_delta" {\n    label="control triangle";\n%s\n  }\n'
+_DOT_BLOCK = '  subgraph "cluster_block_x%d_a%d" {\n    label="block alpha=%d x=%d";\n%s\n  }\n'
+_DOT_ORTHO = (
+    '  subgraph "cluster_ortho_a%s_b%s_x%s_y%s" {\n    label="orthogonality (%s,%s,%s,%s)";\n'
+    + '    "%s";\n' * len(_ORTHO_OWN) + "  }\n"
+)
 
 
 def _graph_dot(graph: GadgetGraph) -> str:
+    (names, numbers), per_x = _lookups(graph), graph.game.m - 2
     clusters = [_DOT_DELTA % "\n".join(map(_DOT_VERTEX, DELTA))]
-    for b in graph.blocks:
-        own = _FIRST_OWN if b.alpha == 1 else _CHAINED_OWN
-        members = [b.cells[c] for c in own] + [b.t1, b.t3]
-        clusters.append(_DOT_BLOCK % (b.x, b.alpha, b.alpha, b.x, "\n".join(map(_DOT_VERTEX, members))))
-    for o in sorted(graph.orthos, key=lambda o: (o.tup[2], o.tup[3], o.tup[0], o.tup[1])):
-        members = "\n".join(map(_DOT_VERTEX, _ORTHO_OWN_CELLS(o.cells)))
-        clusters.append(_DOT_ORTHO % (*o.tup, *o.tup, members))
-    edges = "".join(map('  "%s" -- "%s";\n'.__mod__, graph.edges))
-    return "graph gadget_graph {\n%s\n%s}\n" % ("\n".join(clusters), edges)
+    for k, row in enumerate(graph.block_rows):
+        alpha, x = k % per_x + 1, k // per_x + 1
+        members = names[np.concatenate([row[:9][_FIRST_MASK if alpha == 1 else _CHAINED_MASK], row[11:]])]
+        clusters.append(_DOT_BLOCK % (x, alpha, alpha, x, "\n".join(map(_DOT_VERTEX, members))))
+    order = np.argsort(graph.ortho_rows[:, _CELL[_ORTHO_OWN[0]]])
+    tuples = numbers[graph.game.losing_table[graph.ortho_at[order]]]
+    clusters.append(_fill(_DOT_ORTHO, tuples, tuples, names[graph.ortho_rows[order, :9][:, _ORTHO_MASK]]))
+    edges = _fill('  "%s" -- "%s";\n', names[graph.edge_ids])
+    return "graph gadget_graph {\n%s%s}\n" % ("".join(clusters), edges)
 
 
 def export_graph(graph: GadgetGraph, fmt: str) -> str:

@@ -12,6 +12,8 @@ The builder names only the cells that become vertices.  The paper's other
 names (the prism rungs s(j), the middle top t(2), the answer cells v̂(a, x)
 and every glued cell) are spelled here, and ``handle_names`` reads the
 vertex each of them lands on from the graph's gadget handles.
+``reference_name_views`` is the eager code that named a graph's edges and
+handles from its id tables before they became views built on first read.
 
 ``reference_game_check``, ``reference_losing_sorted`` and
 ``reference_partition_losing`` are the per-tuple loops a game was checked,
@@ -33,13 +35,15 @@ import math
 from collections import Counter
 from dataclasses import asdict
 from math import fsum
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.forward import _require_coverage
-from gadgetgraph.games import EDGE_PRIOR, LosingPartition, PriorDistribution, SyncGame, edge_loss_probability
-from gadgetgraph.graphs import DELTA, ROOK_PAIRS, q_name, t_name, v_name
+from gadgetgraph.games import EDGE_PRIOR, PriorDistribution, SyncGame, edge_loss_probability
+from gadgetgraph.graphs import DELTA, ROOK_PAIRS, BlockHandle, OrthoHandle, q_name, v_name
 from gadgetgraph.linalg import (
     ROOT2,
     TOL_EIGENVALUE,
@@ -192,6 +196,36 @@ def reference_graph_json(graph) -> dict:
     }
 
 
+#: The nine cells of a 3x3 gadget, row-major.
+CELLS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
+
+
+def reference_name_views(graph) -> SimpleNamespace:
+    """``edges``, ``blocks``, ``orthos`` and ``rest_edges`` named from the
+    graph's id tables by the eager code ``build_graph`` ran before they
+    became views built on first read."""
+    n, m = graph.game.n, graph.game.m
+    name = list(graph.vertices).__getitem__
+    tuples, rest_tuples = ([graph.game.losing_sorted[i] for i in at.tolist()] for at in (graph.ortho_at, graph.rest_at))
+    n_e = sum(1 for a, b, _, _ in tuples if {a, b} <= {1, m})
+    xa = ((x, alpha) for x in range(1, n + 1) for alpha in range(1, m - 1))
+    edge_lo, edge_hi = graph.edge_ids[:, 0], graph.edge_ids[:, 1]
+    return SimpleNamespace(
+        edges=tuple(zip(map(name, edge_lo.tolist()), map(name, edge_hi.tolist()))),
+        blocks=tuple(
+            BlockHandle(alpha, x, dict(zip(CELLS, map(name, row[:9]))), name(row[11]), name(row[12]))
+            for (x, alpha), row in zip(xa, graph.block_rows.tolist())
+        ),
+        orthos=tuple(
+            OrthoHandle(tup, "e" if k < n_e else "f", dict(zip(CELLS, map(name, row[:9]))))
+            for k, (tup, row) in enumerate(zip(tuples, graph.ortho_rows.tolist()))
+        ),
+        rest_edges=tuple(
+            (tup, (name(u), name(v))) for tup, (u, v) in zip(rest_tuples, graph.rest_rows.tolist())
+        ),
+    )
+
+
 def reference_coloring_game(edges, n_vertices: int) -> SyncGame:
     """The 3-coloring game of an edge list, with its own edge checks, as
     ``coloring_game`` built it before it took a ``SimpleGraph``."""
@@ -265,10 +299,21 @@ def reference_losing_sorted(losing) -> tuple:
     return tuple(sorted(losing))
 
 
-def reference_partition_losing(m, losing) -> LosingPartition:
+class ReferencePartition(NamedTuple):
+    """A game's losing tuples split by answer range: ``e_set`` holds those
+    whose answers both sit on the endpoints {1, m}, ``f_set`` those with both
+    answers strictly inside, and ``rest`` every other, in particular every
+    tuple mixing an endpoint answer with an interior one."""
+
+    e_set: tuple
+    f_set: tuple
+    rest: tuple
+
+
+def reference_partition_losing(m, losing) -> ReferencePartition:
     """The split of a game's losing tuples by answer range, by the loop over
-    Python tuples that ``partition_losing`` ran before it read masks off the
-    answer columns of the losing table."""
+    Python tuples that ``games.partition_losing`` ran before the compiler
+    read the masks of ``games._answer_classes`` alone."""
     endpoints = {1, m}
     e_set, f_set, rest = [], [], []
     for t in reference_losing_sorted(losing):
@@ -279,7 +324,7 @@ def reference_partition_losing(m, losing) -> LosingPartition:
             f_set.append(t)
         else:
             rest.append(t)
-    return LosingPartition(tuple(e_set), tuple(f_set), tuple(rest))
+    return ReferencePartition(tuple(e_set), tuple(f_set), tuple(rest))
 
 
 def reference_uniform_edges(edges) -> PriorDistribution:
@@ -312,6 +357,12 @@ def first_differing_line(got: str, want: str) -> str:
         if g != w:
             return f"{number}: {g!r} != {w!r}"
     return "past the end of the shorter text"
+
+
+def t_name(i: int, alpha: int, x: int) -> str:
+    """The paper's prism top t(i) over block (alpha, x); t(2) is the control
+    vertex A, so the builder names only t(1) and t(3)."""
+    return f"t({i},{alpha},{x})"
 
 
 def s_name(j: int, alpha: int, x: int) -> str:

@@ -34,13 +34,13 @@ from gadgetgraph.games import (
     PriorDistribution,
     SimpleGraph,
     SyncGame,
+    _answer_classes,
     _prebuilt,
     coloring_game,
     game_to_json,
     load_coloring_strategy,
     load_game,
     load_game_strategy,
-    partition_losing,
     save_game,
     sync_value,
     synchrony_tuples,
@@ -247,7 +247,7 @@ def test_the_array_check_agrees_with_the_per_tuple_loop(data, n, m, as_set):
     def checked():
         game = SyncGame(n, m, losing)
         assert "_losing_mask" not in vars(game)
-        return game.losing, game._losing_mask, game.losing_sorted, partition_losing(game)
+        return game.losing, game._losing_mask, game.losing_sorted, answer_classes(game)
 
     def outcome(check):
         try:
@@ -306,24 +306,31 @@ def test_game_json_round_trip(tmp_path):
     assert load_game(target) == game
 
 
+def answer_classes(game) -> tuple:
+    """The losing tuples under each mask of ``games._answer_classes``."""
+    return tuple(tuple(map(tuple, game.losing_table[mask].tolist())) for mask in _answer_classes(game))
+
+
 def test_partition_of_minimal_game(min_game):
-    part = partition_losing(min_game)
+    e_set, f_set, rest = answer_classes(min_game)
     # answers 1 and 3 are the endpoints of {1,2,3}: two losing pairs sit
     # entirely on them, none entirely inside, four straddle.
-    assert len(part.e_set) == 2
-    assert len(part.f_set) == 0
-    assert len(part.rest) == 4
-    assert all(t[0] != t[1] for t in part.rest)
+    assert len(e_set) == 2
+    assert len(f_set) == 0
+    assert len(rest) == 4
+    assert all(t[0] != t[1] for t in rest)
+    assert (e_set, f_set, rest) == reference_partition_losing(3, min_game.losing)
 
 
 def test_partition_m5_spot_checks():
     losing = {(a, b, x, x) for x in (1,) for a in range(1, 6) for b in range(1, 6) if a != b}
     game = SyncGame(n=1, m=5, losing=frozenset(losing))
-    part = partition_losing(game)
-    assert (1, 5, 1, 1) in part.e_set
-    assert (2, 4, 1, 1) in part.f_set
-    assert (1, 2, 1, 1) in part.rest
-    assert len(part.e_set) + len(part.f_set) + len(part.rest) == len(losing)
+    e_set, f_set, rest = answer_classes(game)
+    assert (1, 5, 1, 1) in e_set
+    assert (2, 4, 1, 1) in f_set
+    assert (1, 2, 1, 1) in rest
+    assert len(e_set) + len(f_set) + len(rest) == len(losing)
+    assert (e_set, f_set, rest) == reference_partition_losing(5, losing)
 
 
 def test_uniform_questions_prior():

@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from gadgetgraph import cli
 from gadgetgraph.errors import ValidationError
-from gadgetgraph.games import SyncGame, coloring_game
+from gadgetgraph.games import SyncGame, game_to_json, load_game
 from gadgetgraph.graphs import (
     DELTA,
     ROOK_PAIRS,
@@ -16,7 +18,6 @@ from gadgetgraph.graphs import (
     edge_count_formula,
     export_graph,
     q_name,
-    t_name,
     v_name,
 )
 from gadgetgraph.instances import random_game
@@ -170,7 +171,7 @@ def test_block_internal_gluings(min_graph):
     # the (1,2) cell is the control vertex B.
     names = helpers.handle_names(min_graph)
     block = min_graph.block(1, 1)
-    assert block.t_triangle()[1] == names[t_name(2, 1, 1)] == "A"
+    assert block.t_triangle()[1] == names[helpers.t_name(2, 1, 1)] == "A"
     assert block.cells[(1, 2)] == names[v_name(1, 2, 1, 1)] == "B"
     for j in (1, 2, 3):
         assert names[helpers.s_name(j, 1, 1)] == block.cells[(1, j)]
@@ -276,6 +277,57 @@ def test_every_edge_uses_canonical_vertices(min_graph):
     assert all(names[vertex] == vertex for vertex in min_graph.vertices)
 
 
+NAME_VIEWS = ("edges", "blocks", "orthos", "rest_edges")
+
+
+def test_compile_builds_no_name_views(monkeypatch, tmp_path, capsys):
+    # compile builds the graph and writes both exports from its id tables
+    # alone; reading a view is what caches it.
+    built = []
+    monkeypatch.setattr(cli, "build_graph", lambda game: built.append(build_graph(game)) or built[-1])
+    game = random_game(np.random.default_rng(1), 4, 5, 0.3)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_to_json(game)))
+    assert cli.main(["compile", str(path), "--format", "both"]) == 0
+    assert "wrote" in capsys.readouterr().out
+    (graph,) = built
+    assert not set(NAME_VIEWS) & set(vars(graph))
+    assert all(getattr(graph, view) for view in NAME_VIEWS)
+    assert set(NAME_VIEWS) <= set(vars(graph))
+
+
+def view_fields(views) -> dict:
+    """The name views of a graph, each handle as its dict of fields."""
+    return {
+        "edges": views.edges,
+        "blocks": [vars(b) for b in views.blocks],
+        "orthos": [vars(o) for o in views.orthos],
+        "rest_edges": views.rest_edges,
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=11),
+    m=st.integers(min_value=3, max_value=6),
+    p=st.floats(min_value=0.0, max_value=0.3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_name_views_match_the_eager_reference(n, m, p, seed):
+    graph = build_graph(random_game(np.random.default_rng(seed), n, m, p))
+    assert view_fields(graph) == view_fields(helpers.reference_name_views(graph))
+
+
+def test_name_views_match_the_eager_reference_on_fixed_games(min_graph, tri_graph):
+    golden = Path(__file__).parent / "golden"
+    games = [min_graph.game, tri_graph.game, sync_only_game(5)]
+    games += [load_game(golden / name) for name in ("game.json", "game10.json")]
+    for game in games:
+        graph = build_graph(game)
+        assert view_fields(graph) == view_fields(helpers.reference_name_views(graph))
+        assert all(id(o.tup) in {id(t) for t in game.losing} for o in graph.orthos)
+
+
 def test_no_duplicate_edges(tri_graph):
     undirected = {frozenset(e) for e in tri_graph.edges}
     assert len(undirected) == tri_graph.n_edges
@@ -326,13 +378,22 @@ def test_json_export_matches_reference_dump(n, m, p, seed):
     assert_json_matches_reference(build_graph(random_game(np.random.default_rng(seed), n, m, p)))
 
 
+#: The id-level fields that hold a graph's orthogonality gadgets or its
+#: direct edges, emptied.
+EMPTIED = {
+    "orthos": dict(ortho_rows=np.empty((0, 10), dtype=np.int32), ortho_at=np.empty(0, dtype=np.int32)),
+    "rest_edges": dict(rest_rows=np.empty((0, 2), dtype=np.int32), rest_at=np.empty(0, dtype=np.int32)),
+}
+
+
 def test_json_export_with_empty_gadget_lists(min_graph):
     # Synchrony alone leaves the f-set empty at m = 3, but never the e-set or
-    # the rest, so those two lists are emptied on the handle level.
+    # the rest, so those two lists are emptied on the id-row level.
     assert {o.kind for o in min_graph.orthos} == {"e"}
     assert_json_matches_reference(min_graph)
     for emptied in (("orthos",), ("rest_edges",), ("orthos", "rest_edges")):
-        graph = replace(min_graph, **dict.fromkeys(emptied, ()))
+        graph = replace(min_graph, **{k: v for attr in emptied for k, v in EMPTIED[attr].items()})
+        assert all((getattr(graph, attr) == ()) == (attr in emptied) for attr in EMPTIED)
         assert_json_matches_reference(graph)
         text = export_graph(graph, "json")
         for attr, key in (("orthos", "orthogonality"), ("rest_edges", "rest")):
@@ -357,16 +418,20 @@ def test_dot_export_matches_reference(n, m, p, seed):
 
 def test_dot_export_with_no_orthogonality_gadgets(min_graph):
     # Every game has e-set gadgets, so the gadget-free graph is cut from the
-    # minimal one: no gadget handles, vertices or edges.
+    # minimal one: no gadget rows, vertices or edges.  The vertices the
+    # gadgets declare are numbered last, so the cut keeps every other id.
     gadget_vertices = {v for o in min_graph.orthos for v in o.cells.values()} - {
         v for b in min_graph.blocks for v in b.cells.values()
     } - set(DELTA)
+    kept = min_graph.n_vertices - len(gadget_vertices)
     graph = replace(
         min_graph,
-        orthos=(),
-        vertices=tuple(v for v in min_graph.vertices if v not in gadget_vertices),
-        edges=tuple(e for e in min_graph.edges if not gadget_vertices & set(e)),
+        **EMPTIED["orthos"],
+        vertices=min_graph.vertices[:kept],
+        edge_ids=min_graph.edge_ids[(min_graph.edge_ids < kept).all(axis=1)],
     )
+    assert graph.vertices == tuple(v for v in min_graph.vertices if v not in gadget_vertices)
+    assert graph.edges == tuple(e for e in min_graph.edges if not gadget_vertices & set(e))
     assert len(graph.vertices) == len(min_graph.vertices) - 6 * len(min_graph.orthos)
     assert export_graph(graph, "dot") == helpers.reference_dot(graph)
     assert "cluster_ortho" not in export_graph(graph, "dot")
