@@ -91,10 +91,12 @@ def cmd_forward(args) -> int:
     game = load_game(Path(args.game))
     strategy = load_game_strategy(args.strategy)
     graph = build_graph(game)
+    # certify_forward's own coloring is gone before this one is made.
+    report = certify_forward(game, graph, strategy)
     cs = forward_translate(game, graph, strategy)
     print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges")
     print(f"coloring value: {_fmt(coloring_value(graph, cs).value)}")
-    print(_report_line(certify_forward(game, graph, strategy)))
+    print(_report_line(report))
     target = Path(_out_base(args.out, args.strategy) + ".coloring.json")
     write_strategy_json(cs, target)
     print(f"wrote {target}")

@@ -2,11 +2,11 @@
 
 Every vertex of the gadget graph receives a triple of projections (its
 3-coloring PVM) built out of the game strategy's measurement operators:
-the control triangle gets the three coordinate colors, each rook block is
-colored by three structured operator matrices over partial sums of the
-question's PVM, each orthogonality gadget by a second family built around
-a perturbed projection that exactly annihilates one measurement operator,
-and the prism tops by complementary partial sums.
+the control triangle gets the three coordinate colors, each rook block and
+its prism tops three structured operator matrices over partial sums of the
+question's PVM, each orthogonality gadget a second family built around a
+perturbed projection that exactly annihilates one measurement operator.
+Each gadget kind is colored from one template, all its gadgets at once.
 
 Gluing consistency is *verified*, not assumed: when two gadgets both name
 a vertex, their color assignments are compared — bitwise for two
@@ -36,7 +36,7 @@ from .games import (
     _rows,
     sync_value,
 )
-from .graphs import DELTA, ROOK_PAIRS, GadgetGraph
+from .graphs import _A, _B, _C, _CELL, _CELLS, _ORTHO_SLOTS, GadgetGraph
 from .linalg import _overlaps, _stack_defects, identity, require_pvm_family, trace_product, zero
 from .rounding import InequalityReport, _perturb_checked_two
 
@@ -50,75 +50,43 @@ GADGET_LOSS_FACTOR = 712.0
 FORWARD_FACTOR = 356.0
 
 
-def interval_sum(strategy: GameStrategy, s: int, t: int, x: int) -> np.ndarray:
-    """Partial sum of the question-x PVM over outcomes s..t; zero if s > t."""
-    m = strategy.outcomes
-    if x not in strategy.pvms:
-        raise ValidationError(f"strategy has no question {x}")
-    if not (1 <= s <= m + 1) or not (0 <= t <= m):
-        raise ValidationError(f"interval [{s},{t}] out of range for {m} outcomes")
-    return sum(strategy.pvms[x][s - 1:t], zero(strategy.d))
+# The operators of a gadget's colors, by index.  Block (alpha, x) takes sums
+# of the question-x PVM E, each added from zero in outcome order (as sum()
+# adds): low = E_1..E_alpha, low1 = E_1..E_{alpha+1}, high =
+# E_{alpha+1}..E_m, high1 = E_{alpha+2}..E_m, and mid = E_{alpha+1}.  The
+# gadget of (a, b, x, y) takes e_a = E^x_a, e_b = E^y_b, a projection g near
+# e_b with g e_a = 0 exactly, and rest = 1 - e_a - g.
+_Z, _ONE, _LOW, _LOW1, _HIGH, _HIGH1, _MID, _NOT_MID = range(8)
+_E_A, _E_B, _G, _NOT_A, _NOT_B, _REST, _A_G = range(2, 9)
 
 
-def _block_colors(strategy: GameStrategy, alpha: int, x: int):
-    """Color triples for the 9 cells of block (alpha, x), plus both prism tops.
-
-    Cell (i, j) gets the (i, j) entries of three operator matrices whose
-    cells each sum to the identity; the middle color is scalar on row 1.
-    """
-    m = strategy.outcomes
-    one, z = identity(strategy.d), zero(strategy.d)
-
-    def e(k):
-        return strategy.pvms[x][k - 1]
-
-    def part(s, t):
-        return interval_sum(strategy, s, t, x)
-
-    low = part(1, alpha)
-    low1 = part(1, alpha + 1)
-    high = part(alpha + 1, m)
-    high1 = part(alpha + 2, m)
-    mid = e(alpha + 1)
-
-    h1 = ((low, z, high), (mid, high1, low), (high1, low1, z))
-    h2 = ((z, one, z), (one - mid, z, mid), (mid, z, one - mid))
-    h3 = ((high, z, low), (z, low1, high1), (low, high1, mid))
-
-    cells = {
-        (i, j): (h1[i - 1][j - 1], h2[i - 1][j - 1], h3[i - 1][j - 1])
-        for i in (1, 2, 3)
-        for j in (1, 2, 3)
-    }
-    t1 = (z, high, low)
-    t3 = (z, low, high)
-    return cells, t1, t3
+def _template(*colors) -> tuple:
+    """Each cell's operator per color, row-major, from each color's 3x3
+    matrix of operators; the cells of a matrix sum to the identity."""
+    return tuple(zip(*(chain.from_iterable(rows) for rows in colors)))
 
 
-def _ortho_colors(strategy: GameStrategy, tup, kind: str):
-    """Color triples for the 9 cells of the orthogonality gadget of a tuple.
+_H1 = ((_LOW, _Z, _HIGH), (_MID, _HIGH1, _LOW), (_HIGH1, _LOW1, _Z))
+_H2 = ((_Z, _ONE, _Z), (_NOT_MID, _Z, _MID), (_MID, _Z, _NOT_MID))
+_H3 = ((_HIGH, _Z, _LOW), (_Z, _LOW1, _HIGH1), (_LOW, _HIGH1, _MID))
+_J1 = ((_E_A, _Z, _NOT_A), (_REST, _E_B, _E_A), (_G, _NOT_B, _Z))
+_J2 = ((_Z, _ONE, _Z), (_A_G, _Z, _REST), (_REST, _Z, _A_G))
+_J3 = ((_NOT_A, _Z, _E_A), (_Z, _NOT_B, _G), (_E_A, _E_B, _REST))
 
-    Built around a projection g near E_{b,y} with g E_{a,x} = 0 exactly, so
-    that a same-color loss across the gadget is controlled by the tuple's
-    probability.  Interior-answer gadgets ('f') swap colors 2 and 3.
-    """
-    a, b, x, y = tup
-    one, z = identity(strategy.d), zero(strategy.d)
-    e_a = strategy.pvms[x][a - 1]
-    e_b = strategy.pvms[y][b - 1]
-    g = _perturb_checked_two(e_a, e_b)
-    rest = one - e_a - g
+#: A block's slots in put order, as columns of ``GadgetGraph.block_rows``:
+#: its nine cells, then the prism tops t1 and t3.
+_BLOCK_PUT_COLUMNS = (*range(9), 11, 12)
+_SLOT_LABELS = (*_CELLS, "t1", "t3")
+_BLOCK_TEMPLATE = _template(_H1, _H2, _H3) + ((_Z, _HIGH, _LOW), (_Z, _LOW, _HIGH))
+#: An orthogonality gadget's, by kind: interior-answer gadgets ('f') swap
+#: colors 2 and 3.
+_ORTHO_TEMPLATES = {"e": _template(_J1, _J2, _J3), "f": _template(_J1, _J3, _J2)}
 
-    j1 = ((e_a, z, one - e_a), (rest, e_b, e_a), (g, one - e_b, z))
-    j2 = ((z, one, z), (e_a + g, z, rest), (rest, z, e_a + g))
-    j3 = ((one - e_a, z, e_a), (z, one - e_b, g), (e_a, e_b, rest))
-    if kind == "f":
-        j2, j3 = j3, j2
-    return {
-        (i, j): (j1[i - 1][j - 1], j2[i - 1][j - 1], j3[i - 1][j - 1])
-        for i in (1, 2, 3)
-        for j in (1, 2, 3)
-    }
+
+def _gadgets(mask: np.ndarray):
+    """The gadgets of a mask: a slice when it takes them all, so that
+    indexing an operand with it makes no copy, else their indices."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 def _check_inputs(game: SyncGame, graph: GadgetGraph, strategy: GameStrategy) -> float:
@@ -131,55 +99,105 @@ def _check_inputs(game: SyncGame, graph: GadgetGraph, strategy: GameStrategy) ->
 def forward_translate(
     game: SyncGame, graph: GadgetGraph, strategy: GameStrategy
 ) -> ColoringStrategy:
+    """The coloring strategy of the gadget graph built out of a game
+    strategy, as one (V, 3, d, d) stack whose rows are the sorted names.
+
+    Each gadget kind is colored from its template, in put order: the
+    control letters, the rook blocks, then the orthogonality gadgets, whose
+    projections g come from one batched rounding.  A vertex takes the
+    colors of the first slot that names it in that order, where its gadget
+    declares it; every later slot glues a gadget to it and is compared.
+    """
     input_defect = _check_inputs(game, graph, strategy)
-    d = strategy.d
+    n, m, d = game.n, game.m, strategy.d
     one, z = identity(d), zero(d)
     # Assignments reached through different expressions agree only up to the
     # input family's sum-to-identity defect; wiring bugs show up at order 1.
     cross_tol = max(1e-12, 4.0 * np.sqrt(d) * input_defect)
 
     names = sorted(graph.vertices)  # the rows of the output stack
-    row = dict(zip(names, range(len(names))))
+    rank, vertices = graph.rank, graph.vertices
     stack = np.empty((len(names), 3, d, d), dtype=np.complex128)
-    assigned = np.zeros(len(names), dtype=bool)
 
-    def put(name: str, colors, gadget: str, cell, exact: bool) -> None:
-        i = row[name]
-        if not assigned[i]:
-            stack[i] = colors
-            assigned[i] = True
-            return
-        for c, (old, new) in enumerate(zip(stack[i], colors)):
-            if exact:
-                ok = np.array_equal(old, new)
-            else:
-                ok = float(np.max(np.abs(old - new))) <= cross_tol
-            if not ok:
-                raise ValidationError(
-                    f"gluing inconsistency at {name} ({gadget}, cell {cell}, color {c + 1}): "
-                    "two gadgets assign different operators"
-                )
+    # Every slot in put order; the first slot of each vertex declares it.
+    control = np.array([_A, _B, _C])
+    blocks = graph.block_rows[:, _BLOCK_PUT_COLUMNS]
+    orthos = graph.ortho_rows[:, :9]
+    ids = np.concatenate([control, blocks.ravel(), orthos.ravel()])
+    declares = np.zeros(len(ids), dtype=bool)
+    declares[np.unique(ids, return_index=True)[1]] = True
+    block_declares = declares[3:3 + blocks.size].reshape(blocks.shape)
+    ortho_declares = declares[3 + blocks.size:].reshape(orthos.shape)
 
-    for letter, colors in zip(DELTA, ((one, z, z), (z, one, z), (z, z, one))):
-        put(letter, colors, "control triangle", letter, exact=True)
+    def place(slots, declared, template, operands, tol, gadget) -> None:
+        """Color gadgets of one kind: slot j of gadget k names the vertex
+        ``slots[k, j]`` and takes the operators ``template[j]``, indices
+        into ``operands``, one (G, d, d) array each.  A declared slot writes
+        its vertex; a glued one must agree with it, exactly when ``tol`` is
+        None, and the first that does not, in put order, is named."""
+        for j, colors in enumerate(template):
+            if not declared[:, j].any():
+                continue
+            rows = _gadgets(declared[:, j])
+            for c, op in enumerate(colors):
+                stack[rank[slots[rows, j]], c] = operands[op][rows]
+        failed = np.zeros(slots.shape + (3,), dtype=bool)
+        for j, colors in enumerate(template):
+            if declared[:, j].all():
+                continue
+            rows = _gadgets(~declared[:, j])
+            for c, op in enumerate(colors):
+                held, new = stack[rank[slots[rows, j]], c], operands[op][rows]
+                if tol is None:
+                    failed[rows, j, c] = ~(held == new).all(axis=(-2, -1))
+                else:  # written so that a NaN difference fails too
+                    failed[rows, j, c] = ~(np.abs(held - new).max(axis=(-2, -1)) <= tol)
+        if failed.any():
+            k, j, c = np.unravel_index(np.argmax(failed), failed.shape)
+            raise ValidationError(
+                f"gluing inconsistency at {vertices[slots[k, j]]} ({gadget(k)}, cell {_SLOT_LABELS[j]}, "
+                f"color {c + 1}): two gadgets assign different operators"
+            )
 
-    for block in graph.blocks:
-        colors, t1, t3 = _block_colors(strategy, block.alpha, block.x)
-        gadget = f"block alpha={block.alpha} x={block.x}"
-        for cell, name in block.cells.items():
-            put(name, colors[cell], gadget, cell, exact=True)
-        put(block.t1, t1, gadget, "t1", exact=True)
-        put(block.t3, t3, gadget, "t3", exact=True)
+    stack[rank[control]] = 0.0  # the control letters come first: color c on letter c
+    stack[rank[control], [0, 1, 2]] = one
 
-    for ortho in graph.orthos:
-        colors = _ortho_colors(strategy, ortho.tup, ortho.kind)
-        gadget = "orthogonality ({},{},{},{})".format(*ortho.tup)
-        for cell, name in ortho.cells.items():
-            put(name, colors[cell], gadget, cell, exact=False)
+    pvms = strategy.stack[:n]  # question x at row x - 1
+    low = np.zeros((n, m + 1, d, d), dtype=np.complex128)  # low[:, t]: outcomes 1..t
+    high = np.zeros((n, m + 1, d, d), dtype=np.complex128)  # high[:, s]: outcomes s+1..m
+    for t in range(m):
+        low[:, t + 1] = low[:, t] + pvms[:, t]
+        high[:, :t + 1] += pvms[:, t, None]
+    question, alpha = np.divmod(np.arange(len(blocks)), m - 2)  # both 0-based
+    at, after = (question, alpha + 1), (question, alpha + 2)
+    mid = pvms[at]
+    zs, ones = np.broadcast_to(z, mid.shape), np.broadcast_to(one, mid.shape)
+    place(
+        blocks, block_declares, _BLOCK_TEMPLATE,
+        (zs, ones, low[at], low[after], high[at], high[after], mid, one - mid), None,
+        lambda k: f"block alpha={alpha[k] + 1} x={question[k] + 1}",
+    )
 
-    unassigned = [v for v in graph.vertices if not assigned[row[v]]]
-    if unassigned:
-        raise AssertionError(f"vertices never assigned: {unassigned[:5]}")
+    tuples = game.losing_table[graph.ortho_at]
+    a, b, x, y = tuples.T - 1
+    e_a, e_b = pvms[x, a], pvms[y, b]
+    g = _perturb_checked_two(e_a, e_b)
+    not_a = one - e_a
+    zs, ones = np.broadcast_to(z, g.shape), np.broadcast_to(one, g.shape)
+    operands = (zs, ones, e_a, e_b, g, not_a, one - e_b, not_a - g, e_a + g)
+    # The e-set's gadgets come first; their hub q(1,2) is B, the f-set's C.
+    n_e = int(np.count_nonzero(orthos[:, _CELL[(1, 2)]] == _B))
+    for start, stop, kind in ((0, n_e, "e"), (n_e, len(orthos), "f")):
+        part = slice(start, stop)
+        place(
+            orthos[part], ortho_declares[part], _ORTHO_TEMPLATES[kind], [op[part] for op in operands], cross_tol,
+            lambda k: "orthogonality ({},{},{},{})".format(*tuples[start + k]),
+        )
+
+    assigned = np.zeros(len(vertices), dtype=bool)
+    assigned[ids] = True
+    if not assigned.all():
+        raise AssertionError(f"vertices never assigned: {[vertices[v] for v in np.flatnonzero(~assigned)[:5]]}")
 
     # The one PVM check of the output, tighter than the constructor's.
     require_pvm_family(stack, names, tol=FORWARD_PVM_TOL, what="coloring PVM at {}")
@@ -202,12 +220,19 @@ def _require_coverage(graph: GadgetGraph, cs: ColoringStrategy) -> None:
         )
 
 
-def _edge_losses(cs: ColoringStrategy, edges) -> list:
-    """Same-color probability of each (u, v) pair of ``edges``, as
-    ``edge_loss_probability`` gives it: every overlap tr(P_{c,u} P_{c,v})/d
-    comes from one gathered ``einsum`` per chunk of edges, and each edge
-    ``fsum``s its three."""
-    rows = _rows(cs, chain.from_iterable(edges)).reshape(-1, 2)
+def _vertex_rows(graph: GadgetGraph, cs: ColoringStrategy) -> np.ndarray:
+    """The row of ``cs.stack`` that holds each vertex's PVM, by vertex id;
+    ``cs`` must cover the graph.  A strategy of exactly the graph's
+    vertices holds them in sorted order, so those rows are ``graph.rank``."""
+    _require_coverage(graph, cs)
+    return graph.rank if len(cs.keys) == graph.n_vertices else _rows(cs, graph.vertices)
+
+
+def _edge_losses(cs: ColoringStrategy, rows: np.ndarray) -> list:
+    """Same-color probability of each pair (u, v) of stack rows in the
+    (E, 2) array ``rows``, as ``edge_loss_probability`` gives it: every
+    overlap tr(P_{c,u} P_{c,v})/d comes from one gathered ``einsum`` per
+    chunk of edges, and each edge ``fsum``s its three."""
     return list(map(fsum, _overlaps(cs.stack, rows[:, 0], rows[:, 1]).tolist()))
 
 
@@ -220,9 +245,8 @@ def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:
     edge costs three O(d^2) trace contractions, gathered over chunks of
     edges (``_edge_losses``).
     """
-    _require_coverage(graph, cs)
     weight = 1.0 / graph.n_edges
-    probabilities = _edge_losses(cs, graph.edges)
+    probabilities = _edge_losses(cs, _vertex_rows(graph, cs)[graph.edge_ids])
     value = 1.0 - fsum(weight * p for p in probabilities)
     return ValueReport(
         value, lambda: tuple(LossEntry(e, weight, p) for e, p in zip(graph.edges, probabilities))
@@ -256,19 +280,16 @@ def ortho_gadget_losses(
     """Per-gadget loss accounting for every orthogonality gadget."""
     _require_compiled_from(graph, game)
     _require_strategy_fits(game, strategy)
-    _require_coverage(graph, cs)
-    per = len(ROOK_PAIRS) + 1  # edges of one gadget
-    edges = []
-    for ortho in graph.orthos:
-        edges += [(ortho.cells[c1], ortho.cells[c2]) for c1, c2 in ROOK_PAIRS]
-        edges.append(("A", ortho.cells[(3, 3)]))
-    losses = _edge_losses(cs, edges)
+    per = len(_ORTHO_SLOTS)  # edges of one gadget: its rook pairs, then A~q(3,3)
+    losses = _edge_losses(cs, _vertex_rows(graph, cs)[graph.ortho_rows[:, _ORTHO_SLOTS]].reshape(-1, 2))
+    hubs = graph.ortho_rows[:, _CELL[(1, 2)]].tolist()
     out = []
-    for i, ortho in enumerate(graph.orthos):
-        a, b, x, y = ortho.tup
+    for i, (at, hub) in enumerate(zip(graph.ortho_at.tolist(), hubs)):
+        tup = game.losing_sorted[at]
+        a, b, x, y = tup
         loss = fsum(losses[i * per:(i + 1) * per])
         p = trace_product(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1])
-        out.append(GadgetLoss(tup=ortho.tup, kind=ortho.kind, loss=loss, probability=p))
+        out.append(GadgetLoss(tup=tup, kind="e" if hub == _B else "f", loss=loss, probability=p))
     return tuple(out)
 
 

@@ -224,6 +224,14 @@ class GadgetGraph:
         return tuple((tuples[i], tuple(map(name, uv))) for i, uv in zip(self.rest_at.tolist(), self.rest_rows.tolist()))
 
     @cached_property
+    def rank(self) -> np.ndarray:
+        """Each vertex's position among the names sorted, by vertex id: its
+        row in a strategy of exactly the graph's vertices.  Read-only."""
+        rank = np.argsort(sorted(range(len(self.vertices)), key=self.vertices.__getitem__))
+        rank.flags.writeable = False
+        return rank
+
+    @cached_property
     def vertex_id(self) -> dict:
         """Each vertex's integer id: its position in ``vertices``."""
         return dict(zip(self.vertices, range(len(self.vertices))))
@@ -390,24 +398,27 @@ def build_graph(game: SyncGame) -> GadgetGraph:
 # indices as json does because SyncGame admits ints only, never bools.  Both
 # exports write a name between plain quotes: names are spelled from A, B, C,
 # q, t, v, digits, commas and parentheses, none of which JSON or DOT escapes.
-# A JSON item's template ends with the list's separator.
 _CELL_KEYS = ",\n".join(f'     "{i},{j}": "%s"' for i, j in _CELLS)
 _TUPLE = '    "tuple": [\n     %s,\n     %s,\n     %s,\n     %s\n    ]'
 _BLOCK = (
     '   {\n    "alpha": %s,\n    "cells": {\n' + _CELL_KEYS + "\n    },\n"
-    '    "t": [\n     "%s",\n     "%s"\n    ],\n    "x": %s\n   },\n'
+    '    "t": [\n     "%s",\n     "%s"\n    ],\n    "x": %s\n   }'
 )
-_ORTHO = '   {\n    "cells": {\n' + _CELL_KEYS + '\n    },\n    "kind": "%s",\n' + _TUPLE + "\n   },\n"
-_REST = '   {\n    "edge": [\n     "%s",\n     "%s"\n    ],\n' + _TUPLE + "\n   },\n"
+_ORTHO = '   {\n    "cells": {\n' + _CELL_KEYS + '\n    },\n    "kind": "%s",\n' + _TUPLE + "\n   }"
+_REST = '   {\n    "edge": [\n     "%s",\n     "%s"\n    ],\n' + _TUPLE + "\n   }"
 
 
-def _fill(template: str, *columns: np.ndarray) -> str:
-    """``"".join(template % row for row in zip(*columns))`` for object arrays
-    of strs, as one join over a table of the fixed pieces and the values."""
+def _fill(template: str, *columns: np.ndarray, sep: str = "", ends: tuple = ("", "")) -> str:
+    """``ends[0] + sep.join(template % row for row in zip(*columns)) +
+    ends[1]`` for object arrays of strs, or "" for none, as one join over a
+    table of the fixed pieces, separators and values."""
     pieces = template.split("%s")
     table = np.empty((len(columns[0]), 2 * len(pieces) - 1), dtype=object)
     table[:, 0::2] = np.array(pieces, dtype=object)
+    table[1:, 0] = sep + pieces[0]
     table[:, 1::2] = np.column_stack(columns)
+    if len(table):
+        table[0, 0], table[-1, -1] = ends[0] + pieces[0], pieces[-1] + ends[1]
     return "".join(table.ravel().tolist())
 
 
@@ -417,9 +428,12 @@ def _lookups(graph: GadgetGraph) -> tuple:
     return np.array(graph.vertices, dtype=object), numbers
 
 
-def _json_list(items: str, indent: str) -> str:
-    """A JSON array of indented items, each followed by ",\n", closed at ``indent``."""
-    return "[\n" + items[:-2] + "\n" + indent + "]" if items else "[]"
+def _json_list(template: str, indent: str, *columns: np.ndarray) -> str:
+    """A JSON array of one indented template item per row of ``columns``,
+    closed at ``indent``."""
+    if not len(columns[0]):
+        return "[]"
+    return _fill(template, *columns, sep=",\n", ends=("[\n", "\n" + indent + "]"))
 
 
 def _graph_json(graph: GadgetGraph) -> str:
@@ -434,12 +448,12 @@ def _graph_json(graph: GadgetGraph) -> str:
         ' "vertices": %s\n}\n'
     ) % (
         report,
-        _json_list(_fill('  [\n   "%s",\n   "%s"\n  ],\n', names[graph.edge_ids]), " "),
-        _json_list(_fill(_BLOCK, alpha, names[blocks[:, :9]], names[blocks[:, 11:]], x), "  "),
-        _json_list("".join(f'   "{letter}",\n' for letter in DELTA), "  "),
-        _json_list(_fill(_ORTHO, names[orthos[:, :9]], kinds, tuples), "  "),
-        _json_list(_fill(_REST, names[graph.rest_rows], rest), "  "),
-        _json_list(_fill('  "%s",\n', names), " "),
+        _json_list('  [\n   "%s",\n   "%s"\n  ]', " ", names[graph.edge_ids]),
+        _json_list(_BLOCK, "  ", alpha, names[blocks[:, :9]], names[blocks[:, 11:]], x),
+        _json_list('   "%s"', "  ", np.array(DELTA, dtype=object)),
+        _json_list(_ORTHO, "  ", names[orthos[:, :9]], kinds, tuples),
+        _json_list(_REST, "  ", names[graph.rest_rows], rest),
+        _json_list('  "%s"', " ", names),
     )
 
 

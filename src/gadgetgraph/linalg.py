@@ -214,15 +214,15 @@ def _stack_defects(stack: np.ndarray, tol: float | None = TOL_PVM, projection_to
         yield off, TOL_EIGENVALUE, "{} has an eigenvalue {:.3e} away from {{0,1}} (tolerance {:.0e})"
     if tol is None:
         return
-    outcomes = [blocks[:, i] for i in range(blocks.shape[1])]
+    k = blocks.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        total = outcomes[0]
-        for m in outcomes[1:]:
-            total = total + m  # summed in the order sum() adds them
-        worst = _two_norms(total - identity(d))
-        for i, a in enumerate(outcomes):
-            for b in outcomes[i + 1:]:
-                worst = np.maximum(worst, _two_norms(a @ b))
+        total = blocks[:, 0]
+        for i in range(1, k):
+            total = total + blocks[:, i]  # summed in the order sum() adds them
+        worst = _two_norms(total - np.eye(d, dtype=np.complex128))
+        for i in range(k - 1):  # outcome i against every later one
+            products = blocks[:, i:i + 1] @ blocks[:, i + 1:]
+            worst = np.maximum(worst, _two_norms(products).max(axis=1))
     yield worst, tol, "{} defect {:.3e} > {:.0e}"
 
 
@@ -273,20 +273,59 @@ def _overlaps(stack: np.ndarray, rows_u: np.ndarray, rows_v: np.ndarray) -> np.n
     return out / (blocks.shape[2] * d)
 
 
+# ---------------------------------------------------------------------------
+# per-item checks of a (G, *op) batch: G operators, each d-by-d or (b, d, d),
+# each checked as the one-operator functions check it.  A check is a pair
+# (failed, fail): a bool array over the leading items it covers, and a
+# function that gives (or raises) item i's error.
+
+
+def _raise_first(checks) -> None:
+    """Raise for the first item that fails a check, its first check in the
+    order given, as checking the items one at a time would."""
+    firsts = [(int(np.argmax(failed)), k) for k, (failed, _) in enumerate(checks) if failed.any()]
+    if firsts:
+        i, k = min(firsts)
+        raise checks[k][1](i)
+
+
+def _hermitian_check(batch: np.ndarray, name) -> tuple:
+    """(n, check) for ``require_hermitian`` of each item, item i labelled
+    ``name(i)``; only the first n items, which pass, may go on to ``eigh``."""
+    defects = next(_stack_defects(batch[:, None], None))[0][:, 0]
+    failed = ~(defects <= TOL_HERMITIAN)  # a NaN defect fails too
+    n = int(np.argmax(failed)) if failed.any() else len(batch)
+    return n, (failed, lambda i: ValidationError(
+        f"{name(i)} is not Hermitian: entrywise defect {defects[i]:.3e} > {TOL_HERMITIAN:.0e}"
+    ))
+
+
+def _window_check(eigs: np.ndarray, tol: float, name) -> tuple:
+    """The check that each item's eigenvalues, a row of ``eigs``, lie in [-tol, 1+tol]."""
+    axes = tuple(range(1, eigs.ndim))
+    low, high = eigs.min(axis=axes), eigs.max(axis=axes)
+    return (low < -tol) | (high > 1.0 + tol), lambda i: ValidationError(
+        f"{name(i)} spectrum [{low[i]:.3e}, {high[i]:.3e}] leaves [0,1] beyond tolerance {tol:.0e}"
+    )
+
+
+def _norms(batch: np.ndarray) -> np.ndarray:
+    """``two_norm`` of each item of a (G, *op) batch, bit for bit."""
+    return _two_norms(batch.reshape(len(batch), math.prod(batch.shape[1:-2]), *batch.shape[-2:]))
+
+
 def require_positive_contraction(m, tol: float = TOL_SPECTRUM, what: str = "matrix") -> np.ndarray:
     """Validate 0 <= m <= 1 up to the clamp window (spectrum in [-tol, 1+tol])."""
-    a = require_hermitian(m, what=what)
-    _require_spectrum_window(np.linalg.eigvalsh(a), tol, what)
+    a = _operator(m)
+    _require_contractions(a[None], lambda i: what, tol)
     return a
 
 
-def _require_spectrum_window(eigs: np.ndarray, tol: float, what: str) -> None:
-    """Raise unless the eigenvalues ``eigs``, of one or more blocks, lie in [-tol, 1+tol]."""
-    if eigs.size and (eigs.min() < -tol or eigs.max() > 1.0 + tol):
-        raise ValidationError(
-            f"{what} spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0,1]"
-            f" beyond tolerance {tol:.0e}"
-        )
+def _require_contractions(batch: np.ndarray, name, tol: float = TOL_SPECTRUM) -> None:
+    """``require_positive_contraction`` of each item of a (G, *op) batch,
+    item i labelled ``name(i)``, with one ``eigvalsh``."""
+    n, hermitian = _hermitian_check(batch, name)
+    _raise_first([hermitian, _window_check(np.linalg.eigvalsh(batch[:n]), tol, name)])
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +340,30 @@ def spectral_projection_half(m) -> np.ndarray:
     is closed on the left, so ties go up. The output B satisfies the certified
     distance bound ||m - B||_2 <= 2*sqrt(2)*||m - m^2||_2, which is asserted.
     """
-    a = require_hermitian(m, what="spectral_projection_half input")
+    a = _operator(m)
+    out, checks = _spectral_halves(a[None])
+    _raise_first(checks)
+    return out[0]
+
+
+def _spectral_halves(batch: np.ndarray) -> tuple:
+    """(projections, checks): ``spectral_projection_half`` of the items of a
+    (G, *op) batch that pass the Hermitian check, all G but for a failure,
+    with one ``eigh``, and its three checks, to which a caller may add."""
+    what = "spectral_projection_half input"
+    n, hermitian = _hermitian_check(batch, lambda i: what)
+    a = batch[:n]
     eigs, vecs = np.linalg.eigh(a)
-    _require_spectrum_window(eigs, TOL_SPECTRUM, "spectral_projection_half input")
     keep = np.clip(eigs, 0.0, 1.0) >= 0.5
     d = a.shape[-1]
     blocks = zip(vecs.reshape(-1, d, d), keep.reshape(-1, d))  # each keeps its own eigenvectors
-    b = np.stack([v[:, k] @ v[:, k].conj().T for v, k in blocks]).reshape(a.shape)
+    b = np.array([v[:, k] @ v[:, k].conj().T for v, k in blocks], dtype=np.complex128).reshape(a.shape)
     b = (b + b.conj().swapaxes(-1, -2)) / 2.0
-    lhs = two_norm(a - b)
-    rhs = 2.0 * ROOT2 * two_norm(a - a @ a)
-    if rhs - lhs < -TOL_SLACK:
-        raise BoundViolation(
-            f"spectral projection distance {lhs:.6e} exceeds 2*sqrt(2)*||A-A^2||_2 = {rhs:.6e}"
-        )
-    return b
+    lhs, rhs = _norms(a - b), 2.0 * ROOT2 * _norms(a - a @ a)
+    too_far = (rhs - lhs < -TOL_SLACK, lambda i: BoundViolation(
+        f"spectral projection distance {lhs[i]:.6e} exceeds 2*sqrt(2)*||A-A^2||_2 = {rhs[i]:.6e}"
+    ))
+    return b, [hermitian, _window_check(eigs, TOL_SPECTRUM, lambda i: what), too_far]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import BoundViolation, ValidationError
 from .forward import _require_compiled_from, _require_coverage, coloring_value
 from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt, _rows
 from .graphs import DELTA, GadgetGraph
-from .linalg import _gathered, _two_norms, identity, require_positive_contraction, two_norm
+from .linalg import _gathered, _norms, _require_contractions, _two_norms, identity, two_norm
 from .rounding import PERM3, InequalityReport, perturb_pvm
 
 log = logging.getLogger(__name__)
@@ -219,18 +219,12 @@ class ControlCompressions:
         return np.stack([self.operators[perm] for perm in PERM3])
 
 
-def _operator_norms(stack: np.ndarray) -> list:
-    """``two_norm`` of each operator of a C-ordered stack of (d, d) or
-    (6, d, d) block operators, bit for bit."""
-    return _two_norms(stack.reshape(len(stack), -1, *stack.shape[-2:])).tolist()
-
-
 def _zeta_color_average(cs: ColoringStrategy, names) -> float:
     """Color-averaged zeta of a triangle; defined for any strategy and
     equal to the color-1 zeta once the strategy is symmetrized."""
     ops = np.stack([cs.pvms[name] for name in names])  # (vertex, color, ...)
     products = ops[_ZETA_LEFT, _ZETA_COLOR] @ ops[_ZETA_RIGHT, _ZETA_COLOR]
-    return 2.0 * math.fsum(_operator_norms(products)) / 3.0
+    return 2.0 * math.fsum(_norms(products)) / 3.0
 
 
 def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
@@ -239,34 +233,26 @@ def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
             raise ValidationError(
                 f"coloring strategy lacks a PVM for control vertex {letter!r}"
             )
-    operators = {}
-    for perm in PERM3:
-        i, j, k = perm
-        pa = cs.pvms["A"][i - 1]
-        pb = cs.pvms["B"][j - 1]
-        pc = cs.pvms["C"][k - 1]
-        s = pa @ pb @ pc @ pb @ pa
-        require_positive_contraction(
-            s, tol=CONTRACTION_TOL, what=f"control sandwich {perm}"
-        )
-        operators[perm] = s
+    a, b, c = (cs.pvms[letter] for letter in DELTA)
+    stack = np.stack([a[i - 1] @ b[j - 1] @ c[k - 1] @ b[j - 1] @ a[i - 1] for i, j, k in PERM3])
+    _require_contractions(stack, lambda i: f"control sandwich {PERM3[i]}", CONTRACTION_TOL)
+    operators = dict(zip(PERM3, stack))
     z_delta = _zeta_color_average(cs, DELTA)
-    total = sum(operators[perm] for perm in PERM3)
+    total = sum(stack)
     one = identity(total.shape[-1])
     sum_report = InequalityReport(
         "control sandwich sum-to-1",
         two_norm(one - total),
         238.5 * z_delta,
     ).require()
-    stack = np.stack([operators[perm] for perm in PERM3])
     proj_report = InequalityReport(
         "control sandwich projection defect",
-        math.fsum(_operator_norms(stack @ stack - stack)),
+        math.fsum(_norms(stack @ stack - stack)),
         72.0 * z_delta,
     ).require()
     cross_report = InequalityReport(
         "control sandwich cross products",
-        math.fsum(_operator_norms(stack[_CROSS_LEFT] @ stack[_CROSS_RIGHT])),
+        math.fsum(_norms(stack[_CROSS_LEFT] @ stack[_CROSS_RIGHT])),
         36.0 * z_delta,
     ).require()
     return ControlCompressions(

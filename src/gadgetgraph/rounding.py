@@ -20,7 +20,10 @@ from .errors import BoundViolation, ValidationError
 from .linalg import (
     ROOT2,
     TOL_SLACK,
-    _two_norms,
+    _norms,
+    _raise_first,
+    _require_contractions,
+    _spectral_halves,
     commutator,
     identity,
     require_hermitian,
@@ -236,20 +239,30 @@ def perturb_two(a, b) -> np.ndarray:
     pa = require_projection(a, what="first projection")
     pb = require_projection(b, what="second projection")
     _common_dim([pa, pb])
-    return _perturb_checked_two(pa, pb)
+    return _perturb_checked_two(pa[None], pb[None])[0]
+
+
+#: The certified distance multiplier of ``perturb_two``.
+PERTURB_TWO_FACTOR = 8.0 * ROOT2 + 2.0
 
 
 def _perturb_checked_two(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """``perturb_two`` on projections of one dimension that the package has
-    already validated, such as two outcomes of a ``GameStrategy``."""
-    comp = identity(pa.shape[0]) - pa
-    out = spectral_projection_half(comp @ pb @ comp)
-    ortho = two_norm(pa @ out)
-    if ortho > 1e-10:
-        raise BoundViolation(f"perturbed projection is not orthogonal: ||a out||_2 = {ortho:.3e}")
-    InequalityReport(
-        "perturbed-projection distance", two_norm(pb - out), (8.0 * ROOT2 + 2.0) * two_norm(pa @ pb)
-    ).require()
+    """``perturb_two`` of each pair of items of two (G, *op) batches of
+    projections the package has validated, such as a ``GameStrategy``'s
+    outcomes: one ``eigh``, and the first item that fails a bound raised."""
+    comp = identity(pa.shape[-1]) - pa
+    out, checks = _spectral_halves(comp @ pb @ comp)
+    n = len(out)  # all G, unless an item fails the Hermitian check
+    pa, pb = pa[:n], pb[:n]
+    ortho = _norms(pa @ out)
+    lhs, rhs = _norms(pb - out), PERTURB_TWO_FACTOR * _norms(pa @ pb)
+    checks.append((ortho > 1e-10, lambda i: BoundViolation(
+        f"perturbed projection is not orthogonal: ||a out||_2 = {ortho[i]:.3e}"
+    )))
+    checks.append((rhs - lhs < -TOL_SLACK, lambda i: InequalityReport(
+        "perturbed-projection distance", lhs[i], rhs[i]
+    ).require()))  # which raises
+    _raise_first(checks)
     return out
 
 
@@ -265,33 +278,34 @@ def perturb_pvm_with_reports(mats):
     """
     if len(mats) == 0:
         raise ValidationError("need at least one input")
-    inputs = [
-        require_positive_contraction(m, what=f"input {i + 1}") for i, m in enumerate(mats)
-    ]
-    d = _common_dim(inputs)
+    try:
+        inputs = np.asarray(mats, dtype=np.complex128)  # (count, *op)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        inputs = np.empty(0)
+    if inputs.ndim not in (3, 4) or not inputs.size or inputs.shape[-1] != inputs.shape[-2]:
+        # Checked one by one, which names the first input that fails.
+        checked = [require_positive_contraction(m, what=f"input {i + 1}") for i, m in enumerate(mats)]
+        _common_dim(checked)  # raises, as the inputs do not stack
+    _require_contractions(inputs, lambda i: f"input {i + 1}")
     count = len(inputs)
-    one = np.broadcast_to(identity(d), inputs[0].shape).copy()
+    one = np.broadcast_to(identity(inputs.shape[-1]), inputs[0].shape).copy()
 
-    outs = []
+    outs, total = [], 0  # total: sum(outs), added in the order sum() adds them
     for k in range(count - 1):
-        if k == 0:
-            outs.append(spectral_projection_half(inputs[0]))
-        else:
-            comp = one - sum(outs)
-            outs.append(spectral_projection_half(comp @ inputs[k] @ comp))
-    outs.append(one - sum(outs) if outs else one)
+        comp = one - total
+        outs.append(spectral_projection_half(comp @ inputs[k] @ comp if k else inputs[0]))
+        total = total + outs[-1]
+    outs.append(one - total if outs else one)
 
-    # The norms over (count, b, d, d) stacks of the b-block operators: the
-    # distances and own defects at once, the cross norms one input at a time.
-    stacked = np.stack(inputs).reshape(count, -1, d, d)
-    distances = _two_norms(np.stack(outs).reshape(stacked.shape) - stacked).tolist()
-    owns = _two_norms(stacked @ stacked - stacked).tolist()
+    # The distances and own defects at once, the cross norms one input at a time.
+    distances = _norms(np.stack(outs) - inputs).tolist()
+    owns = _norms(inputs @ inputs - inputs).tolist()
     sum_defect = two_norm(one - sum(inputs))
     reports = []
     for idx in range(count):
         i = idx + 1
         own = owns[idx]
-        cross = _two_norms(stacked[idx] @ stacked[:idx]).tolist()  # with each j < idx
+        cross = _norms(inputs[idx] @ inputs[:idx]).tolist()  # with each j < idx
         # left to right, as the bits of the bound depend on the order
         history = sum(distances[j] + cross[j] for j in range(idx))
         if i == count:

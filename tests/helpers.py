@@ -24,6 +24,12 @@ before its one stack check: each outcome checked in full, one after the
 other, then the PVM defect.  Every defect of the stack check must equal
 theirs bit for bit.
 
+``reference_forward_translate`` is the vertex-by-vertex translation that
+``forward_translate`` ran before it colored gadgets by kind from templates:
+each gadget's color triples built as operators, a per-gadget rounding
+(``reference_perturb_two``), and each vertex put by name.  The new stack
+must equal its stack bit for bit.
+
 The ``reference_*`` kernels of the reverse path (the coloring value, the
 edge products, the triangle sum defects, the sandwich commutators and
 families, and the rounding reports) are the per-edge, per-triangle and
@@ -55,6 +61,7 @@ from gadgetgraph.linalg import (
     require_hermitian,
     trace_product,
     two_norm,
+    zero,
 )
 from gadgetgraph.reverse import _named_triangles
 from gadgetgraph.rounding import PERM3
@@ -703,3 +710,81 @@ def reference_rounding_reports(inputs, outs) -> list:
             rhs = 19.0 * history + 2.0 * ROOT2 * own
         reports.append((f"rounded outcome {i} of {count}", distances[idx], rhs))
     return reports
+
+
+def reference_perturb_two(pa, pb) -> np.ndarray:
+    """The projection ``perturb_two`` rounds b to, as one pair's own eigh
+    gave it: the bounds are left to ``perturb_two``."""
+    comp = identity(pa.shape[0]) - pa
+    eigs, vecs = np.linalg.eigh(comp @ pb @ comp)
+    keep = np.clip(eigs, 0.0, 1.0) >= 0.5
+    out = vecs[:, keep] @ vecs[:, keep].conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def reference_interval_sum(strategy, s: int, t: int, x: int) -> np.ndarray:
+    """The partial sum of the question-x PVM over outcomes s..t, added from
+    zero in outcome order; zero if s > t."""
+    return sum(strategy.pvms[x][s - 1:t], zero(strategy.d))
+
+
+def reference_forward_translate(game, graph, strategy) -> tuple:
+    """(names, stack): the sorted vertex names and the (V, 3, d, d) coloring
+    of the vertex-by-vertex translation, gluings checked as it went."""
+    d, m = strategy.d, strategy.outcomes
+    one, z = identity(d), zero(d)
+    input_defect = max(reference_pvm_defect(strategy.pvms[x]) for x in range(1, game.n + 1))
+    cross_tol = max(1e-12, 4.0 * np.sqrt(d) * input_defect)
+    names = sorted(graph.vertices)
+    row = {name: i for i, name in enumerate(names)}
+    stack = np.empty((len(names), 3, d, d), dtype=np.complex128)
+    assigned = np.zeros(len(names), dtype=bool)
+
+    def put(name, colors, gadget, cell, exact):
+        i = row[name]
+        if not assigned[i]:
+            stack[i] = colors
+            assigned[i] = True
+            return
+        for c, (old, new) in enumerate(zip(stack[i], colors)):
+            ok = np.array_equal(old, new) if exact else float(np.max(np.abs(old - new))) <= cross_tol
+            if not ok:
+                raise ValidationError(
+                    f"gluing inconsistency at {name} ({gadget}, cell {cell}, color {c + 1}): "
+                    "two gadgets assign different operators"
+                )
+
+    def cells(*mats):
+        return {(i, j): tuple(h[i - 1][j - 1] for h in mats) for i in (1, 2, 3) for j in (1, 2, 3)}
+
+    for letter, colors in zip(DELTA, ((one, z, z), (z, one, z), (z, z, one))):
+        put(letter, colors, "control triangle", letter, exact=True)
+    for block in graph.blocks:
+        alpha, x = block.alpha, block.x
+        low, low1 = (reference_interval_sum(strategy, 1, t, x) for t in (alpha, alpha + 1))
+        high, high1 = (reference_interval_sum(strategy, s, m, x) for s in (alpha + 1, alpha + 2))
+        mid = strategy.pvms[x][alpha]
+        colors = cells(
+            ((low, z, high), (mid, high1, low), (high1, low1, z)),
+            ((z, one, z), (one - mid, z, mid), (mid, z, one - mid)),
+            ((high, z, low), (z, low1, high1), (low, high1, mid)),
+        )
+        gadget = f"block alpha={alpha} x={x}"
+        for cell, name in block.cells.items():
+            put(name, colors[cell], gadget, cell, exact=True)
+        put(block.t1, (z, high, low), gadget, "t1", exact=True)
+        put(block.t3, (z, low, high), gadget, "t3", exact=True)
+    for ortho in graph.orthos:
+        a, b, x, y = ortho.tup
+        e_a, e_b = strategy.pvms[x][a - 1], strategy.pvms[y][b - 1]
+        g = reference_perturb_two(e_a, e_b)
+        rest = one - e_a - g
+        j1 = ((e_a, z, one - e_a), (rest, e_b, e_a), (g, one - e_b, z))
+        j2 = ((z, one, z), (e_a + g, z, rest), (rest, z, e_a + g))
+        j3 = ((one - e_a, z, e_a), (z, one - e_b, g), (e_a, e_b, rest))
+        colors = cells(j1, j2, j3) if ortho.kind == "e" else cells(j1, j3, j2)
+        gadget = "orthogonality ({},{},{},{})".format(*ortho.tup)
+        for cell, name in ortho.cells.items():
+            put(name, colors[cell], gadget, cell, exact=False)
+    assert assigned.all()
+    return tuple(names), stack

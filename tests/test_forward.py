@@ -1,18 +1,21 @@
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_pvm_defect, reference_tau
-from gadgetgraph import forward
-from gadgetgraph.errors import ValidationError
+from helpers import reference_forward_translate, reference_perturb_two, reference_pvm_defect, reference_tau
+from gadgetgraph import forward, rounding
+from gadgetgraph.errors import BoundViolation, ValidationError
 from gadgetgraph.forward import (
     FORWARD_FACTOR,
     GADGET_LOSS_FACTOR,
     certify_forward,
     coloring_value,
     forward_translate,
-    interval_sum,
     ortho_gadget_losses,
 )
 from gadgetgraph.games import (
@@ -22,6 +25,8 @@ from gadgetgraph.games import (
     SimpleGraph,
     SyncGame,
     coloring_game,
+    load_game,
+    load_game_strategy,
     sync_value,
 )
 from gadgetgraph.graphs import build_graph
@@ -30,26 +35,16 @@ from gadgetgraph.instances import (
     minimal_game,
     random_game,
     random_strategy,
+    triangle_coloring_game,
     triangle_strategy,
 )
 from gadgetgraph.reverse import certify_reverse_lemmas, reverse_translate
+from gadgetgraph.rounding import perturb_two
 
 
 def sync_only_game(m: int) -> SyncGame:
     losing = frozenset((a, b, 1, 1) for a in range(1, m + 1) for b in range(1, m + 1) if a != b)
     return SyncGame(n=1, m=m, losing=losing)
-
-
-def test_interval_sum_basics(rng, min_game):
-    strategy = random_strategy(rng, min_game, 3)
-    full = interval_sum(strategy, 1, 3, 1)
-    assert np.allclose(full, np.eye(3), atol=1e-12)
-    empty = interval_sum(strategy, 3, 2, 1)
-    assert np.count_nonzero(empty) == 0
-    with pytest.raises(ValidationError, match="out of range"):
-        interval_sum(strategy, 0, 2, 1)
-    with pytest.raises(ValidationError, match="no question"):
-        interval_sum(strategy, 1, 2, 9)
 
 
 def test_perfect_minimal_translates_to_perfect_coloring(min_game, min_graph):
@@ -128,17 +123,124 @@ def test_gluing_inconsistency_names_gadget_and_cell(rng, monkeypatch):
 
     game = sync_only_game(3)
     graph = build_graph(game)
-    real = forward._block_colors
-
-    def off_by_one(strategy, alpha, x):
-        cells, t1, t3 = real(strategy, alpha, x)
-        c1, c2, c3 = cells[(1, 2)]  # glued onto the control vertex B
-        cells[(1, 2)] = (c2, c1, c3)
-        return cells, t1, t3
-
-    monkeypatch.setattr(forward, "_block_colors", off_by_one)
+    template = list(forward._BLOCK_TEMPLATE)
+    c1, c2, c3 = template[1]  # cell (1, 2), glued onto the control vertex B
+    template[1] = (c2, c1, c3)
+    monkeypatch.setattr(forward, "_BLOCK_TEMPLATE", tuple(template))
     with pytest.raises(ValidationError, match=r"at B \(block alpha=1 x=1, cell \(1, 2\), color 1\)"):
         forward_translate(game, graph, random_strategy(rng, game, 3))
+
+
+@pytest.mark.parametrize("kind", ["e", "f"])
+def test_gadget_gluing_inconsistency_names_the_first_vertex(kind, monkeypatch):
+    # Cell (2, 2) is glued onto the answer cell of b; giving it e_a as its
+    # color 1 breaks every gadget of the kind, and the first one is named.
+    rng = np.random.default_rng(5)
+    game = random_game(rng, 2, 4, 0.5)
+    graph = build_graph(game)
+    assert {o.kind for o in graph.orthos} == {"e", "f"}
+    template = list(forward._ORTHO_TEMPLATES[kind])
+    template[4] = (forward._E_A, *template[4][1:])
+    monkeypatch.setitem(forward._ORTHO_TEMPLATES, kind, tuple(template))
+    first = next(o for o in graph.orthos if o.kind == kind)
+    message = (
+        f"gluing inconsistency at {first.cells[(2, 2)]} (orthogonality ({','.join(map(str, first.tup))}), "
+        "cell (2, 2), color 1): two gadgets assign different operators"
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        forward_translate(game, graph, random_strategy(rng, game, 3))
+    assert str(excinfo.value) == message
+
+
+def test_a_failing_gadget_rounding_raises_as_perturb_two(monkeypatch):
+    # Lower the distance multiplier between the ratios of two gadgets, so
+    # that a later gadget fails and gadget 0 does not: the batch must raise
+    # for the first failing gadget exactly what perturb_two raises for it.
+    rng = np.random.default_rng(3)
+    game = random_game(rng, 2, 4, 0.5)
+    graph = build_graph(game)
+    strategy = random_strategy(rng, game, 6)
+    pairs = [(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1]) for a, b, x, y in (o.tup for o in graph.orthos)]
+    distances = [reference_two_norm(e_b - reference_perturb_two(e_a, e_b)) for e_a, e_b in pairs]
+    overlaps = [reference_two_norm(e_a @ e_b) for e_a, e_b in pairs]
+    ratios = [lhs / rhs if rhs > 1e-6 else 0.0 for lhs, rhs in zip(distances, overlaps)]
+    factor = (ratios[0] + max(ratios)) / 2.0
+    failing = [i for i, (lhs, rhs) in enumerate(zip(distances, overlaps)) if factor * rhs - lhs < -1e-9]
+    assert failing and failing[0] > 0
+    monkeypatch.setattr(rounding, "PERTURB_TWO_FACTOR", factor)
+    with pytest.raises(BoundViolation) as expected:
+        perturb_two(*pairs[failing[0]])
+    assert "perturbed-projection distance" in str(expected.value)
+    with pytest.raises(BoundViolation) as raised:
+        forward_translate(game, graph, strategy)
+    assert str(raised.value) == str(expected.value)
+
+
+def reference_two_norm(m) -> float:
+    return float(np.linalg.norm(m)) / np.sqrt(m.shape[0])
+
+
+def assert_same_translation(game, graph, strategy) -> None:
+    cs = forward_translate(game, graph, strategy)
+    names, stack = reference_forward_translate(game, graph, strategy)
+    assert cs.keys == names
+    assert cs.stack.tobytes() == stack.tobytes()  # bit for bit, the sign of a zero included
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=3, max_value=5),
+    d=st.integers(min_value=1, max_value=6),
+    p=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_translation_matches_the_vertex_by_vertex_reference(n, m, d, p, seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, n, m, p)
+    assert_same_translation(game, build_graph(game), random_strategy(rng, game, d))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+NAMED_GAMES = {
+    "minimal": minimal_game,
+    "triangle": triangle_coloring_game,
+    "golden": lambda: load_game(GOLDEN / "game.json"),
+    "golden10": lambda: load_game(GOLDEN / "game10.json"),
+}
+
+
+def with_negative_zeros(strategy) -> GameStrategy:
+    """The strategy with each zero entry spelled -0.0: a partial sum that
+    does not start from +0.0 keeps such a sign, which a written file shows."""
+    return GameStrategy(strategy.d, {x: [np.where(m == 0, -0.0, m) for m in mats] for x, mats in strategy.pvms.items()})
+
+
+@pytest.mark.parametrize("name", NAMED_GAMES)
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_translation_of_the_named_games_matches_the_reference(name, d):
+    game = NAMED_GAMES[name]()
+    answers = tuple(x % game.m + 1 for x in range(game.n))
+    strategies = [random_strategy(np.random.default_rng(d), game, d), deterministic_strategy(game, answers)]
+    if name == "golden":
+        strategies.append(load_game_strategy(GOLDEN / "strategy.json"))
+    graph = build_graph(game)
+    for strategy in strategies + [with_negative_zeros(s) for s in strategies]:
+        assert_same_translation(game, graph, strategy)
+
+
+def test_forward_command_builds_no_name_views(monkeypatch, tmp_path, capsys):
+    from gadgetgraph import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_graph", lambda game: built.append(build_graph(game)) or built[-1])
+    for name in ("game.json", "strategy.json"):
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    argv = ["forward", str(tmp_path / "game.json"), str(tmp_path / "strategy.json")]
+    assert cli.main(argv) == 0
+    assert "coloring value" in capsys.readouterr().out
+    (graph,) = built
+    assert not {"edges", "blocks", "orthos", "rest_edges"} & set(vars(graph))
 
 
 def test_ortho_gadget_losses_accounting(rng, min_game, min_graph):

@@ -1,4 +1,6 @@
+import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -461,3 +463,28 @@ def test_an_empty_operator_is_invalid_input(check, shape):
     # and hermitian_defect called it exactly Hermitian.
     with pytest.raises(ValidationError, match=r"^expected a nonempty operator, got shape"):
         check(np.zeros(shape))
+
+
+def test_a_family_check_makes_as_many_public_calls_at_any_row_count(monkeypatch, rng):
+    # Every traced command of a benchmark run must make the same calls, so
+    # the public calls of a check must not grow with the rows it checks.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in list(vars(linalg).items()):
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == linalg.__name__:
+            monkeypatch.setattr(linalg, name, counting(name, fn))
+    pvm = np.array(random_pvm(rng, 4, 3))
+
+    def public_calls(rows: int) -> dict:
+        calls.clear()
+        linalg.require_pvm_family(np.stack([pvm] * rows), range(rows))
+        return dict(calls)
+
+    assert public_calls(16) == public_calls(48) == {"require_pvm_family": 1}

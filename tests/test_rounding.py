@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from helpers import raised_message
 from gadgetgraph.errors import BoundViolation, ValidationError
 from gadgetgraph.instances import BOUND_FAMILIES, bound_suite_trial
-from gadgetgraph.linalg import random_pvm, two_norm
+from gadgetgraph.linalg import random_projection, random_pvm, spectral_projection_half, two_norm
 from gadgetgraph.rounding import (
     PERM3,
     InequalityReport,
+    _perturb_checked_two,
     check_commutator_transfer,
     check_cutdown_sum,
     check_prism,
@@ -168,6 +170,61 @@ def test_perturb_two_exact_orthogonal_is_identity_map():
 def test_perturb_two_rejects_non_projection():
     with pytest.raises(ValidationError):
         perturb_two(0.5 * np.eye(2), coord(2, 0))
+
+
+def test_a_batch_rounds_each_pair_as_perturb_two_does(rng):
+    pairs = [(random_projection(rng, 5), random_projection(rng, 5)) for _ in range(6)]
+    batch = _perturb_checked_two(np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]))
+    assert batch.shape == (6, 5, 5)
+    for got, (a, b) in zip(batch, pairs, strict=True):
+        assert got.tobytes() == perturb_two(a, b).tobytes()
+
+
+def test_perturb_two_rounds_a_block_stack_block_by_block(rng):
+    # The complement was once taken at the stack's length, not its block
+    # size, and a (2, 3, 3) stack failed to broadcast.
+    a, b = (np.stack([random_projection(rng, 3) for _ in range(2)]) for _ in range(2))
+    rounded = perturb_two(a, b)
+    assert rounded.shape == (2, 3, 3)
+    for got, pa, pb in zip(rounded, a, b, strict=True):
+        assert np.allclose(got, perturb_two(pa, pb), atol=1e-10)
+
+
+def test_a_batch_raises_for_its_first_failing_item():
+    # Unchecked inputs that fail one check each: the spectrum window (2 1
+    # is rounded), orthogonality (a = 2 e_1 is not a projection), and the
+    # Hermitian check (a NaN).  A batch raises its first failing item's
+    # error, whichever layer checks it.
+    ok = coord(3, 0), coord(3, 1)
+    wide = np.zeros((3, 3)), 2.0 * np.eye(3)
+    skew = 2.0 * coord(3, 0), np.eye(3)
+    nan = np.zeros((3, 3)), np.full((3, 3), np.nan)
+
+    def batch(*pairs):
+        return _perturb_checked_two(*(np.array(side, dtype=np.complex128) for side in zip(*pairs)))
+
+    window = raised_message(lambda: spectral_projection_half(2.0 * np.eye(3)))
+    hermitian = raised_message(lambda: spectral_projection_half(np.full((3, 3), np.nan)))
+    assert window.startswith("spectral_projection_half input spectrum")
+    assert hermitian.startswith("spectral_projection_half input is not Hermitian")
+    assert raised_message(lambda: batch(ok, wide, skew, nan)) == window
+    assert raised_message(lambda: batch(ok, nan, wide)) == hermitian
+    orthogonal = r"^perturbed projection is not orthogonal: \|\|a out\|\|_2 = 1\.155e\+00$"
+    with pytest.raises(BoundViolation, match=orthogonal):
+        batch(ok, skew, wide, nan)
+
+
+def test_perturb_pvm_names_the_first_input_that_fails():
+    good, wide, skew = 0.5 * np.eye(2), np.diag([0.0, 1.5]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert raised_message(lambda: perturb_pvm([good, wide, skew])) == (
+        "input 2 spectrum [0.000e+00, 1.500e+00] leaves [0,1] beyond tolerance 1e-09"
+    )
+    assert raised_message(lambda: perturb_pvm([good, skew, wide])) == (
+        "input 2 is not Hermitian: entrywise defect 1.000e+00 > 1e-12"
+    )
+    # Inputs that do not stack are checked one by one before their shapes.
+    assert raised_message(lambda: perturb_pvm([good, skew, np.eye(3)])).startswith("input 2 is not Hermitian")
+    assert raised_message(lambda: perturb_pvm([good, np.eye(3)])).startswith("mixed dimensions")
 
 
 def test_perturb_pvm_fixes_exact_pvm():
