@@ -109,9 +109,7 @@ def hermitian_defect(m) -> float:
 
 def require_hermitian(m, tol: float = TOL_HERMITIAN, what: str = "matrix") -> np.ndarray:
     a = _operator(m)
-    defect = hermitian_defect(a)
-    if not defect <= tol:  # written so that a NaN defect fails too
-        raise ValidationError(f"{what} is not Hermitian: entrywise defect {defect:.3e} > {tol:.0e}")
+    _raise_first([_hermitian_check(a[None], lambda i: what, tol)[1]])
     return a
 
 
@@ -289,15 +287,13 @@ def _raise_first(checks) -> None:
         raise checks[k][1](i)
 
 
-def _hermitian_check(batch: np.ndarray, name) -> tuple:
+def _hermitian_check(batch: np.ndarray, name, tol: float = TOL_HERMITIAN) -> tuple:
     """(n, check) for ``require_hermitian`` of each item, item i labelled
     ``name(i)``; only the first n items, which pass, may go on to ``eigh``."""
-    defects = next(_stack_defects(batch[:, None], None))[0][:, 0]
-    failed = ~(defects <= TOL_HERMITIAN)  # a NaN defect fails too
+    defects, _, message = next(_stack_defects(batch[:, None], None))
+    failed = ~(defects[:, 0] <= tol)  # a NaN defect fails too
     n = int(np.argmax(failed)) if failed.any() else len(batch)
-    return n, (failed, lambda i: ValidationError(
-        f"{name(i)} is not Hermitian: entrywise defect {defects[i]:.3e} > {TOL_HERMITIAN:.0e}"
-    ))
+    return n, (failed, lambda i: ValidationError(message.format(name(i), defects[i, 0], tol)))
 
 
 def _window_check(eigs: np.ndarray, tol: float, name) -> tuple:
