@@ -33,7 +33,6 @@ from .games import (
     ValueReport,
     _prebuilt,
     _require_strategy_fits,
-    _rows,
     sync_value,
 )
 from .graphs import _A, _B, _C, _CELL, _CELLS, _ORTHO_SLOTS, GadgetGraph
@@ -223,16 +222,19 @@ def _require_coverage(graph: GadgetGraph, cs: ColoringStrategy) -> None:
 def _vertex_rows(graph: GadgetGraph, cs: ColoringStrategy) -> np.ndarray:
     """The row of ``cs.stack`` that holds each vertex's PVM, by vertex id;
     ``cs`` must cover the graph.  A strategy of exactly the graph's
-    vertices holds them in sorted order, so those rows are ``graph.rank``."""
+    vertices holds them in sorted order, so those rows are ``graph.rank``;
+    one with more keys is searched, its keys being sorted."""
     _require_coverage(graph, cs)
-    return graph.rank if len(cs.keys) == graph.n_vertices else _rows(cs, graph.vertices)
+    if len(cs.keys) == graph.n_vertices:
+        return graph.rank
+    return np.searchsorted(np.array(cs.keys), np.array(graph.vertices))
 
 
 def _edge_losses(cs: ColoringStrategy, rows: np.ndarray) -> list:
-    """Same-color probability of each pair (u, v) of stack rows in the
-    (E, 2) array ``rows``, as ``edge_loss_probability`` gives it: every
-    overlap tr(P_{c,u} P_{c,v})/d comes from one gathered ``einsum`` per
-    chunk of edges, and each edge ``fsum``s its three."""
+    """Same-color probability sum_c tr(P_{c,u} P_{c,v})/d of each pair
+    (u, v) of stack rows in the (E, 2) array ``rows``: every overlap comes
+    from one gathered ``einsum`` per chunk of edges, and each edge
+    ``fsum``s its three."""
     return list(map(fsum, _overlaps(cs.stack, rows[:, 0], rows[:, 1]).tolist()))
 
 

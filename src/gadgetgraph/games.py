@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, require_pvm, require_pvm_family, trace_product
+from .linalg import as_matrix, require_pvm, require_pvm_family
 
 QUESTION_PRIOR = "uniform-on-questions"
 EDGE_PRIOR = "uniform-on-edges"
@@ -302,13 +302,6 @@ def _prebuilt(cls, d: int, keys, stack: np.ndarray):
     return strategy
 
 
-def _rows(strategy: _Strategy, keys) -> np.ndarray:
-    """The stack rows of ``keys``, in their order, as an intp array; each
-    key must be one of the strategy's."""
-    row = dict(zip(strategy.keys, range(len(strategy.keys))))
-    return np.fromiter(map(row.__getitem__, keys), np.intp)
-
-
 @dataclass(frozen=True, eq=False)
 class GameStrategy(_Strategy):
     """One m-outcome PVM per question: ``stack`` is (K, m, d, d)."""
@@ -426,12 +419,6 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
         return tuple(map(LossEntry, keys, ws[pair].tolist(), probabilities[lost].tolist()))
 
     return ValueReport(value, build_losses)
-
-
-def edge_loss_probability(p_u, p_v) -> float:
-    """Same-color probability sum_c tr(P_{c,u} P_{c,v})/d across one edge,
-    each overlap in O(d^2) without forming the product."""
-    return fsum(map(trace_product, p_u, p_v))
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,15 @@ pairs, and one direct edge per remaining losing tuple.  A gluing (a vertex
 shared between gadgets) maps a gadget cell to a vertex declared earlier: a
 control letter, an answer cell v̂(a, x) or the previous block's v(3,2).  The
 cell takes that vertex and gets no name of its own, so the graph holds
-canonical vertices only, each named once, and every later stage reaches
-them through the gadget handles (``GadgetGraph.block``,
-``GadgetGraph.answer_vertex``).
+canonical vertices only, each named once.
 
 The builder works on integer vertex ids, numbered in the canonical order of
 ``vertices``: the control letters, the block cells, the prism tops, then the
 orthogonality gadgets' cells, gadget by gadget in (x, y, a, b) order.  Each
 gadget is one row of ids, the template's slot pairs are mapped through the
-rows, and each name is formatted once; the graph keeps the rows of ids.
+rows, and each name is formatted once; the graph keeps the rows of ids, and
+later stages gather by them.  The gadget handles (``GadgetGraph.block``,
+``GadgetGraph.answer_vertex``) name them for the library API.
 
 Edge accounting is kept honest: every slot the construction *mentions* is
 counted, and a slot whose edge an earlier slot already made is a duplicate of
@@ -88,8 +88,8 @@ _BLOCK_COLUMNS = _CELLS + ("A", "C", "t1", "t3")
 _ORTHO_COLUMNS = _CELLS + ("A",)
 
 
-def _slot_columns(columns: tuple, pairs: tuple) -> np.ndarray:
-    return np.array([(columns.index(u), columns.index(v)) for u, v in pairs])
+def _slot_columns(columns: tuple, slots: tuple) -> np.ndarray:
+    return np.array([[columns.index(label) for label in slot] for slot in slots])
 
 
 #: A block's 25 slots: its rook pairs, C~v(2,1), A~v(3,3), and the prism
@@ -231,16 +231,19 @@ class GadgetGraph:
         rank.flags.writeable = False
         return rank
 
-    @cached_property
-    def vertex_id(self) -> dict:
-        """Each vertex's integer id: its position in ``vertices``."""
-        return dict(zip(self.vertices, range(len(self.vertices))))
-
-    def edge_key(self, u: str, v: str) -> tuple:
-        """The pair (u, v) with its ends in vertex order, as ``edges`` lists
-        an edge; names that are not vertices come first."""
-        ids = self.vertex_id
-        return (u, v) if ids.get(u, -1) < ids.get(v, -1) else (v, u)
+    def edge_index(self, pairs: np.ndarray) -> np.ndarray:
+        """The row in ``edge_ids`` of each pair of vertex ids along the last
+        axis of ``pairs``, its ends in either order, by one lookup of the
+        edge codes lo * V + hi, which ``edge_ids`` is sorted by."""
+        n, u, v = np.int64(self.n_vertices), pairs[..., 0], pairs[..., 1]
+        codes = self.edge_ids[:, 0] * n + self.edge_ids[:, 1]
+        wanted = np.minimum(u, v) * n + np.maximum(u, v)
+        at = np.searchsorted(codes, wanted).clip(max=len(codes) - 1)
+        missing = codes[at] != wanted
+        if missing.any():
+            k = np.argmax(missing.ravel())
+            raise ValidationError(f"no edge between vertex ids {u.ravel()[k]} and {v.ravel()[k]}")
+        return at
 
     @property
     def n_vertices(self) -> int:
@@ -270,6 +273,12 @@ def edge_count_formula(game: SyncGame) -> int:
     """Closed-form slot count: 25n(m-2) + 19|e| + 19|f| + |rest|."""
     e_set, f_set, rest = map(np.count_nonzero, _answer_classes(game))
     return 25 * game.n * (game.m - 2) + 19 * (e_set + f_set) + rest
+
+
+def _answer_ids(cells: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The id of v̂(a, x) at [x - 1, a - 1], from the blocks' rows of ids."""
+    where = [_answer_cell(a, m) for a in range(1, m + 1)]
+    return cells.reshape(n, m - 2, -1)[:, [al - 1 for al, _ in where], [_CELL[c] for _, c in where]]
 
 
 def _answer_pairs(answers: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -302,9 +311,7 @@ def build_graph(game: SyncGame) -> GadgetGraph:
     block_rows[:, 9:11] = (_A, _C)
     block_rows[:, 11:] = np.arange(first_top, first_top + 2 * n_blocks).reshape(-1, 2)
 
-    # answers[x - 1, a - 1] is v̂(a, x).
-    where = [_answer_cell(a, m) for a in range(1, m + 1)]
-    answers = cells.reshape(n, m - 2, 9)[:, [al - 1 for al, _ in where], [_CELL[c] for _, c in where]]
+    answers = _answer_ids(cells, n, m)
 
     # Orthogonality gadgets in ``orthos`` order, one _ORTHO_COLUMNS row each.
     # The cells they declare are numbered after the prism tops, six per

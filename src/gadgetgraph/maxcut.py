@@ -30,10 +30,9 @@ from .games import (
     _read_text,
     _unique_keys,
     coloring_game,
-    edge_loss_probability,
     sync_value,
 )
-from .linalg import as_matrix, identity, require_pvm, trace_product, two_norm
+from .linalg import _overlaps, as_matrix, identity, require_pvm, trace_product, two_norm
 from .rounding import InequalityReport
 
 #: Spectrum/order tolerance for unitary families.
@@ -270,17 +269,18 @@ def roots_identity_check(g: SimpleGraph, fam: OrderKUnitaryFamily) -> Inequality
     _require_family(g, fam)
     if g.n_edges == 0:
         return InequalityReport("roots-of-unity identity (no edges)", 0.0, ROOTS_IDENTITY_TOL)
-    spectral = {v: pvm_from_unitary(fam.unitaries[v]) for v in fam.unitaries}
+    # pvm_from_unitary validates every spectral PVM; vertex v is row v - 1.
+    questions = range(1, g.n_vertices + 1)
+    spectral = np.array([pvm_from_unitary(fam.unitaries[v]) for v in questions])
+    strategy = _prebuilt(GameStrategy, fam.d, questions, spectral)
+    ends = np.array(g.edges) - 1
+    collisions = map(math.fsum, _overlaps(spectral, ends[:, 0], ends[:, 1]).tolist())
     worst = 0.0
     worst_label = "no edge"
-    for (u, v), lhs in zip(g.edges, _edge_overlaps(g, fam)):
-        rhs = edge_loss_probability(spectral[u], spectral[v])
+    for (u, v), lhs, rhs in zip(g.edges, _edge_overlaps(g, fam), collisions):
         gap = abs(lhs - rhs)
         if gap > worst:
             worst, worst_label = gap, f"edge ({u},{v})"
-    # pvm_from_unitary has validated every spectral PVM.
-    questions = range(1, g.n_vertices + 1)
-    strategy = _prebuilt(GameStrategy, fam.d, questions, np.array([spectral[v] for v in questions]))
     game_value = sync_value(
         coloring_game(g),
         strategy,

@@ -9,29 +9,32 @@ answer-carrying block cells are squeezed between them, and the resulting
 6m positive contractions per question are rounded into an exact PVM whose
 permutation-grouped sums are the recovered measurement operators.
 
-Quality is tracked by four diagnostic families over the graph's named
+Quality is tracked by four diagnostic families over the graph's
 triangles, prisms and edges (zeta, eta, xi, theta), and the explicit
 constants tying commutators against the sandwich operators to those
 diagnostics are certified on demand.  Constants that the analysis leaves
 implicit are evaluated left-hand-side only and logged.
+
+Everything is gathered by vertex id, as in ``forward``, and the
+diagnostics are arrays aligned with the graph's id tables.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .errors import BoundViolation, ValidationError
-from .forward import _require_compiled_from, _require_coverage, coloring_value
-from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt, _rows
-from .graphs import DELTA, GadgetGraph
-from .linalg import _gathered, _norms, _require_contractions, _two_norms, identity, two_norm
+from .forward import _require_compiled_from, _vertex_rows, coloring_value
+from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt
+from .graphs import (
+    _A, _B, _BLOCK_COLUMNS, _C, _ORTHO_COLUMNS, DELTA, GadgetGraph, _answer_cell, _answer_ids, _slot_columns,
+)
+from .linalg import TOL_SLACK, _gathered, _norms, _raise_first, _require_contractions, _two_norms, identity, two_norm
 from .rounding import PERM3, InequalityReport, perturb_pvm
 
 log = logging.getLogger(__name__)
@@ -42,6 +45,9 @@ SYMMETRIZE_TOL = 1e-10
 #: Clamp window for the sandwich operators' spectra.
 CONTRACTION_TOL = 1e-10
 
+#: Certified multiplier of a triangle's sum defect: eta <= 3 sqrt(zeta).
+ETA_FACTOR = 3.0
+
 
 #: _RELABEL[c - 1][slot] is the input color that block ``slot`` plays as color c.
 _RELABEL = np.array(PERM3).T - 1
@@ -49,11 +55,31 @@ _RELABEL = np.array(PERM3).T - 1
 #: The index i - 1 of the first color of each permutation (i, j, k) of PERM3.
 _FIRST_COLOR = np.array([perm[0] for perm in PERM3]) - 1
 
+#: A triangle's three vertex pairs, as indices of its vertices.
+_TRIANGLE_PAIRS = np.array([(0, 1), (0, 2), (1, 2)])
+
 #: The nine products P_{c,p} P_{c,q} of a triangle's zeta, color by color,
 #: each as (vertex p, vertex q, color c) indices of its three vertices.
-_ZETA_LEFT, _ZETA_RIGHT, _ZETA_COLOR = np.array(
-    [(p, q, c) for c in range(3) for p, q in ((0, 1), (0, 2), (1, 2))]
-).T
+_ZETA_LEFT, _ZETA_RIGHT, _ZETA_COLOR = np.array([(p, q, c) for c in range(3) for p, q in _TRIANGLE_PAIRS]).T
+
+_ROWS = tuple(tuple((i, j) for j in (1, 2, 3)) for i in (1, 2, 3))
+_COLS = tuple(zip(*_ROWS))
+_TOP = ("t1", "A", "t3")  # the prism's top triangle, aligned rung by rung with row 1
+
+#: A block's seven triangles as columns of ``GadgetGraph.block_rows``: its
+#: rows, its columns and the top triangle; a gadget's six in ``ortho_rows``.
+_BLOCK_TRIANGLES = _slot_columns(_BLOCK_COLUMNS, _ROWS + _COLS + (_TOP,))
+_ORTHO_TRIANGLES = _slot_columns(_ORTHO_COLUMNS, _ROWS + _COLS)
+
+#: A block's four prisms as (12, 2) columns of ``block_rows``, three rungs
+#: each: the top prism (row 1 under the top triangle), then the prisms
+#: between rows (1,2), (1,3) and (2,3).
+_PRISM_SIDES = ((_ROWS[0], _TOP), (_ROWS[0], _ROWS[1]), (_ROWS[0], _ROWS[2]), (_ROWS[1], _ROWS[2]))
+_BLOCK_PRISMS = _slot_columns(_BLOCK_COLUMNS, tuple(chain.from_iterable(zip(*sides) for sides in _PRISM_SIDES)))
+
+#: The edges whose theta the commutator bounds read, as columns of
+#: ``block_rows``: v(1,1)~B (v(1,2) is B), v(2,1)~C, v(3,3)~A and v(2,2)~B.
+_RHS_EDGES = _slot_columns(_BLOCK_COLUMNS, (((1, 1), (1, 2)), ((2, 1), "C"), ((3, 3), "A"), ((2, 2), (1, 2))))
 
 #: The 30 ordered pairs (p1, p2), p1 != p2, of the six control sandwiches.
 _CROSS_LEFT, _CROSS_RIGHT = np.array([(p1, p2) for p1 in range(6) for p2 in range(6) if p1 != p2]).T
@@ -89,108 +115,87 @@ def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> Colori
 
 @dataclass(frozen=True, eq=False)
 class Diagnostics:
-    """Coloring-quality functionals of a symmetrized strategy.
+    """Coloring-quality functionals of a symmetrized strategy, at color 1,
+    which on a symmetrized strategy stands for all three colors.
 
-    zeta maps each named triangle to the sum of same-color products over
-    its ordered vertex pairs, eta to its three-projection sum defect, xi
-    maps each named prism to the sum of its three rung products, and theta
-    maps each graph edge to the product norm of its endpoint projections.
-    Everything is evaluated at color 1, which on a symmetrized strategy
-    stands for all three colors.  theta is keyed by the pairs of
-    ``graph.edges``, and edge_key is the graph's ``GadgetGraph.edge_key``,
-    which orders any pair of names that way.
+    theta holds each edge's product norm of its endpoint projections, in
+    ``edge_ids`` order.  zeta and eta hold each triangle's sum of same-color
+    products over its vertex pairs and its three-projection sum defect, for
+    the control triangle, then each block's rows 1-3, columns 1-3 and top
+    triangle (t1, A, t3), then each gadget's rows 1-3 and columns 1-3.  xi
+    is (blocks, 4): the sum of the three rung products of each block's top
+    prism, then of its prisms between rows (1,2), (1,3) and (2,3).
     """
 
-    zeta: dict
-    eta: dict
-    xi: dict
-    theta: dict
-    edge_key: Callable[[str, str], tuple]
-
-    def theta_edge(self, u: str, v: str) -> float:
-        """Theta for an edge named in either endpoint order."""
-        pair = self.edge_key(u, v)
-        if pair not in self.theta:
-            raise ValidationError(f"no edge between {u!r} and {v!r}")
-        return self.theta[pair]
+    zeta: np.ndarray
+    eta: np.ndarray
+    xi: np.ndarray
+    theta: np.ndarray
 
 
-def _edge_products(graph: GadgetGraph, cs: ColoringStrategy) -> dict:
-    """Color-1 product norm per edge of symmetrize's output."""
-    if cs.stack.shape[2:] != (6, cs.d // 6, cs.d // 6):
-        raise ValidationError("operators are not (6, d, d) stacks; symmetrize the strategy first")
-    rows = _rows(cs, chain.from_iterable(graph.edges)).reshape(-1, 2)
-    norms = []
-    for _, (u, v) in _gathered(cs.stack[:, 0], *rows.T):
-        norms.extend(_two_norms(u @ v).tolist())
-    return dict(zip(graph.edges, norms))
-
-
-def _theta_at(theta: dict, edge_key, u: str, v: str) -> float:
-    pair = edge_key(u, v)
-    if pair not in theta:
-        raise AssertionError(f"gadget edge {u}~{v} missing from the edge table")
-    return theta[pair]
-
-
-def _named_triangles(graph: GadgetGraph):
-    yield ("delta",), DELTA
-    for b in graph.blocks:
-        for i in (1, 2, 3):
-            yield ("row", i, b.alpha, b.x), b.row(i)
-        for j in (1, 2, 3):
-            yield ("col", j, b.alpha, b.x), b.col(j)
-        yield ("top", b.alpha, b.x), b.t_triangle()
-    for o in graph.orthos:
-        for i in (1, 2, 3):
-            yield ("qrow", i) + o.tup, o.row(i)
-        for j in (1, 2, 3):
-            yield ("qcol", j) + o.tup, o.col(j)
-
-
-def _named_prisms(graph: GadgetGraph):
-    for b in graph.blocks:
-        yield ("top", b.alpha, b.x), tuple(zip(b.row(1), b.t_triangle()))
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            yield ("rows", i, j, b.alpha, b.x), tuple(zip(b.row(i), b.row(j)))
-
-
-def _triangle_sum_defects(cs: ColoringStrategy, triangles) -> list:
-    """eta of each (u, v, w) triangle at color 1, ||1 - (P_u + P_v + P_w)||_2,
-    over gathered (T, 6, d, d) stacks, chunk by chunk."""
-    rows = _rows(cs, chain.from_iterable(triangles)).reshape(-1, 3)
-    one = identity(cs.d // 6)
-    out = []
-    for _, (u, v, w) in _gathered(cs.stack[:, 0], *rows.T):
-        out.extend(_two_norms(one - (u + v + w)).tolist())
+def _gathered_norms(cs: ColoringStrategy, rows: np.ndarray, combine) -> np.ndarray:
+    """``two_norm`` of ``combine`` of the color-1 operators at each row of
+    stack rows of ``rows``, chunk by chunk."""
+    out = np.empty(len(rows))
+    for part, ops in _gathered(cs.stack[:, 0], *rows.T):
+        out[part] = _two_norms(combine(*ops))
     return out
 
 
+def _edge_products(cs: ColoringStrategy, rows: np.ndarray) -> np.ndarray:
+    """Color-1 product norm of each pair of stack rows of the (E, 2) array
+    ``rows``, for symmetrize's output."""
+    if cs.stack.shape[2:] != (6, cs.d // 6, cs.d // 6):
+        raise ValidationError("operators are not (6, d, d) stacks; symmetrize the strategy first")
+    return _gathered_norms(cs, rows, np.matmul)
+
+
+def _triangles(graph: GadgetGraph) -> np.ndarray:
+    """Every triangle's vertex ids as a (T, 3) table: the control triangle,
+    then each block's rows 1-3, columns 1-3 and top triangle, then each
+    gadget's rows 1-3 and columns 1-3."""
+    return np.concatenate([
+        [[_A, _B, _C]],
+        graph.block_rows[:, _BLOCK_TRIANGLES].reshape(-1, 3),
+        graph.ortho_rows[:, _ORTHO_TRIANGLES].reshape(-1, 3),
+    ])
+
+
+def _triangle_label(graph: GadgetGraph, t: int) -> tuple:
+    """The name of triangle t of ``_triangles``: ('delta',), ('row' or
+    'col', i, alpha, x), ('top', alpha, x), or ('qrow' or 'qcol', i, a, b,
+    x, y) for the gadget of the losing tuple (a, b, x, y)."""
+    if t == 0:
+        return ("delta",)
+    per_x, blocks = graph.game.m - 2, len(graph.block_rows)
+    k, s = divmod(t - 1, len(_BLOCK_TRIANGLES))
+    if k < blocks:
+        alpha, x = k % per_x + 1, k // per_x + 1
+        return ("top", alpha, x) if s == 6 else ("row" if s < 3 else "col", s % 3 + 1, alpha, x)
+    k, s = divmod(t - 1 - len(_BLOCK_TRIANGLES) * blocks, len(_ORTHO_TRIANGLES))
+    return ("qrow" if s < 3 else "qcol", s % 3 + 1) + graph.game.losing_sorted[graph.ortho_at[k]]
+
+
 def compute_diagnostics(graph: GadgetGraph, cs: ColoringStrategy) -> Diagnostics:
-    """Evaluate zeta/eta/xi/theta over the graph's named substructures.
+    """Evaluate zeta/eta/xi/theta over the graph's triangles, prisms and edges.
 
     Expects symmetrize's output and raises ValidationError on anything
     else.  For every triangle the sum defect eta is certified against
-    3*sqrt(zeta).
+    ETA_FACTOR * sqrt(zeta), and the first that fails is raised.
     """
-    _require_coverage(graph, cs)
-    theta = _edge_products(graph, cs)
-    key = graph.edge_key
-    triangles = list(_named_triangles(graph))
-    defects = _triangle_sum_defects(cs, [names for _, names in triangles])
-    zeta, eta, xi = {}, {}, {}
-    for (label, (u, v, w)), defect in zip(triangles, defects):
-        z = 2.0 * (
-            _theta_at(theta, key, u, v) + _theta_at(theta, key, u, w) + _theta_at(theta, key, v, w)
-        )
-        zeta[label] = z
-        eta[label] = defect
-        InequalityReport(
-            f"triangle sum defect at {label!r}", eta[label], 3.0 * math.sqrt(z)
-        ).require()
-    for label, rungs in _named_prisms(graph):
-        xi[label] = math.fsum(_theta_at(theta, key, u, v) for u, v in rungs)
-    return Diagnostics(zeta=zeta, eta=eta, xi=xi, theta=theta, edge_key=key)
+    rows = _vertex_rows(graph, cs)
+    theta = _edge_products(cs, rows[graph.edge_ids])
+    triangles, one = _triangles(graph), identity(cs.d // 6)
+    eta = _gathered_norms(cs, rows[triangles], lambda u, v, w: one - (u + v + w))  # ||1 - (P_u + P_v + P_w)||_2
+    sides = theta[graph.edge_index(triangles[:, _TRIANGLE_PAIRS])]
+    zeta = 2.0 * (sides[:, 0] + sides[:, 1] + sides[:, 2])
+    bound = ETA_FACTOR * np.sqrt(zeta)
+    _raise_first([(bound - eta < -TOL_SLACK, lambda t: InequalityReport(
+        f"triangle sum defect at {_triangle_label(graph, t)!r}", eta[t], bound[t]
+    ).require())])  # which raises
+    rungs = theta[graph.edge_index(graph.block_rows[:, _BLOCK_PRISMS])].reshape(-1, 3)
+    xi = np.array(list(map(math.fsum, rungs.tolist()))).reshape(-1, 4)
+    return Diagnostics(zeta=zeta, eta=eta, xi=xi, theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +206,20 @@ def compute_diagnostics(graph: GadgetGraph, cs: ColoringStrategy) -> Diagnostics
 class ControlCompressions:
     """The six control sandwiches P_iA P_jB P_kC P_jB P_iA.
 
-    Keyed by the color permutation (i, j, k); each operator is validated
-    as a positive contraction, and the family's three almost-PVM bounds
-    (sum defect, projection defect, cross products) are certified at
-    construction time against the color-averaged control-triangle zeta.
+    ``stack`` holds the six operators as one (6, 6, d, d) stack in PERM3
+    order, and ``operators`` keys its rows by the color permutation
+    (i, j, k).  Each operator is validated as a positive contraction, and
+    the family's three almost-PVM bounds (sum defect, projection defect,
+    cross products) are certified at construction time against the
+    color-averaged control-triangle zeta.
     """
 
+    stack: np.ndarray
     operators: dict
     reports: tuple
 
     def operator(self, perm) -> np.ndarray:
         return self.operators[tuple(perm)]
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The six operators as one (6, 6, d, d) stack, in PERM3 order."""
-        return np.stack([self.operators[perm] for perm in PERM3])
 
 
 def _zeta_color_average(cs: ColoringStrategy, names) -> float:
@@ -236,7 +239,6 @@ def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
     a, b, c = (cs.pvms[letter] for letter in DELTA)
     stack = np.stack([a[i - 1] @ b[j - 1] @ c[k - 1] @ b[j - 1] @ a[i - 1] for i, j, k in PERM3])
     _require_contractions(stack, lambda i: f"control sandwich {PERM3[i]}", CONTRACTION_TOL)
-    operators = dict(zip(PERM3, stack))
     z_delta = _zeta_color_average(cs, DELTA)
     total = sum(stack)
     one = identity(total.shape[-1])
@@ -255,65 +257,63 @@ def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
         math.fsum(_norms(stack[_CROSS_LEFT] @ stack[_CROSS_RIGHT])),
         36.0 * z_delta,
     ).require()
-    return ControlCompressions(
-        operators=operators, reports=(sum_report, proj_report, cross_report)
-    )
+    return ControlCompressions(stack, dict(zip(PERM3, stack)), (sum_report, proj_report, cross_report))
 
 
 # ---------------------------------------------------------------------------
 # lemma certification
 
 
-def _commutator_rhs(graph: GadgetGraph, diag: Diagnostics, m: int, a: int, x: int) -> float:
-    """Explicit bound on ||[P_{i,vhat(a,x)}, S_{i,j,k}]||_2, by answer class."""
-    sd = math.sqrt(diag.zeta[("delta",)])
-    th = diag.theta_edge
-    answer = graph.answer_vertex
-    if a == 1:
+def _commutator_rhs(diag: Diagnostics, theta: list, m: int, a: int, x: int) -> float:
+    """Explicit bound on ||[P_{i,vhat(a,x)}, S_{i,j,k}]||_2, by answer class,
+    from the diagnostics of the block that carries answer a; ``theta[k]``
+    holds block k's _RHS_EDGES."""
+    k = (x - 1) * (m - 2) + _answer_cell(a, m)[0] - 1
+    z = diag.zeta[1 + 7 * k:8 + 7 * k].tolist()  # block k's rows 1-3, columns 1-3, top
+    xi = diag.xi[k].tolist()  # top, rows (1,2), (1,3), (2,3)
+    corner_b, left_c, corner_a, center_b = theta[k]
+    sd = math.sqrt(diag.zeta[0])
+    if a == 1:  # v̂(1, x) is v(1,1)
         return (
             54.0 * sd
-            + 48.0 * math.sqrt(diag.zeta[("row", 1, 1, x)])
-            + 32.0 * diag.xi[("top", 1, x)]
-            + 36.0 * th(answer(1, x), "B")
+            + 48.0 * math.sqrt(z[0])
+            + 32.0 * xi[0]
+            + 36.0 * corner_b
         )
-    if a < m:
-        al = a - 1
+    if a < m:  # v̂(a, x) is v(2,1)
         return (
             24.0 * sd
-            + 72.0 * math.sqrt(diag.zeta[("row", 1, al, x)])
-            + 84.0 * math.sqrt(diag.zeta[("row", 2, al, x)])
-            + 56.0 * diag.xi[("rows", 1, 2, al, x)]
-            + 16.0 * th(answer(a, x), "C")
+            + 72.0 * math.sqrt(z[0])
+            + 84.0 * math.sqrt(z[1])
+            + 56.0 * xi[1]
+            + 16.0 * left_c
         )
-    al = m - 2
-    cells = graph.block(al, x).cells
+    # v̂(m - 1, x) is v(2,1) and v̂(m, x) is v(2,2)
     return (
         66.0 * sd
-        + 66.0 * math.sqrt(diag.zeta[("row", 2, al, x)])
-        + 84.0 * math.sqrt(diag.zeta[("row", 1, al, x)])
-        + 32.0 * diag.xi[("rows", 1, 2, al, x)]
-        + 4.0 * th(answer(m - 1, x), "C")
-        + 18.0 * math.sqrt(diag.zeta[("col", 3, al, x)])
-        + 32.0 * diag.xi[("top", al, x)]
-        + 12.0 * th(cells[(2, 1)], "C")
-        + 2.0 * th(cells[(3, 3)], "A")
-        + 24.0 * th(answer(m, x), "B")
+        + 66.0 * math.sqrt(z[1])
+        + 84.0 * math.sqrt(z[0])
+        + 32.0 * xi[1]
+        + 4.0 * left_c
+        + 18.0 * math.sqrt(z[5])
+        + 32.0 * xi[0]
+        + 12.0 * left_c
+        + 2.0 * corner_a
+        + 24.0 * center_b
     )
 
 
-def _question_sandwiches(
-    graph: GadgetGraph, cs: ColoringStrategy, cc: ControlCompressions, x: int, m: int
-) -> np.ndarray:
-    """The 6m operators S P_{i,vhat(a,x)} S as a (6m, 6, d, d) stack, ordered
-    by (answer, permutation)."""
+def _question_sandwiches(cs: ColoringStrategy, cc: ControlCompressions, rows: np.ndarray) -> np.ndarray:
+    """The 6m operators S P_{i,vhat(a,x)} S of one question as a (6m, 6, d, d)
+    stack, ordered by (answer, permutation); ``rows`` are the stack rows of
+    v̂(1, x), ..., v̂(m, x)."""
     s = cc.stack
-    return (s @ _answer_cells(graph, cs, x, m) @ s).reshape(-1, *s.shape[1:])
+    return (s @ _answer_cells(cs, rows) @ s).reshape(-1, *s.shape[1:])
 
 
-def _answer_cells(graph: GadgetGraph, cs: ColoringStrategy, x: int, m: int) -> np.ndarray:
+def _answer_cells(cs: ColoringStrategy, rows: np.ndarray) -> np.ndarray:
     """P_{i,vhat(a,x)} for every answer a and permutation (i, j, k), as an
-    (m, 6, 6, d, d) stack."""
-    rows = _rows(cs, (graph.answer_vertex(a, x) for a in range(1, m + 1)))
+    (m, 6, 6, d, d) stack, from the stack rows of v̂(1, x), ..., v̂(m, x)."""
     return cs.stack[rows[:, None], _FIRST_COLOR]
 
 
@@ -334,8 +334,10 @@ def certify_reverse_lemmas(
     cc = control_compressions(sym)
     reports = list(cc.reports)
     m, s = game.m, cc.stack
+    rows = _vertex_rows(graph, sym)[_answer_ids(graph.block_rows, game.n, m)]  # v̂(a, x)'s at [x - 1, a - 1]
+    theta = diag.theta[graph.edge_index(graph.block_rows[:, _RHS_EDGES])].tolist()
     for x in range(1, game.n + 1):
-        target = _answer_cells(graph, sym, x, m)
+        target = _answer_cells(sym, rows[x - 1])
         # per answer, the largest ||[P_{i,vhat(a,x)}, S_{i,j,k}]||_2 over the permutations
         lhs = _two_norms(target @ s - s @ target).max(axis=1).tolist()
         for a, norm in enumerate(lhs, start=1):
@@ -343,12 +345,12 @@ def certify_reverse_lemmas(
                 InequalityReport(
                     f"sandwich commutator (answer {a}, question {x})",
                     norm,
-                    _commutator_rhs(graph, diag, m, a, x),
+                    _commutator_rhs(diag, theta, m, a, x),
                 ).require()
             )
     one = identity(sym.d // 6)
     for x in range(1, game.n + 1):
-        ops = _question_sandwiches(graph, sym, cc, x, m)
+        ops = _question_sandwiches(sym, cc, rows[x - 1])
         total = sum(ops)
         # ||ops[p] @ ops[q]||_2 for q != p, one p at a time against slices (views) of ops
         cross = [
@@ -386,9 +388,10 @@ def reverse_translate(
     sym = symmetrize(cs, graph)
     cc = control_compressions(sym)
     m = game.m
+    rows = _vertex_rows(graph, sym)[_answer_ids(graph.block_rows, game.n, m)]  # v̂(a, x)'s at [x - 1, a - 1]
     pvms = {}
     for x in range(1, game.n + 1):
-        ops = _question_sandwiches(graph, sym, cc, x, m)
+        ops = _question_sandwiches(sym, cc, rows[x - 1])
         if log.isEnabledFor(logging.INFO):
             total = sum(ops)
             top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().swapaxes(1, 2))).max())
@@ -418,8 +421,8 @@ def aggregate_offcolor_estimate(
     edges of theta^(1/2) is at most 2|E| eps^(1/4).
     """
     value = coloring_value(graph, cs).value
-    theta = _edge_products(graph, cs)
+    theta = _edge_products(cs, _vertex_rows(graph, cs)[graph.edge_ids])
     eps = max(0.0, 1.0 - value)
-    lhs = math.fsum(math.sqrt(theta[edge]) for edge in graph.edges)
+    lhs = math.fsum(map(math.sqrt, theta.tolist()))
     rhs = 2.0 * graph.n_edges * eps**0.25
     return InequalityReport("aggregate off-color estimate", lhs, rhs).require()

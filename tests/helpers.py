@@ -34,6 +34,11 @@ The ``reference_*`` kernels of the reverse path (the coloring value, the
 edge products, the triangle sum defects, the sandwich commutators and
 families, and the rounding reports) are the per-edge, per-triangle and
 per-pair loops that ran before they were gathered into stacks.
+``edge_loss_probability`` is the per-edge overlap sum they score an edge
+by.  ``reference_diagnostics`` is the name- and label-keyed code
+``compute_diagnostics`` ran before it read the id tables: it walks the
+named triangles and prisms of the gadget handles (``named_triangles``,
+``named_prisms``) and looks theta up by name pair.
 """
 
 import json
@@ -48,7 +53,7 @@ import numpy as np
 
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.forward import _require_coverage
-from gadgetgraph.games import EDGE_PRIOR, PriorDistribution, SyncGame, edge_loss_probability
+from gadgetgraph.games import EDGE_PRIOR, PriorDistribution, SyncGame
 from gadgetgraph.graphs import DELTA, ROOK_PAIRS, BlockHandle, OrthoHandle, q_name, v_name
 from gadgetgraph.linalg import (
     ROOT2,
@@ -63,8 +68,7 @@ from gadgetgraph.linalg import (
     two_norm,
     zero,
 )
-from gadgetgraph.reverse import _named_triangles
-from gadgetgraph.rounding import PERM3
+from gadgetgraph.rounding import PERM3, InequalityReport
 
 #: Filled by the acceptance tests; conftest prints one line per entry
 #: after the run so the verdicts survive pytest's output capture.
@@ -612,6 +616,12 @@ def assert_edge_accounting(game, graph):
     assert mapped == {frozenset(p) for p in graph.edges}
 
 
+def edge_loss_probability(p_u, p_v) -> float:
+    """Same-color probability sum_c tr(P_{c,u} P_{c,v})/d across one edge,
+    each overlap in O(d^2) without forming the product."""
+    return fsum(map(trace_product, p_u, p_v))
+
+
 def reference_coloring_value(graph, cs) -> tuple:
     """The coloring value and the per-edge same-color probabilities, edge by
     edge through ``edge_loss_probability``."""
@@ -644,8 +654,48 @@ def reference_eta(graph, cs) -> dict:
     one = identity(cs.d // 6)
     return {
         label: two_norm(one - (cs.pvms[u][0] + cs.pvms[v][0] + cs.pvms[w][0]))
-        for label, (u, v, w) in _named_triangles(graph)
+        for label, (u, v, w) in named_triangles(graph)
     }
+
+
+def named_triangles(graph):
+    """(label, three names) of each triangle, in ``compute_diagnostics`` order."""
+    yield ("delta",), DELTA
+    for b in graph.blocks:
+        for i in (1, 2, 3):
+            yield ("row", i, b.alpha, b.x), b.row(i)
+        for j in (1, 2, 3):
+            yield ("col", j, b.alpha, b.x), b.col(j)
+        yield ("top", b.alpha, b.x), b.t_triangle()
+    for o in graph.orthos:
+        for i in (1, 2, 3):
+            yield ("qrow", i) + o.tup, o.row(i)
+        for j in (1, 2, 3):
+            yield ("qcol", j) + o.tup, o.col(j)
+
+
+def named_prisms(graph):
+    """(label, three rungs as name pairs) of each block's four prisms."""
+    for b in graph.blocks:
+        yield ("top", b.alpha, b.x), tuple(zip(b.row(1), b.t_triangle()))
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            yield ("rows", i, j, b.alpha, b.x), tuple(zip(b.row(i), b.row(j)))
+
+
+def reference_diagnostics(graph, cs) -> SimpleNamespace:
+    """zeta, eta, xi and theta of a symmetrized strategy as label- and
+    name-keyed dicts, each triangle's eta certified against 3 sqrt(zeta)."""
+    theta = reference_edge_products(graph, cs)
+
+    def at(u, v):
+        return theta[(u, v)] if (u, v) in theta else theta[(v, u)]
+
+    eta, zeta = reference_eta(graph, cs), {}
+    for label, (u, v, w) in named_triangles(graph):
+        zeta[label] = 2.0 * (at(u, v) + at(u, w) + at(v, w))
+        InequalityReport(f"triangle sum defect at {label!r}", eta[label], 3.0 * math.sqrt(zeta[label])).require()
+    xi = {label: fsum(at(u, v) for u, v in rungs) for label, rungs in named_prisms(graph)}
+    return SimpleNamespace(zeta=zeta, eta=eta, xi=xi, theta=theta)
 
 
 def reference_commutator_norms(graph, sym, cc, n: int, m: int) -> list:

@@ -188,9 +188,7 @@ def test_criterion_6_twist_sweep(min_game, min_graph):
         tracked: dict = {}
         for theta, cs in twisted_colorings(labels, THETAS, seed=11).items():
             reports = certify_reverse_lemmas(min_game, min_graph, cs)
-            zeta = compute_diagnostics(min_graph, symmetrize(cs, min_graph)).zeta[
-                ("delta",)
-            ]
+            zeta = compute_diagnostics(min_graph, symmetrize(cs, min_graph)).zeta[0]  # the control triangle
             expected_rhs = {
                 "control sandwich sum-to-1": 238.5 * zeta,
                 "control sandwich projection defect": 72.0 * zeta,

@@ -328,6 +328,21 @@ def test_name_views_match_the_eager_reference_on_fixed_games(min_graph, tri_grap
         assert all(id(o.tup) in {id(t) for t in game.losing} for o in graph.orthos)
 
 
+def test_edge_index_finds_each_edge_in_either_order(tri_graph):
+    ids = tri_graph.edge_ids
+    rows = np.arange(len(ids))
+    assert np.array_equal(tri_graph.edge_index(ids), rows)
+    assert np.array_equal(tri_graph.edge_index(ids[:, ::-1]), rows)
+    assert np.array_equal(tri_graph.edge_index(ids.reshape(-1, 3, 2)), rows.reshape(-1, 3))
+    a, t1 = tri_graph.vertices.index("A"), tri_graph.vertices.index("t(1,1,1)")
+    assert tri_graph.edge_index(np.array([t1, a])) == tri_graph.edges.index(("A", "t(1,1,1)"))
+    with pytest.raises(ValidationError, match=r"^no edge between vertex ids 0 and 0$"):
+        tri_graph.edge_index(np.array([[0, 1], [0, 0]]))
+    last = tri_graph.n_vertices - 1
+    with pytest.raises(ValidationError, match=f"^no edge between vertex ids {last} and {last}$"):
+        tri_graph.edge_index(np.array([last, last]))
+
+
 def test_no_duplicate_edges(tri_graph):
     undirected = {frozenset(e) for e in tri_graph.edges}
     assert len(undirected) == tri_graph.n_edges

@@ -1,17 +1,26 @@
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import block_diagonal
-from gadgetgraph.errors import ValidationError
+from helpers import block_diagonal, named_triangles, reference_diagnostics
+from gadgetgraph import reverse
+from gadgetgraph.errors import BoundViolation, ValidationError
 from gadgetgraph.forward import coloring_value, forward_translate
 from gadgetgraph.games import ColoringStrategy, PriorDistribution, sync_value
+from gadgetgraph.graphs import build_graph
 from gadgetgraph.instances import (
     basis_lift,
     deterministic_strategy,
+    minimal_game,
     perfect_labels,
     random_coloring,
+    random_game,
+    triangle_coloring_game,
     triangle_strategy,
     twisted_colorings,
 )
@@ -24,7 +33,9 @@ from gadgetgraph.reverse import (
     reverse_translate,
     symmetrize,
 )
-from gadgetgraph.rounding import PERM3
+from gadgetgraph.rounding import PERM3, InequalityReport
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def perfect_coloring(game, graph, answers=(2,)):
@@ -85,21 +96,13 @@ def test_diagnostics_reject_color_dependent_input(rng, min_graph):
 def test_diagnostics_vanish_on_perfect(min_game, min_graph):
     sym = symmetrize(perfect_coloring(min_game, min_graph), min_graph)
     diag = compute_diagnostics(min_graph, sym)
-    assert set(diag.theta) == set(min_graph.edges)
-    assert ("delta",) in diag.zeta
-    assert max(diag.zeta.values()) < 1e-12
-    assert max(diag.eta.values()) < 1e-12
-    assert max(diag.xi.values()) < 1e-12
-    assert max(diag.theta.values()) < 1e-12
-
-
-def test_theta_edge_lookup(min_game, min_graph):
-    sym = symmetrize(perfect_coloring(min_game, min_graph), min_graph)
-    diag = compute_diagnostics(min_graph, sym)
-    u, v = min_graph.edges[0]
-    assert diag.theta_edge(u, v) == diag.theta_edge(v, u)
-    with pytest.raises(ValidationError, match="no edge"):
-        diag.theta_edge("A", "A")
+    assert diag.theta.shape == (min_graph.n_edges,)
+    assert diag.zeta.shape == diag.eta.shape == (len(list(named_triangles(min_graph))),)
+    assert diag.xi.shape == (len(min_graph.block_rows), 4)
+    assert diag.zeta.max() < 1e-12
+    assert diag.eta.max() < 1e-12
+    assert diag.xi.max() < 1e-12
+    assert diag.theta.max() < 1e-12
 
 
 def test_diagnostics_are_local_to_the_disturbed_cell(min_game, min_graph):
@@ -122,15 +125,70 @@ def test_diagnostics_are_local_to_the_disturbed_cell(min_game, min_graph):
     disturbed = symmetrize(ColoringStrategy(d=base.d, pvms=pvms), min_graph)
     diag = compute_diagnostics(min_graph, disturbed)
 
-    assert diag.zeta[("delta",)] < 1e-12
-    assert diag.zeta[("row", 2, 1, 1)] > 1e-4
-    assert diag.zeta[("col", 3, 1, 1)] > 1e-4
-    untouched = [
-        val
-        for (u_, v_), val in diag.theta.items()
-        if target not in (u_, v_)
-    ]
-    assert max(untouched) < 1e-12
+    labels = [label for label, _ in named_triangles(min_graph)]
+    assert diag.zeta[labels.index(("delta",))] < 1e-12
+    assert diag.zeta[labels.index(("row", 2, 1, 1))] > 1e-4
+    assert diag.zeta[labels.index(("col", 3, 1, 1))] > 1e-4
+    untouched = (min_graph.edge_ids != min_graph.vertices.index(target)).all(axis=1)
+    assert diag.theta[untouched].max() < 1e-12
+
+
+def assert_diagnostics_match_the_named_reference(graph, cs) -> None:
+    sym = symmetrize(cs)
+    diag = compute_diagnostics(graph, sym)
+    ref = reference_diagnostics(graph, sym)
+    assert list(ref.theta) == list(graph.edges)
+    assert diag.theta.tolist() == list(ref.theta.values())
+    assert diag.zeta.tolist() == list(ref.zeta.values())
+    assert diag.eta.tolist() == list(ref.eta.values())
+    assert diag.xi.ravel().tolist() == list(ref.xi.values())
+    assert [reverse._triangle_label(graph, t) for t in range(len(diag.zeta))] == list(ref.zeta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=3, max_value=5),
+    d=st.integers(min_value=1, max_value=6),
+    p=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_diagnostics_match_the_named_reference(n, m, d, p, seed):
+    rng = np.random.default_rng(seed)
+    graph = build_graph(random_game(rng, n, m, p))
+    assert_diagnostics_match_the_named_reference(graph, random_coloring(rng, graph, d))
+
+
+@pytest.mark.parametrize("make_game", [minimal_game, triangle_coloring_game])
+def test_diagnostics_match_the_named_reference_on_fixed_games(make_game):
+    graph = build_graph(make_game())
+    assert_diagnostics_match_the_named_reference(graph, random_coloring(np.random.default_rng(2), graph, 3))
+
+
+def test_a_failing_triangle_raises_the_first_in_the_named_order(monkeypatch):
+    # Lower the sum-defect multiplier step by step through the ratios
+    # eta / sqrt(zeta): each time the message must name the first triangle
+    # of the reference's order that fails, with its lhs and rhs.
+    rng = np.random.default_rng(4)
+    graph = build_graph(random_game(rng, 2, 4, 0.5))
+    sym = symmetrize(random_coloring(rng, graph, 3))
+    ref = reference_diagnostics(graph, sym)
+    # Ratios one apart in the sixth digit, so that each step fails a triangle by far more than the slack.
+    ratios = sorted({round(ref.eta[label] / math.sqrt(z), 6) for label, z in ref.zeta.items() if z > 0.0})[::-1]
+    named = set()
+    for factor in ((high + low) / 2.0 for high, low in zip(ratios, ratios[1:])):
+        failing = [label for label, z in ref.zeta.items() if factor * math.sqrt(z) - ref.eta[label] < -1e-9]
+        first = failing[0]
+        named.add(first[0])
+        with pytest.raises(BoundViolation) as expected:
+            InequalityReport(
+                f"triangle sum defect at {first!r}", ref.eta[first], factor * math.sqrt(ref.zeta[first])
+            ).require()
+        monkeypatch.setattr(reverse, "ETA_FACTOR", factor)
+        with pytest.raises(BoundViolation) as raised:
+            compute_diagnostics(graph, sym)
+        assert str(raised.value) == str(expected.value)
+    assert {"delta", "row", "col", "qrow"} <= named
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +355,31 @@ def test_a_coloring_missing_a_vertex_gets_one_message(min_game, min_graph, check
     message = "coloring strategy lacks PVMs for 1 graph vertices, first 'B'"
     with pytest.raises(ValidationError, match=f"^{message}$"):
         COVERAGE_CHECKS[check](min_game, min_graph, pruned)
+
+
+def test_a_coloring_with_more_vertices_is_read_by_name(min_graph):
+    cs = random_coloring(np.random.default_rng(1), min_graph, 2)
+    pvms = {k: list(v) for k, v in cs.pvms.items()}
+    pvms.update({"0": pvms["C"], "B0": pvms["A"], "zz": pvms["B"]})  # sorted before, among and after the vertices
+    wide = ColoringStrategy(cs.d, pvms)
+    assert coloring_value(min_graph, wide).value == coloring_value(min_graph, cs).value
+    diag, wide_diag = (compute_diagnostics(min_graph, symmetrize(c)) for c in (cs, wide))
+    for field in ("zeta", "eta", "xi", "theta"):
+        assert np.array_equal(getattr(wide_diag, field), getattr(diag, field))
+
+
+def test_reverse_command_builds_no_name_views(monkeypatch, tmp_path, capsys):
+    from gadgetgraph import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_graph", lambda game: built.append(build_graph(game)) or built[-1])
+    for name in ("game.json", "coloring.json"):
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    argv = ["reverse", str(tmp_path / "game.json"), str(tmp_path / "coloring.json")]
+    assert cli.main(argv) == 0
+    assert "game value" in capsys.readouterr().out
+    (graph,) = built
+    assert not {"edges", "blocks", "orthos", "rest_edges"} & set(vars(graph))
 
 
 # ---------------------------------------------------------------------------

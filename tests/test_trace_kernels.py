@@ -18,13 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_tau
+from helpers import edge_loss_probability, reference_tau
 from gadgetgraph.forward import coloring_value
 from gadgetgraph.games import (
     LossEntry,
     PriorDistribution,
     _require_strategy_fits,
-    edge_loss_probability,
     sync_value,
 )
 from gadgetgraph.instances import (
