@@ -250,7 +250,7 @@ def _gathered(stack: np.ndarray, *rows: np.ndarray):
     chunk its slice of the indices and one gathered operand per r, each at
     most GATHER_BYTES.  A row larger than that comes alone, as a view of
     the stack rather than a copy."""
-    fit = GATHER_BYTES // stack[0].nbytes  # rows per chunk
+    fit = GATHER_BYTES // (stack.itemsize * math.prod(stack.shape[1:]))  # rows per chunk, also of an empty stack
     step = max(fit, 1)
     for start in range(0, len(rows[0]), step):
         part = slice(start, start + step)
@@ -264,7 +264,7 @@ def _overlaps(stack: np.ndarray, rows_u: np.ndarray, rows_v: np.ndarray) -> np.n
     block operators ``einsum`` sums the b d^2 terms in another order, so a
     value can differ from it in the last bits."""
     d = stack.shape[-1]
-    blocks = stack.reshape(*stack.shape[:2], -1, d, d)
+    blocks = stack.reshape(*stack.shape[:2], math.prod(stack.shape[2:-2]), d, d)  # also of an empty stack
     out = np.empty((len(rows_u), stack.shape[1]))
     for part, (u, v) in _gathered(blocks, rows_u, rows_v):
         out[part] = np.einsum("tkbij,tkbji->tk", u, v).real

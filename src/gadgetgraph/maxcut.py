@@ -1,21 +1,22 @@
 """Exact Max-3-Cut, order-3 unitary labelings, and the identity between
 their cut values and coloring-game values.
 
-Max-3-Cut asks how many edges of a simple graph can be cut by a partition
-of its vertices into three classes; the non-commutative relaxation scores
-a family of order-3 unitaries by trace overlaps instead.  Both sides meet
-in the roots-of-unity identity: decomposing each unitary into its three
-spectral projections turns the trace score of an edge into the same-color
-collision mass of a coloring strategy, so the cut value of a family equals
-the number of edges times a coloring-game value.  This module computes all
-three quantities and certifies the identity numerically.
+Max-3-Cut asks how many edges of a simple graph can be cut by a partition of
+its vertices into three classes; the non-commutative relaxation scores a
+family of order-3 unitaries by trace overlaps instead.  Both sides meet in the
+roots-of-unity identity: decomposing each unitary into its three spectral
+projections turns the trace score of an edge into the same-color collision
+mass of a coloring strategy, so the cut value of a family equals |E| times a
+coloring-game value.  This module computes all three quantities, those of a
+family from its powers stack, built and checked once, and certifies the
+identity numerically.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -32,7 +33,7 @@ from .games import (
     coloring_game,
     sync_value,
 )
-from .linalg import _overlaps, as_matrix, identity, require_pvm, trace_product, two_norm
+from .linalg import _norms, _overlaps, _raise_first, as_matrix, identity, require_pvm, require_pvm_family
 from .rounding import InequalityReport
 
 #: Spectrum/order tolerance for unitary families.
@@ -160,48 +161,48 @@ def max3cut_bruteforce(g: SimpleGraph) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OrderKUnitaryFamily:
-    """One d-by-d unitary of order k per vertex, keyed 1-based."""
+    """One d-by-d unitary u of order k per vertex v, keyed 1-based; ``unitaries[v]``
+    is u, a read-only row view.  Row i of the read-only (K, k, d, d) ``powers``
+    stack holds u^0 ... u^(k-1) of the u at ``vertices[i]``, the keys sorted."""
 
     k: int
     d: int
     unitaries: dict
+    vertices: tuple = field(init=False, repr=False)
+    powers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.k) or self.k < 1:
             raise ValidationError(f"order {self.k!r} must be a positive integer")
         if not _is_int(self.d) or self.d < 1:
             raise ValidationError(f"dimension must be a positive integer, got {self.d!r}")
-        one = identity(self.d)
-        frozen = {}
-        for vertex, raw in self.unitaries.items():
+        for vertex in self.unitaries:
             if not _is_int(vertex) or vertex < 1:
                 raise ValidationError(f"vertex key {vertex!r} is not a positive integer")
-            u = as_matrix(raw, self.d)
-            _require_unitary_of_order(u, self.k, one, f"matrix at vertex {vertex}")
-            u = u.copy()
-            u.setflags(write=False)
-            frozen[vertex] = u
-        object.__setattr__(self, "unitaries", frozen)
-
-    @property
-    def vertices(self) -> tuple:
-        return tuple(sorted(self.unitaries))
+        object.__setattr__(self, "vertices", tuple(sorted(self.unitaries)))
+        stack = np.reshape([as_matrix(self.unitaries[v], self.d) for v in self.vertices], (-1, self.d, self.d))
+        stack.setflags(write=False)
+        object.__setattr__(self, "unitaries", dict(zip(self.vertices, stack)))
+        object.__setattr__(self, "powers", _checked_powers(stack, self.k, self.vertices, "matrix at vertex {}"))
 
 
-def _require_unitary_of_order(u: np.ndarray, k: int, one: np.ndarray, label: str) -> None:
-    """Raise unless u is unitary with u^k = 1 (``one`` is the identity of
-    u's dimension), both within UNITARY_TOL."""
-    if two_norm(u.conj().T @ u - one) > UNITARY_TOL:
-        raise ValidationError(f"{label} is not unitary")
-    if two_norm(np.linalg.matrix_power(u, k) - one) > UNITARY_TOL:
-        raise ValidationError(f"{label} does not have order {k}")
-
-
-def _powers(u: np.ndarray, k: int) -> list:
-    out = [identity(u.shape[0])]
-    for _ in range(k - 1):
-        out.append(out[-1] @ u)
-    return out
+def _checked_powers(stack: np.ndarray, k: int, keys, what: str) -> np.ndarray:
+    """The read-only (G, k, d, d) powers u^0 ... u^(k-1) of each u of a (G, d, d) stack, once
+    each u, labelled ``what.format(keys[i])``, is unitary, then of order k, within UNITARY_TOL
+    in ``two_norm``; u^k is taken as u^(k-1) u, ``matrix_power``'s bits for k <= 3."""
+    one = identity(stack.shape[-1])
+    powers = np.broadcast_to(one, (len(stack), k, *one.shape)).copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or a NaN fails a check
+        for s in range(1, k):
+            powers[:, s] = powers[:, s - 1] @ stack
+        unitary = ~(_norms(stack.conj().swapaxes(-1, -2) @ stack - one) <= UNITARY_TOL)
+        order = ~(_norms(powers[:, k - 1] @ stack - one) <= UNITARY_TOL)
+    _raise_first([
+        (unitary, lambda i: ValidationError(f"{what.format(keys[i])} is not unitary")),
+        (order, lambda i: ValidationError(f"{what.format(keys[i])} does not have order {k}")),
+    ])
+    powers.setflags(write=False)
+    return powers
 
 
 def _require_family(g: SimpleGraph, fam: OrderKUnitaryFamily) -> None:
@@ -212,11 +213,10 @@ def _require_family(g: SimpleGraph, fam: OrderKUnitaryFamily) -> None:
 
 def _edge_overlaps(g: SimpleGraph, fam: OrderKUnitaryFamily) -> list:
     """(1/k) sum_s tau(u_i^s (u_j^s)*) for each edge (i, j) of g, in edge order."""
-    powers = {v: _powers(fam.unitaries[v], fam.k) for v in fam.unitaries}
-    return [
-        math.fsum(trace_product(powers[u][s], powers[v][s].conj().T) for s in range(fam.k)) / fam.k
-        for u, v in g.edges
-    ]
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2) - 1  # a family covering g has v at row v - 1
+    stack = np.concatenate([fam.powers, fam.powers.conj().swapaxes(-1, -2)])  # row K + i: row i's adjoints
+    overlaps = _overlaps(stack, ends[:, 0], ends[:, 1] + len(fam.vertices))
+    return [math.fsum(row) / fam.k for row in overlaps.tolist()]
 
 
 def unitary_cut_value(g: SimpleGraph, fam: OrderKUnitaryFamily) -> float:
@@ -229,21 +229,21 @@ def unitary_cut_value(g: SimpleGraph, fam: OrderKUnitaryFamily) -> float:
     return math.fsum(1.0 - overlap for overlap in _edge_overlaps(g, fam))
 
 
+def _spectral_projections(powers: np.ndarray) -> np.ndarray:
+    """Spectral projections of order-3 unitaries from their (G, 3, d, d) powers: (1/3) sum_s omega^(-a s) u^s."""
+    omega = np.exp(2j * np.pi / 3)
+    e = np.stack([sum(omega ** (-a * s) * powers[:, s] for s in range(3)) for a in range(3)], axis=1) / 3.0
+    return 0.5 * (e + e.conj().swapaxes(-1, -2))
+
+
 def pvm_from_unitary(u) -> list:
     """Spectral projections of an order-3 unitary onto the cube roots of 1.
 
     Outcome a collects the eigenspace for exp(2*pi*i*a/3); summing
     omega^a times the outcomes reconstructs the unitary.
     """
-    a = as_matrix(u)
-    _require_unitary_of_order(a, 3, identity(a.shape[0]), "input")
-    omega = np.exp(2j * np.pi / 3)
-    powers = _powers(a, 3)
-    mats = []
-    for outcome in range(3):
-        e = sum(omega ** (-outcome * s) * powers[s] for s in range(3)) / 3.0
-        mats.append(0.5 * (e + e.conj().T))
-    return list(require_pvm(mats, what="spectral decomposition"))
+    powers = _checked_powers(as_matrix(u)[None], 3, ["input"], "{}")
+    return list(require_pvm(list(_spectral_projections(powers)[0]), what="spectral decomposition"))
 
 
 def unitary_from_pvm(mats) -> np.ndarray:
@@ -269,9 +269,9 @@ def roots_identity_check(g: SimpleGraph, fam: OrderKUnitaryFamily) -> Inequality
     _require_family(g, fam)
     if g.n_edges == 0:
         return InequalityReport("roots-of-unity identity (no edges)", 0.0, ROOTS_IDENTITY_TOL)
-    # pvm_from_unitary validates every spectral PVM; vertex v is row v - 1.
-    questions = range(1, g.n_vertices + 1)
-    spectral = np.array([pvm_from_unitary(fam.unitaries[v]) for v in questions])
+    questions = range(1, g.n_vertices + 1)  # vertex v is row v - 1 of the spectral strategy
+    spectral = _spectral_projections(fam.powers[:g.n_vertices])
+    require_pvm_family(spectral, questions, what="spectral decomposition at vertex {}")
     strategy = _prebuilt(GameStrategy, fam.d, questions, spectral)
     ends = np.array(g.edges) - 1
     collisions = map(math.fsum, _overlaps(spectral, ends[:, 0], ends[:, 1]).tolist())

@@ -81,6 +81,20 @@ def reference_tau(a, b) -> float:
     return float(np.trace(a @ b).real) / a.shape[0]
 
 
+def reference_unitary_cut_value(g, fam) -> float:
+    """``maxcut.unitary_cut_value`` with every power and product formed per
+    edge, as a reference for the gathered contraction over the powers stack."""
+    terms = []
+    for u, v in g.edges:
+        pu = pv = np.eye(fam.d, dtype=np.complex128)
+        overlap = []
+        for _ in range(fam.k):
+            overlap.append(reference_tau(pu, pv.conj().T))
+            pu, pv = pu @ fam.unitaries[u], pv @ fam.unitaries[v]
+        terms.append(1.0 - fsum(overlap) / fam.k)
+    return fsum(terms)
+
+
 def block_diagonal(stack) -> np.ndarray:
     """The dense block-diagonal matrix of a (k, d, d) block stack, as a
     reference for the stack-aware linear algebra."""

@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
+
+import gadgetgraph
 
 from helpers import OVERFLOW_MESSAGE, OVERFLOWING_STRATEGY
 from gadgetgraph.cli import _build_parser, main
@@ -277,6 +282,21 @@ def test_maxcut_rejects_oversized_graph(capsys, tmp_path):
     assert "exhaustive-search limit" in err
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_maxcut_on_a_graph_without_edges(capsys, tmp_path, n):
+    target = tmp_path / "empty.json"
+    target.write_text(json.dumps({"n": n, "edges": []}))
+    code, out, err = run(capsys, "maxcut", str(target))
+    assert code == 0 and err == ""
+    assert out == (
+        f"graph: {n} vertices, 0 edges\n"
+        "max 3-cut: 0\n"
+        "best unitary cut over 20 random order-3 families (d=3): 0\n"
+        "roots-of-unity identity (no edges): lhs 0 rhs 1e-10 slack 1e-10\n"
+        "cut value bridge (no edges): lhs 0 rhs 0 slack 0\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # demo and environment
 
@@ -287,6 +307,33 @@ def test_demo_runs(capsys):
     assert "minimal game compiles to 25 vertices / 62 edges" in out
     assert "twist sweep (seed 11):" in out
     assert "K4: max 3-cut 5" in out
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path, game_file, strategy_file, coloring_file):
+    # Importing numpy.ma (np.unique and np.setdiff1d do) costs 0.5-0.9 MB of
+    # peak RSS.  The four commands run in turn in one fresh interpreter.
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 3]]}))
+    commands = [
+        ["compile", str(game_file), "--format", "both", "--out", str(tmp_path / "c")],
+        ["forward", str(game_file), str(strategy_file), "--out", str(tmp_path / "f")],
+        ["reverse", str(game_file), str(coloring_file), "--out", str(tmp_path / "r")],
+        ["maxcut", str(graph), "--trials", "3"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from gadgetgraph.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, f'{argv[0]} imported numpy.ma'\n"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(gadgetgraph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_same_seed_same_output(capsys):

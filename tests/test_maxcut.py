@@ -3,11 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gadgetgraph
+from helpers import reference_unitary_cut_value
 from gadgetgraph import games, maxcut
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.instances import random_order3_family, random_order3_unitary
+from gadgetgraph.linalg import haar_unitary
 from gadgetgraph.maxcut import (
     BRUTE_FORCE_LIMIT,
     OrderKUnitaryFamily,
@@ -24,6 +28,7 @@ from gadgetgraph.maxcut import (
 )
 
 OMEGA = np.exp(2j * np.pi / 3)
+TOL = 1e-12
 
 
 def path_graph(k: int) -> SimpleGraph:
@@ -220,6 +225,77 @@ def test_unitary_cut_value_requires_cover():
     fam = OrderKUnitaryFamily(3, 1, {1: np.eye(1), 2: np.eye(1)})
     with pytest.raises(ValidationError, match="lacks unitaries"):
         unitary_cut_value(g, fam)
+
+
+@pytest.mark.parametrize(
+    "unitaries,message",
+    [
+        # two bad vertices: the smaller key is named, not the first inserted
+        ({3: np.diag([1.0, 2.0]), 1: np.diag([1.0, -1.0])}, "matrix at vertex 1 does not have order 3"),
+        ({2: np.diag([1.0, -1.0]), 1: np.diag([1.0, 2.0])}, "matrix at vertex 1 is not unitary"),
+        # at one vertex, unitarity before order
+        ({1: np.diag([2.0, -1.0])}, "matrix at vertex 1 is not unitary"),
+        # shapes before unitarity, keys before shapes
+        ({1: np.diag([1.0, 2.0]), 2: np.eye(3)}, "expected dimension 2, got 3"),
+        ({1: np.eye(3), 0: np.eye(2)}, "vertex key 0 is not a positive integer"),
+    ],
+)
+def test_family_names_the_first_failure_in_a_stated_order(unitaries, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        OrderKUnitaryFamily(3, 2, unitaries)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+def test_family_rejects_non_finite_and_overflowing_entries(value):
+    # A NaN defect fails the check, and no overflow warning escapes it.
+    with pytest.raises(ValidationError, match=r"^matrix at vertex 1 is not unitary$"):
+        OrderKUnitaryFamily(3, 1, {1: [[value]]})
+
+
+def random_order_k_unitary(rng, k: int, d: int) -> np.ndarray:
+    """A Haar-conjugated diagonal of k-th roots of unity."""
+    q = haar_unitary(rng, d)
+    return (q * np.exp(2j * np.pi * rng.integers(0, k, size=d) / k)) @ q.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=5),
+    n=st.integers(min_value=0, max_value=6),
+    extra=st.sets(st.integers(min_value=1, max_value=9)),
+    gaps=st.sets(st.integers(min_value=1, max_value=9), max_size=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_family_holds_its_powers_as_one_stack(k, d, n, extra, gaps, seed):
+    # Keys with gaps, inserted unsorted, some beyond the graph, some of the
+    # graph's vertices perhaps missing.
+    rng = np.random.default_rng(seed)
+    keys = (set(range(1, n + 1)) | extra) - gaps
+    unitaries = {v: random_order_k_unitary(rng, k, d) for v in rng.permutation(sorted(keys)).tolist()}
+    fam = OrderKUnitaryFamily(k, d, unitaries)
+    assert fam.vertices == tuple(sorted(keys))
+    assert fam.powers.shape == (len(keys), k, d, d) and not fam.powers.flags.writeable
+    for i, v in enumerate(fam.vertices):
+        assert not fam.unitaries[v].flags.writeable
+        assert np.array_equal(fam.unitaries[v], unitaries[v])
+        for s in range(k):
+            assert np.abs(fam.powers[i, s] - np.linalg.matrix_power(unitaries[v], s)).max() <= TOL
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    g = SimpleGraph(n, tuple(p for p in pairs if rng.random() < 0.5))
+    missing = [v for v in range(1, n + 1) if v not in keys]
+    if missing:
+        with pytest.raises(ValidationError, match=rf"^family lacks unitaries for vertices {re.escape(str(missing))}$"):
+            unitary_cut_value(g, fam)
+    else:
+        assert unitary_cut_value(g, fam) == pytest.approx(reference_unitary_cut_value(g, fam), abs=TOL)
+
+
+def test_empty_family_on_the_empty_graph():
+    g, fam = SimpleGraph(0, ()), OrderKUnitaryFamily(3, 1, {})
+    assert unitary_cut_value(g, fam) == 0.0
+    report = roots_identity_check(g, fam)
+    assert (report.context, report.lhs) == ("roots-of-unity identity (no edges)", 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import edge_loss_probability, reference_tau
+from helpers import edge_loss_probability, reference_tau, reference_unitary_cut_value
 from gadgetgraph.forward import coloring_value
 from gadgetgraph.games import (
     LossEntry,
@@ -87,18 +87,6 @@ def reference_edge_loss(p_u, p_v) -> float:
 def reference_coloring_value(graph, cs) -> float:
     lost = fsum(reference_edge_loss(cs.pvms[u], cs.pvms[v]) for u, v in graph.edges)
     return 1.0 - lost / graph.n_edges
-
-
-def reference_unitary_cut_value(g, fam) -> float:
-    terms = []
-    for u, v in g.edges:
-        pu = pv = np.eye(fam.d, dtype=np.complex128)
-        overlap = []
-        for _ in range(fam.k):
-            overlap.append(reference_tau(pu, pv.conj().T))
-            pu, pv = pu @ fam.unitaries[u], pv @ fam.unitaries[v]
-        terms.append(1.0 - fsum(overlap) / fam.k)
-    return fsum(terms)
 
 
 def assert_sync_value_matches(game, strategy, prior):
