@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .errors import BoundViolation, ValidationError
 from .forward import certify_forward, coloring_value, forward_translate
 from .games import (
@@ -37,6 +38,7 @@ from .instances import (
     coloring_labels,
     deterministic_strategy,
     minimal_game,
+    random_order3_families,
     random_order3_family,
     twisted_colorings,
 )
@@ -159,12 +161,13 @@ def cmd_maxcut(args) -> int:
     print(f"graph: {g.n_vertices} vertices, {g.n_edges} edges")
     print(f"max 3-cut: {max3cut_bruteforce(g)}")
     rng = np.random.default_rng(args.seed)
+    batch = max(1, linalg.GATHER_BYTES // (16 * max(g.n_vertices, 1) * args.d**2))
     best = None
-    for _ in range(args.trials):
-        fam = random_order3_family(rng, g, args.d)
-        score = unitary_cut_value(g, fam)
-        if best is None or score > best[0]:
-            best = (score, fam)
+    for start in range(0, args.trials, batch):
+        for fam in random_order3_families(rng, g, args.d, min(batch, args.trials - start)):
+            score = unitary_cut_value(g, fam)
+            if best is None or score > best[0]:
+                best = (score, fam)
     if best is not None:
         print(
             f"best unitary cut over {args.trials} random order-3 families"
@@ -254,6 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # before a command prints anything
+            raise ValidationError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from .games import ColoringStrategy, GameStrategy, SimpleGraph, SyncGame, colori
 from .graphs import GadgetGraph
 from .linalg import (
     ROOT2,
-    haar_unitary,
+    _haar_from_ginibre,
     random_hermitian,
     random_positive_contraction,
     random_projection,
@@ -168,19 +168,30 @@ def random_coloring(rng: np.random.Generator, graph: GadgetGraph, d: int) -> Col
 
 def random_order3_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-conjugated diagonal of cube roots of unity with random multiplicities."""
-    omega = np.exp(2j * np.pi / 3)
-    counts = rng.multinomial(d, [1.0 / 3.0] * 3)
-    diag = np.concatenate([np.full(c, omega**a) for a, c in enumerate(counts)])
-    q = haar_unitary(rng, d)
-    return (q * diag) @ q.conj().T
+    return random_order3_families(rng, SimpleGraph(1, ()), d, 1)[0].unitaries[1]
 
 
-def random_order3_family(
-    rng: np.random.Generator, g: SimpleGraph, d: int
-) -> OrderKUnitaryFamily:
-    return OrderKUnitaryFamily(
-        3, d, {v: random_order3_unitary(rng, d) for v in range(1, g.n_vertices + 1)}
-    )
+def random_order3_family(rng: np.random.Generator, g: SimpleGraph, d: int) -> OrderKUnitaryFamily:
+    return random_order3_families(rng, g, d, 1)[0]
+
+
+def random_order3_families(rng: np.random.Generator, g: SimpleGraph, d: int, count: int) -> list:
+    """``count`` families of ``random_order3_unitary`` draws at the vertices of g, drawn in
+    seed order (per unitary its root multiplicities, then its Ginibre matrix), then
+    orthonormalised with one QR and conjugated with one ``matmul``."""
+    n = g.n_vertices
+    counts = np.empty((count * n, 3), dtype=np.int64)
+    ginibre = np.empty((count * n, d, d), dtype=np.complex128)
+    for i in range(count * n):
+        counts[i] = rng.multinomial(d, [1.0 / 3.0] * 3)
+        ginibre[i] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    roots = np.tile([np.exp(2j * np.pi / 3) ** a for a in range(3)], count * n)
+    diag = np.repeat(roots, counts.ravel()).reshape(count * n, d)  # row i: omega^a counts[i, a] times
+    q = _haar_from_ginibre(ginibre)
+    # At d = 1 each entry is multiplied alone, as one draw multiplies it: numpy's vector loop fuses multiply-adds.
+    scaled = q * diag[:, None, :] if d > 1 else np.reshape([u * w for u, w in zip(q, diag)], q.shape)
+    stack = (scaled @ q.conj().swapaxes(-1, -2)).reshape(count, n, d, d)  # not -1: n may be 0
+    return [OrderKUnitaryFamily(3, d, dict(zip(range(1, n + 1), rows))) for rows in stack]
 
 
 # ---------------------------------------------------------------------------

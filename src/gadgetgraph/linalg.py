@@ -128,7 +128,7 @@ def pvm_defect(mats: Sequence[np.ndarray]) -> float:
 
 def require_pvm(mats: Sequence[np.ndarray], tol: float = TOL_PVM, what: str = "PVM") -> tuple[np.ndarray, ...]:
     """Validate a PVM: each outcome a projection, pairwise orthogonal, summing to 1."""
-    if not mats:
+    if not len(mats):  # also of a (k, d, d) array
         raise ValidationError(f"{what} has no outcomes")
     out = tuple(np.asarray(m, dtype=np.complex128) for m in mats)
     shape = _operator(out[0]).shape
@@ -374,11 +374,15 @@ def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return _haar_from_ginibre(rng.standard_normal((1, d, d)) + 1j * rng.standard_normal((1, d, d)))[0]
+
+
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a (G, d, d) stack of complex Ginibre matrices, with one QR;
+    each Q's phases are fixed by its R's diagonal, so the distribution is exactly Haar."""
     q, r = np.linalg.qr(g)
-    # Fix the phase ambiguity so the distribution is exactly Haar.
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[:, None, :]
 
 
 def random_projection(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:

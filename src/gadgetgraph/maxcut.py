@@ -243,7 +243,7 @@ def pvm_from_unitary(u) -> list:
     omega^a times the outcomes reconstructs the unitary.
     """
     powers = _checked_powers(as_matrix(u)[None], 3, ["input"], "{}")
-    return list(require_pvm(list(_spectral_projections(powers)[0]), what="spectral decomposition"))
+    return list(require_pvm(_spectral_projections(powers)[0], what="spectral decomposition"))
 
 
 def unitary_from_pvm(mats) -> np.ndarray:

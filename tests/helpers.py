@@ -24,6 +24,11 @@ before its one stack check: each outcome checked in full, one after the
 other, then the PVM defect.  Every defect of the stack check must equal
 theirs bit for bit.
 
+``reference_random_order3_families`` draws random order-3 families vertex
+by vertex, each unitary with its own QR, phase fix and conjugation, as
+``instances.random_order3_family`` did before its draws were orthonormalised
+in batches; the batched draw must equal it bit for bit.
+
 ``reference_forward_translate`` is the vertex-by-vertex translation that
 ``forward_translate`` ran before it colored gadgets by kind from templates:
 each gadget's color triples built as operators, a per-gadget rounding
@@ -93,6 +98,25 @@ def reference_unitary_cut_value(g, fam) -> float:
             pu, pv = pu @ fam.unitaries[u], pv @ fam.unitaries[v]
         terms.append(1.0 - fsum(overlap) / fam.k)
     return fsum(terms)
+
+
+def reference_random_order3_families(rng, n: int, d: int, count: int) -> list:
+    """``count`` families of n unitaries, drawn as ``instances.random_order3_family``
+    drew them before the draws were orthonormalised in batches: vertex by vertex,
+    each with its own QR, phase fix and conjugation."""
+    omega = np.exp(2j * np.pi / 3)
+    families = []
+    for _ in range(count):
+        family = []
+        for _ in range(n):
+            counts = rng.multinomial(d, [1.0 / 3.0] * 3)
+            diag = np.concatenate([np.full(c, omega**a) for a, c in enumerate(counts)])
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, r = np.linalg.qr(g)
+            q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            family.append((q * diag) @ q.conj().T)
+        families.append(family)
+    return families
 
 
 def block_diagonal(stack) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 import gadgetgraph
 
 from helpers import OVERFLOW_MESSAGE, OVERFLOWING_STRATEGY
+from gadgetgraph import cli, linalg
 from gadgetgraph.cli import _build_parser, main
 from gadgetgraph.games import (
     load_coloring_strategy,
@@ -282,6 +283,28 @@ def test_maxcut_rejects_oversized_graph(capsys, tmp_path):
     assert "exhaustive-search limit" in err
 
 
+def test_maxcut_draws_its_families_in_bounded_batches(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "triangle.txt"
+    target.write_text("1 2\n2 3\n1 3\n")
+    argv = ("maxcut", str(target), "--trials", "5", "--d", "2", "--seed", "4")
+    calls = []
+
+    def spy(rng, g, d, count):
+        calls.append(count)
+        return families(rng, g, d, count)
+
+    families = cli.random_order3_families
+    monkeypatch.setattr(cli, "random_order3_families", spy)
+    code, whole, err = run(capsys, *argv)
+    assert code == 0 and err == "" and calls == [5]
+    # One family of 3 unitaries at d = 2 is 3 * 4 * 16 = 192 bytes.
+    monkeypatch.setattr(linalg, "GATHER_BYTES", 2 * 192)
+    calls.clear()
+    code, batched, err = run(capsys, *argv)
+    assert code == 0 and err == "" and batched == whole
+    assert calls == [2, 2, 1]
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_maxcut_on_a_graph_without_edges(capsys, tmp_path, n):
     target = tmp_path / "empty.json"
@@ -440,6 +463,9 @@ MALFORMED = {
     "check-tol-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol", "inf"),
     "check-tol-minus-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-inf"),
     "check-tol-negative": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-1"),
+    "maxcut-negative-seed": lambda g, s, c, t: ("maxcut", _graph_file(t), "--seed", "-1"),
+    "check-negative-seed": lambda g, s, c, t: ("check", "--trials", "1", "--seed", "-1"),
+    "demo-negative-seed": lambda g, s, c, t: ("demo", "--seed", "-1"),
 }
 
 
@@ -453,6 +479,9 @@ MALFORMED_MESSAGES = {
     "maxcut-edge-float": "edge (1, 2.5) has non-integer endpoints",
     "maxcut-edge-a-string": "edge 'ab' is not a pair",
     "maxcut-edge-a-mapping": "edge {'a': 1, 'b': 2} is not a pair",
+    "maxcut-negative-seed": "seed must be >= 0, got -1",
+    "check-negative-seed": "seed must be >= 0, got -1",
+    "demo-negative-seed": "seed must be >= 0, got -1",
 }
 
 
@@ -460,7 +489,7 @@ MALFORMED_MESSAGES = {
 def test_malformed_input_exits_2(capsys, tmp_path, game_file, strategy_file, coloring_file, case):
     argv = MALFORMED[case](game_file, strategy_file, coloring_file, tmp_path)
     code, out, err = run(capsys, *map(str, argv))
-    assert code == 2, (out, err)
+    assert code == 2 and out == "", (out, err)
     assert err.startswith("invalid input: ") and err.count("\n") == 1, err
     assert MALFORMED_MESSAGES.get(case, "") in err, err
     assert "Traceback" not in out + err

@@ -107,6 +107,23 @@ def test_require_pvm_happy_path(rng):
     assert np.allclose(sum(out), identity(6))
 
 
+@pytest.mark.parametrize("fault", [None, "half", "repeated", "merged"])
+def test_a_stacked_pvm_validates_as_its_list(rng, fault):
+    u = haar_unitary(rng, 3)
+    mats = [np.outer(u[:, a], u[:, a].conj()) for a in range(3)]  # rank one each
+    if fault == "half":
+        mats[1] = 0.5 * mats[1]
+    elif fault == "repeated":
+        mats[2] = mats[0]
+    elif fault == "merged":
+        mats[0] = mats[0] + mats[1]
+    listed, stacked = raised_message(lambda: require_pvm(mats)), raised_message(lambda: require_pvm(np.stack(mats)))
+    assert stacked == listed and (stacked is None) == (fault is None)
+    if fault is None:
+        assert all(np.array_equal(a, b) for a, b in zip(require_pvm(np.stack(mats)), require_pvm(mats)))
+    assert raised_message(lambda: require_pvm(np.empty((0, 3, 3)))) == "PVM has no outcomes"
+
+
 def test_require_pvm_rejects_broken_sum(rng):
     mats = list(random_pvm(rng, 4, 3))
     mats[0] = np.zeros((4, 4))

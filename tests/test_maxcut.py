@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadgetgraph
-from helpers import reference_unitary_cut_value
+from helpers import reference_random_order3_families, reference_unitary_cut_value
 from gadgetgraph import games, maxcut
 from gadgetgraph.errors import ValidationError
-from gadgetgraph.instances import random_order3_family, random_order3_unitary
+from gadgetgraph.instances import random_order3_families, random_order3_family, random_order3_unitary
 from gadgetgraph.linalg import haar_unitary
 from gadgetgraph.maxcut import (
     BRUTE_FORCE_LIMIT,
@@ -291,6 +291,31 @@ def test_family_holds_its_powers_as_one_stack(k, d, n, extra, gaps, seed):
         assert unitary_cut_value(g, fam) == pytest.approx(reference_unitary_cut_value(g, fam), abs=TOL)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=7),
+    d=st.integers(min_value=1, max_value=5),
+    count=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batched_families_draw_the_per_vertex_unitaries(n, d, count, seed):
+    # The same draws in the same seed order, so the same unitaries bit for
+    # bit and the generator left in the same state.
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    families = random_order3_families(rng, SimpleGraph(n, ()), d, count)
+    expected = reference_random_order3_families(ref, n, d, count)
+    assert len(families) == count
+    for fam, want in zip(families, expected):
+        assert (fam.k, fam.d, fam.vertices) == (3, d, tuple(range(1, n + 1)))
+        assert all(np.array_equal(fam.unitaries[v], u) for v, u in zip(fam.vertices, want))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    ((want,),) = reference_random_order3_families(np.random.default_rng(seed), 1, d, 1)
+    assert np.array_equal(random_order3_unitary(np.random.default_rng(seed), d), want)
+    fam = random_order3_family(np.random.default_rng(seed), SimpleGraph(n, ()), d)
+    (want,) = reference_random_order3_families(np.random.default_rng(seed), n, d, 1)
+    assert all(np.array_equal(fam.unitaries[v], u) for v, u in zip(fam.vertices, want))
+
+
 def test_empty_family_on_the_empty_graph():
     g, fam = SimpleGraph(0, ()), OrderKUnitaryFamily(3, 1, {})
     assert unitary_cut_value(g, fam) == 0.0
@@ -323,6 +348,13 @@ def test_pvm_unitary_round_trip(rng):
         u = random_order3_unitary(rng, 4)
         back = unitary_from_pvm(pvm_from_unitary(u))
         assert np.allclose(back, u, atol=1e-9)
+
+
+def test_unitary_from_a_stacked_pvm(rng):
+    u = random_order3_unitary(rng, 4)
+    mats = pvm_from_unitary(u)
+    assert np.array_equal(unitary_from_pvm(np.stack(mats)), unitary_from_pvm(mats))
+    assert np.allclose(unitary_from_pvm(np.stack(mats)), u, atol=1e-9)
 
 
 def test_pvm_from_unitary_rejections():
