@@ -578,13 +578,14 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
 def matrix_from_json(data, d: int) -> np.ndarray:
     """A d-by-d complex matrix from parsed JSON: a row-major list of d*d
     [re, im] pairs, as ``write_strategy_json`` writes them.  Its entries are
-    checked one by one, so that the first bad entry is named."""
+    checked one by one, so that the first bad entry is named; a JSON
+    ``true`` or ``false`` part is not a number."""
     if not isinstance(data, list) or len(data) != d * d:
         raise ValidationError(f"matrix payload must be a list of {d * d} [re, im] pairs")
     for i, pair in enumerate(data):
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise ValidationError(f"matrix entry {i} is not an [re, im] pair")
-        if not all(isinstance(x, (int, float)) for x in pair):
+        if not all(type(x) in (int, float) for x in pair):
             raise ValidationError(f"matrix entry {i} has non-numeric parts")
     try:
         parts = np.array(data, dtype=np.float64)
@@ -595,8 +596,13 @@ def matrix_from_json(data, d: int) -> np.ndarray:
 
 def _load_strategy_parts(path, what: str):
     """The dimension and {key: matrices} of a strategy file, in any JSON layout."""
+    text = Path(path).read_text()
+    # numpy would read a JSON true or false as 1 or 0, so a file that may
+    # hold one is read matrix by matrix: "true" has a "u", "false" an "l",
+    # and no number has either.
+    booleans = "u" in text or "l" in text
     try:
-        payload = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys(f"{what} file"))
+        payload = json.loads(text, object_pairs_hook=_unique_keys(f"{what} file"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "d" not in payload or "pvms" not in payload:
@@ -611,7 +617,7 @@ def _load_strategy_parts(path, what: str):
         parts = np.array(list(pvms.values()))
     except ValueError:  # ragged
         parts = np.empty(0)
-    if parts.ndim == 4 and parts.shape[2:] == (d * d, 2) and parts.dtype.kind in "biuf":
+    if parts.ndim == 4 and parts.shape[2:] == (d * d, 2) and parts.dtype.kind in "iuf" and not booleans:
         parts = np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)
         return d, dict(zip(pvms, parts.reshape(len(pvms), -1, d, d)))
     parsed = {}  # matrix by matrix, which names the first bad entry

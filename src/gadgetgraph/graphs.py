@@ -14,8 +14,7 @@ The builder works on integer vertex ids, numbered in the canonical order of
 orthogonality gadgets' cells, gadget by gadget in (x, y, a, b) order.  Each
 gadget is one row of ids, the template's slot pairs are mapped through the
 rows, and each name is formatted once; the graph keeps the rows of ids, and
-later stages gather by them.  The gadget handles (``GadgetGraph.block``,
-``GadgetGraph.answer_vertex``) name them for the library API.
+later stages gather by them.  A vertex is reached by its id, never by a name.
 
 Edge accounting is kept honest: every slot the construction *mentions* is
 counted, and a slot whose edge an earlier slot already made is a duplicate of
@@ -113,44 +112,6 @@ _FIRST_MASK, _CHAINED_MASK, _ORTHO_MASK = (
 )
 
 
-class _Grid:
-    """Rows and columns of a 3x3 gadget's ``cells``."""
-
-    def row(self, i: int) -> tuple:
-        return tuple(self.cells[(i, j)] for j in (1, 2, 3))
-
-    def col(self, j: int) -> tuple:
-        return tuple(self.cells[(i, j)] for i in (1, 2, 3))
-
-
-@dataclass(frozen=True, eq=False)
-class BlockHandle(_Grid):
-    """One rook block R with its prism tops, indexed by (alpha, x)."""
-
-    alpha: int
-    x: int
-    cells: dict
-    t1: str
-    t3: str
-
-    def t_triangle(self) -> tuple:
-        """The prism's top triangle, aligned rung-by-rung with row 1."""
-        return (self.t1, "A", self.t3)
-
-
-@dataclass(frozen=True, eq=False)
-class OrthoHandle(_Grid):
-    """Orthogonality gadget for one losing tuple.
-
-    kind 'e' marks endpoint answer pairs (glued through B), 'f' interior
-    ones (glued through C).
-    """
-
-    tup: tuple
-    kind: str
-    cells: dict
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeCountReport:
     """Reconciliation of the closed-form edge count with the realized one.
@@ -174,14 +135,14 @@ class EdgeCountReport:
 
 @dataclass(frozen=True, eq=False)
 class GadgetGraph:
-    """The compiled graph as read-only int32 id tables, named on first read.
+    """The compiled graph as read-only int32 id tables.
 
     ``vertices`` lists the names in id order, ``edge_ids`` each edge's ids in
     order, the edges sorted.  A _BLOCK_COLUMNS row per block, x-major and
-    alpha-minor, an _ORTHO_COLUMNS row per gadget and each direct edge are in
-    ``block_rows``, ``ortho_rows`` and ``rest_rows``, the gadgets' and direct
-    edges' rows of ``game.losing_table`` in ``ortho_at`` and ``rest_at``.
-    ``edges``, ``blocks``, ``orthos`` and ``rest_edges`` are views in names.
+    alpha-minor, an _ORTHO_COLUMNS row per gadget, e-set first, and each
+    direct edge are in ``block_rows``, ``ortho_rows`` and ``rest_rows``, the
+    gadgets' and direct edges' rows of ``game.losing_table`` in ``ortho_at``
+    and ``rest_at``.  ``edges`` names the edges on first read.
     """
 
     game: SyncGame
@@ -198,30 +159,6 @@ class GadgetGraph:
     def edges(self) -> tuple:
         """Each edge as a pair of names in vertex order."""
         return tuple(zip(*(map(self.vertices.__getitem__, ids) for ids in self.edge_ids.T.tolist())))
-
-    @cached_property
-    def blocks(self) -> tuple:
-        """One ``BlockHandle`` per block, x-major and alpha-minor."""
-        name, per_x = self.vertices.__getitem__, self.game.m - 2
-        return tuple(
-            BlockHandle(k % per_x + 1, k // per_x + 1, dict(zip(_CELLS, map(name, row))), name(row[11]), name(row[12]))
-            for k, row in enumerate(self.block_rows.tolist())
-        )
-
-    @cached_property
-    def orthos(self) -> tuple:
-        """One ``OrthoHandle`` per gadget, the e-set's first; its hub q(1,2) gives its kind."""
-        name, tuples = self.vertices.__getitem__, self.game.losing_sorted
-        return tuple(
-            OrthoHandle(tuples[i], "e" if row[_CELL[(1, 2)]] == _B else "f", dict(zip(_CELLS, map(name, row))))
-            for i, row in zip(self.ortho_at.tolist(), self.ortho_rows.tolist())
-        )
-
-    @cached_property
-    def rest_edges(self) -> tuple:
-        """(tuple, (u, v)) for each losing tuple that asks for a direct edge."""
-        name, tuples = self.vertices.__getitem__, self.game.losing_sorted
-        return tuple((tuples[i], tuple(map(name, uv))) for i, uv in zip(self.rest_at.tolist(), self.rest_rows.tolist()))
 
     @cached_property
     def rank(self) -> np.ndarray:
@@ -252,21 +189,6 @@ class GadgetGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edge_ids)
-
-    def block(self, alpha: int, x: int) -> BlockHandle:
-        """The block (alpha, x); ``blocks`` is x-major and alpha-minor."""
-        per_x = self.game.m - 2
-        if not (1 <= alpha <= per_x and 1 <= x <= self.game.n):
-            raise ValidationError(f"no block with alpha={alpha}, x={x}")
-        return self.blocks[(x - 1) * per_x + alpha - 1]
-
-    def answer_vertex(self, a: int, x: int) -> str:
-        """The vertex v̂(a, x) that carries answer a at question x."""
-        m = self.game.m
-        if not 1 <= a <= m:
-            raise ValidationError(f"answer {a} out of range 1..{m}")
-        alpha, cell = _answer_cell(a, m)
-        return self.block(alpha, x).cells[cell]
 
 
 def edge_count_formula(game: SyncGame) -> int:

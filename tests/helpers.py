@@ -8,12 +8,15 @@ Agreement with the builder is therefore evidence, not a tautology.  The
 canonical keys parsed from names here (``canonical_key``) order that census
 as ``reference_order`` and group the DOT clusters of ``reference_dot``.
 
-The builder names only the cells that become vertices.  The paper's other
-names (the prism rungs s(j), the middle top t(2), the answer cells v̂(a, x)
-and every glued cell) are spelled here, and ``handle_names`` reads the
-vertex each of them lands on from the graph's gadget handles.
-``reference_name_views`` is the eager code that named a graph's edges and
-handles from its id tables before they became views built on first read.
+The builder names only the cells that become vertices, and the graph
+reaches them by id alone.  ``reference_name_views`` is the only named copy
+of a compiled graph: it names the edges and the gadget handles
+(``BlockHandle``, ``OrthoHandle``) from the graph's id tables, as the
+library's views did before they left it, and looks up a block and an
+answer cell v̂(a, x) by number.  The paper's other names (the prism rungs
+s(j), the middle top t(2), the answer cells and every glued cell) are
+spelled here, and ``handle_names`` reads the vertex each of them lands on
+from those handles.
 
 ``reference_game_check``, ``reference_losing_sorted`` and
 ``reference_partition_losing`` are the per-tuple loops a game was checked,
@@ -49,7 +52,7 @@ named triangles and prisms of the gadget handles (``named_triangles``,
 import json
 import math
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from math import fsum
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -59,7 +62,7 @@ import numpy as np
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.forward import _require_coverage
 from gadgetgraph.games import EDGE_PRIOR, PriorDistribution, SyncGame
-from gadgetgraph.graphs import DELTA, ROOK_PAIRS, BlockHandle, OrthoHandle, q_name, v_name
+from gadgetgraph.graphs import DELTA, ROOK_PAIRS, q_name, v_name
 from gadgetgraph.linalg import (
     ROOT2,
     TOL_EIGENVALUE,
@@ -216,6 +219,7 @@ def reference_graph_json(graph) -> dict:
     """The compiled graph as nested dicts and lists, as a reference for the
     templated JSON writer: ``json.dumps(reference_graph_json(graph),
     sort_keys=True, indent=1) + "\\n"`` is the text ``export_graph`` writes."""
+    views = reference_name_views(graph)
     gadgets = {
         "delta": list(DELTA),
         "blocks": [
@@ -225,7 +229,7 @@ def reference_graph_json(graph) -> dict:
                 "cells": {f"{i},{j}": b.cells[(i, j)] for i in (1, 2, 3) for j in (1, 2, 3)},
                 "t": [b.t1, b.t3],
             }
-            for b in graph.blocks
+            for b in views.blocks
         ],
         "orthogonality": [
             {
@@ -233,13 +237,13 @@ def reference_graph_json(graph) -> dict:
                 "kind": o.kind,
                 "cells": {f"{i},{j}": o.cells[(i, j)] for i in (1, 2, 3) for j in (1, 2, 3)},
             }
-            for o in graph.orthos
+            for o in views.orthos
         ],
-        "rest": [{"tuple": list(t), "edge": [u, v]} for t, (u, v) in graph.rest_edges],
+        "rest": [{"tuple": list(t), "edge": [u, v]} for t, (u, v) in views.rest_edges],
     }
     return {
         "vertices": list(graph.vertices),
-        "edges": [[u, v] for u, v in graph.edges],
+        "edges": [[u, v] for u, v in views.edges],
         "gadgets": gadgets,
         "edge_count_report": asdict(graph.report),
     }
@@ -249,17 +253,76 @@ def reference_graph_json(graph) -> dict:
 CELLS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 
 
-def reference_name_views(graph) -> SimpleNamespace:
-    """``edges``, ``blocks``, ``orthos`` and ``rest_edges`` named from the
-    graph's id tables by the eager code ``build_graph`` ran before they
-    became views built on first read."""
+class _Grid:
+    """Rows and columns of a 3x3 gadget's ``cells``."""
+
+    def row(self, i: int) -> tuple:
+        return tuple(self.cells[(i, j)] for j in (1, 2, 3))
+
+    def col(self, j: int) -> tuple:
+        return tuple(self.cells[(i, j)] for i in (1, 2, 3))
+
+
+@dataclass(frozen=True, eq=False)
+class BlockHandle(_Grid):
+    """One rook block R with its prism tops, indexed by (alpha, x)."""
+
+    alpha: int
+    x: int
+    cells: dict
+    t1: str
+    t3: str
+
+    def t_triangle(self) -> tuple:
+        """The prism's top triangle, aligned rung-by-rung with row 1."""
+        return (self.t1, "A", self.t3)
+
+
+@dataclass(frozen=True, eq=False)
+class OrthoHandle(_Grid):
+    """Orthogonality gadget for one losing tuple.
+
+    kind 'e' marks endpoint answer pairs (glued through B), 'f' interior
+    ones (glued through C).
+    """
+
+    tup: tuple
+    kind: str
+    cells: dict
+
+
+@dataclass(frozen=True, eq=False)
+class NameViews:
+    """A compiled graph in names: its edges, one handle per block (x-major,
+    alpha-minor) and per orthogonality gadget (e-set first), and
+    (tuple, (u, v)) per direct edge."""
+
+    m: int
+    edges: tuple
+    blocks: tuple
+    orthos: tuple
+    rest_edges: tuple
+
+    def block(self, alpha: int, x: int) -> BlockHandle:
+        return self.blocks[(x - 1) * (self.m - 2) + alpha - 1]
+
+    def answer_vertex(self, a: int, x: int) -> str:
+        """The vertex v̂(a, x) that carries answer a at question x."""
+        alpha, cell = vhat_cell(a, self.m)
+        return self.block(alpha, x).cells[cell]
+
+
+def reference_name_views(graph) -> NameViews:
+    """The graph's edges, handles and direct edges named from its id tables,
+    by the eager code ``build_graph`` ran before the graph kept ids only."""
     n, m = graph.game.n, graph.game.m
     name = list(graph.vertices).__getitem__
     tuples, rest_tuples = ([graph.game.losing_sorted[i] for i in at.tolist()] for at in (graph.ortho_at, graph.rest_at))
     n_e = sum(1 for a, b, _, _ in tuples if {a, b} <= {1, m})
     xa = ((x, alpha) for x in range(1, n + 1) for alpha in range(1, m - 1))
     edge_lo, edge_hi = graph.edge_ids[:, 0], graph.edge_ids[:, 1]
-    return SimpleNamespace(
+    return NameViews(
+        m=m,
         edges=tuple(zip(map(name, edge_lo.tolist()), map(name, edge_hi.tolist()))),
         blocks=tuple(
             BlockHandle(alpha, x, dict(zip(CELLS, map(name, row[:9]))), name(row[11]), name(row[12]))
@@ -419,29 +482,36 @@ def s_name(j: int, alpha: int, x: int) -> str:
     return f"s({j},{alpha},{x})"
 
 
-def vhat(a: int, x: int, m: int) -> str:
-    """The paper's answer cell v̂(a, x): answer 1 at the first block's top-left
-    corner, answer m at the last block's center, and each interior answer a
-    at the center-left cell of block a-1."""
+def vhat_cell(a: int, m: int) -> tuple:
+    """The block alpha and the cell of the paper's answer cell v̂(a, x):
+    answer 1 at the first block's top-left corner, answer m at the last
+    block's center, and each interior answer a at the center-left cell of
+    block a-1."""
     if a == 1:
-        return v_name(1, 1, 1, x)
+        return 1, (1, 1)
     if a == m:
-        return v_name(2, 2, m - 2, x)
-    return v_name(2, 1, a - 1, x)
+        return m - 2, (2, 2)
+    return a - 1, (2, 1)
+
+
+def vhat(a: int, x: int, m: int) -> str:
+    """The name of v̂(a, x) as the cell of its block."""
+    alpha, cell = vhat_cell(a, m)
+    return v_name(*cell, alpha, x)
 
 
 def handle_names(graph) -> dict:
     """Every name the construction declares, glued cells, s(j) and t(2)
     included, mapped to the vertex its gadget handle holds."""
-    names = {letter: letter for letter in DELTA}
-    for b in graph.blocks:
+    names, views = {letter: letter for letter in DELTA}, reference_name_views(graph)
+    for b in views.blocks:
         for (i, j), vertex in b.cells.items():
             names[v_name(i, j, b.alpha, b.x)] = vertex
         for j in (1, 2, 3):
             names[s_name(j, b.alpha, b.x)] = b.cells[(1, j)]
         for i, vertex in zip((1, 2, 3), b.t_triangle()):
             names[t_name(i, b.alpha, b.x)] = vertex
-    for o in graph.orthos:
+    for o in views.orthos:
         for (i, j), vertex in o.cells.items():
             names[q_name(i, j, o.tup)] = vertex
     return names
@@ -673,7 +743,7 @@ def reference_coloring_value(graph, cs) -> tuple:
 def reference_gadget_losses(graph, strategy, cs) -> list:
     """(loss, probability) of every orthogonality gadget, gadget by gadget."""
     out = []
-    for ortho in graph.orthos:
+    for ortho in reference_name_views(graph).orthos:
         a, b, x, y = ortho.tup
         edges = [(ortho.cells[c1], ortho.cells[c2]) for c1, c2 in ROOK_PAIRS]
         edges.append(("A", ortho.cells[(3, 3)]))
@@ -699,13 +769,14 @@ def reference_eta(graph, cs) -> dict:
 def named_triangles(graph):
     """(label, three names) of each triangle, in ``compute_diagnostics`` order."""
     yield ("delta",), DELTA
-    for b in graph.blocks:
+    views = reference_name_views(graph)
+    for b in views.blocks:
         for i in (1, 2, 3):
             yield ("row", i, b.alpha, b.x), b.row(i)
         for j in (1, 2, 3):
             yield ("col", j, b.alpha, b.x), b.col(j)
         yield ("top", b.alpha, b.x), b.t_triangle()
-    for o in graph.orthos:
+    for o in views.orthos:
         for i in (1, 2, 3):
             yield ("qrow", i) + o.tup, o.row(i)
         for j in (1, 2, 3):
@@ -714,7 +785,7 @@ def named_triangles(graph):
 
 def named_prisms(graph):
     """(label, three rungs as name pairs) of each block's four prisms."""
-    for b in graph.blocks:
+    for b in reference_name_views(graph).blocks:
         yield ("top", b.alpha, b.x), tuple(zip(b.row(1), b.t_triangle()))
         for i, j in ((1, 2), (1, 3), (2, 3)):
             yield ("rows", i, j, b.alpha, b.x), tuple(zip(b.row(i), b.row(j)))
@@ -739,10 +810,10 @@ def reference_diagnostics(graph, cs) -> SimpleNamespace:
 def reference_commutator_norms(graph, sym, cc, n: int, m: int) -> list:
     """max over the permutations of ||[P_{i,vhat(a,x)}, S_{i,j,k}]||_2, per
     question x and then answer a."""
-    out = []
+    out, views = [], reference_name_views(graph)
     for x in range(1, n + 1):
         for a in range(1, m + 1):
-            target = sym.pvms[graph.answer_vertex(a, x)]
+            target = sym.pvms[views.answer_vertex(a, x)]
             out.append(max(
                 two_norm(commutator(target[perm[0] - 1], cc.operators[perm]))
                 for perm in PERM3
@@ -752,9 +823,9 @@ def reference_commutator_norms(graph, sym, cc, n: int, m: int) -> list:
 
 def reference_question_sandwiches(graph, cs, cc, x: int, m: int) -> list:
     """The 6m operators S P_{i,vhat(a,x)} S, ordered by (answer, permutation)."""
-    ops = []
+    ops, views = [], reference_name_views(graph)
     for a in range(1, m + 1):
-        block = cs.pvms[graph.answer_vertex(a, x)]
+        block = cs.pvms[views.answer_vertex(a, x)]
         for perm in PERM3:
             s = cc.operators[perm]
             ops.append(s @ block[perm[0] - 1] @ s)
@@ -847,7 +918,8 @@ def reference_forward_translate(game, graph, strategy) -> tuple:
 
     for letter, colors in zip(DELTA, ((one, z, z), (z, one, z), (z, z, one))):
         put(letter, colors, "control triangle", letter, exact=True)
-    for block in graph.blocks:
+    views = reference_name_views(graph)
+    for block in views.blocks:
         alpha, x = block.alpha, block.x
         low, low1 = (reference_interval_sum(strategy, 1, t, x) for t in (alpha, alpha + 1))
         high, high1 = (reference_interval_sum(strategy, s, m, x) for s in (alpha + 1, alpha + 2))
@@ -862,7 +934,7 @@ def reference_forward_translate(game, graph, strategy) -> tuple:
             put(name, colors[cell], gadget, cell, exact=True)
         put(block.t1, (z, high, low), gadget, "t1", exact=True)
         put(block.t3, (z, low, high), gadget, "t3", exact=True)
-    for ortho in graph.orthos:
+    for ortho in views.orthos:
         a, b, x, y = ortho.tup
         e_a, e_b = strategy.pvms[x][a - 1], strategy.pvms[y][b - 1]
         g = reference_perturb_two(e_a, e_b)

@@ -193,6 +193,15 @@ def test_forward_names_an_overflowing_entry_in_one_line(capsys, tmp_path, game_f
     assert (code, out, err) == (2, "", f"invalid input: {OVERFLOW_MESSAGE}\n")
 
 
+def test_forward_refuses_a_boolean_part(capsys, strategy_file, game_file):
+    # One true among the floats: numpy alone would read it as 1.
+    payload = json.loads(strategy_file.read_text())
+    payload["pvms"]["1"][1][0][1] = True
+    strategy_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "forward", str(game_file), str(strategy_file))
+    assert (code, out, err) == (2, "", "invalid input: matrix entry 0 has non-numeric parts\n")
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("whole_block", [False, True])
 def test_reverse_rejects_non_finite_entries(capsys, game_file, coloring_file, value, whole_block):
@@ -258,11 +267,14 @@ def test_maxcut_triangle(capsys, tmp_path):
 
 
 def test_maxcut_skips_bridge_on_larger_graphs(capsys, tmp_path):
+    # The path and the cycle C7 on seven vertices.
     target = tmp_path / "seven.txt"
-    target.write_text("\n".join(f"{v} {v + 1}" for v in range(1, 7)))
-    code, out, _ = run(capsys, "maxcut", str(target), "--trials", "0")
-    assert code == 0
-    assert "value bridge: skipped" in out
+    for closing in ("", "\n7 1"):
+        target.write_text("\n".join(f"{v} {v + 1}" for v in range(1, 7)) + closing)
+        code, out, err = run(capsys, "maxcut", str(target), "--trials", "0")
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == f"graph: 7 vertices, {6 + len(closing) // 4} edges"
+        assert out.splitlines()[-1] == "value bridge: skipped (enumeration limited to 6 vertices here)"
 
 
 def test_maxcut_rejects_boolean_vertices_before_printing(capsys, tmp_path):

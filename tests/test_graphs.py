@@ -1,5 +1,6 @@
 import json
-from dataclasses import asdict, replace
+import re
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from gadgetgraph.games import SyncGame, game_to_json, load_game
 from gadgetgraph.graphs import (
     DELTA,
     ROOK_PAIRS,
+    GadgetGraph,
     build_graph,
     edge_count_formula,
     export_graph,
@@ -26,16 +28,6 @@ from gadgetgraph.instances import random_game
 def sync_only_game(m: int) -> SyncGame:
     losing = frozenset((a, b, 1, 1) for a in range(1, m + 1) for b in range(1, m + 1) if a != b)
     return SyncGame(n=1, m=m, losing=losing)
-
-
-def test_gadget_handles_hold_the_games_own_tuples():
-    # The builder hands out the game's tuple objects rather than equal copies.
-    game = random_game(np.random.default_rng(7), 3, 4, 0.3)
-    graph = build_graph(game)
-    held = {id(t) for t in game.losing}
-    assert graph.orthos and graph.rest_edges
-    assert all(id(o.tup) in held for o in graph.orthos)
-    assert all(id(t) in held for t, _ in graph.rest_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +141,11 @@ def test_vertices_and_edges_come_out_in_the_reference_order(n, m, p, seed, mirro
     vertices, edges = helpers.reference_order(game)
     assert graph.vertices == vertices
     assert graph.edges == edges
-    cells = graph.block(1, 1).cells
-    assert (cells[(1, 1)], cells[(2, 1)]) == (graph.answer_vertex(1, 1), graph.answer_vertex(2, 1))
+    views = helpers.reference_name_views(graph)
+    cells = views.block(1, 1).cells
+    assert (cells[(1, 1)], cells[(2, 1)]) == (views.answer_vertex(1, 1), views.answer_vertex(2, 1))
     if mirror:
-        assert 2 * graph.report.symmetric_rest_pairs == len(graph.rest_edges)
+        assert 2 * graph.report.symmetric_rest_pairs == len(views.rest_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +163,7 @@ def test_block_internal_gluings(min_graph):
     # within block (1,1): middle top vertex is the control vertex A and
     # the (1,2) cell is the control vertex B.
     names = helpers.handle_names(min_graph)
-    block = min_graph.block(1, 1)
+    block = helpers.reference_name_views(min_graph).block(1, 1)
     assert block.t_triangle()[1] == names[helpers.t_name(2, 1, 1)] == "A"
     assert block.cells[(1, 2)] == names[v_name(1, 2, 1, 1)] == "B"
     for j in (1, 2, 3):
@@ -180,12 +173,12 @@ def test_block_internal_gluings(min_graph):
 
 
 def test_chain_gluing_links_adjacent_blocks():
-    graph = build_graph(sync_only_game(5))
+    views = helpers.reference_name_views(build_graph(sync_only_game(5)))
     for alpha in (1, 2):
-        assert graph.block(alpha + 1, 1).cells[(1, 1)] == graph.block(alpha, 1).cells[(3, 2)]
+        assert views.block(alpha + 1, 1).cells[(1, 1)] == views.block(alpha, 1).cells[(3, 2)]
     # the last block has no successor to chain into
-    assert graph.block(3, 1).cells[(3, 2)] not in {
-        graph.block(a, 1).cells[(1, 1)] for a in (1, 2, 3)
+    assert views.block(3, 1).cells[(3, 2)] not in {
+        views.block(a, 1).cells[(1, 1)] for a in (1, 2, 3)
     }
 
 
@@ -215,22 +208,23 @@ def test_resolution_agrees_with_rewrite_rules(n, m, p, seed):
 
 def test_answer_vertex_aliases():
     graph = build_graph(sync_only_game(5))
-    names = helpers.handle_names(graph)
+    names, views = helpers.handle_names(graph), helpers.reference_name_views(graph)
     m = 5
-    assert graph.answer_vertex(1, 1) == graph.block(1, 1).cells[(1, 1)]
+    assert views.answer_vertex(1, 1) == views.block(1, 1).cells[(1, 1)]
     for a in (2, 3, 4):
-        assert graph.answer_vertex(a, 1) == graph.block(a - 1, 1).cells[(2, 1)]
-    assert graph.answer_vertex(m, 1) == graph.block(m - 2, 1).cells[(2, 2)]
+        assert views.answer_vertex(a, 1) == views.block(a - 1, 1).cells[(2, 1)]
+    assert views.answer_vertex(m, 1) == views.block(m - 2, 1).cells[(2, 2)]
     for a in range(1, m + 1):
-        assert graph.answer_vertex(a, 1) == names[helpers.vhat(a, 1, m)] == helpers.vhat(a, 1, m)
-    assert len({graph.answer_vertex(a, 1) for a in range(1, m + 1)}) == m
+        assert views.answer_vertex(a, 1) == names[helpers.vhat(a, 1, m)] == helpers.vhat(a, 1, m)
+    assert len({views.answer_vertex(a, 1) for a in range(1, m + 1)}) == m
 
 
 def test_ortho_corner_gluings(min_graph):
-    for gadget in min_graph.orthos:
+    views = helpers.reference_name_views(min_graph)
+    for gadget in views.orthos:
         a, b, x, y = gadget.tup
-        assert gadget.cells[(1, 1)] == min_graph.answer_vertex(a, x)
-        assert gadget.cells[(2, 2)] == min_graph.answer_vertex(b, y)
+        assert gadget.cells[(1, 1)] == views.answer_vertex(a, x)
+        assert gadget.cells[(2, 2)] == views.answer_vertex(b, y)
         hub = "B" if gadget.kind == "e" else "C"
         assert gadget.cells[(1, 2)] == hub
         free = [cell for cell in gadget.cells if cell not in {(1, 1), (1, 2), (2, 2)}]
@@ -238,14 +232,15 @@ def test_ortho_corner_gluings(min_graph):
 
 
 def test_minimal_ortho_kinds(min_graph):
-    kinds = sorted((g.kind, g.tup) for g in min_graph.orthos)
+    kinds = sorted((g.kind, g.tup) for g in helpers.reference_name_views(min_graph).orthos)
     assert kinds == [("e", (1, 3, 1, 1)), ("e", (3, 1, 1, 1))]
 
 
 def test_rest_edges_recorded(min_graph):
-    tuples = sorted(t for t, _ in min_graph.rest_edges)
+    rest_edges = helpers.reference_name_views(min_graph).rest_edges
+    tuples = sorted(t for t, _ in rest_edges)
     assert tuples == [(1, 2, 1, 1), (2, 1, 1, 1), (2, 3, 1, 1), (3, 2, 1, 1)]
-    for _, (u, v) in min_graph.rest_edges:
+    for _, (u, v) in rest_edges:
         assert (u, v) in min_graph.edges or (v, u) in min_graph.edges
 
 
@@ -254,7 +249,7 @@ def test_rest_edges_recorded(min_graph):
 
 
 def test_block_handle_geometry(min_graph):
-    block = min_graph.block(1, 1)
+    block = helpers.reference_name_views(min_graph).block(1, 1)
     assert block.row(1) == tuple(block.cells[(1, j)] for j in (1, 2, 3))
     assert block.col(3) == tuple(block.cells[(i, 3)] for i in (1, 2, 3))
     assert block.t_triangle() == (block.t1, "A", block.t3)
@@ -263,7 +258,7 @@ def test_block_handle_geometry(min_graph):
 
 
 def test_ortho_handle_geometry(min_graph):
-    gadget = min_graph.orthos[0]
+    gadget = helpers.reference_name_views(min_graph).orthos[0]
     assert gadget.row(2) == tuple(gadget.cells[(2, j)] for j in (1, 2, 3))
     assert gadget.col(1) == tuple(gadget.cells[(i, 1)] for i in (1, 2, 3))
 
@@ -277,12 +272,9 @@ def test_every_edge_uses_canonical_vertices(min_graph):
     assert all(names[vertex] == vertex for vertex in min_graph.vertices)
 
 
-NAME_VIEWS = ("edges", "blocks", "orthos", "rest_edges")
-
-
 def test_compile_builds_no_name_views(monkeypatch, tmp_path, capsys):
     # compile builds the graph and writes both exports from its id tables
-    # alone; reading a view is what caches it.
+    # alone; reading ``edges``, the one name view, is what caches it.
     built = []
     monkeypatch.setattr(cli, "build_graph", lambda game: built.append(build_graph(game)) or built[-1])
     game = random_game(np.random.default_rng(1), 4, 5, 0.3)
@@ -291,19 +283,8 @@ def test_compile_builds_no_name_views(monkeypatch, tmp_path, capsys):
     assert cli.main(["compile", str(path), "--format", "both"]) == 0
     assert "wrote" in capsys.readouterr().out
     (graph,) = built
-    assert not set(NAME_VIEWS) & set(vars(graph))
-    assert all(getattr(graph, view) for view in NAME_VIEWS)
-    assert set(NAME_VIEWS) <= set(vars(graph))
-
-
-def view_fields(views) -> dict:
-    """The name views of a graph, each handle as its dict of fields."""
-    return {
-        "edges": views.edges,
-        "blocks": [vars(b) for b in views.blocks],
-        "orthos": [vars(o) for o in views.orthos],
-        "rest_edges": views.rest_edges,
-    }
+    assert "edges" not in vars(graph)
+    assert graph.edges and "edges" in vars(graph)
 
 
 @settings(max_examples=25, deadline=None)
@@ -314,8 +295,9 @@ def view_fields(views) -> dict:
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_name_views_match_the_eager_reference(n, m, p, seed):
+    # ``edges`` is the one name view the graph keeps.
     graph = build_graph(random_game(np.random.default_rng(seed), n, m, p))
-    assert view_fields(graph) == view_fields(helpers.reference_name_views(graph))
+    assert graph.edges == helpers.reference_name_views(graph).edges
 
 
 def test_name_views_match_the_eager_reference_on_fixed_games(min_graph, tri_graph):
@@ -324,8 +306,7 @@ def test_name_views_match_the_eager_reference_on_fixed_games(min_graph, tri_grap
     games += [load_game(golden / name) for name in ("game.json", "game10.json")]
     for game in games:
         graph = build_graph(game)
-        assert view_fields(graph) == view_fields(helpers.reference_name_views(graph))
-        assert all(id(o.tup) in {id(t) for t in game.losing} for o in graph.orthos)
+        assert graph.edges == helpers.reference_name_views(graph).edges
 
 
 def test_edge_index_finds_each_edge_in_either_order(tri_graph):
@@ -404,11 +385,12 @@ EMPTIED = {
 def test_json_export_with_empty_gadget_lists(min_graph):
     # Synchrony alone leaves the f-set empty at m = 3, but never the e-set or
     # the rest, so those two lists are emptied on the id-row level.
-    assert {o.kind for o in min_graph.orthos} == {"e"}
+    assert {o.kind for o in helpers.reference_name_views(min_graph).orthos} == {"e"}
     assert_json_matches_reference(min_graph)
     for emptied in (("orthos",), ("rest_edges",), ("orthos", "rest_edges")):
         graph = replace(min_graph, **{k: v for attr in emptied for k, v in EMPTIED[attr].items()})
-        assert all((getattr(graph, attr) == ()) == (attr in emptied) for attr in EMPTIED)
+        views = helpers.reference_name_views(graph)
+        assert all((getattr(views, attr) == ()) == (attr in emptied) for attr in EMPTIED)
         assert_json_matches_reference(graph)
         text = export_graph(graph, "json")
         for attr, key in (("orthos", "orthogonality"), ("rest_edges", "rest")):
@@ -435,8 +417,9 @@ def test_dot_export_with_no_orthogonality_gadgets(min_graph):
     # Every game has e-set gadgets, so the gadget-free graph is cut from the
     # minimal one: no gadget rows, vertices or edges.  The vertices the
     # gadgets declare are numbered last, so the cut keeps every other id.
-    gadget_vertices = {v for o in min_graph.orthos for v in o.cells.values()} - {
-        v for b in min_graph.blocks for v in b.cells.values()
+    views = helpers.reference_name_views(min_graph)
+    gadget_vertices = {v for o in views.orthos for v in o.cells.values()} - {
+        v for b in views.blocks for v in b.cells.values()
     } - set(DELTA)
     kept = min_graph.n_vertices - len(gadget_vertices)
     graph = replace(
@@ -447,7 +430,7 @@ def test_dot_export_with_no_orthogonality_gadgets(min_graph):
     )
     assert graph.vertices == tuple(v for v in min_graph.vertices if v not in gadget_vertices)
     assert graph.edges == tuple(e for e in min_graph.edges if not gadget_vertices & set(e))
-    assert len(graph.vertices) == len(min_graph.vertices) - 6 * len(min_graph.orthos)
+    assert len(graph.vertices) == len(min_graph.vertices) - 6 * len(views.orthos)
     assert export_graph(graph, "dot") == helpers.reference_dot(graph)
     assert "cluster_ortho" not in export_graph(graph, "dot")
 
@@ -475,15 +458,13 @@ def test_export_rejects_unknown_format(min_graph):
 
 
 # ---------------------------------------------------------------------------
-# error paths
+# documentation
 
 
-@pytest.mark.parametrize("a, x", [(0, 1), (4, 1), (-1, 1), (1, 0), (1, 2), (3, 2)])
-def test_answer_vertex_out_of_range(min_graph, a, x):
-    with pytest.raises(ValidationError, match="out of range|no block"):
-        min_graph.answer_vertex(a, x)
-
-
-def test_block_lookup_out_of_range(min_graph):
-    with pytest.raises(ValidationError):
-        min_graph.block(5, 1)
+def test_readme_names_only_what_a_gadget_graph_has():
+    # Every `graph.<name>` the README spells is a field, property or method
+    # of GadgetGraph, so a name the graph no longer has cannot linger there.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    named = set(re.findall(r"`graph\.(\w+)", readme))
+    assert {"vertices", "edge_ids", "block_rows"} <= named
+    assert named - {f.name for f in fields(GadgetGraph)} - set(dir(GadgetGraph)) == set()

@@ -373,11 +373,15 @@ def test_matrix_json_rejects_non_numeric_parts(part):
         matrix_from_json(data, 2)
 
 
-def test_matrix_json_takes_integer_and_boolean_parts():
-    back = matrix_from_json([[1, 0], [False, 2**64], [0.5, -3], [True, 0]], 2)
+def test_matrix_json_takes_integer_parts_and_refuses_booleans():
+    back = matrix_from_json([[1, 0], [0, 2**64], [0.5, -3], [1, 0]], 2)
     assert np.array_equal(back, np.array([[1, 2.0**64 * 1j], [0.5 - 3j, 1]]))
     with pytest.raises(ValidationError, match="beyond the float range"):
         matrix_from_json([[1, 0], [0, 10**400], [0, 0], [1, 0]], 2)
+    # A JSON true or false is no number, as in a game file.
+    for part in (True, False):
+        with pytest.raises(ValidationError, match=r"^matrix entry 3 has non-numeric parts$"):
+            matrix_from_json([[1, 0], [0, 0], [0.5, -3], [part, 0]], 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

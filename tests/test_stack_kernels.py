@@ -48,6 +48,7 @@ from helpers import (
     reference_eta,
     reference_family_norms,
     reference_gadget_losses,
+    reference_name_views,
     reference_question_sandwiches,
     reference_rounding_reports,
 )
@@ -110,6 +111,7 @@ def check_kernels(which: str, d: int, seed: int) -> None:
     value, probabilities = reference_coloring_value(graph, cs)
     assert report.value == value
     assert [e.probability for e in report.losses] == probabilities
+    assert [e.key for e in report.losses] == list(reference_name_views(graph).edges)
     strategy = random_strategy(rng, game, d)
     losses = ortho_gadget_losses(game, graph, strategy, cs)
     assert [(g.loss, g.probability) for g in losses] == reference_gadget_losses(graph, strategy, cs)
