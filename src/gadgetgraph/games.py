@@ -116,17 +116,6 @@ class SyncGame:
         object.__setattr__(self, "losing_table", table)
         object.__setattr__(self, "losing_sorted", losing_sorted)
 
-    @cached_property
-    def _losing_mask(self) -> np.ndarray:
-        """mask[x-1, y-1, a-1, b-1] is True exactly when (a, b, x, y) loses.
-        Only ``sync_value`` reads it, so it is built on its first read."""
-        n, m = self.n, self.m
-        mask = np.zeros((n, n, m, m), dtype=bool)
-        a, b, x, y = self.losing_table.T - 1
-        mask[x, y, a, b] = True
-        mask.setflags(write=False)
-        return mask
-
 
 def synchrony_tuples(n: int, m: int) -> list:
     """The losing tuples (a, b, x, x), a != b, that synchrony requires, in
@@ -385,6 +374,60 @@ def _require_strategy_fits(game: SyncGame, strategy: GameStrategy) -> None:
         raise ValidationError(f"strategy missing questions {missing}")
 
 
+@dataclass(frozen=True, eq=False)
+class _WinningTerms:
+    """What scoring a strategy needs of one (game, prior).  The overlaps come
+    from the GEMM over the strategy's ``rows``, those of the questions the
+    support names (a slice, so a view, when it names all n): a (K, K) gram
+    for K = m times their number.  ``index`` is
+    the flat index into it of every (pair, a, b) term, (P, m, m) in the
+    prior's order; ``lost`` says which terms lose; ``win`` and
+    ``win_weights`` are the winning terms' indices and prior weights."""
+
+    rows: slice | np.ndarray
+    index: np.ndarray
+    lost: np.ndarray
+    win: np.ndarray
+    win_weights: np.ndarray
+
+
+def _winning_terms(game: SyncGame, prior: PriorDistribution) -> _WinningTerms:
+    """The term table of ``game`` under ``prior``, built on the first call
+    and held on the prior as one entry, for the game it was built for.
+
+    A game's losing tuples are sorted in (a, b, x, y) order, so their codes
+    ((a m + b) n + x) n + y, 0-based, are sorted too, and one
+    ``searchsorted`` finds which of the support's terms lose.  The table
+    holds support x m^2 entries; no (n, n, m, m) array is built."""
+    held = vars(prior).get("_winning_terms")
+    if held is not None and held[0] is game:
+        return held[1]
+    n, m = game.n, game.m
+    for (x, y), _ in prior.weights:
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValidationError(f"prior supports ({x},{y}) outside 1..{n}")
+    xs, ys, ws = (v[:, None, None] for v in prior._support)
+    named = np.zeros(n, dtype=bool)
+    named[xs] = named[ys] = True
+    rows = np.flatnonzero(named)
+    at = np.zeros(n, dtype=np.intp)
+    at[rows] = np.arange(rows.size)  # a named question's row block in the GEMM
+    k = rows.size * m
+    a, b = np.arange(m)[:, None], np.arange(m)
+    index = (at[xs] * m + a) * k + at[ys] * m + b
+    wanted = ((a * m + b) * n + xs) * n + ys
+    la, lb, lx, ly = game.losing_table.T - 1
+    codes = ((la * m + lb) * n + lx) * n + ly
+    # Synchrony makes every game lose somewhere, so ``codes`` is not empty.
+    lost = codes[np.minimum(np.searchsorted(codes, wanted), codes.size - 1)] == wanted
+    win = ~lost
+    terms = _WinningTerms(
+        slice(0, n) if rows.size == n else rows, index, lost, index[win], np.broadcast_to(ws, win.shape)[win]
+    )
+    vars(prior)["_winning_terms"] = (game, terms)
+    return terms
+
+
 def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution) -> ValueReport:
     """Synchronous value: prior-weighted winning probability of the strategy.
 
@@ -393,30 +436,35 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
     ``1 - value == lost_mass`` is an identity checkable to machine precision
     rather than something baked in by construction.
 
-    Every overlap tr(E_a^x E_b^y)/d comes out of one GEMM over the first n
-    rows of the strategy's stack, (n, m, d, d): tr(A B) = sum_ij A_ij B_ji
-    is the inner product of A's entries with those of B transposed.  The
-    terms w * tau are then gathered for every support pair as one (pairs, m,
-    m) array, in the prior's (pair, a, b) order, and the losing mask splits them;
-    ``fsum`` is exactly rounded, so the value does not depend on the order.
+    Which terms win, and their weights, depend only on the game and the
+    prior, and come from ``_winning_terms``.  Each call does the strategy's
+    own work: every overlap tr(E_a^x E_b^y)/d of the questions the support
+    names comes out of one GEMM over those rows of the strategy's stack,
+    (K, m, d, d): tr(A B) = sum_ij A_ij B_ji is the inner product of A's
+    entries with those of B transposed.  The winning terms w * tau are
+    gathered from it, and ``fsum`` is exactly rounded, so the value does not
+    depend on their order.  A support that skips a question gets a smaller
+    GEMM than the one over all n rows, which BLAS may round differently in
+    the last bit.
     """
-    _require_strategy_fits(game, strategy)
     n, m, d = game.n, game.m, strategy.d
-    for (x, y), _ in prior.weights:
-        if not (1 <= x <= n and 1 <= y <= n):
-            raise ValidationError(f"prior supports ({x},{y}) outside 1..{n}")
-    stack = strategy.stack[:n]  # keys 1..n, since the strategy fits
-    gram = stack.reshape(n * m, d * d) @ stack.transpose(0, 1, 3, 2).reshape(n * m, d * d).T
-    overlaps = (gram.real / d).reshape(n, m, n, m).transpose(0, 2, 1, 3)
-    xs, ys, ws = prior._support
-    probabilities = overlaps[xs, ys]
-    lost = game._losing_mask[xs, ys]
-    value = fsum((ws[:, None, None] * probabilities)[~lost].tolist())
+    keys = strategy.keys
+    # The keys are sorted, distinct and positive: 1..n are all there exactly
+    # when the n-th key is n.
+    if not (strategy.outcomes == m and len(keys) >= n and keys[n - 1] == n):
+        _require_strategy_fits(game, strategy)
+    terms = _winning_terms(game, prior)
+    stack = strategy.stack[terms.rows]
+    k = stack.shape[0] * m
+    gram = (stack.reshape(k, d * d) @ stack.transpose(0, 1, 3, 2).reshape(k, d * d).T).ravel()
+    value = fsum((terms.win_weights * (gram.real[terms.win] / d)).tolist())
 
     def build_losses() -> tuple:
-        pair, a, b = np.nonzero(lost)
+        xs, ys, ws = prior._support
+        pair, a, b = np.nonzero(terms.lost)
         keys = zip(*(np.stack([a, b, xs[pair], ys[pair]]) + 1).tolist())
-        return tuple(map(LossEntry, keys, ws[pair].tolist(), probabilities[lost].tolist()))
+        probabilities = gram.real[terms.index[terms.lost]] / d
+        return tuple(map(LossEntry, keys, ws[pair].tolist(), probabilities.tolist()))
 
     return ValueReport(value, build_losses)
 
@@ -620,11 +668,16 @@ def _load_strategy_parts(path, what: str):
     if parts.ndim == 4 and parts.shape[2:] == (d * d, 2) and parts.dtype.kind in "iuf" and not booleans:
         parts = np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)
         return d, dict(zip(pvms, parts.reshape(len(pvms), -1, d, d)))
-    parsed = {}  # matrix by matrix, which names the first bad entry
+    parsed = {}  # matrix by matrix, which names the first bad entry and its matrix
     for key, mats in pvms.items():
         if not isinstance(mats, list):
             raise ValidationError(f"{what} entry {key!r} must be a list of matrices")
-        parsed[key] = [matrix_from_json(m, d) for m in mats]
+        parsed[key] = []
+        for outcome, mat in enumerate(mats, 1):
+            try:
+                parsed[key].append(matrix_from_json(mat, d))
+            except ValidationError as exc:
+                raise ValidationError(f"{what} entry {key!r} outcome {outcome}: {exc}") from None
     return d, parsed
 
 

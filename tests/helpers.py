@@ -18,6 +18,12 @@ s(j), the middle top t(2), the answer cells and every glued cell) are
 spelled here, and ``handle_names`` reads the vertex each of them lands on
 from those handles.
 
+``mask_sync_value`` is ``sync_value`` as it ran before the per-(game,
+prior) term table: the prior's range check on every call, a dense (n, n,
+m, m) losing mask (``losing_mask``) gathered at the support and split from
+one GEMM over all n questions.  ``held_arrays`` lists the arrays an object
+keeps, to show that none of them is that mask.
+
 ``reference_game_check``, ``reference_losing_sorted`` and
 ``reference_partition_losing`` are the per-tuple loops a game was checked,
 sorted and split by before ``SyncGame`` kept its tuples as one sorted array.
@@ -61,7 +67,7 @@ import numpy as np
 
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.forward import _require_coverage
-from gadgetgraph.games import EDGE_PRIOR, PriorDistribution, SyncGame
+from gadgetgraph.games import EDGE_PRIOR, LossEntry, PriorDistribution, SyncGame, _require_strategy_fits
 from gadgetgraph.graphs import DELTA, ROOK_PAIRS, q_name, v_name
 from gadgetgraph.linalg import (
     ROOT2,
@@ -81,6 +87,57 @@ from gadgetgraph.rounding import PERM3, InequalityReport
 #: Filled by the acceptance tests; conftest prints one line per entry
 #: after the run so the verdicts survive pytest's output capture.
 ACCEPTANCE_RESULTS = []
+
+
+def losing_mask(game) -> np.ndarray:
+    """mask[x-1, y-1, a-1, b-1] is True exactly when (a, b, x, y) loses."""
+    n, m = game.n, game.m
+    mask = np.zeros((n, n, m, m), dtype=bool)
+    a, b, x, y = game.losing_table.T - 1
+    mask[x, y, a, b] = True
+    return mask
+
+
+def mask_sync_value(game, strategy, prior) -> tuple:
+    """The value and the losses of ``sync_value``, bit for bit, by the code
+    it ran before its term table: every overlap of the n questions from one
+    GEMM, the (pairs, m, m) terms gathered in the prior's order and split by
+    the dense losing mask."""
+    _require_strategy_fits(game, strategy)
+    n, m, d = game.n, game.m, strategy.d
+    for (x, y), _ in prior.weights:
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValidationError(f"prior supports ({x},{y}) outside 1..{n}")
+    stack = strategy.stack[:n]
+    gram = stack.reshape(n * m, d * d) @ stack.transpose(0, 1, 3, 2).reshape(n * m, d * d).T
+    overlaps = (gram.real / d).reshape(n, m, n, m).transpose(0, 2, 1, 3)
+    xs, ys, ws = prior._support
+    probabilities = overlaps[xs, ys]
+    lost = losing_mask(game)[xs, ys]
+    value = fsum((ws[:, None, None] * probabilities)[~lost].tolist())
+    pair, a, b = np.nonzero(lost)
+    keys = zip(*(np.stack([a, b, xs[pair], ys[pair]]) + 1).tolist())
+    return value, tuple(map(LossEntry, keys, ws[pair].tolist(), probabilities[lost].tolist()))
+
+
+def held_arrays(obj) -> list:
+    """Every numpy array ``obj`` keeps in its attributes, looked for through
+    tuples, lists, dicts and the attributes of the objects they hold."""
+    found, seen, todo = [], set(), [obj]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            todo.extend(vars(item).values())
+    return found
 
 
 def reference_tau(a, b) -> float:

@@ -199,7 +199,8 @@ def test_forward_refuses_a_boolean_part(capsys, strategy_file, game_file):
     payload["pvms"]["1"][1][0][1] = True
     strategy_file.write_text(json.dumps(payload))
     code, out, err = run(capsys, "forward", str(game_file), str(strategy_file))
-    assert (code, out, err) == (2, "", "invalid input: matrix entry 0 has non-numeric parts\n")
+    want = "invalid input: game strategy entry '1' outcome 2: matrix entry 0 has non-numeric parts\n"
+    assert (code, out, err) == (2, "", want)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -15,7 +15,10 @@ from helpers import (
     OVERFLOW_MESSAGE,
     OVERFLOWING_STRATEGY,
     block_diagonal,
+    held_arrays,
     indented_reference,
+    losing_mask,
+    mask_sync_value,
     raised_message,
     reference_coloring_game,
     reference_game_check,
@@ -183,16 +186,23 @@ def test_synchrony_names_the_first_gap_at_every_position():
     assert SyncGame(7, 5, required).losing == frozenset(required)
 
 
-def test_no_dense_mask_until_a_value_reads_it(tmp_path):
+def test_no_dense_mask_is_built(tmp_path):
+    # Loading, compiling and scoring a game keep no (n, n, m, m) array on
+    # the game or the prior; the prior holds one term table of at most
+    # support x m^2 entries per array.
     rng = np.random.default_rng(2)
     game = random_game(rng, 3, 4)
-    assert "_losing_mask" not in vars(game)
     save_game(game, tmp_path / "g.json")
     loaded = load_game(tmp_path / "g.json")
     build_graph(loaded)
-    assert "_losing_mask" not in vars(loaded)
-    sync_value(loaded, random_strategy(rng, loaded, 2), PriorDistribution.uniform_questions(3))
-    assert vars(loaded)["_losing_mask"].shape == (3, 3, 4, 4)
+    prior = PriorDistribution.uniform_questions(3)
+    report = sync_value(loaded, random_strategy(rng, loaded, 2), prior)
+    assert report.losses
+    of_game = held_arrays(loaded)
+    of_prior = [a for a in held_arrays(prior) if not any(a is b for b in of_game)]
+    assert all(a.ndim < 4 for a in of_game)
+    assert of_prior and all(a.ndim < 4 and a.size <= 9 * 16 for a in of_prior)
+    assert not any(a.shape == (3, 3, 4, 4) for a in held_arrays(report))
 
 
 def test_a_synchrony_only_game_is_bounded_by_its_tuples():
@@ -246,8 +256,8 @@ def test_the_array_check_agrees_with_the_per_tuple_loop(data, n, m, as_set):
 
     def checked():
         game = SyncGame(n, m, losing)
-        assert "_losing_mask" not in vars(game)
-        return game.losing, game._losing_mask, game.losing_sorted, answer_classes(game)
+        assert all(a.ndim < 4 for a in held_arrays(game))
+        return game.losing, losing_mask(game), game.losing_sorted, answer_classes(game)
 
     def outcome(check):
         try:
@@ -381,6 +391,24 @@ def test_loaders_name_a_repeated_key(tmp_path):
         maxcut.load_simple_graph('{"n": 2, "edges": [[1, 2]], "edges": []}')
 
 
+def test_loaders_name_the_matrix_of_a_bad_entry(tmp_path):
+    good = [[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]
+    target = tmp_path / "s.json"
+    cases = [
+        (load_coloring_strategy, "B", [[[0.0, 0.0]], [[1.0]], [[0.0, 0.0]]],
+         "coloring strategy entry 'B' outcome 2: matrix entry 0 is not an [re, im] pair"),
+        (load_game_strategy, "2", [[[0.0, 0.0]], [[0.0, 0.0]], [[1, 10**400]]],
+         "game strategy entry '2' outcome 3: matrix payload has a part beyond the float range"),
+        (load_game_strategy, "1", [[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+         "game strategy entry '1' outcome 3: matrix payload must be a list of 1 [re, im] pairs"),
+    ]
+    for load, key, mats, message in cases:
+        first = "A" if load is load_coloring_strategy else "1"
+        pvms = {first: list(good), key: mats} if key != first else {first: mats}
+        target.write_text(json.dumps({"d": 1, "pvms": pvms}))
+        assert raised_message(lambda: load(target)) == message
+
+
 def test_coloring_strategy_needs_three_outcomes():
     with pytest.raises(ValidationError, match="outcomes"):
         ColoringStrategy(d=1, pvms={"A": [np.eye(1), np.zeros((1, 1))]})
@@ -471,6 +499,128 @@ def test_sync_value_rejects_prior_pairs_outside_the_questions(rng):
         message = f"prior supports {pair} outside 1..2"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             sync_value(game, strategy, prior)
+
+
+@st.composite
+def question_priors(draw, n: int):
+    """A prior on some of the n^2 question pairs, in any order, with integer
+    masses normalised to sum to one."""
+    question = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(question, question), min_size=1, max_size=n * n, unique=True))
+    masses = draw(st.lists(st.integers(1, 5), min_size=len(pairs), max_size=len(pairs)))
+    total = sum(masses)
+    return PriorDistribution(QUESTION_PRIOR, tuple((pair, k / total) for pair, k in zip(pairs, masses)))
+
+
+@st.composite
+def edge_priors(draw, n: int):
+    """The uniform prior on the edges of a graph on n >= 2 vertices."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return PriorDistribution.uniform_edges(SimpleGraph(n, edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    ms=st.tuples(st.integers(3, 5), st.integers(3, 5)),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sync_value_equals_the_mask_code_bit_for_bit(data, n, ms, d, seed):
+    # One prior scores two games in turn, and the first again: the term table
+    # it holds is replaced whenever the game changes.  A support that names
+    # every question takes the mask code's GEMM over all n questions, and
+    # every float is the same.  One that skips a question takes a smaller
+    # GEMM, which BLAS may round differently in the last bits.
+    rng = np.random.default_rng(seed)
+    priors = [question_priors(n), st.just(PriorDistribution.uniform_questions(n))]
+    prior = data.draw(st.one_of(priors + [edge_priors(n)] * (n > 1)))
+    every_question = {q for pair, _ in prior.weights for q in pair} == set(range(1, n + 1))
+    first, second = (random_game(rng, n, m, 0.4) for m in ms)
+    scored = [(game, random_strategy(rng, game, d)) for game in (first, second) for _ in range(2)]
+    scored.append((first, deterministic_strategy(first, rng.integers(1, ms[0] + 1, n).tolist())))
+    for game, strategy in scored + scored[:2]:
+        report = sync_value(game, strategy, prior)
+        value, losses = mask_sync_value(game, strategy, prior)
+        if every_question or d == 1:
+            assert report.value == value
+            assert report.losses == losses
+        else:
+            assert report.value == pytest.approx(value, rel=0, abs=1e-14)
+            assert [(e.key, e.weight) for e in report.losses] == [(e.key, e.weight) for e in losses]
+            for got, want in zip(report.losses, losses):
+                assert got.probability == pytest.approx(want.probability, rel=0, abs=1e-14)
+
+
+def test_sync_value_reports_a_bad_prior_pair_on_every_call(rng):
+    game = random_game(rng, 2, 3)
+    strategy = random_strategy(rng, game, 2)
+    prior = PriorDistribution(QUESTION_PRIOR, (((1, 1), 0.5), ((3, 1), 0.5)))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=r"^prior supports \(3,1\) outside 1\.\.2$"):
+            sync_value(game, strategy, prior)
+        assert held_arrays(prior) == []  # nothing is kept when the check fails
+
+
+def test_sync_value_refuses_a_strategy_that_does_not_fit_after_one_that_does(rng):
+    game = random_game(rng, 3, 3)
+    prior = PriorDistribution.uniform_questions(3)
+    fits = random_strategy(rng, game, 2)
+    value = sync_value(game, fits, prior).value
+    pvm = list(random_pvm(rng, 2, 3))
+    cases = [
+        (GameStrategy(2, {x: list(random_pvm(rng, 2, 4)) for x in (1, 2, 3)}),
+         "strategy has 4-outcome PVMs, game has m=3"),
+        (GameStrategy(2, {1: pvm, 2: pvm}), "strategy missing questions [3]"),
+        (GameStrategy(2, {1: pvm, 3: pvm, 4: pvm}), "strategy missing questions [2]"),
+        (GameStrategy(2, {2: pvm, 3: pvm, 4: pvm}), "strategy missing questions [1]"),
+    ]
+    for strategy, message in cases:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sync_value(game, strategy, prior)
+    # Questions beyond n are not read.
+    extra = GameStrategy(2, {**fits.pvms, 4: pvm})
+    assert sync_value(game, extra, prior).value == value == sync_value(game, fits, prior).value
+
+
+def test_a_value_bridge_builds_one_term_table(monkeypatch):
+    built, table = [], games._WinningTerms
+
+    def counting_table(*args):
+        built.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(games, "_WinningTerms", counting_table)
+    graph = maxcut.cycle_graph(5)
+    maxcut.value_bridge(graph)
+    assert len(built) == 1
+    maxcut.value_bridge(graph)  # a new game and prior: no table is carried over
+    assert len(built) == 2
+
+
+def test_a_value_on_a_synchrony_only_game_is_bounded_by_the_support():
+    # n = 3,000, m = 3: the dense (n, n, m, m) mask would take 81 MB and the
+    # GEMM over every question 1.3 GB; a support of four pairs on six
+    # questions needs an 18 x 18 gram.
+    n = 3000
+    game = SyncGame(n, 3, synchrony_tuples(n, 3))
+    stack = np.zeros((n, 3, 1, 1), dtype=np.complex128)
+    stack[:, 0] = 1.0
+    strategy = _prebuilt(GameStrategy, 1, range(1, n + 1), stack)
+    pairs = ((1, 1), (2, 3000), (1500, 1), (2999, 2))
+    prior = PriorDistribution(QUESTION_PRIOR, tuple((pair, 0.25) for pair in pairs))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = sync_value(game, strategy, prior)
+        losses = report.losses
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.value == 1.0 and len(losses) == 6
+    assert peak - start < 2e6
 
 
 def test_losses_are_built_only_when_read(monkeypatch, rng):
