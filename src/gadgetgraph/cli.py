@@ -58,6 +58,10 @@ from .reverse import (
 )
 
 
+#: The largest ``--d`` that ``check`` and ``maxcut`` take: the documented range is d <= 64.
+MAX_DIMENSION = 64
+
+
 def _fmt(x: float) -> str:
     return "%.12g" % (x,)
 
@@ -123,11 +127,15 @@ def cmd_reverse(args) -> int:
     return 0
 
 
+def _require_dimension(d: int) -> None:
+    if not 1 <= d <= MAX_DIMENSION:
+        raise ValidationError(f"dimension must be in 1..{MAX_DIMENSION}, got {d}")
+
+
 def cmd_check(args) -> int:
     if args.trials < 0:
         raise ValidationError(f"trial count must be >= 0, got {args.trials}")
-    if args.d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {args.d}")
+    _require_dimension(args.d)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValidationError(f"tolerance must be finite and >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
@@ -155,11 +163,11 @@ def cmd_check(args) -> int:
 def cmd_maxcut(args) -> int:
     if args.trials < 0:
         raise ValidationError(f"trial count must be >= 0, got {args.trials}")
-    if args.d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {args.d}")
+    _require_dimension(args.d)
     g = load_simple_graph(Path(args.graph))
+    cut = max3cut_bruteforce(g)  # refuses a graph over its search limit before anything is printed
     print(f"graph: {g.n_vertices} vertices, {g.n_edges} edges")
-    print(f"max 3-cut: {max3cut_bruteforce(g)}")
+    print(f"max 3-cut: {cut}")
     rng = np.random.default_rng(args.seed)
     batch = max(1, linalg.GATHER_BYTES // (16 * max(g.n_vertices, 1) * args.d**2))
     best = None
@@ -174,6 +182,7 @@ def cmd_maxcut(args) -> int:
             f" (d={args.d}): {_fmt(best[0])}"
         )
         print(_report_line(roots_identity_check(g, best[1])))
+    best = fam = None  # a family views its whole batch's stacks: free them before the bridge
     if g.n_vertices <= 6:
         print(_report_line(value_bridge(g)))
     else:
@@ -237,14 +246,14 @@ def _build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("check", help="run the randomized inequality suite")
     k.add_argument("--seed", type=int, default=0)
     k.add_argument("--trials", type=int, default=1000)
-    k.add_argument("--d", type=int, default=4, help="matrix dimension")
+    k.add_argument("--d", type=int, default=4, help="matrix dimension, 1..64")
     k.add_argument("--tol", type=float, default=1e-9, help="slack tolerance")
     k.set_defaults(func=cmd_check)
 
     m = sub.add_parser("maxcut", help="exact cut, unitary labelings, and identities")
     m.add_argument("graph", help="graph file (JSON or 'u v' lines)")
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--d", type=int, default=3, help="unitary dimension")
+    m.add_argument("--d", type=int, default=3, help="unitary dimension, 1..64")
     m.add_argument("--trials", type=int, default=20, help="random families to score")
     m.set_defaults(func=cmd_maxcut)
 

@@ -14,7 +14,8 @@ a graph); finite-dimensional projective strategies with their file format
 against a strategy and prior.
 
 A strategy holds its PVMs as one read-only (K, k, d, d) ``stack``, rows in
-sorted key order, built and checked as one array; ``pvms[key]`` is a row.
+sorted key order, built and checked as one array; ``pvms[key]`` is a row, in
+a dict built on its first read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import chain, permutations
 from math import fsum, isfinite
@@ -243,25 +244,32 @@ class PriorDistribution:
 @dataclass(frozen=True, eq=False)
 class _Strategy:
     """One PVM per key, all with the same outcome count k, in a common
-    dimension d.  They are held as one read-only, C-contiguous (K, k, d, d)
-    ``stack``, rows in the order of the sorted ``keys``; ``pvms[key]`` is a
-    row, as a view."""
+    dimension d, given as the dict ``pvms``.  They are held as one read-only,
+    C-contiguous (K, k, d, d) ``stack``, rows in the order of the sorted
+    ``keys``.  ``pvms[key]`` is a row, as a view, in a dict of them built on
+    its first read and kept; the given dict is not kept."""
 
     d: int
-    pvms: dict
-    keys: tuple = field(init=False, repr=False)
+    pvms: InitVar[dict]
+    keys: tuple = field(init=False)
     stack: np.ndarray = field(init=False, repr=False)
+
+    def __getattr__(self, name: str):
+        # Asked only for what the instance does not hold: ``pvms`` before its first read.
+        if name != "pvms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pvms = vars(self)["pvms"] = dict(zip(self.keys, self.stack))
+        return pvms
 
     def _hold(self, keys, stack: np.ndarray) -> None:
         stack.setflags(write=False)  # so that it cannot be edited behind our back
         object.__setattr__(self, "keys", tuple(keys))
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "pvms", dict(zip(self.keys, stack)))
 
-    def _check(self, what: str) -> None:
+    def _check(self, pvms: dict, what: str) -> None:
         """Validate ``pvms`` and hold a copy of it as one stack.  Input that
         does not stack as (K, k, d, d), k >= 1, is checked key by key."""
-        d, pvms = self.d, self.pvms
+        d = self.d
         if not _is_int(d) or d < 1:
             raise ValidationError(f"dimension must be a positive integer, got {d!r}")
         if not pvms:
@@ -295,11 +303,11 @@ def _prebuilt(cls, d: int, keys, stack: np.ndarray):
 class GameStrategy(_Strategy):
     """One m-outcome PVM per question: ``stack`` is (K, m, d, d)."""
 
-    def __post_init__(self) -> None:
-        for key in self.pvms:
+    def __post_init__(self, pvms: dict) -> None:
+        for key in pvms:
             if not _is_int(key) or key < 1:
                 raise ValidationError(f"question key {key!r} is not a positive integer")
-        self._check("game strategy")
+        self._check(pvms, "game strategy")
 
     @property
     def outcomes(self) -> int:
@@ -315,11 +323,11 @@ class ColoringStrategy(_Strategy):
     """One 3-outcome PVM per vertex name: ``stack`` is (K, 3, d, d), or
     (K, 3, 6, d, d) block operators for ``symmetrize``'s output."""
 
-    def __post_init__(self) -> None:
-        for key in self.pvms:
+    def __post_init__(self, pvms: dict) -> None:
+        for key in pvms:
             if not isinstance(key, str) or not key:
                 raise ValidationError(f"vertex key {key!r} is not a non-empty string")
-        self._check("coloring strategy")
+        self._check(pvms, "coloring strategy")
         outcomes = self.stack.shape[1]
         if outcomes != 3:
             raise ValidationError(f"vertex {self.keys[0]!r} has {outcomes} outcomes, expected 3")

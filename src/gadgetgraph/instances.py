@@ -25,7 +25,7 @@ from .linalg import (
     spectral_projection_half,
     two_norm,
 )
-from .maxcut import OrderKUnitaryFamily
+from .maxcut import OrderKUnitaryFamily, _families
 from .rounding import (
     InequalityReport,
     check_commutator_transfer,
@@ -178,7 +178,8 @@ def random_order3_family(rng: np.random.Generator, g: SimpleGraph, d: int) -> Or
 def random_order3_families(rng: np.random.Generator, g: SimpleGraph, d: int, count: int) -> list:
     """``count`` families of ``random_order3_unitary`` draws at the vertices of g, drawn in
     seed order (per unitary its root multiplicities, then its Ginibre matrix), then
-    orthonormalised with one QR and conjugated with one ``matmul``."""
+    orthonormalised with one QR, conjugated with one ``matmul`` and checked as one
+    stack by ``maxcut._families``."""
     n = g.n_vertices
     counts = np.empty((count * n, 3), dtype=np.int64)
     ginibre = np.empty((count * n, d, d), dtype=np.complex128)
@@ -188,10 +189,12 @@ def random_order3_families(rng: np.random.Generator, g: SimpleGraph, d: int, cou
     roots = np.tile([np.exp(2j * np.pi / 3) ** a for a in range(3)], count * n)
     diag = np.repeat(roots, counts.ravel()).reshape(count * n, d)  # row i: omega^a counts[i, a] times
     q = _haar_from_ginibre(ginibre)
+    del ginibre
     # At d = 1 each entry is multiplied alone, as one draw multiplies it: numpy's vector loop fuses multiply-adds.
     scaled = q * diag[:, None, :] if d > 1 else np.reshape([u * w for u, w in zip(q, diag)], q.shape)
     stack = (scaled @ q.conj().swapaxes(-1, -2)).reshape(count, n, d, d)  # not -1: n may be 0
-    return [OrderKUnitaryFamily(3, d, dict(zip(range(1, n + 1), rows))) for rows in stack]
+    del q, scaled  # only the unitaries are held through the power check
+    return _families(3, tuple(range(1, n + 1)), stack)
 
 
 # ---------------------------------------------------------------------------

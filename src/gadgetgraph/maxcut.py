@@ -179,11 +179,26 @@ class OrderKUnitaryFamily:
         for vertex in self.unitaries:
             if not _is_int(vertex) or vertex < 1:
                 raise ValidationError(f"vertex key {vertex!r} is not a positive integer")
-        object.__setattr__(self, "vertices", tuple(sorted(self.unitaries)))
-        stack = np.reshape([as_matrix(self.unitaries[v], self.d) for v in self.vertices], (-1, self.d, self.d))
-        stack.setflags(write=False)
-        object.__setattr__(self, "unitaries", dict(zip(self.vertices, stack)))
-        object.__setattr__(self, "powers", _checked_powers(stack, self.k, self.vertices, "matrix at vertex {}"))
+        vertices = tuple(sorted(self.unitaries))
+        stack = np.reshape([as_matrix(self.unitaries[v], self.d) for v in vertices], (1, -1, self.d, self.d))
+        vars(self).update(vars(_families(self.k, vertices, stack)[0]))
+
+
+def _families(k: int, vertices: tuple, stack: np.ndarray) -> list:
+    """One family per row of the C-contiguous (F, n, d, d) ``stack``, row f holding
+    family f's unitaries at ``vertices``, the keys sorted.  All F n unitaries go
+    through one ``_checked_powers``, family by family, so the failure it names
+    is the one the first failing family names alone.  Each family holds
+    read-only views of ``stack`` and of the one powers stack."""
+    count, n, d = stack.shape[:3]
+    stack.setflags(write=False)
+    powers = _checked_powers(stack.reshape(-1, d, d), k, vertices * count, "matrix at vertex {}")
+    families = []
+    for rows, block in zip(stack, powers.reshape(count, n, k, d, d)):
+        fam = object.__new__(OrderKUnitaryFamily)
+        vars(fam).update(k=k, d=d, unitaries=dict(zip(vertices, rows)), vertices=vertices, powers=block)
+        families.append(fam)
+    return families
 
 
 def _checked_powers(stack: np.ndarray, k: int, keys, what: str) -> np.ndarray:

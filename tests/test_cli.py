@@ -296,6 +296,13 @@ def test_maxcut_rejects_oversized_graph(capsys, tmp_path):
     assert "exhaustive-search limit" in err
 
 
+def test_dimension_cap_admits_64(capsys, tmp_path):
+    # The oversized cases exit 2 with nothing drawn (see MALFORMED); d = 64 itself runs.
+    for argv in (("check", "--trials", "1"), ("maxcut", str(_graph_file(tmp_path)), "--trials", "1")):
+        code, out, err = run(capsys, *argv, "--d", "64")
+        assert code == 0 and err == "" and out, (out, err)
+
+
 def test_maxcut_draws_its_families_in_bounded_batches(capsys, tmp_path, monkeypatch):
     target = tmp_path / "triangle.txt"
     target.write_text("1 2\n2 3\n1 3\n")
@@ -443,6 +450,15 @@ def _graph_edges(edges):
     return write
 
 
+def _graph_vertices(n):
+    def write(tmp_path):
+        target = tmp_path / "graph.json"
+        target.write_text(json.dumps({"n": n, "edges": []}))
+        return target
+
+    return write
+
+
 def _graph_file(tmp_path):
     target = tmp_path / "triangle.txt"
     target.write_text("1 2\n2 3\n1 3\n")
@@ -477,6 +493,11 @@ MALFORMED = {
     "check-tol-minus-inf": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-inf"),
     "check-tol-negative": lambda g, s, c, t: ("check", "--trials", "1", "--tol=-1"),
     "maxcut-negative-seed": lambda g, s, c, t: ("maxcut", _graph_file(t), "--seed", "-1"),
+    "maxcut-d-zero": lambda g, s, c, t: ("maxcut", _graph_file(t), "--d", "0"),
+    "maxcut-d-above-64": lambda g, s, c, t: ("maxcut", _graph_file(t), "--trials", "1", "--d", "65"),
+    "check-d-zero": lambda g, s, c, t: ("check", "--trials", "1", "--d", "0"),
+    "check-d-above-64": lambda g, s, c, t: ("check", "--trials", "1", "--d", "65"),
+    "maxcut-graph-over-limit": lambda g, s, c, t: ("maxcut", _graph_vertices(5000)(t)),
     "check-negative-seed": lambda g, s, c, t: ("check", "--trials", "1", "--seed", "-1"),
     "demo-negative-seed": lambda g, s, c, t: ("demo", "--seed", "-1"),
 }
@@ -495,6 +516,11 @@ MALFORMED_MESSAGES = {
     "maxcut-negative-seed": "seed must be >= 0, got -1",
     "check-negative-seed": "seed must be >= 0, got -1",
     "demo-negative-seed": "seed must be >= 0, got -1",
+    "maxcut-d-zero": "dimension must be in 1..64, got 0",
+    "maxcut-d-above-64": "dimension must be in 1..64, got 65",
+    "check-d-zero": "dimension must be in 1..64, got 0",
+    "check-d-above-64": "dimension must be in 1..64, got 65",
+    "maxcut-graph-over-limit": "5000 vertices exceed the exhaustive-search limit 18",
 }
 
 

@@ -466,6 +466,34 @@ def test_strategy_matrices_are_write_locked(min_game, min_graph):
     assert prebuilt.stack is stack
 
 
+def test_pvms_is_built_on_first_read_and_kept(rng):
+    keys = (2, 3, 5, 8)
+    stack = np.stack([random_pvm(rng, 2, 3) for _ in keys])
+    given = {key: [m.copy() for m in mats] for key, mats in zip(keys[::-1], stack[::-1])}
+    for s in (_prebuilt(GameStrategy, 2, keys, stack.copy()), GameStrategy(d=2, pvms=given)):
+        assert "pvms" not in vars(s)
+        assert all(np.shares_memory(a, s.stack) for a in held_arrays(s))  # nothing of ``given``
+        pvms = s.pvms
+        assert vars(s)["pvms"] is pvms and s.pvms is pvms  # built once, then kept
+        assert list(pvms) == list(keys)
+        for i, row in enumerate(pvms.values()):
+            want = s.stack[i]  # the row of the eager dict(zip(keys, stack))
+            assert row.__array_interface__ == want.__array_interface__ and row.base is want.base
+            assert row.tobytes() == stack[i].tobytes() and not row.flags.writeable
+
+
+def test_value_bridge_builds_no_pvms_dict(monkeypatch):
+    built = []
+
+    def recording(*args):
+        built.append(_prebuilt(*args))
+        return built[-1]
+
+    monkeypatch.setattr(maxcut, "_prebuilt", recording)
+    value_bridge(cycle_graph(5))
+    assert len(built) == 3**5 and not any("pvms" in vars(s) for s in built)
+
+
 def test_perfect_minimal_value(min_game):
     strategy = deterministic_strategy(min_game, (3,))
     report = sync_value(min_game, strategy, PriorDistribution.uniform_questions(1))

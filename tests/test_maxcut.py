@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gadgetgraph
 from helpers import reference_random_order3_families, reference_unitary_cut_value
-from gadgetgraph import games, maxcut
+from gadgetgraph import games, instances, maxcut
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.instances import random_order3_families, random_order3_family, random_order3_unitary
 from gadgetgraph.linalg import haar_unitary
@@ -308,12 +308,46 @@ def test_batched_families_draw_the_per_vertex_unitaries(n, d, count, seed):
     for fam, want in zip(families, expected):
         assert (fam.k, fam.d, fam.vertices) == (3, d, tuple(range(1, n + 1)))
         assert all(np.array_equal(fam.unitaries[v], u) for v, u in zip(fam.vertices, want))
+        # The batch's one power check gives what the one-family constructor gives, bit for bit.
+        alone = OrderKUnitaryFamily(3, d, fam.unitaries)
+        assert fam.vertices == alone.vertices and list(fam.unitaries) == list(alone.unitaries)
+        assert all(fam.unitaries[v].tobytes() == alone.unitaries[v].tobytes() for v in fam.vertices)
+        assert fam.powers.shape == alone.powers.shape and fam.powers.tobytes() == alone.powers.tobytes()
+        assert not fam.powers.flags.writeable and not any(u.flags.writeable for u in fam.unitaries.values())
     assert rng.bit_generator.state == ref.bit_generator.state
     ((want,),) = reference_random_order3_families(np.random.default_rng(seed), 1, d, 1)
     assert np.array_equal(random_order3_unitary(np.random.default_rng(seed), d), want)
     fam = random_order3_family(np.random.default_rng(seed), SimpleGraph(n, ()), d)
     (want,) = reference_random_order3_families(np.random.default_rng(seed), n, d, 1)
     assert all(np.array_equal(fam.unitaries[v], u) for v, u in zip(fam.vertices, want))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_batched_families_name_the_first_failing_family(monkeypatch, d):
+    # Break vertex 1 of family 2, then also vertex 2 of family 1, in a batch
+    # of four on 6 vertices: the batch must name what building the first
+    # failing family alone names, though family 2's vertex is the smaller.
+    n, seed, real = 6, 5, instances._haar_from_ginibre
+    clean = random_order3_families(np.random.default_rng(seed), SimpleGraph(n, ()), d, 4)
+
+    def breaking(broken):
+        def haar(ginibre):
+            q = real(ginibre)
+            for f, v in broken:
+                q[f * n + v - 1] *= 2.0  # u = q D q* comes out 4 u, exactly: no longer unitary
+            return q
+
+        return haar
+
+    for broken in ([(2, 1)], [(1, 2), (2, 1)]):
+        monkeypatch.setattr(instances, "_haar_from_ginibre", breaking(broken))
+        with pytest.raises(ValidationError) as batch:
+            random_order3_families(np.random.default_rng(seed), SimpleGraph(n, ()), d, 4)
+        f, v = broken[0]
+        unitaries = {w: 4.0 * u if w == v else u for w, u in clean[f].unitaries.items()}
+        with pytest.raises(ValidationError) as alone:
+            OrderKUnitaryFamily(3, d, unitaries)
+        assert str(batch.value) == str(alone.value) == f"matrix at vertex {v} is not unitary"
 
 
 def test_empty_family_on_the_empty_graph():
