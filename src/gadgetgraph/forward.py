@@ -209,22 +209,18 @@ def _require_compiled_from(graph: GadgetGraph, game: SyncGame) -> None:
         raise ValidationError("graph was compiled from a different game")
 
 
-def _require_coverage(graph: GadgetGraph, cs: ColoringStrategy) -> None:
-    """Raise unless the coloring strategy has a PVM for every graph vertex."""
-    missing = [v for v in graph.vertices if v not in cs.pvms]
-    if missing:
+def _vertex_rows(graph: GadgetGraph, cs: ColoringStrategy) -> np.ndarray:
+    """The row of ``cs.stack`` that holds each vertex's PVM, by vertex id;
+    raises unless ``cs`` has a PVM for every graph vertex.  A strategy of
+    exactly the graph's vertices holds them in sorted order, so those rows
+    are ``graph.rank``; one with more keys is searched, its keys being sorted."""
+    held = set(cs.keys)
+    if not held.issuperset(graph.vertices):
+        missing = [v for v in graph.vertices if v not in held]
         raise ValidationError(
             f"coloring strategy lacks PVMs for {len(missing)} graph "
             f"vertices, first {missing[0]!r}"
         )
-
-
-def _vertex_rows(graph: GadgetGraph, cs: ColoringStrategy) -> np.ndarray:
-    """The row of ``cs.stack`` that holds each vertex's PVM, by vertex id;
-    ``cs`` must cover the graph.  A strategy of exactly the graph's
-    vertices holds them in sorted order, so those rows are ``graph.rank``;
-    one with more keys is searched, its keys being sorted."""
-    _require_coverage(graph, cs)
     if len(cs.keys) == graph.n_vertices:
         return graph.rank
     return np.searchsorted(np.array(cs.keys), np.array(graph.vertices))
@@ -285,12 +281,12 @@ def ortho_gadget_losses(
     per = len(_ORTHO_SLOTS)  # edges of one gadget: its rook pairs, then A~q(3,3)
     losses = _edge_losses(cs, _vertex_rows(graph, cs)[graph.ortho_rows[:, _ORTHO_SLOTS]].reshape(-1, 2))
     hubs = graph.ortho_rows[:, _CELL[(1, 2)]].tolist()
-    out = []
+    out, stack = [], strategy.stack  # a strategy that fits holds question x at row x - 1
     for i, (at, hub) in enumerate(zip(graph.ortho_at.tolist(), hubs)):
         tup = game.losing_sorted[at]
         a, b, x, y = tup
         loss = fsum(losses[i * per:(i + 1) * per])
-        p = trace_product(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1])
+        p = trace_product(stack[x - 1, a - 1], stack[y - 1, b - 1])
         out.append(GadgetLoss(tup=tup, kind="e" if hub == _B else "f", loss=loss, probability=p))
     return tuple(out)
 

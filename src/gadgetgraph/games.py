@@ -13,9 +13,8 @@ a graph); finite-dimensional projective strategies with their file format
 (one writer, one loader per kind); and the synchronous value of a game
 against a strategy and prior.
 
-A strategy holds its PVMs as one read-only (K, k, d, d) ``stack``, rows in
-sorted key order, built and checked as one array; ``pvms[key]`` is a row, in
-a dict built on its first read.
+A strategy is its sorted ``keys`` and one read-only (K, k, d, d) ``stack``
+of their PVMs, row i the PVM at ``keys[i]``, built and checked as one array.
 """
 
 from __future__ import annotations
@@ -244,22 +243,14 @@ class PriorDistribution:
 @dataclass(frozen=True, eq=False)
 class _Strategy:
     """One PVM per key, all with the same outcome count k, in a common
-    dimension d, given as the dict ``pvms``.  They are held as one read-only,
-    C-contiguous (K, k, d, d) ``stack``, rows in the order of the sorted
-    ``keys``.  ``pvms[key]`` is a row, as a view, in a dict of them built on
-    its first read and kept; the given dict is not kept."""
+    dimension d, given as the dict ``pvms``, which is not kept.  They are
+    held as the sorted ``keys`` and one read-only, C-contiguous (K, k, d, d)
+    ``stack``, row i the PVM at ``keys[i]``."""
 
     d: int
     pvms: InitVar[dict]
     keys: tuple = field(init=False)
     stack: np.ndarray = field(init=False, repr=False)
-
-    def __getattr__(self, name: str):
-        # Asked only for what the instance does not hold: ``pvms`` before its first read.
-        if name != "pvms":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        pvms = vars(self)["pvms"] = dict(zip(self.keys, self.stack))
-        return pvms
 
     def _hold(self, keys, stack: np.ndarray) -> None:
         stack.setflags(write=False)  # so that it cannot be edited behind our back
@@ -313,10 +304,6 @@ class GameStrategy(_Strategy):
     def outcomes(self) -> int:
         return self.stack.shape[1]
 
-    @property
-    def questions(self) -> tuple:
-        return self.keys
-
 
 @dataclass(frozen=True, eq=False)
 class ColoringStrategy(_Strategy):
@@ -333,8 +320,10 @@ class ColoringStrategy(_Strategy):
             raise ValidationError(f"vertex {self.keys[0]!r} has {outcomes} outcomes, expected 3")
 
     @property
-    def vertices(self) -> tuple:
-        return self.keys
+    def pvms(self) -> dict:
+        """A new dict of ``stack``'s rows by key on each read, for the reader
+        in ``bench/workloads.py``; the package reads ``keys`` and ``stack``."""
+        return dict(zip(self.keys, self.stack))
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +361,16 @@ class ValueReport:
 
 def _require_strategy_fits(game: SyncGame, strategy: GameStrategy) -> None:
     """Raise unless the strategy answers every question of the game with
-    m-outcome PVMs."""
+    m-outcome PVMs, in O(1) when it does: its keys are sorted, distinct
+    and positive, so they hold 1..n exactly when the n-th is n."""
+    n, keys = game.n, strategy.keys
     if strategy.outcomes != game.m:
         raise ValidationError(
             f"strategy has {strategy.outcomes}-outcome PVMs, game has m={game.m}"
         )
-    missing = [x for x in range(1, game.n + 1) if x not in strategy.pvms]
-    if missing:
+    if keys[n - 1:n] != (n,):
+        held = set(keys)
+        missing = [x for x in range(1, n + 1) if x not in held]
         raise ValidationError(f"strategy missing questions {missing}")
 
 
@@ -455,12 +447,8 @@ def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution)
     GEMM than the one over all n rows, which BLAS may round differently in
     the last bit.
     """
-    n, m, d = game.n, game.m, strategy.d
-    keys = strategy.keys
-    # The keys are sorted, distinct and positive: 1..n are all there exactly
-    # when the n-th key is n.
-    if not (strategy.outcomes == m and len(keys) >= n and keys[n - 1] == n):
-        _require_strategy_fits(game, strategy)
+    m, d = game.m, strategy.d
+    _require_strategy_fits(game, strategy)
     terms = _winning_terms(game, prior)
     stack = strategy.stack[terms.rows]
     k = stack.shape[0] * m

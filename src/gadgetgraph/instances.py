@@ -107,8 +107,8 @@ def coloring_labels(cs: ColoringStrategy) -> dict:
     if cs.d != 1:
         raise ValidationError(f"labels need a dimension-1 strategy, got d={cs.d}")
     return {
-        v: max((1, 2, 3), key=lambda c: cs.pvms[v][c - 1][0, 0].real)
-        for v in cs.vertices
+        v: max((1, 2, 3), key=lambda c: pvm[c - 1][0, 0].real)
+        for v, pvm in zip(cs.keys, cs.stack)
     }
 
 
@@ -148,10 +148,10 @@ def twisted_colorings(labels: dict, thetas, seed: int = 11, d: int = 3) -> dict:
     out = {}
     for theta in thetas:
         pvms = {}
-        for v in sorted(labels):
+        for v, pvm in zip(base.keys, base.stack):  # the keys are sorted(labels)
             w, u = spectra[v]
             rot = (u * np.exp(1j * theta * w)) @ u.conj().T
-            pvms[v] = [rot @ p @ rot.conj().T for p in base.pvms[v]]
+            pvms[v] = [rot @ p @ rot.conj().T for p in pvm]
         out[theta] = ColoringStrategy(d=d, pvms=pvms)
     return out
 
@@ -168,7 +168,7 @@ def random_coloring(rng: np.random.Generator, graph: GadgetGraph, d: int) -> Col
 
 def random_order3_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-conjugated diagonal of cube roots of unity with random multiplicities."""
-    return random_order3_families(rng, SimpleGraph(1, ()), d, 1)[0].unitaries[1]
+    return random_order3_families(rng, SimpleGraph(1, ()), d, 1)[0].stack[0]
 
 
 def random_order3_family(rng: np.random.Generator, g: SimpleGraph, d: int) -> OrderKUnitaryFamily:

@@ -16,11 +16,10 @@ block by block, and an identity of the block size broadcasts.  Only
 
 One stack check validates projections and PVMs: ``_stack_defects`` takes
 K PVMs of k outcomes as a (K, k, ...) stack.  ``require_projection`` is its
-1 x 1 case, ``require_pvm`` its K = 1 case, ``require_pvm_family`` takes
-slices of a strategy's stack, 16 rows each, and ``pvm_defect`` reads its last
-defect.  An error names the first failure in check order (Hermitian,
-projection, eigenvalue, PVM defect), within a check the first failing key,
-then outcome.
+1 x 1 case, ``require_pvm`` its K = 1 case, and ``require_pvm_family`` takes
+slices of a strategy's stack, 16 rows each.  An error names the first
+failure in check order (Hermitian, projection, eigenvalue, PVM defect),
+within a check the first failing key, then outcome.
 """
 
 from __future__ import annotations
@@ -101,32 +100,20 @@ def zero(d: int) -> np.ndarray:
 # validation
 
 
-def hermitian_defect(m) -> float:
-    """Largest entrywise deviation |m - m*|."""
-    defects, _, _ = next(_stack_defects(_operator(m)[None, None]))
-    return float(defects[0, 0])
-
-
-def require_hermitian(m, tol: float = TOL_HERMITIAN, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m, what: str = "matrix") -> np.ndarray:
     a = _operator(m)
-    _raise_first([_hermitian_check(a[None], lambda i: what, tol)[1]])
+    _raise_first([_hermitian_check(a[None], lambda i: what)[1]])
     return a
 
 
-def require_projection(m, tol: float = TOL_PROJECTION, what: str = "matrix") -> np.ndarray:
+def require_projection(m, what: str = "matrix") -> np.ndarray:
     """Validate a projection: Hermitian, ||P^2-P||_2 small, spectrum on {0,1}."""
     a = _operator(m)
-    _require_stack(a[None, None], lambda key: what, None, tol)
+    _require_stack(a[None, None], lambda key: what, None)
     return a
 
 
-def pvm_defect(mats: Sequence[np.ndarray]) -> float:
-    """Worst PVM defect: max of pairwise ||E_a E_b||_2 and ||sum E - 1||_2."""
-    *_, (worst, _, _) = _stack_defects(np.stack([_operator(m) for m in mats])[None])
-    return float(worst[0])
-
-
-def require_pvm(mats: Sequence[np.ndarray], tol: float = TOL_PVM, what: str = "PVM") -> tuple[np.ndarray, ...]:
+def require_pvm(mats: Sequence[np.ndarray], what: str = "PVM") -> tuple[np.ndarray, ...]:
     """Validate a PVM: each outcome a projection, pairwise orthogonal, summing to 1."""
     if not len(mats):  # also of a (k, d, d) array
         raise ValidationError(f"{what} has no outcomes")
@@ -138,7 +125,7 @@ def require_pvm(mats: Sequence[np.ndarray], tol: float = TOL_PVM, what: str = "P
             require_projection(m, what=f"{what} outcome {i + 1}")
         i = ragged[0]
         raise ValidationError(f"{what} outcome {i + 1} has shape {out[i].shape}, expected {shape}")
-    _require_stack(np.stack(out)[None], lambda key: what, tol)
+    _require_stack(np.stack(out)[None], lambda key: what, TOL_PVM)
     return out
 
 
@@ -158,11 +145,11 @@ def require_pvm_family(
         _require_stack(stack[start:start + PVM_CHUNK], lambda i: what.format(keys[start + i]), tol)
 
 
-def _require_stack(stack: np.ndarray, name, tol: float | None, projection_tol: float = TOL_PROJECTION) -> None:
+def _require_stack(stack: np.ndarray, name, tol: float | None) -> None:
     """Raise the first failure of ``_stack_defects``: in check order, then
     by key, then by outcome.  ``name(key)`` labels a PVM and "<name> outcome
     i" its outcomes, unless ``tol`` is None: then each is a lone operator."""
-    for defects, limit, message in _stack_defects(stack, tol, projection_tol):
+    for defects, limit, message in _stack_defects(stack, tol):
         failed = ~(defects <= limit)  # a NaN defect fails too
         if failed.any():
             at = np.unravel_index(np.argmax(failed), failed.shape)
@@ -172,7 +159,7 @@ def _require_stack(stack: np.ndarray, name, tol: float | None, projection_tol: f
             raise ValidationError(message.format(label, defects[at], limit))
 
 
-def _stack_defects(stack: np.ndarray, tol: float | None = TOL_PVM, projection_tol: float = TOL_PROJECTION):
+def _stack_defects(stack: np.ndarray, tol: float | None = TOL_PVM):
     """The checks of a PVM on a (K, k, *op) stack of K PVMs with k outcomes,
     in the order they run, as (defects, limit, message) triples: the
     Hermitian, projection and eigenvalue defects per outcome (K, k), then
@@ -205,7 +192,7 @@ def _stack_defects(stack: np.ndarray, tol: float | None = TOL_PVM, projection_to
     yield hermitian, TOL_HERMITIAN, "{} is not Hermitian: entrywise defect {:.3e} > {:.0e}"
     with np.errstate(over="ignore", invalid="ignore"):
         projection = _two_norms(blocks @ blocks - blocks)
-    yield projection, projection_tol, "{} is not a projection: ||P^2-P||_2 = {:.3e} > {:.0e}"
+    yield projection, TOL_PROJECTION, "{} is not a projection: ||P^2-P||_2 = {:.3e} > {:.0e}"
     if 2.0 * math.sqrt(blocks.shape[2] * d) * projection.max() > TOL_EIGENVALUE:
         eigs = np.linalg.eigvalsh(blocks)
         off = np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max(axis=(-2, -1))
@@ -287,13 +274,13 @@ def _raise_first(checks) -> None:
         raise checks[k][1](i)
 
 
-def _hermitian_check(batch: np.ndarray, name, tol: float = TOL_HERMITIAN) -> tuple:
+def _hermitian_check(batch: np.ndarray, name) -> tuple:
     """(n, check) for ``require_hermitian`` of each item, item i labelled
     ``name(i)``; only the first n items, which pass, may go on to ``eigh``."""
     defects, _, message = next(_stack_defects(batch[:, None], None))
-    failed = ~(defects[:, 0] <= tol)  # a NaN defect fails too
+    failed = ~(defects[:, 0] <= TOL_HERMITIAN)  # a NaN defect fails too
     n = int(np.argmax(failed)) if failed.any() else len(batch)
-    return n, (failed, lambda i: ValidationError(message.format(name(i), defects[i, 0], tol)))
+    return n, (failed, lambda i: ValidationError(message.format(name(i), defects[i, 0], TOL_HERMITIAN)))
 
 
 def _window_check(eigs: np.ndarray, tol: float, name) -> tuple:
@@ -310,10 +297,10 @@ def _norms(batch: np.ndarray) -> np.ndarray:
     return _two_norms(batch.reshape(len(batch), math.prod(batch.shape[1:-2]), *batch.shape[-2:]))
 
 
-def require_positive_contraction(m, tol: float = TOL_SPECTRUM, what: str = "matrix") -> np.ndarray:
-    """Validate 0 <= m <= 1 up to the clamp window (spectrum in [-tol, 1+tol])."""
+def require_positive_contraction(m, what: str = "matrix") -> np.ndarray:
+    """Validate 0 <= m <= 1 up to the clamp window: spectrum in [-TOL_SPECTRUM, 1 + TOL_SPECTRUM]."""
     a = _operator(m)
-    _require_contractions(a[None], lambda i: what, tol)
+    _require_contractions(a[None], lambda i: what)
     return a
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -161,26 +161,28 @@ def max3cut_bruteforce(g: SimpleGraph) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OrderKUnitaryFamily:
-    """One d-by-d unitary u of order k per vertex v, keyed 1-based; ``unitaries[v]``
-    is u, a read-only row view.  Row i of the read-only (K, k, d, d) ``powers``
-    stack holds u^0 ... u^(k-1) of the u at ``vertices[i]``, the keys sorted."""
+    """One d-by-d unitary u of order k per vertex v, keyed 1-based, given as the
+    dict ``unitaries``, which is not kept.  Row i of the read-only (K, d, d)
+    ``stack`` is the u at ``vertices[i]``, the keys sorted, and row i of the
+    read-only (K, k, d, d) ``powers`` stack holds its u^0 ... u^(k-1)."""
 
     k: int
     d: int
-    unitaries: dict
+    unitaries: InitVar[dict]
     vertices: tuple = field(init=False, repr=False)
+    stack: np.ndarray = field(init=False, repr=False)
     powers: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, unitaries: dict) -> None:
         if not _is_int(self.k) or self.k < 1:
             raise ValidationError(f"order {self.k!r} must be a positive integer")
         if not _is_int(self.d) or self.d < 1:
             raise ValidationError(f"dimension must be a positive integer, got {self.d!r}")
-        for vertex in self.unitaries:
+        for vertex in unitaries:
             if not _is_int(vertex) or vertex < 1:
                 raise ValidationError(f"vertex key {vertex!r} is not a positive integer")
-        vertices = tuple(sorted(self.unitaries))
-        stack = np.reshape([as_matrix(self.unitaries[v], self.d) for v in vertices], (1, -1, self.d, self.d))
+        vertices = tuple(sorted(unitaries))
+        stack = np.reshape([as_matrix(unitaries[v], self.d) for v in vertices], (1, -1, self.d, self.d))
         vars(self).update(vars(_families(self.k, vertices, stack)[0]))
 
 
@@ -196,7 +198,7 @@ def _families(k: int, vertices: tuple, stack: np.ndarray) -> list:
     families = []
     for rows, block in zip(stack, powers.reshape(count, n, k, d, d)):
         fam = object.__new__(OrderKUnitaryFamily)
-        vars(fam).update(k=k, d=d, unitaries=dict(zip(vertices, rows)), vertices=vertices, powers=block)
+        vars(fam).update(k=k, d=d, vertices=vertices, stack=rows, powers=block)
         families.append(fam)
     return families
 
@@ -221,8 +223,13 @@ def _checked_powers(stack: np.ndarray, k: int, keys, what: str) -> np.ndarray:
 
 
 def _require_family(g: SimpleGraph, fam: OrderKUnitaryFamily) -> None:
-    missing = [v for v in range(1, g.n_vertices + 1) if v not in fam.unitaries]
-    if missing:
+    """Raise unless the family has a unitary at every vertex of g, in O(1) when it
+    does: its keys are sorted, distinct and positive, so they hold 1..n exactly
+    when the n-th is n."""
+    n = g.n_vertices
+    if n and fam.vertices[n - 1:n] != (n,):
+        held = set(fam.vertices)
+        missing = [v for v in range(1, n + 1) if v not in held]
         raise ValidationError(f"family lacks unitaries for vertices {missing}")
 
 

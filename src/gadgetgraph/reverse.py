@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -206,40 +207,37 @@ def compute_diagnostics(graph: GadgetGraph, cs: ColoringStrategy) -> Diagnostics
 class ControlCompressions:
     """The six control sandwiches P_iA P_jB P_kC P_jB P_iA.
 
-    ``stack`` holds the six operators as one (6, 6, d, d) stack in PERM3
-    order, and ``operators`` keys its rows by the color permutation
-    (i, j, k).  Each operator is validated as a positive contraction, and
-    the family's three almost-PVM bounds (sum defect, projection defect,
-    cross products) are certified at construction time against the
-    color-averaged control-triangle zeta.
+    ``stack`` holds the six operators as one (6, 6, d, d) stack, row r that
+    of the color permutation (i, j, k) = PERM3[r].  Each operator is
+    validated as a positive contraction, and the family's three almost-PVM
+    bounds (sum defect, projection defect, cross products) are certified at
+    construction time against the color-averaged control-triangle zeta.
     """
 
     stack: np.ndarray
-    operators: dict
     reports: tuple
 
-    def operator(self, perm) -> np.ndarray:
-        return self.operators[tuple(perm)]
 
-
-def _zeta_color_average(cs: ColoringStrategy, names) -> float:
-    """Color-averaged zeta of a triangle; defined for any strategy and
-    equal to the color-1 zeta once the strategy is symmetrized."""
-    ops = np.stack([cs.pvms[name] for name in names])  # (vertex, color, ...)
+def _zeta_color_average(ops: np.ndarray) -> float:
+    """Color-averaged zeta of a triangle from its (vertex, color, ...) PVM
+    stack; defined for any strategy and equal to the color-1 zeta once the
+    strategy is symmetrized."""
     products = ops[_ZETA_LEFT, _ZETA_COLOR] @ ops[_ZETA_RIGHT, _ZETA_COLOR]
     return 2.0 * math.fsum(_norms(products)) / 3.0
 
 
 def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
-    for letter in DELTA:
-        if letter not in cs.pvms:
+    rows = [bisect_left(cs.keys, letter) for letter in DELTA]  # the keys are sorted
+    for row, letter in zip(rows, DELTA):
+        if cs.keys[row:row + 1] != (letter,):
             raise ValidationError(
                 f"coloring strategy lacks a PVM for control vertex {letter!r}"
             )
-    a, b, c = (cs.pvms[letter] for letter in DELTA)
+    ops = cs.stack[rows]  # (vertex, color, ...)
+    a, b, c = ops
     stack = np.stack([a[i - 1] @ b[j - 1] @ c[k - 1] @ b[j - 1] @ a[i - 1] for i, j, k in PERM3])
     _require_contractions(stack, lambda i: f"control sandwich {PERM3[i]}", CONTRACTION_TOL)
-    z_delta = _zeta_color_average(cs, DELTA)
+    z_delta = _zeta_color_average(ops)
     total = sum(stack)
     one = identity(total.shape[-1])
     sum_report = InequalityReport(
@@ -257,7 +255,7 @@ def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
         math.fsum(_norms(stack[_CROSS_LEFT] @ stack[_CROSS_RIGHT])),
         36.0 * z_delta,
     ).require()
-    return ControlCompressions(stack, dict(zip(PERM3, stack)), (sum_report, proj_report, cross_report))
+    return ControlCompressions(stack, (sum_report, proj_report, cross_report))
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +301,11 @@ def _commutator_rhs(diag: Diagnostics, theta: list, m: int, a: int, x: int) -> f
     )
 
 
-def _question_sandwiches(cs: ColoringStrategy, cc: ControlCompressions, rows: np.ndarray) -> np.ndarray:
+def _question_sandwiches(cc: ControlCompressions, cells: np.ndarray) -> np.ndarray:
     """The 6m operators S P_{i,vhat(a,x)} S of one question as a (6m, 6, d, d)
-    stack, ordered by (answer, permutation); ``rows`` are the stack rows of
-    v̂(1, x), ..., v̂(m, x)."""
+    stack, ordered by (answer, permutation), from its ``_answer_cells``."""
     s = cc.stack
-    return (s @ _answer_cells(cs, rows) @ s).reshape(-1, *s.shape[1:])
+    return (s @ cells @ s).reshape(-1, *s.shape[1:])
 
 
 def _answer_cells(cs: ColoringStrategy, rows: np.ndarray) -> np.ndarray:
@@ -336,6 +333,8 @@ def certify_reverse_lemmas(
     m, s = game.m, cc.stack
     rows = _vertex_rows(graph, sym)[_answer_ids(graph.block_rows, game.n, m)]  # v̂(a, x)'s at [x - 1, a - 1]
     theta = diag.theta[graph.edge_index(graph.block_rows[:, _RHS_EDGES])].tolist()
+    one = identity(sym.d // 6)
+    implicit = []  # (question, label, value) of each lhs-only quantity, reported after every commutator
     for x in range(1, game.n + 1):
         target = _answer_cells(sym, rows[x - 1])
         # per answer, the largest ||[P_{i,vhat(a,x)}, S_{i,j,k}]||_2 over the permutations
@@ -348,24 +347,20 @@ def certify_reverse_lemmas(
                     _commutator_rhs(diag, theta, m, a, x),
                 ).require()
             )
-    one = identity(sym.d // 6)
-    for x in range(1, game.n + 1):
-        ops = _question_sandwiches(sym, cc, rows[x - 1])
+        ops = _question_sandwiches(cc, target)
         total = sum(ops)
         # ||ops[p] @ ops[q]||_2 for q != p, one p at a time against slices (views) of ops
         cross = [
             _two_norms(op @ others).tolist() for p, op in enumerate(ops) for others in (ops[:p], ops[p + 1:])
         ]
-        quantities = (
-            ("sandwich family sum defect", two_norm(one - total)),
-            ("sandwich family projection defect", math.fsum(_two_norms(ops @ ops - ops).tolist())),
-            ("sandwich family cross products", math.fsum(chain.from_iterable(cross))),
-        )
-        for label, value in quantities:
-            log.info("question %d: %s %.12g", x, label, value)
-            reports.append(
-                InequalityReport(f"{label} (question {x}; lhs only)", value, math.inf)
-            )
+        implicit += [
+            (x, "sandwich family sum defect", two_norm(one - total)),
+            (x, "sandwich family projection defect", math.fsum(_two_norms(ops @ ops - ops).tolist())),
+            (x, "sandwich family cross products", math.fsum(chain.from_iterable(cross))),
+        ]
+    for x, label, value in implicit:
+        log.info("question %d: %s %.12g", x, label, value)
+        reports.append(InequalityReport(f"{label} (question {x}; lhs only)", value, math.inf))
     return reports
 
 
@@ -391,7 +386,7 @@ def reverse_translate(
     rows = _vertex_rows(graph, sym)[_answer_ids(graph.block_rows, game.n, m)]  # v̂(a, x)'s at [x - 1, a - 1]
     pvms = {}
     for x in range(1, game.n + 1):
-        ops = _question_sandwiches(sym, cc, rows[x - 1])
+        ops = _question_sandwiches(cc, _answer_cells(sym, rows[x - 1]))
         if log.isEnabledFor(logging.INFO):
             total = sum(ops)
             top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().swapaxes(1, 2))).max())

@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from gadgetgraph.errors import ValidationError
-from gadgetgraph.forward import _require_coverage
+from gadgetgraph.forward import _vertex_rows
 from gadgetgraph.games import EDGE_PRIOR, LossEntry, PriorDistribution, SyncGame, _require_strategy_fits
 from gadgetgraph.graphs import DELTA, ROOK_PAIRS, q_name, v_name
 from gadgetgraph.linalg import (
@@ -83,6 +83,13 @@ from gadgetgraph.linalg import (
     zero,
 )
 from gadgetgraph.rounding import PERM3, InequalityReport
+
+def by_key(held) -> dict:
+    """The rows of ``held.stack`` by key: a strategy's PVMs, a unitary
+    family's unitaries by vertex, or the control sandwiches by permutation."""
+    keys = getattr(held, "keys", None) or getattr(held, "vertices", PERM3)
+    return dict(zip(keys, held.stack))
+
 
 #: Filled by the acceptance tests; conftest prints one line per entry
 #: after the run so the verdicts survive pytest's output capture.
@@ -149,13 +156,13 @@ def reference_tau(a, b) -> float:
 def reference_unitary_cut_value(g, fam) -> float:
     """``maxcut.unitary_cut_value`` with every power and product formed per
     edge, as a reference for the gathered contraction over the powers stack."""
-    terms = []
+    terms, unitaries = [], by_key(fam)
     for u, v in g.edges:
         pu = pv = np.eye(fam.d, dtype=np.complex128)
         overlap = []
         for _ in range(fam.k):
             overlap.append(reference_tau(pu, pv.conj().T))
-            pu, pv = pu @ fam.unitaries[u], pv @ fam.unitaries[v]
+            pu, pv = pu @ unitaries[u], pv @ unitaries[v]
         terms.append(1.0 - fsum(overlap) / fam.k)
     return fsum(terms)
 
@@ -267,7 +274,7 @@ def indented_reference(strategy) -> str:
     keys as strings."""
     pvms = {
         str(key): [np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist() for m in mats]
-        for key, mats in strategy.pvms.items()
+        for key, mats in zip(strategy.keys, strategy.stack)
     }
     return json.dumps({"d": strategy.d, "pvms": pvms}, indent=2, sort_keys=True) + "\n"
 
@@ -790,35 +797,36 @@ def edge_loss_probability(p_u, p_v) -> float:
 def reference_coloring_value(graph, cs) -> tuple:
     """The coloring value and the per-edge same-color probabilities, edge by
     edge through ``edge_loss_probability``."""
-    _require_coverage(graph, cs)
-    weight = 1.0 / graph.n_edges
-    probabilities = [edge_loss_probability(cs.pvms[u], cs.pvms[v]) for u, v in graph.edges]
+    _vertex_rows(graph, cs)  # the coverage check
+    weight, pvms = 1.0 / graph.n_edges, by_key(cs)
+    probabilities = [edge_loss_probability(pvms[u], pvms[v]) for u, v in graph.edges]
     value = 1.0 - fsum(weight * p for p in probabilities)
     return value, probabilities
 
 
 def reference_gadget_losses(graph, strategy, cs) -> list:
     """(loss, probability) of every orthogonality gadget, gadget by gadget."""
-    out = []
+    out, pvms, questions = [], by_key(cs), by_key(strategy)
     for ortho in reference_name_views(graph).orthos:
         a, b, x, y = ortho.tup
         edges = [(ortho.cells[c1], ortho.cells[c2]) for c1, c2 in ROOK_PAIRS]
         edges.append(("A", ortho.cells[(3, 3)]))
-        loss = fsum(edge_loss_probability(cs.pvms[u], cs.pvms[v]) for u, v in edges)
-        out.append((loss, trace_product(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1])))
+        loss = fsum(edge_loss_probability(pvms[u], pvms[v]) for u, v in edges)
+        out.append((loss, trace_product(questions[x][a - 1], questions[y][b - 1])))
     return out
 
 
 def reference_edge_products(graph, cs) -> dict:
     """Color-1 product norm per edge of symmetrize's output."""
-    return {(u, v): two_norm(cs.pvms[u][0] @ cs.pvms[v][0]) for u, v in graph.edges}
+    pvms = by_key(cs)
+    return {(u, v): two_norm(pvms[u][0] @ pvms[v][0]) for u, v in graph.edges}
 
 
 def reference_eta(graph, cs) -> dict:
     """The color-1 sum defect eta of every named triangle."""
-    one = identity(cs.d // 6)
+    one, pvms = identity(cs.d // 6), by_key(cs)
     return {
-        label: two_norm(one - (cs.pvms[u][0] + cs.pvms[v][0] + cs.pvms[w][0]))
+        label: two_norm(one - (pvms[u][0] + pvms[v][0] + pvms[w][0]))
         for label, (u, v, w) in named_triangles(graph)
     }
 
@@ -867,12 +875,12 @@ def reference_diagnostics(graph, cs) -> SimpleNamespace:
 def reference_commutator_norms(graph, sym, cc, n: int, m: int) -> list:
     """max over the permutations of ||[P_{i,vhat(a,x)}, S_{i,j,k}]||_2, per
     question x and then answer a."""
-    out, views = [], reference_name_views(graph)
+    out, views, pvms, sandwiches = [], reference_name_views(graph), by_key(sym), by_key(cc)
     for x in range(1, n + 1):
         for a in range(1, m + 1):
-            target = sym.pvms[views.answer_vertex(a, x)]
+            target = pvms[views.answer_vertex(a, x)]
             out.append(max(
-                two_norm(commutator(target[perm[0] - 1], cc.operators[perm]))
+                two_norm(commutator(target[perm[0] - 1], sandwiches[perm]))
                 for perm in PERM3
             ))
     return out
@@ -880,11 +888,11 @@ def reference_commutator_norms(graph, sym, cc, n: int, m: int) -> list:
 
 def reference_question_sandwiches(graph, cs, cc, x: int, m: int) -> list:
     """The 6m operators S P_{i,vhat(a,x)} S, ordered by (answer, permutation)."""
-    ops, views = [], reference_name_views(graph)
+    ops, views, pvms, sandwiches = [], reference_name_views(graph), by_key(cs), by_key(cc)
     for a in range(1, m + 1):
-        block = cs.pvms[views.answer_vertex(a, x)]
+        block = pvms[views.answer_vertex(a, x)]
         for perm in PERM3:
-            s = cc.operators[perm]
+            s = sandwiches[perm]
             ops.append(s @ block[perm[0] - 1] @ s)
     return ops
 
@@ -941,7 +949,7 @@ def reference_perturb_two(pa, pb) -> np.ndarray:
 def reference_interval_sum(strategy, s: int, t: int, x: int) -> np.ndarray:
     """The partial sum of the question-x PVM over outcomes s..t, added from
     zero in outcome order; zero if s > t."""
-    return sum(strategy.pvms[x][s - 1:t], zero(strategy.d))
+    return sum(by_key(strategy)[x][s - 1:t], zero(strategy.d))
 
 
 def reference_forward_translate(game, graph, strategy) -> tuple:
@@ -949,7 +957,8 @@ def reference_forward_translate(game, graph, strategy) -> tuple:
     of the vertex-by-vertex translation, gluings checked as it went."""
     d, m = strategy.d, strategy.outcomes
     one, z = identity(d), zero(d)
-    input_defect = max(reference_pvm_defect(strategy.pvms[x]) for x in range(1, game.n + 1))
+    pvms = by_key(strategy)
+    input_defect = max(reference_pvm_defect(pvms[x]) for x in range(1, game.n + 1))
     cross_tol = max(1e-12, 4.0 * np.sqrt(d) * input_defect)
     names = sorted(graph.vertices)
     row = {name: i for i, name in enumerate(names)}
@@ -980,7 +989,7 @@ def reference_forward_translate(game, graph, strategy) -> tuple:
         alpha, x = block.alpha, block.x
         low, low1 = (reference_interval_sum(strategy, 1, t, x) for t in (alpha, alpha + 1))
         high, high1 = (reference_interval_sum(strategy, s, m, x) for s in (alpha + 1, alpha + 2))
-        mid = strategy.pvms[x][alpha]
+        mid = pvms[x][alpha]
         colors = cells(
             ((low, z, high), (mid, high1, low), (high1, low1, z)),
             ((z, one, z), (one - mid, z, mid), (mid, z, one - mid)),
@@ -993,7 +1002,7 @@ def reference_forward_translate(game, graph, strategy) -> tuple:
         put(block.t3, (z, low, high), gadget, "t3", exact=True)
     for ortho in views.orthos:
         a, b, x, y = ortho.tup
-        e_a, e_b = strategy.pvms[x][a - 1], strategy.pvms[y][b - 1]
+        e_a, e_b = pvms[x][a - 1], pvms[y][b - 1]
         g = reference_perturb_two(e_a, e_b)
         rest = one - e_a - g
         j1 = ((e_a, z, one - e_a), (rest, e_b, e_a), (g, one - e_b, z))

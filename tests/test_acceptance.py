@@ -231,8 +231,9 @@ def test_criterion_7_aggregate_offcolor(min_game, min_graph):
         for sym in strategies:
             report = aggregate_offcolor_estimate(min_graph, sym)
             assert report.slack >= -SLACK_TOL
+            pvms = helpers.by_key(sym)
             direct = math.fsum(
-                math.sqrt(two_norm(sym.pvms[u][0] @ sym.pvms[v][0]))
+                math.sqrt(two_norm(pvms[u][0] @ pvms[v][0]))
                 for u, v in min_graph.edges
             )
             assert report.lhs == pytest.approx(direct, rel=1e-12, abs=1e-12)

@@ -133,7 +133,7 @@ def test_forward_writes_coloring(capsys, game_file, strategy_file):
     assert "forward value transfer" in out
     written = strategy_file.parent / "strategy.coloring.json"
     cs = load_coloring_strategy(written)
-    assert len(cs.vertices) == 25
+    assert len(cs.keys) == 25
 
 
 def test_reverse_round_trip(capsys, game_file, coloring_file):
@@ -244,6 +244,18 @@ def test_every_option_is_documented():
         if not re.search(rf"{re.escape(option)}(?![\w-])", readme)
     ]
     assert not undocumented, f"options missing from README.md: {undocumented}"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The first code block of the Library section, run as it is written, so
+    # that the documented example cannot fall out of step with the API.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {"__name__": "readme"})
+    assert (tmp_path / "coloring.json").is_file()
+    assert "forward value transfer" in capsys.readouterr().out
 
 
 def test_check_rejects_negative_trials(capsys):

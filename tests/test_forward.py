@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    by_key,
     reference_forward_translate,
     reference_name_views,
     reference_perturb_two,
@@ -57,7 +58,7 @@ def test_perfect_minimal_translates_to_perfect_coloring(min_game, min_graph):
     strategy = deterministic_strategy(min_game, (2,))
     cs = forward_translate(min_game, min_graph, strategy)
     assert cs.d == 1
-    assert set(cs.vertices) == set(min_graph.vertices)
+    assert set(cs.keys) == set(min_graph.vertices)
     report = coloring_value(min_graph, cs)
     assert report.value == pytest.approx(1.0, abs=1e-12)
 
@@ -81,7 +82,7 @@ def test_coloring_value_agrees_with_game_value(rng, min_game, min_graph):
     )
     relabeled = coloring_game(relabeled_graph)
     as_game_strategy = GameStrategy(
-        d=cs.d, pvms={index[name]: list(cs.pvms[name]) for name in min_graph.vertices}
+        d=cs.d, pvms={index[name]: list(by_key(cs)[name]) for name in min_graph.vertices}
     )
     routed = sync_value(relabeled, as_game_strategy, PriorDistribution.uniform_edges(relabeled_graph))
     assert direct.value == pytest.approx(routed.value, abs=1e-12)
@@ -97,7 +98,7 @@ def test_vhat_color_one_recovers_the_answer_projections(rng):
     cs, views = forward_translate(game, graph, strategy), reference_name_views(graph)
     for a in range(1, 5):
         name = views.answer_vertex(a, 1)
-        assert np.allclose(cs.pvms[name][0], strategy.pvms[1][a - 1], atol=1e-12)
+        assert np.allclose(by_key(cs)[name][0], strategy.stack[0, a - 1], atol=1e-12)
 
 
 def test_certify_forward_random_sweep():
@@ -167,7 +168,7 @@ def test_a_failing_gadget_rounding_raises_as_perturb_two(monkeypatch):
     game = random_game(rng, 2, 4, 0.5)
     graph = build_graph(game)
     strategy = random_strategy(rng, game, 6)
-    pairs = [(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1]) for a, b, x, y in (o.tup for o in reference_name_views(graph).orthos)]
+    pairs = [(strategy.stack[x - 1, a - 1], strategy.stack[y - 1, b - 1]) for a, b, x, y in (o.tup for o in reference_name_views(graph).orthos)]
     distances = [reference_two_norm(e_b - reference_perturb_two(e_a, e_b)) for e_a, e_b in pairs]
     overlaps = [reference_two_norm(e_a @ e_b) for e_a, e_b in pairs]
     ratios = [lhs / rhs if rhs > 1e-6 else 0.0 for lhs, rhs in zip(distances, overlaps)]
@@ -220,7 +221,7 @@ NAMED_GAMES = {
 def with_negative_zeros(strategy) -> GameStrategy:
     """The strategy with each zero entry spelled -0.0: a partial sum that
     does not start from +0.0 keeps such a sign, which a written file shows."""
-    return GameStrategy(strategy.d, {x: [np.where(m == 0, -0.0, m) for m in mats] for x, mats in strategy.pvms.items()})
+    return GameStrategy(strategy.d, {x: [np.where(m == 0, -0.0, m) for m in mats] for x, mats in zip(strategy.keys, strategy.stack)})
 
 
 @pytest.mark.parametrize("name", NAMED_GAMES)
@@ -257,7 +258,7 @@ def test_ortho_gadget_losses_accounting(rng, min_game, min_graph):
     assert sorted(g.tup for g in losses) == [(1, 3, 1, 1), (3, 1, 1, 1)]
     for gadget in losses:
         a, b, x, y = gadget.tup
-        expected_p = reference_tau(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1])
+        expected_p = reference_tau(strategy.stack[x - 1, a - 1], strategy.stack[y - 1, b - 1])
         assert gadget.probability == pytest.approx(expected_p, abs=1e-12)
         assert gadget.loss >= -1e-12
         gadget.report.require(tol=1e-9)
@@ -275,7 +276,7 @@ def test_ortho_gadget_losses_rejects_mismatched_inputs(min_game, min_graph, tri_
     with pytest.raises(ValidationError, match="4-outcome PVMs, game has m=3"):
         ortho_gadget_losses(tri_game, tri_graph, wide, cs)
     gadget_cell = reference_name_views(tri_graph).orthos[0].cells[(1, 1)]
-    pruned = {k: list(v) for k, v in cs.pvms.items() if k != gadget_cell}
+    pruned = {k: list(v) for k, v in by_key(cs).items() if k != gadget_cell}
     with pytest.raises(ValidationError, match=re.escape(f"lacks PVMs for 1 graph vertices, first {gadget_cell!r}")):
         ortho_gadget_losses(tri_game, tri_graph, strategy, ColoringStrategy(d=1, pvms=pruned))
 
@@ -314,7 +315,7 @@ def test_coloring_value_requires_full_cover(min_graph):
     partial = forward_translate(
         min_graph.game, min_graph, deterministic_strategy(min_graph.game, (1,))
     )
-    pruned = {k: list(v) for k, v in partial.pvms.items() if k != "A"}
+    pruned = {k: list(v) for k, v in by_key(partial).items() if k != "A"}
     from gadgetgraph.games import ColoringStrategy
 
     with pytest.raises(ValidationError, match="lacks PVMs for 1 graph vertices, first 'A'"):
@@ -328,5 +329,5 @@ def test_input_defect_is_the_per_question_maximum_bit_for_bit(d):
     rng = np.random.default_rng(d)
     game = random_game(rng, 5, 4)
     strategy = random_strategy(rng, game, d)
-    want = max(reference_pvm_defect(strategy.pvms[x]) for x in range(1, game.n + 1))
+    want = max(reference_pvm_defect(strategy.stack[x - 1]) for x in range(1, game.n + 1))
     assert forward._check_inputs(game, build_graph(game), strategy) == want

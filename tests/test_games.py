@@ -15,6 +15,7 @@ from helpers import (
     OVERFLOW_MESSAGE,
     OVERFLOWING_STRATEGY,
     block_diagonal,
+    by_key,
     held_arrays,
     indented_reference,
     losing_mask,
@@ -433,12 +434,12 @@ def test_a_strategy_is_one_read_only_stack_in_sorted_key_order(tmp_path_factory,
     pvms = {key: list(random_pvm(rng, d, k)) for key in keys}
     strategy = cls(d=d, pvms=pvms)
     stack = strategy.stack
-    assert strategy.keys == tuple(sorted(keys)) and list(strategy.pvms) == list(strategy.keys)
+    assert strategy.keys == tuple(sorted(keys)) and list(by_key(strategy)) == list(strategy.keys)
     assert stack.shape == (len(keys), k, d, d)
     assert stack.flags.c_contiguous and not stack.flags.writeable
     for i, key in enumerate(strategy.keys):
         assert stack[i].tobytes() == np.array(pvms[key], dtype=np.complex128).tobytes()
-        row = strategy.pvms[key]
+        row = by_key(strategy)[key]
         assert np.shares_memory(row, stack) and row.tobytes() == stack[i].tobytes()
     # The loader reads the written file back into the same stack.
     path = tmp_path_factory.mktemp("stack") / "s.json"
@@ -459,27 +460,58 @@ def test_strategy_matrices_are_write_locked(min_game, min_graph):
     # own producers: forward translation, symmetrization, and a direct call.
     for s, key in ((strategy, 1), (coloring, "A"), (symmetrize(coloring), "A"), (prebuilt, 1)):
         assert s.stack.flags.c_contiguous and not s.stack.flags.writeable
-        assert all(np.shares_memory(mats, s.stack) for mats in s.pvms.values())
+        assert all(np.shares_memory(mats, s.stack) for mats in by_key(s).values())
         with pytest.raises(ValueError):
-            s.pvms[key][0][0, 0] = 5.0
+            by_key(s)[key][0][0, 0] = 5.0
     assert one.flags.writeable and not stack.flags.writeable  # handed over, not copied
     assert prebuilt.stack is stack
 
 
-def test_pvms_is_built_on_first_read_and_kept(rng):
+def test_a_keyed_family_is_its_sorted_keys_and_one_stack(rng, tmp_path, min_game, min_graph):
     keys = (2, 3, 5, 8)
     stack = np.stack([random_pvm(rng, 2, 3) for _ in keys])
     given = {key: [m.copy() for m in mats] for key, mats in zip(keys[::-1], stack[::-1])}
-    for s in (_prebuilt(GameStrategy, 2, keys, stack.copy()), GameStrategy(d=2, pvms=given)):
-        assert "pvms" not in vars(s)
+    strategy = GameStrategy(d=2, pvms=given)
+    coloring = forward_translate(min_game, min_graph, random_strategy(rng, min_game, 2))
+    write_strategy_json(strategy, tmp_path / "s.json")
+    write_strategy_json(coloring, tmp_path / "c.json")
+    held = (
+        _prebuilt(GameStrategy, 2, keys, stack.copy()), strategy, coloring,
+        load_game_strategy(tmp_path / "s.json"), load_coloring_strategy(tmp_path / "c.json"),
+    )
+    for s in held:
+        assert set(vars(s)) == {"d", "keys", "stack"}
         assert all(np.shares_memory(a, s.stack) for a in held_arrays(s))  # nothing of ``given``
-        pvms = s.pvms
-        assert vars(s)["pvms"] is pvms and s.pvms is pvms  # built once, then kept
-        assert list(pvms) == list(keys)
-        for i, row in enumerate(pvms.values()):
-            want = s.stack[i]  # the row of the eager dict(zip(keys, stack))
-            assert row.__array_interface__ == want.__array_interface__ and row.base is want.base
-            assert row.tobytes() == stack[i].tobytes() and not row.flags.writeable
+    for s in held[:2] + held[3:4]:
+        assert s.keys == keys and s.stack.tobytes() == stack.tobytes() and not hasattr(s, "pvms")
+    # A coloring's ``pvms`` is a new dict of row views on each read, and is not kept.
+    views = coloring.pvms
+    assert views is not coloring.pvms and set(vars(coloring)) == {"d", "keys", "stack"}
+    assert list(views) == list(coloring.keys) and all(np.shares_memory(v, coloring.stack) for v in views.values())
+    # Neither a unitary family nor the control compressions hold a dict.
+    family = maxcut.OrderKUnitaryFamily(3, 1, {2: np.eye(1), 1: np.eye(1)})
+    cc = reverse.control_compressions(symmetrize(coloring))
+    assert set(vars(family)) == {"k", "d", "vertices", "stack", "powers"} and family.vertices == (1, 2)
+    assert set(vars(cc)) == {"stack", "reports"} and cc.stack.shape[:2] == (6, 6)
+    assert not any(isinstance(v, dict) for v in (*vars(family).values(), *vars(cc).values()))
+    # Each membership check runs from the sorted keys and names what is missing.
+    last = min_graph.vertices[-1]
+    rows = dict(zip(coloring.keys, map(list, coloring.stack)))
+    uncovered = ColoringStrategy(2, {k: v for k, v in rows.items() if k != last})
+    no_delta = ColoringStrategy(2, {k: v for k, v in rows.items() if k not in ("A", "C")})
+    unanswered = GameStrategy(2, {2: list(random_pvm(rng, 2, 3))})
+    checks = {
+        f"coloring strategy lacks PVMs for 1 graph vertices, first {last!r}": lambda: forward.coloring_value(
+            min_graph, uncovered
+        ),
+        "strategy missing questions [1]": lambda: sync_value(
+            min_game, unanswered, PriorDistribution.uniform_questions(1)
+        ),
+        "coloring strategy lacks a PVM for control vertex 'A'": lambda: reverse.control_compressions(no_delta),
+        "family lacks unitaries for vertices [3]": lambda: maxcut.unitary_cut_value(cycle_graph(3), family),
+    }
+    for message, call in checks.items():
+        assert raised_message(call) == message
 
 
 def test_value_bridge_builds_no_pvms_dict(monkeypatch):
@@ -609,7 +641,7 @@ def test_sync_value_refuses_a_strategy_that_does_not_fit_after_one_that_does(rng
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             sync_value(game, strategy, prior)
     # Questions beyond n are not read.
-    extra = GameStrategy(2, {**fits.pvms, 4: pvm})
+    extra = GameStrategy(2, {**by_key(fits), 4: pvm})
     assert sync_value(game, extra, prior).value == value == sync_value(game, fits, prior).value
 
 
@@ -677,7 +709,7 @@ def test_sync_identity_same_question(rng):
     strategy = random_strategy(rng, game, 4)
     for a in range(3):
         for b in range(3):
-            p = reference_tau(strategy.pvms[1][a], strategy.pvms[1][b])
+            p = reference_tau(strategy.stack[0, a], strategy.stack[0, b])
             if a != b:
                 assert abs(p) < 1e-12
             else:
@@ -755,9 +787,10 @@ def test_game_strategy_json_round_trip(rng, tmp_path):
     write_strategy_json(strategy, tmp_path / "s.json")
     back = load_game_strategy(tmp_path / "s.json")
     assert back.d == 3
-    for x in strategy.pvms:
-        for a, mat in enumerate(strategy.pvms[x]):
-            assert np.array_equal(back.pvms[x][a], mat)
+    assert back.keys == strategy.keys
+    for x, mats in by_key(strategy).items():
+        for a, mat in enumerate(mats):
+            assert np.array_equal(by_key(back)[x][a], mat)
 
 
 def test_coloring_strategy_json_round_trip(rng, tmp_path):
@@ -767,8 +800,8 @@ def test_coloring_strategy_json_round_trip(rng, tmp_path):
     )
     write_strategy_json(cs, tmp_path / "c.json")
     back = load_coloring_strategy(tmp_path / "c.json")
-    assert back.vertices == ("A",)
-    assert np.array_equal(back.pvms["A"][0], np.eye(2))
+    assert back.keys == ("A",)
+    assert np.array_equal(by_key(back)["A"][0], np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -954,9 +987,9 @@ def test_unchecked_strategies_pass_the_validating_constructor(n, m, d, seed):
         dense_pvms = {key: [dense(m) for m in mats] for key, mats in zip(keys, stack, strict=True)}
         checked, unchecked = cls(d=dim, pvms=dense_pvms), _prebuilt(cls, dim, keys, stack)
         assert checked.keys == unchecked.keys
-        for key, mats in checked.pvms.items():
+        for key, mats in by_key(checked).items():
             assert all(
-                np.array_equal(a, dense(b)) for a, b in zip(mats, unchecked.pvms[key], strict=True)
+                np.array_equal(a, dense(b)) for a, b in zip(mats, by_key(unchecked)[key], strict=True)
             )
         built.append(cls)
         return unchecked
@@ -1000,7 +1033,7 @@ def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_
     value_bridge(cycle_graph(5))
     assert calls == []
     load_coloring_strategy(tmp_path / "c.json")
-    assert calls == [len(coloring.pvms)]  # the loader still checks every key
+    assert calls == [len(coloring.keys)]  # the loader still checks every key
     assert fallbacks == []  # valid families pass as stacks
 
 
@@ -1111,7 +1144,7 @@ def test_forward_rounds_strategy_outcomes_without_rechecking_them(
     monkeypatch.setattr(rounding, "require_projection", counting)
     forward_translate(min_game, min_graph, strategy)
     assert calls == []  # the strategy's outcomes were validated when it was built
-    rounding.perturb_two(strategy.pvms[1][0], strategy.pvms[1][2])
+    rounding.perturb_two(strategy.stack[0, 0], strategy.stack[0, 2])
     assert len(calls) == 2  # the public entry point still checks both inputs
 
 

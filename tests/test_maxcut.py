@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadgetgraph
-from helpers import reference_random_order3_families, reference_unitary_cut_value
+from helpers import by_key, reference_random_order3_families, reference_unitary_cut_value
 from gadgetgraph import games, instances, maxcut
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.instances import random_order3_families, random_order3_family, random_order3_unitary
@@ -203,7 +203,7 @@ def test_family_validates_unitarity():
 def test_family_matrices_are_write_locked():
     fam = OrderKUnitaryFamily(3, 1, {1: np.eye(1)})
     with pytest.raises(ValueError):
-        fam.unitaries[1][0, 0] = 0.0
+        fam.stack[0][0, 0] = 0.0
 
 
 def test_identity_family_scores_zero():
@@ -277,8 +277,8 @@ def test_family_holds_its_powers_as_one_stack(k, d, n, extra, gaps, seed):
     assert fam.vertices == tuple(sorted(keys))
     assert fam.powers.shape == (len(keys), k, d, d) and not fam.powers.flags.writeable
     for i, v in enumerate(fam.vertices):
-        assert not fam.unitaries[v].flags.writeable
-        assert np.array_equal(fam.unitaries[v], unitaries[v])
+        assert not by_key(fam)[v].flags.writeable
+        assert np.array_equal(by_key(fam)[v], unitaries[v])
         for s in range(k):
             assert np.abs(fam.powers[i, s] - np.linalg.matrix_power(unitaries[v], s)).max() <= TOL
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
@@ -307,19 +307,19 @@ def test_batched_families_draw_the_per_vertex_unitaries(n, d, count, seed):
     assert len(families) == count
     for fam, want in zip(families, expected):
         assert (fam.k, fam.d, fam.vertices) == (3, d, tuple(range(1, n + 1)))
-        assert all(np.array_equal(fam.unitaries[v], u) for v, u in zip(fam.vertices, want))
+        assert all(np.array_equal(by_key(fam)[v], u) for v, u in zip(fam.vertices, want))
         # The batch's one power check gives what the one-family constructor gives, bit for bit.
-        alone = OrderKUnitaryFamily(3, d, fam.unitaries)
-        assert fam.vertices == alone.vertices and list(fam.unitaries) == list(alone.unitaries)
-        assert all(fam.unitaries[v].tobytes() == alone.unitaries[v].tobytes() for v in fam.vertices)
+        alone = OrderKUnitaryFamily(3, d, by_key(fam))
+        assert fam.vertices == alone.vertices and list(by_key(fam)) == list(by_key(alone))
+        assert all(by_key(fam)[v].tobytes() == by_key(alone)[v].tobytes() for v in fam.vertices)
         assert fam.powers.shape == alone.powers.shape and fam.powers.tobytes() == alone.powers.tobytes()
-        assert not fam.powers.flags.writeable and not any(u.flags.writeable for u in fam.unitaries.values())
+        assert not fam.powers.flags.writeable and not any(u.flags.writeable for u in by_key(fam).values())
     assert rng.bit_generator.state == ref.bit_generator.state
     ((want,),) = reference_random_order3_families(np.random.default_rng(seed), 1, d, 1)
     assert np.array_equal(random_order3_unitary(np.random.default_rng(seed), d), want)
     fam = random_order3_family(np.random.default_rng(seed), SimpleGraph(n, ()), d)
     (want,) = reference_random_order3_families(np.random.default_rng(seed), n, d, 1)
-    assert all(np.array_equal(fam.unitaries[v], u) for v, u in zip(fam.vertices, want))
+    assert all(np.array_equal(by_key(fam)[v], u) for v, u in zip(fam.vertices, want))
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -344,7 +344,7 @@ def test_batched_families_name_the_first_failing_family(monkeypatch, d):
         with pytest.raises(ValidationError) as batch:
             random_order3_families(np.random.default_rng(seed), SimpleGraph(n, ()), d, 4)
         f, v = broken[0]
-        unitaries = {w: 4.0 * u if w == v else u for w, u in clean[f].unitaries.items()}
+        unitaries = {w: 4.0 * u if w == v else u for w, u in by_key(clean[f]).items()}
         with pytest.raises(ValidationError) as alone:
             OrderKUnitaryFamily(3, d, unitaries)
         assert str(batch.value) == str(alone.value) == f"matrix at vertex {v} is not unitary"

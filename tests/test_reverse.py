@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_diagonal, named_triangles, reference_diagnostics, reference_name_views
+from helpers import block_diagonal, by_key, named_triangles, reference_diagnostics, reference_name_views
 from gadgetgraph import reverse
 from gadgetgraph.errors import BoundViolation, ValidationError
 from gadgetgraph.forward import coloring_value, forward_translate
@@ -59,13 +59,13 @@ def test_symmetrize_block_structure(rng, min_graph):
     cs = random_coloring(rng, min_graph, 2)
     sym = symmetrize(cs, min_graph)
     assert sym.d == 12
-    assert sym.vertices == cs.vertices
-    name = cs.vertices[0]
+    assert sym.keys == cs.keys
+    name = cs.keys[0]
     for c in (1, 2, 3):
-        stack = sym.pvms[name][c - 1]
+        stack = by_key(sym)[name][c - 1]
         assert stack.shape == (6, 2, 2)
         for slot, perm in enumerate(PERM3):
-            assert np.array_equal(stack[slot], cs.pvms[name][perm[c - 1] - 1])
+            assert np.array_equal(stack[slot], by_key(cs)[name][perm[c - 1] - 1])
 
 
 def test_symmetrize_preserves_value(rng, min_graph):
@@ -79,7 +79,8 @@ def test_symmetrized_products_are_color_independent(rng, min_graph):
     cs = random_coloring(rng, min_graph, 2)
     sym = symmetrize(cs)
     u, v = min_graph.edges[0]
-    vals = [two_norm(sym.pvms[u][c] @ sym.pvms[v][c]) for c in range(3)]
+    pvms = by_key(sym)
+    vals = [two_norm(pvms[u][c] @ pvms[v][c]) for c in range(3)]
     assert max(vals) - min(vals) < 1e-14
 
 
@@ -120,7 +121,7 @@ def test_diagnostics_are_local_to_the_disturbed_cell(min_game, min_graph):
 
     from gadgetgraph.games import ColoringStrategy
 
-    pvms = {v: list(base.pvms[v]) for v in base.vertices}
+    pvms = {v: list(mats) for v, mats in by_key(base).items()}
     pvms[target] = [rot @ p @ rot.conj().T for p in pvms[target]]
     disturbed = symmetrize(ColoringStrategy(d=base.d, pvms=pvms), min_graph)
     diag = compute_diagnostics(min_graph, disturbed)
@@ -198,11 +199,11 @@ def test_a_failing_triangle_raises_the_first_in_the_named_order(monkeypatch):
 def test_control_compressions_scalar_case(min_game, min_graph):
     cs = perfect_coloring(min_game, min_graph)
     cc = control_compressions(cs)
-    assert cc.operator((1, 2, 3)).shape == (1, 1)
-    total = sum(cc.operators[perm] for perm in PERM3)
+    assert by_key(cc)[(1, 2, 3)].shape == (1, 1)
+    total = sum(by_key(cc)[perm] for perm in PERM3)
     assert np.allclose(total, np.eye(1), atol=1e-14)
     for perm in PERM3:
-        s = cc.operators[perm]
+        s = by_key(cc)[perm]
         assert np.allclose(s @ s, s, atol=1e-14)
     for report in cc.reports:
         assert report.lhs == 0.0 and report.rhs == 0.0
@@ -211,7 +212,7 @@ def test_control_compressions_scalar_case(min_game, min_graph):
 def test_control_compressions_exact_on_symmetrized_perfect(min_game, min_graph):
     sym = symmetrize(perfect_coloring(min_game, min_graph), min_graph)
     cc = control_compressions(sym)
-    total = sum(cc.operators[perm] for perm in PERM3)
+    total = sum(by_key(cc)[perm] for perm in PERM3)
     assert total.shape == (6, 1, 1)
     assert np.allclose(block_diagonal(total), np.eye(sym.d), atol=1e-14)
     for report in cc.reports:
@@ -220,7 +221,7 @@ def test_control_compressions_exact_on_symmetrized_perfect(min_game, min_graph):
 
 def test_control_compressions_need_the_delta(rng, min_graph):
     cs = random_coloring(rng, min_graph, 2)
-    pruned = {v: list(cs.pvms[v]) for v in cs.vertices if v != "B"}
+    pruned = {v: list(mats) for v, mats in by_key(cs).items() if v != "B"}
     from gadgetgraph.games import ColoringStrategy
 
     with pytest.raises(ValidationError, match="control vertex"):
@@ -309,9 +310,9 @@ def test_reverse_output_is_an_exact_pvm_family(rng, min_game, min_graph):
     strategy = reverse_translate(min_game, min_graph, cs)
     assert strategy.d == 12
     assert strategy.outcomes == 3
-    total = sum(strategy.pvms[1])
+    total = sum(strategy.stack[0])
     assert np.allclose(total, np.eye(12), atol=1e-12)
-    for p in strategy.pvms[1]:
+    for p in strategy.stack[0]:
         assert np.allclose(p @ p, p, atol=1e-12)
         assert np.allclose(p, p.conj().T, atol=1e-12)
 
@@ -351,7 +352,7 @@ COVERAGE_CHECKS = {
 @pytest.mark.parametrize("check", COVERAGE_CHECKS)
 def test_a_coloring_missing_a_vertex_gets_one_message(min_game, min_graph, check):
     cs = perfect_coloring(min_game, min_graph)
-    pruned = ColoringStrategy(cs.d, {k: v for k, v in cs.pvms.items() if k != "B"})
+    pruned = ColoringStrategy(cs.d, {k: v for k, v in by_key(cs).items() if k != "B"})
     message = "coloring strategy lacks PVMs for 1 graph vertices, first 'B'"
     with pytest.raises(ValidationError, match=f"^{message}$"):
         COVERAGE_CHECKS[check](min_game, min_graph, pruned)
@@ -359,7 +360,7 @@ def test_a_coloring_missing_a_vertex_gets_one_message(min_game, min_graph, check
 
 def test_a_coloring_with_more_vertices_is_read_by_name(min_graph):
     cs = random_coloring(np.random.default_rng(1), min_graph, 2)
-    pvms = {k: list(v) for k, v in cs.pvms.items()}
+    pvms = {k: list(v) for k, v in by_key(cs).items()}
     pvms.update({"0": pvms["C"], "B0": pvms["A"], "zz": pvms["B"]})  # sorted before, among and after the vertices
     wide = ColoringStrategy(cs.d, pvms)
     assert coloring_value(min_graph, wide).value == coloring_value(min_graph, cs).value

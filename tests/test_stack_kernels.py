@@ -33,6 +33,7 @@ from gadgetgraph.instances import (
     triangle_coloring_game,
 )
 from gadgetgraph.reverse import (
+    _answer_cells,
     _edge_products,
     _question_sandwiches,
     certify_reverse_lemmas,
@@ -136,7 +137,7 @@ def check_kernels(which: str, d: int, seed: int) -> None:
     families = []
     for x in range(1, n + 1):
         ops = reference_question_sandwiches(graph, sym, cc, x, m)
-        assert np.array_equal(_question_sandwiches(sym, cc, answer_rows[x - 1]), ops)
+        assert np.array_equal(_question_sandwiches(cc, _answer_cells(sym, answer_rows[x - 1])), ops)
         families.extend(reference_family_norms(ops))
         pvm, rounding = perturb_pvm_with_reports(ops)
         assert report_triples(rounding) == reference_rounding_reports(ops, pvm)

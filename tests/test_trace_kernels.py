@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import edge_loss_probability, reference_tau, reference_unitary_cut_value
+from helpers import by_key, edge_loss_probability, reference_tau, reference_unitary_cut_value
 from gadgetgraph.forward import coloring_value
 from gadgetgraph.games import (
     LossEntry,
@@ -46,11 +46,11 @@ TOL = 1e-12
 
 
 def reference_sync_value(game, strategy, prior):
-    win_terms, losses = [], []
+    win_terms, losses, pvms = [], [], by_key(strategy)
     for (x, y), w in prior.weights:
         for a in range(1, game.m + 1):
             for b in range(1, game.m + 1):
-                p = reference_tau(strategy.pvms[x][a - 1], strategy.pvms[y][b - 1])
+                p = reference_tau(pvms[x][a - 1], pvms[y][b - 1])
                 if (a, b, x, y) in game.losing:
                     losses.append(((a, b, x, y), w, p))
                 else:
@@ -63,7 +63,7 @@ def loop_sync_value(game, strategy, prior):
     every (pair, a, b) term: the value and the losses entry by entry."""
     _require_strategy_fits(game, strategy)
     n, m, d = game.n, game.m, strategy.d
-    stack = np.array([strategy.pvms[x] for x in range(1, n + 1)])
+    stack = np.array(strategy.stack[:n])  # questions 1..n, which the check found there
     gram = stack.reshape(n * m, d * d) @ stack.transpose(0, 1, 3, 2).reshape(n * m, d * d).T
     overlaps = (gram.real / d).reshape(n, m, n, m).tolist()
     win_terms = []
@@ -85,7 +85,8 @@ def reference_edge_loss(p_u, p_v) -> float:
 
 
 def reference_coloring_value(graph, cs) -> float:
-    lost = fsum(reference_edge_loss(cs.pvms[u], cs.pvms[v]) for u, v in graph.edges)
+    pvms = by_key(cs)
+    lost = fsum(reference_edge_loss(pvms[u], pvms[v]) for u, v in graph.edges)
     return 1.0 - lost / graph.n_edges
 
 
