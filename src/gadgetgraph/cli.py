@@ -97,7 +97,8 @@ def cmd_forward(args) -> int:
     game = load_game(Path(args.game))
     strategy = load_game_strategy(args.strategy)
     graph = build_graph(game)
-    # certify_forward's own coloring is gone before this one is made.
+    # certify_forward translates and scores first; the strategy holds that
+    # coloring, and the coloring its value, so these calls look them up.
     report = certify_forward(game, graph, strategy)
     cs = forward_translate(game, graph, strategy)
     print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges")

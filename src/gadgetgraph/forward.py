@@ -31,6 +31,7 @@ from .games import (
     PriorDistribution,
     SyncGame,
     ValueReport,
+    _held,
     _prebuilt,
     _require_strategy_fits,
     sync_value,
@@ -95,6 +96,7 @@ def _check_inputs(game: SyncGame, graph: GadgetGraph, strategy: GameStrategy) ->
     return float(defects.max())
 
 
+@_held
 def forward_translate(
     game: SyncGame, graph: GadgetGraph, strategy: GameStrategy
 ) -> ColoringStrategy:
@@ -106,6 +108,7 @@ def forward_translate(
     projections g come from one batched rounding.  A vertex takes the
     colors of the first slot that names it in that order, where its gadget
     declares it; every later slot glues a gadget to it and is compared.
+    The coloring is held on the strategy for the game and graph (``_held``).
     """
     input_defect = _check_inputs(game, graph, strategy)
     n, m, d = game.n, game.m, strategy.d
@@ -234,6 +237,7 @@ def _edge_losses(cs: ColoringStrategy, rows: np.ndarray) -> list:
     return list(map(fsum, _overlaps(cs.stack, rows[:, 0], rows[:, 1]).tolist()))
 
 
+@_held
 def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:
     """Value of the 3-coloring game of the graph under the edge-uniform prior.
 
@@ -241,7 +245,8 @@ def coloring_value(graph: GadgetGraph, cs: ColoringStrategy) -> ValueReport:
     unordered edge once at weight 1/|E| agrees with summing both orders at
     1/(2|E|) because the trace is symmetric in the two projections.  Each
     edge costs three O(d^2) trace contractions, gathered over chunks of
-    edges (``_edge_losses``).
+    edges (``_edge_losses``).  The report is held on the coloring for the
+    graph (``_held``).
     """
     weight = 1.0 / graph.n_edges
     probabilities = _edge_losses(cs, _vertex_rows(graph, cs)[graph.edge_ids])

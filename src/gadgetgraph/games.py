@@ -23,10 +23,12 @@ import json
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
+from inspect import signature
 from itertools import chain, permutations
 from math import fsum, isfinite
 from numbers import Real
+from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,30 @@ EDGE_PRIOR = "uniform-on-edges"
 def _is_int(value) -> bool:
     """An int that is not a bool: JSON ``true`` must not pass as the index 1."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _held(build: Callable) -> Callable:
+    """``build``, holding what it returns on its last argument as one entry,
+    under its name, for its other arguments, matched by identity: a repeat
+    returns the same object and checks nothing again, a call with another
+    object builds anew and replaces the entry, a build that raises holds
+    nothing, and the entry goes with the object that holds it."""
+
+    name = build.__name__
+
+    @wraps(build)
+    def held(*inputs, **named):
+        if named:  # taken in the order of build's parameters, none of which has a default
+            inputs = signature(build).bind(*inputs, **named).args
+        owner = inputs[-1]
+        entry = owner.__dict__.get(name)
+        if entry is not None and all(map(is_, entry[0], inputs)):  # map stops at the owner
+            return entry[1]
+        value = build(*inputs)
+        owner.__dict__[name] = (inputs[:-1], value)
+        return value
+
+    return held
 
 
 @dataclass(frozen=True)
@@ -391,17 +417,15 @@ class _WinningTerms:
     win_weights: np.ndarray
 
 
+@_held
 def _winning_terms(game: SyncGame, prior: PriorDistribution) -> _WinningTerms:
-    """The term table of ``game`` under ``prior``, built on the first call
-    and held on the prior as one entry, for the game it was built for.
+    """The term table of ``game`` under ``prior``, held on the prior for the
+    game (``_held``).
 
     A game's losing tuples are sorted in (a, b, x, y) order, so their codes
     ((a m + b) n + x) n + y, 0-based, are sorted too, and one
     ``searchsorted`` finds which of the support's terms lose.  The table
     holds support x m^2 entries; no (n, n, m, m) array is built."""
-    held = vars(prior).get("_winning_terms")
-    if held is not None and held[0] is game:
-        return held[1]
     n, m = game.n, game.m
     for (x, y), _ in prior.weights:
         if not (1 <= x <= n and 1 <= y <= n):
@@ -421,11 +445,9 @@ def _winning_terms(game: SyncGame, prior: PriorDistribution) -> _WinningTerms:
     # Synchrony makes every game lose somewhere, so ``codes`` is not empty.
     lost = codes[np.minimum(np.searchsorted(codes, wanted), codes.size - 1)] == wanted
     win = ~lost
-    terms = _WinningTerms(
+    return _WinningTerms(
         slice(0, n) if rows.size == n else rows, index, lost, index[win], np.broadcast_to(ws, win.shape)[win]
     )
-    vars(prior)["_winning_terms"] = (game, terms)
-    return terms
 
 
 def sync_value(game: SyncGame, strategy: GameStrategy, prior: PriorDistribution) -> ValueReport:

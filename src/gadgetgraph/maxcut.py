@@ -26,6 +26,7 @@ from .games import (
     GameStrategy,
     PriorDistribution,
     SimpleGraph,
+    _held,
     _is_int,
     _prebuilt,
     _read_text,
@@ -233,12 +234,14 @@ def _require_family(g: SimpleGraph, fam: OrderKUnitaryFamily) -> None:
         raise ValidationError(f"family lacks unitaries for vertices {missing}")
 
 
-def _edge_overlaps(g: SimpleGraph, fam: OrderKUnitaryFamily) -> list:
-    """(1/k) sum_s tau(u_i^s (u_j^s)*) for each edge (i, j) of g, in edge order."""
+@_held
+def _edge_overlaps(g: SimpleGraph, fam: OrderKUnitaryFamily) -> tuple:
+    """(1/k) sum_s tau(u_i^s (u_j^s)*) for each edge (i, j) of g, in edge
+    order, held on the family for g (``_held``)."""
     ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2) - 1  # a family covering g has v at row v - 1
     stack = np.concatenate([fam.powers, fam.powers.conj().swapaxes(-1, -2)])  # row K + i: row i's adjoints
     overlaps = _overlaps(stack, ends[:, 0], ends[:, 1] + len(fam.vertices))
-    return [math.fsum(row) / fam.k for row in overlaps.tolist()]
+    return tuple(math.fsum(row) / fam.k for row in overlaps.tolist())
 
 
 def unitary_cut_value(g: SimpleGraph, fam: OrderKUnitaryFamily) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BoundViolation, ValidationError
 from .forward import _require_compiled_from, _vertex_rows, coloring_value
-from .games import ColoringStrategy, GameStrategy, SyncGame, _prebuilt
+from .games import ColoringStrategy, GameStrategy, SyncGame, _held, _prebuilt
 from .graphs import (
     _A, _B, _BLOCK_COLUMNS, _C, _ORTHO_COLUMNS, DELTA, GadgetGraph, _answer_cell, _answer_ids, _slot_columns,
 )
@@ -93,12 +93,12 @@ def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> Colori
     block-diagonal, so each outcome is a (6, d, d) stack whose block for
     permutation sigma plays color `c` with the input's color `sigma(c)`.
     Color-indexed quantities then agree for all three colors by
-    construction.  When the target graph is supplied, the coloring value
-    before and after is compared and must agree within SYMMETRIZE_TOL.
+    construction.  The output is held on ``cs`` (``_held``).  When the
+    target graph is supplied, the coloring value before and after is
+    compared and must agree within SYMMETRIZE_TOL, on every call; both
+    values are held too, so a repeat scores nothing.
     """
-    # Each block is a validated input PVM, so the defects are the input's.
-    # np.take, unlike cs.stack[:, _RELABEL], lays the result out in C order.
-    result = _prebuilt(ColoringStrategy, 6 * cs.d, cs.keys, np.take(cs.stack, _RELABEL, axis=1))
+    result = _relabelled(cs)
     if graph is not None:
         before = coloring_value(graph, cs).value
         after = coloring_value(graph, result).value
@@ -108,6 +108,13 @@ def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> Colori
                 f"to {after!r}"
             )
     return result
+
+
+@_held
+def _relabelled(cs: ColoringStrategy) -> ColoringStrategy:
+    # Each block is a validated input PVM, so the defects are the input's.
+    # np.take, unlike cs.stack[:, _RELABEL], lays the result out in C order.
+    return _prebuilt(ColoringStrategy, 6 * cs.d, cs.keys, np.take(cs.stack, _RELABEL, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +233,9 @@ def _zeta_color_average(ops: np.ndarray) -> float:
     return 2.0 * math.fsum(_norms(products)) / 3.0
 
 
+@_held
 def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
+    """The control sandwiches of a symmetrized coloring, held on it (``_held``)."""
     rows = [bisect_left(cs.keys, letter) for letter in DELTA]  # the keys are sorted
     for row, letter in zip(rows, DELTA):
         if cs.keys[row:row + 1] != (letter,):
@@ -237,6 +246,7 @@ def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
     a, b, c = ops
     stack = np.stack([a[i - 1] @ b[j - 1] @ c[k - 1] @ b[j - 1] @ a[i - 1] for i, j, k in PERM3])
     _require_contractions(stack, lambda i: f"control sandwich {PERM3[i]}", CONTRACTION_TOL)
+    stack.setflags(write=False)  # held and shared by every caller, so none may write it
     z_delta = _zeta_color_average(ops)
     total = sum(stack)
     one = identity(total.shape[-1])

@@ -91,6 +91,16 @@ def by_key(held) -> dict:
     return dict(zip(keys, held.stack))
 
 
+def spying(calls: list, fn):
+    """``fn``, recording the positional arguments of each call in ``calls``."""
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return spy
+
+
 #: Filled by the acceptance tests; conftest prints one line per entry
 #: after the run so the verdicts survive pytest's output capture.
 ACCEPTANCE_RESULTS = []

@@ -14,6 +14,7 @@ from helpers import (
     reference_perturb_two,
     reference_pvm_defect,
     reference_tau,
+    spying,
 )
 from gadgetgraph import forward, rounding
 from gadgetgraph.errors import BoundViolation, ValidationError
@@ -249,6 +250,65 @@ def test_forward_command_builds_no_name_views(monkeypatch, tmp_path, capsys):
     assert "coloring value" in capsys.readouterr().out
     (graph,) = built
     assert "edges" not in vars(graph)
+
+
+def test_a_coloring_is_held_on_its_strategy(monkeypatch, rng, min_game, min_graph, tri_game):
+    strategy = random_strategy(rng, min_game, 3)
+    cs = forward_translate(min_game, min_graph, strategy)
+    calls = []
+    monkeypatch.setattr(forward, "_stack_defects", spying(calls, forward._stack_defects))
+    assert forward_translate(min_game, min_graph, strategy) is cs
+    assert forward_translate(strategy=strategy, game=min_game, graph=min_graph) is cs
+    assert calls == []  # a repeat checks nothing and builds nothing
+    # A hit never hides a mismatch: another game is another key, and checked.
+    with pytest.raises(ValidationError, match="graph was compiled from a different game"):
+        forward_translate(tri_game, min_graph, strategy)
+    assert forward_translate(min_game, min_graph, strategy) is cs  # the raise replaced nothing
+    # An equal graph or game is another object: built anew, and it replaces the entry.
+    other_graph, other_game = build_graph(min_game), minimal_game()
+    again = forward_translate(min_game, other_graph, strategy)
+    assert again is not cs and np.array_equal(again.stack, cs.stack) and len(calls) == 1
+    assert forward_translate(min_game, other_graph, strategy) is again
+    assert forward_translate(other_game, other_graph, strategy) is not again
+    assert forward_translate(min_game, min_graph, strategy) is not cs
+    assert len(calls) == 3
+    # A call that raises holds nothing.
+    fresh = random_strategy(rng, min_game, 3)
+    with pytest.raises(ValidationError, match="graph was compiled from a different game"):
+        forward_translate(tri_game, min_graph, fresh)
+    assert set(vars(fresh)) == {"d", "keys", "stack"}
+
+
+def test_a_value_is_held_on_its_coloring(monkeypatch, rng, min_game, min_graph):
+    cs = forward_translate(min_game, min_graph, random_strategy(rng, min_game, 3))
+    report = coloring_value(min_graph, cs)
+    calls = []
+    monkeypatch.setattr(forward, "_overlaps", spying(calls, forward._overlaps))
+    assert coloring_value(min_graph, cs) is report
+    assert coloring_value(min_graph, cs=cs) is report
+    assert calls == []
+    other = build_graph(min_game)
+    assert coloring_value(other, cs) is not report
+    assert coloring_value(other, cs).value == report.value and len(calls) == 1
+    assert coloring_value(min_graph, cs) is not report and len(calls) == 2
+    pruned = ColoringStrategy(cs.d, {k: list(v) for k, v in by_key(cs).items() if k != "B"})
+    with pytest.raises(ValidationError, match="lacks PVMs"):
+        coloring_value(min_graph, pruned)
+    assert set(vars(pruned)) == {"d", "keys", "stack"}
+
+
+def test_a_forward_command_translates_and_checks_once(monkeypatch, tmp_path, capsys):
+    from gadgetgraph import cli
+
+    checks, built = [], []
+    monkeypatch.setattr(forward, "require_pvm_family", spying(checks, forward.require_pvm_family))
+    monkeypatch.setattr(forward, "_prebuilt", spying(built, forward._prebuilt))
+    for name in ("game.json", "strategy.json"):
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    argv = ["forward", str(tmp_path / "game.json"), str(tmp_path / "strategy.json")]
+    assert cli.main(argv) == 0
+    assert "coloring value" in capsys.readouterr().out
+    assert len(checks) == 1 and len(built) == 1  # one output PVM check, one ColoringStrategy
 
 
 def test_ortho_gadget_losses_accounting(rng, min_game, min_graph):

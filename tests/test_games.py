@@ -1010,7 +1010,7 @@ def test_unchecked_strategies_pass_the_validating_constructor(n, m, d, seed):
 
 
 def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_game, min_graph):
-    strategy = random_strategy(np.random.default_rng(3), min_game, 3)
+    strategy, equal = (random_strategy(np.random.default_rng(3), min_game, 3) for _ in range(2))
     coloring = forward_translate(min_game, min_graph, strategy)
     write_strategy_json(coloring, tmp_path / "c.json")
     calls, fallbacks, real, real_pvm = [], [], linalg.require_pvm_family, linalg.require_pvm
@@ -1026,7 +1026,9 @@ def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_
     monkeypatch.setattr(games, "require_pvm_family", counting)
     monkeypatch.setattr(forward, "require_pvm_family", counting)
     monkeypatch.setattr(games, "require_pvm", falling_back)
-    forward_translate(min_game, min_graph, strategy)
+    assert forward_translate(min_game, min_graph, strategy) is coloring
+    assert calls == []  # the coloring is held on the strategy: nothing is checked again
+    forward_translate(min_game, min_graph, equal)
     assert calls == [min_graph.n_vertices]  # forward checks its output once, nothing more
     calls.clear()
     symmetrize(coloring)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadgetgraph
-from helpers import by_key, reference_random_order3_families, reference_unitary_cut_value
+from helpers import by_key, reference_random_order3_families, reference_unitary_cut_value, spying
 from gadgetgraph import games, instances, maxcut
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.instances import random_order3_families, random_order3_family, random_order3_unitary
@@ -225,6 +225,30 @@ def test_unitary_cut_value_requires_cover():
     fam = OrderKUnitaryFamily(3, 1, {1: np.eye(1), 2: np.eye(1)})
     with pytest.raises(ValidationError, match="lacks unitaries"):
         unitary_cut_value(g, fam)
+
+
+def test_edge_overlaps_are_held_on_the_family(monkeypatch):
+    g = complete_graph(4)
+    fam = random_order3_family(np.random.default_rng(2), g, 3)
+    score = unitary_cut_value(g, fam)
+    overlaps = maxcut._edge_overlaps(g, fam)
+    calls = []
+    monkeypatch.setattr(maxcut, "_overlaps", spying(calls, maxcut._overlaps))
+    assert maxcut._edge_overlaps(g, fam) is overlaps
+    assert unitary_cut_value(g, fam) == score and calls == []
+    # The identity gathers only the spectral collisions; the edge overlaps,
+    # of its per-edge loop and of its aggregate cut value, are held.
+    assert roots_identity_check(g, fam).lhs <= maxcut.ROOTS_IDENTITY_TOL
+    assert len(calls) == 1
+    # An equal graph is another object: scored anew, and it replaces the entry.
+    other = complete_graph(4)
+    assert unitary_cut_value(other, fam) == score and len(calls) == 2
+    assert maxcut._edge_overlaps(g, fam) is not overlaps and len(calls) == 3
+    # A call that raises holds nothing.
+    small = random_order3_family(np.random.default_rng(2), complete_graph(3), 3)
+    with pytest.raises(ValidationError, match="lacks unitaries"):
+        unitary_cut_value(g, small)
+    assert "_edge_overlaps" not in vars(small)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_diagonal, by_key, named_triangles, reference_diagnostics, reference_name_views
-from gadgetgraph import reverse
+from helpers import block_diagonal, by_key, named_triangles, reference_diagnostics, reference_name_views, spying
+from gadgetgraph import forward, reverse
 from gadgetgraph.errors import BoundViolation, ValidationError
 from gadgetgraph.forward import coloring_value, forward_translate
 from gadgetgraph.games import ColoringStrategy, PriorDistribution, sync_value
@@ -73,6 +73,43 @@ def test_symmetrize_preserves_value(rng, min_graph):
     before = coloring_value(min_graph, cs).value
     after = coloring_value(min_graph, symmetrize(cs, min_graph)).value
     assert after == pytest.approx(before, abs=1e-10)
+
+
+def test_a_symmetrization_is_held_on_its_coloring(monkeypatch, rng, min_game, min_graph):
+    cs = random_coloring(rng, min_graph, 2)
+    sym = symmetrize(cs)
+    takes, scores = [], []
+    monkeypatch.setattr(np, "take", spying(takes, np.take))
+    monkeypatch.setattr(forward, "_overlaps", spying(scores, forward._overlaps))
+    assert symmetrize(cs) is sym and takes == []
+    # Given a graph, the drift check scores both sides once, then reads them.
+    assert symmetrize(cs, min_graph) is sym and len(scores) == 2
+    assert symmetrize(cs, min_graph) is sym and len(scores) == 2
+    # Another graph: both values are scored on it, and the output is kept.
+    other = build_graph(min_game)
+    assert symmetrize(cs, other) is sym and len(scores) == 4 and takes == []
+    assert coloring_value(other, cs) is coloring_value(other, cs)
+    # A hit never hides a drift: the check runs on every call.
+    monkeypatch.setattr(reverse, "SYMMETRIZE_TOL", -1.0)
+    with pytest.raises(BoundViolation, match="symmetrization moved the coloring value"):
+        symmetrize(cs, min_graph)
+
+
+def test_control_sandwiches_are_held_on_the_symmetrized_coloring(monkeypatch, rng, min_graph):
+    sym = symmetrize(random_coloring(rng, min_graph, 2))
+    cc = control_compressions(sym)
+    calls = []
+    monkeypatch.setattr(reverse, "_require_contractions", spying(calls, reverse._require_contractions))
+    assert control_compressions(sym) is cc and calls == []
+    assert not cc.stack.flags.writeable  # every caller shares it
+    assert control_compressions(symmetrize(random_coloring(rng, min_graph, 2))) is not cc
+    assert len(calls) == 1
+    # A call that raises holds nothing.
+    pvms = by_key(random_coloring(rng, min_graph, 2))
+    pruned = ColoringStrategy(2, {k: list(v) for k, v in pvms.items() if k != "B"})
+    with pytest.raises(ValidationError, match="control vertex"):
+        control_compressions(pruned)
+    assert set(vars(pruned)) == {"d", "keys", "stack"}
 
 
 def test_symmetrized_products_are_color_independent(rng, min_graph):
@@ -381,6 +418,20 @@ def test_reverse_command_builds_no_name_views(monkeypatch, tmp_path, capsys):
     assert "game value" in capsys.readouterr().out
     (graph,) = built
     assert "edges" not in vars(graph)
+
+
+def test_a_reverse_command_symmetrizes_and_compresses_once(monkeypatch, tmp_path, capsys):
+    from gadgetgraph import cli
+
+    built, compressed = [], []
+    monkeypatch.setattr(reverse, "_prebuilt", spying(built, reverse._prebuilt))
+    monkeypatch.setattr(reverse, "_require_contractions", spying(compressed, reverse._require_contractions))
+    for name in ("game.json", "coloring.json"):
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    argv = ["reverse", str(tmp_path / "game.json"), str(tmp_path / "coloring.json")]
+    assert cli.main(argv) == 0
+    assert "game value" in capsys.readouterr().out
+    assert len(built) == 1 and len(compressed) == 1  # one symmetrization, one set of sandwiches
 
 
 # ---------------------------------------------------------------------------
