@@ -23,7 +23,7 @@ from math import fsum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BoundViolation, ValidationError
 from .games import (
     ColoringStrategy,
     GameStrategy,
@@ -40,6 +40,8 @@ from .graphs import _A, _B, _C, _CELL, _CELLS, _ORTHO_SLOTS, GadgetGraph
 from .linalg import _overlaps, _stack_defects, identity, require_pvm_family, trace_product, zero
 from .rounding import InequalityReport, _perturb_checked_two
 
+#: The PVM tolerance of ``forward_translate``'s check of its own output; a
+#: failure is the translation's, so it raises BoundViolation.
 FORWARD_PVM_TOL = 1e-10
 
 #: Certified per-gadget loss multiplier: each orthogonality gadget's summed
@@ -202,7 +204,10 @@ def forward_translate(
         raise AssertionError(f"vertices never assigned: {[vertices[v] for v in np.flatnonzero(~assigned)[:5]]}")
 
     # The one PVM check of the output, tighter than the constructor's.
-    require_pvm_family(stack, names, tol=FORWARD_PVM_TOL, what="coloring PVM at {}")
+    try:
+        require_pvm_family(stack, names, tol=FORWARD_PVM_TOL, what="coloring PVM at {}")
+    except ValidationError as exc:  # the input passed its checks, so the output is at fault
+        raise BoundViolation(str(exc)) from exc
     return _prebuilt(ColoringStrategy, d, names, stack)
 
 

@@ -16,7 +16,7 @@ from .forward import forward_translate
 from .games import ColoringStrategy, GameStrategy, SimpleGraph, SyncGame, coloring_game, synchrony_tuples
 from .graphs import GadgetGraph
 from .linalg import (
-    ROOT2,
+    SPECTRAL_FACTOR,
     _haar_from_ginibre,
     random_hermitian,
     random_positive_contraction,
@@ -27,6 +27,7 @@ from .linalg import (
 )
 from .maxcut import OrderKUnitaryFamily, _families
 from .rounding import (
+    PERTURB_TWO_FACTOR,
     InequalityReport,
     check_commutator_transfer,
     check_cutdown_sum,
@@ -288,7 +289,7 @@ def bound_suite_trial(rng: np.random.Generator, d: int) -> list:
             InequalityReport(
                 "single-projection rounding",
                 two_norm(a - b),
-                2.0 * ROOT2 * two_norm(a - a @ a),
+                SPECTRAL_FACTOR * two_norm(a - a @ a),
             ),
         )
     )
@@ -307,7 +308,7 @@ def bound_suite_trial(rng: np.random.Generator, d: int) -> list:
             InequalityReport(
                 "orthogonalized-projection distance",
                 two_norm(b - moved),
-                (8.0 * ROOT2 + 2.0) * two_norm(a @ b),
+                PERTURB_TWO_FACTOR * two_norm(a @ b),
             ),
         )
     )

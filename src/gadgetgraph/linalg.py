@@ -42,6 +42,9 @@ TOL_SLACK = 1e-9           # minimum slack for asserted inequalities
 
 ROOT2 = math.sqrt(2.0)
 
+#: The certified distance multiplier of ``spectral_projection_half``.
+SPECTRAL_FACTOR = 2.0 * ROOT2
+
 
 def as_matrix(m, d: int | None = None) -> np.ndarray:
     """Coerce to a square complex128 array, checking shape."""
@@ -342,7 +345,7 @@ def _spectral_halves(batch: np.ndarray) -> tuple:
     blocks = zip(vecs.reshape(-1, d, d), keep.reshape(-1, d))  # each keeps its own eigenvectors
     b = np.array([v[:, k] @ v[:, k].conj().T for v, k in blocks], dtype=np.complex128).reshape(a.shape)
     b = (b + b.conj().swapaxes(-1, -2)) / 2.0
-    lhs, rhs = _norms(a - b), 2.0 * ROOT2 * _norms(a - a @ a)
+    lhs, rhs = _norms(a - b), SPECTRAL_FACTOR * _norms(a - a @ a)
     too_far = (rhs - lhs < -TOL_SLACK, lambda i: BoundViolation(
         f"spectral projection distance {lhs[i]:.6e} exceeds 2*sqrt(2)*||A-A^2||_2 = {rhs[i]:.6e}"
     ))

@@ -49,6 +49,15 @@ CONTRACTION_TOL = 1e-10
 #: Certified multiplier of a triangle's sum defect: eta <= 3 sqrt(zeta).
 ETA_FACTOR = 3.0
 
+#: Certified multipliers of the control sandwiches' three almost-PVM bounds,
+#: each on the color-averaged zeta of the control triangle.
+SANDWICH_SUM_FACTOR = 238.5
+SANDWICH_PROJECTION_FACTOR = 72.0
+SANDWICH_CROSS_FACTOR = 36.0
+
+#: Certified multiplier of the aggregate off-color estimate: sum_e theta_e^(1/2) <= 2 |E| eps^(1/4).
+OFFCOLOR_FACTOR = 2.0
+
 
 #: _RELABEL[c - 1][slot] is the input color that block ``slot`` plays as color c.
 _RELABEL = np.array(PERM3).T - 1
@@ -253,17 +262,17 @@ def control_compressions(cs: ColoringStrategy) -> ControlCompressions:
     sum_report = InequalityReport(
         "control sandwich sum-to-1",
         two_norm(one - total),
-        238.5 * z_delta,
+        SANDWICH_SUM_FACTOR * z_delta,
     ).require()
     proj_report = InequalityReport(
         "control sandwich projection defect",
         math.fsum(_norms(stack @ stack - stack)),
-        72.0 * z_delta,
+        SANDWICH_PROJECTION_FACTOR * z_delta,
     ).require()
     cross_report = InequalityReport(
         "control sandwich cross products",
         math.fsum(_norms(stack[_CROSS_LEFT] @ stack[_CROSS_RIGHT])),
-        36.0 * z_delta,
+        SANDWICH_CROSS_FACTOR * z_delta,
     ).require()
     return ControlCompressions(stack, (sum_report, proj_report, cross_report))
 
@@ -359,14 +368,11 @@ def certify_reverse_lemmas(
             )
         ops = _question_sandwiches(cc, target)
         total = sum(ops)
-        # ||ops[p] @ ops[q]||_2 for q != p, one p at a time against slices (views) of ops
-        cross = [
-            _two_norms(op @ others).tolist() for p, op in enumerate(ops) for others in (ops[:p], ops[p + 1:])
-        ]
+        cross = np.stack([_two_norms(op @ ops) for op in ops])  # [p, q]: ||ops[p] @ ops[q]||_2
         implicit += [
             (x, "sandwich family sum defect", two_norm(one - total)),
             (x, "sandwich family projection defect", math.fsum(_two_norms(ops @ ops - ops).tolist())),
-            (x, "sandwich family cross products", math.fsum(chain.from_iterable(cross))),
+            (x, "sandwich family cross products", math.fsum(cross[~np.eye(len(ops), dtype=bool)].tolist())),
         ]
     for x, label, value in implicit:
         log.info("question %d: %s %.12g", x, label, value)
@@ -429,5 +435,5 @@ def aggregate_offcolor_estimate(
     theta = _edge_products(cs, _vertex_rows(graph, cs)[graph.edge_ids])
     eps = max(0.0, 1.0 - value)
     lhs = math.fsum(map(math.sqrt, theta.tolist()))
-    rhs = 2.0 * graph.n_edges * eps**0.25
+    rhs = OFFCOLOR_FACTOR * graph.n_edges * eps**0.25
     return InequalityReport("aggregate off-color estimate", lhs, rhs).require()

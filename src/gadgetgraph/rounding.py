@@ -24,7 +24,7 @@ from .linalg import (
     _raise_first,
     _require_contractions,
     _spectral_halves,
-    commutator,
+    _two_norms,
     identity,
     require_hermitian,
     require_positive_contraction,
@@ -60,57 +60,73 @@ class InequalityReport:
         return self
 
 
-def _common_dim(mats) -> int:
+# ---------------------------------------------------------------------------
+# inequality checkers: each checks its input family once, then scores it as
+# one stack, every norm from ``_two_norms`` on (..., b, d, d) operators
+
+
+def _family(items, check, name, miscounted: str | None = None) -> np.ndarray:
+    """The operators (or PVMs) ``items`` as one (n, b, d, d) (or (n, k, b,
+    d, d)) stack, each operator a (b, d, d) block stack, b = 1 for a d-by-d
+    matrix.  Each item is checked by ``check``, labelled ``name(i)``, in
+    order; then ``miscounted``, the caller's error for a wrong number of
+    items or outcomes, is raised if given; then mixed shapes are refused."""
+    checked = [check(item, what=name(i)) for i, item in enumerate(items)]
+    if miscounted:
+        raise ValidationError(miscounted)
+    mats = [m for item in checked for m in (item if isinstance(item, tuple) else (item,))]
     shape = mats[0].shape
-    for m in mats[1:]:
+    for m in mats:
         if m.shape != shape:
             raise ValidationError(f"mixed dimensions: shapes {shape} and {m.shape}")
-    return shape[-1]
+    stack = np.array(checked)
+    return stack.reshape(*stack.shape[:stack.ndim - len(shape)], -1, shape[-1], shape[-1])
 
 
-# ---------------------------------------------------------------------------
-# inequality checkers
+def _worst(context, lhs: np.ndarray, rhs, key: np.ndarray) -> InequalityReport:
+    """The report of the instance k with the smallest ``key[k]``, the first
+    of equals, as the checkers' loops kept it with a strict comparison.
+    ``context(k)`` names it; ``rhs`` is one value or one per instance."""
+    k = int(np.argmin(key))
+    return InequalityReport(context(k), float(lhs[k]), float(np.broadcast_to(rhs, lhs.shape)[k]))
 
 
 def check_three_sum_zero(a1, a2, a3) -> InequalityReport:
     """Three Hermitian operators summing to zero are each small in 2-norm
     whenever each is close to being a projection."""
-    mats = [
-        require_hermitian(m, what=f"summand {i + 1}")
-        for i, m in enumerate((a1, a2, a3))
-    ]
-    _common_dim(mats)
-    defect = two_norm(mats[0] + mats[1] + mats[2])
+    s = _family((a1, a2, a3), require_hermitian, lambda i: f"summand {i + 1}")
+    defect = two_norm(s[0] + s[1] + s[2])
     if defect > 1e-10:
         raise ValidationError(f"summands must add to zero; ||sum||_2 = {defect:.3e}")
-    lhs = max(two_norm(m) for m in mats)
-    rhs = math.sqrt(3.0) * math.sqrt(sum(two_norm(m @ m - m) for m in mats))
+    lhs = max(_two_norms(s).tolist())
+    rhs = math.sqrt(3.0) * math.sqrt(sum(_two_norms(s @ s - s).tolist()))
     return InequalityReport("zero-sum triple norm bound", lhs, rhs)
+
+
+#: The six pairs (i, j) of distinct indices of a triple, row-major.
+_PAIR_I, _PAIR_J = np.nonzero(~np.eye(3, dtype=bool))
 
 
 def check_commutator_transfer(a_triple, b_triple) -> InequalityReport:
     """If same-index pairs of two projection triples almost commute and both
     triples almost sum to 1, then cross-index pairs almost commute."""
-    a = [require_projection(m, what=f"first triple entry {i + 1}") for i, m in enumerate(a_triple)]
-    b = [require_projection(m, what=f"second triple entry {i + 1}") for i, m in enumerate(b_triple)]
-    if len(a) != 3 or len(b) != 3:
-        raise ValidationError("both triples must have exactly three projections")
-    d = _common_dim(a + b)
-    one = identity(d)
+    a_triple, b_triple = list(a_triple), list(b_triple)
+    n_a = len(a_triple)
+    ops = _family(
+        a_triple + b_triple, require_projection,
+        lambda i: f"first triple entry {i + 1}" if i < n_a else f"second triple entry {i - n_a + 1}",
+        None if n_a == len(b_triple) == 3 else "both triples must have exactly three projections",
+    )
+    a, b, one = ops[:3], ops[3:], identity(ops.shape[-1])
+    ab, ba = a[:, None] @ b[None, :], b[:, None] @ a[None, :]
+    norms = _two_norms(ab - ba.swapaxes(0, 1))  # [i, j]: ||[a_i, b_j]||_2
     rhs = 2.0 * (
         two_norm(one - (a[0] + a[1] + a[2]))
         + two_norm(one - (b[0] + b[1] + b[2]))
-        + sum(two_norm(commutator(a[i], b[i])) for i in range(3))
+        + sum(norms.diagonal().tolist())
     )
-    lhs, where = -1.0, None
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            val = two_norm(commutator(a[i], b[j]))
-            if val > lhs:
-                lhs, where = val, (i + 1, j + 1)
-    return InequalityReport(f"cross commutator at (i={where[0]}, j={where[1]})", lhs, rhs)
+    cross = norms[_PAIR_I, _PAIR_J]
+    return _worst(lambda k: f"cross commutator at (i={_PAIR_I[k] + 1}, j={_PAIR_J[k] + 1})", cross, rhs, -cross)
 
 
 def check_quantum_permutation(rows) -> InequalityReport:
@@ -119,38 +135,21 @@ def check_quantum_permutation(rows) -> InequalityReport:
     sum is close to the identity.  Reports the worst column."""
     if len(rows) != 3:
         raise ValidationError("need exactly three PVMs")
-    pvms = [require_pvm(row, what=f"PVM {x + 1}") for x, row in enumerate(rows)]
-    for p in pvms:
-        if len(p) != 3:
-            raise ValidationError("each PVM must have exactly three outcomes")
-    d = _common_dim([m for p in pvms for m in p])
-    one = identity(d)
-    cross = 0.0
-    for b in range(3):
-        for x in range(3):
-            for y in range(3):
-                if x != y:
-                    cross += two_norm(pvms[x][b] @ pvms[y][b])
-    rhs = math.sqrt(3.0) * math.sqrt(cross)
-    lhs, worst = -1.0, None
-    for a in range(3):
-        val = two_norm(sum(pvms[x][a] for x in range(3)) - one)
-        if val > lhs:
-            lhs, worst = val, a + 1
-    return InequalityReport(f"quantum permutation column {worst}", lhs, rhs)
+    miscounted = None if all(len(row) == 3 for row in rows) else "each PVM must have exactly three outcomes"
+    p = _family(rows, require_pvm, lambda x: f"PVM {x + 1}", miscounted)
+    cross = _two_norms(p[_PAIR_I] @ p[_PAIR_J])  # [pair (x, y), outcome b]: ||p_x[b] p_y[b]||_2
+    rhs = math.sqrt(3.0) * math.sqrt(sum(cross.T.ravel().tolist()))  # summed outcome by outcome
+    columns = _two_norms(p[0] + p[1] + p[2] - identity(p.shape[-1]))
+    return _worst(lambda a: f"quantum permutation column {a + 1}", columns, rhs, -columns)
 
 
 def _prism_grid(grid, what: str):
     if len(grid) != 3 or any(len(row) != 3 for row in grid):
         raise ValidationError(f"{what} must be a 3x3 array of projections")
-    out = [
-        [require_projection(grid[i][j], what=f"{what}[{i + 1}][{j + 1}]") for j in range(3)]
-        for i in range(3)
-    ]
-    d = _common_dim([m for row in out for m in row])
-    one = identity(d)
-    for j in range(3):
-        defect = two_norm(sum(out[i][j] for i in range(3)) - one)
+    flat = [m for row in grid for m in row]
+    cells = _family(flat, require_projection, lambda c: f"{what}[{c // 3 + 1}][{c % 3 + 1}]")
+    out, one = cells.reshape(3, 3, *cells.shape[1:]), identity(cells.shape[-1])
+    for j, defect in enumerate(_two_norms(out[0] + out[1] + out[2] - one).tolist()):
         if defect > 1e-9:
             raise ValidationError(f"{what} column {j + 1} sums to 1 with defect {defect:.3e}")
     return out, one
@@ -166,62 +165,37 @@ def check_prism(p_grid, q_grid) -> InequalityReport:
     """
     p, one = _prism_grid(p_grid, "first grid")
     q, _ = _prism_grid(q_grid, "second grid")
-    if p[0][0].shape != q[0][0].shape:
+    if np.shape(p_grid[0][0]) != np.shape(q_grid[0][0]):
         raise ValidationError("grids have mixed dimensions")
-
-    row_defect_p = [two_norm(one - sum(p[i][x] for x in range(3))) for i in range(3)]
-    row_defect_q = [two_norm(one - sum(q[i][x] for x in range(3))) for i in range(3)]
-    row_cross = [sum(two_norm(p[i][x] @ q[i][x]) for x in range(3)) for i in range(3)]
-    col_cross = [sum(two_norm(p[a][j] @ q[a][j]) for a in range(3)) for j in range(3)]
-    full_rhs = 4.0 * sum(
-        row_defect_p[a] + row_defect_q[a] + 2.0 * row_cross[a] for a in range(3)
+    same = _two_norms(p @ q)  # [i, j]: ||p[i][j] q[i][j]||_2
+    col_cross = same[0] + same[1] + same[2]
+    # per row i: its sum defects in both grids plus twice its cross products
+    row_terms = (
+        _two_norms(one - (p[:, 0] + p[:, 1] + p[:, 2]))
+        + _two_norms(one - (q[:, 0] + q[:, 1] + q[:, 2]))
+        + 2.0 * (same[:, 0] + same[:, 1] + same[:, 2])
     )
-
-    worst = None
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for ell in range(3):
-                    if i == k and j == ell:
-                        continue
-                    lhs = two_norm(commutator(p[i][j], q[k][ell]))
-                    if i == k:
-                        rhs = 2.0 * (row_defect_p[i] + row_defect_q[i] + 2.0 * row_cross[i])
-                        case = "same row"
-                    elif j == ell:
-                        rhs = 4.0 * col_cross[j]
-                        case = "same column"
-                    else:
-                        rhs = full_rhs
-                        case = "disjoint indices"
-                    report = InequalityReport(
-                        f"prism {case} at (i={i + 1},j={j + 1},k={k + 1},l={ell + 1})", lhs, rhs
-                    )
-                    if worst is None or report.slack < worst.slack:
-                        worst = report
-    return worst
+    full_rhs = 4.0 * sum(row_terms.tolist())
+    # every cell (i, j) of p against every other cell (k, l) of q, row-major
+    i, j, k, ell = np.nonzero(~np.eye(9, dtype=bool).reshape(3, 3, 3, 3))
+    lhs = _two_norms(p[i, j] @ q[k, ell] - q[k, ell] @ p[i, j])
+    rhs = np.where(i == k, 2.0 * row_terms[i], np.where(j == ell, 4.0 * col_cross[j], full_rhs))
+    case = np.where(i == k, "same row", np.where(j == ell, "same column", "disjoint indices"))
+    return _worst(
+        lambda n: f"prism {case[n]} at (i={i[n] + 1},j={j[n] + 1},k={k[n] + 1},l={ell[n] + 1})", lhs, rhs, rhs - lhs
+    )
 
 
 def check_cutdown_sum(pa, pb, pc) -> InequalityReport:
     """The six sandwich products over the control triangle almost sum to 1
     when same-index projections across the triangle are almost orthogonal."""
-    pvm_a = require_pvm(pa, what="first PVM")
-    pvm_b = require_pvm(pb, what="second PVM")
-    pvm_c = require_pvm(pc, what="third PVM")
-    if not len(pvm_a) == len(pvm_b) == len(pvm_c) == 3:
-        raise ValidationError("all three PVMs must have exactly three outcomes")
-    d = _common_dim(list(pvm_a + pvm_b + pvm_c))
-    total = np.zeros((d, d), dtype=np.complex128)
-    for i, j, k in PERM3:
-        left = pvm_a[i - 1] @ pvm_b[j - 1]
-        total += left @ pvm_c[k - 1] @ left.conj().T
-    lhs = two_norm(identity(d) - total)
-    rhs = 159.0 * sum(
-        two_norm(pvm_a[i] @ pvm_b[i])
-        + two_norm(pvm_a[i] @ pvm_c[i])
-        + two_norm(pvm_b[i] @ pvm_c[i])
-        for i in range(3)
-    )
+    miscounted = None if len(pa) == len(pb) == len(pc) == 3 else "all three PVMs must have exactly three outcomes"
+    a, b, c = _family((pa, pb, pc), require_pvm, lambda x: ("first", "second", "third")[x] + " PVM", miscounted)
+    i, j, k = np.array(PERM3).T - 1
+    left = a[i] @ b[j]
+    total = sum(left @ c[k] @ left.conj().swapaxes(-1, -2))  # added in PERM3 order
+    lhs = two_norm(identity(a.shape[-1]) - total)
+    rhs = 159.0 * sum((_two_norms(a @ b) + _two_norms(a @ c) + _two_norms(b @ c)).tolist())
     return InequalityReport("sandwich-product sum", lhs, rhs)
 
 
@@ -236,10 +210,8 @@ def perturb_two(a, b) -> np.ndarray:
     certified distance ||b - out||_2 <= (8*sqrt(2)+2)*||a b||_2 and that the
     output annihilates a (within 1e-10); both failures raise BoundViolation.
     """
-    pa = require_projection(a, what="first projection")
-    pb = require_projection(b, what="second projection")
-    _common_dim([pa, pb])
-    return _perturb_checked_two(pa[None], pb[None])[0]
+    pa, pb = _family((a, b), require_projection, lambda i: ("first", "second")[i] + " projection")
+    return _perturb_checked_two(pa[None], pb[None])[0].reshape(np.shape(a))
 
 
 #: The certified distance multiplier of ``perturb_two``.
@@ -266,6 +238,16 @@ def _perturb_checked_two(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return out
 
 
+#: The certified multipliers of the rounded-outcome bounds of
+#: ``perturb_pvm_with_reports``, on the history h, the own defect o and the
+#: sum defect s: outcome 1 is within 2 sqrt(2) o of its input, an interior
+#: outcome within 19 h + 2 sqrt(2) o, the last within 38 h + 4 sqrt(2) o + s.
+ROUNDED_OWN_FACTOR = 2.0 * ROOT2
+ROUNDED_HISTORY_FACTOR = 19.0
+ROUNDED_LAST_HISTORY_FACTOR = 38.0
+ROUNDED_LAST_OWN_FACTOR = 4.0 * ROOT2
+
+
 def perturb_pvm_with_reports(mats):
     """Round positive contractions to an exact PVM, sequentially.
 
@@ -283,9 +265,8 @@ def perturb_pvm_with_reports(mats):
     except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
         inputs = np.empty(0)
     if inputs.ndim not in (3, 4) or not inputs.size or inputs.shape[-1] != inputs.shape[-2]:
-        # Checked one by one, which names the first input that fails.
-        checked = [require_positive_contraction(m, what=f"input {i + 1}") for i, m in enumerate(mats)]
-        _common_dim(checked)  # raises, as the inputs do not stack
+        # Checked one by one, which names the first input that fails, then refused for their shapes.
+        _family(mats, require_positive_contraction, lambda i: f"input {i + 1}")
     _require_contractions(inputs, lambda i: f"input {i + 1}")
     count = len(inputs)
     one = np.broadcast_to(identity(inputs.shape[-1]), inputs[0].shape).copy()
@@ -309,11 +290,11 @@ def perturb_pvm_with_reports(mats):
         # left to right, as the bits of the bound depend on the order
         history = sum(distances[j] + cross[j] for j in range(idx))
         if i == count:
-            rhs = 38.0 * history + 4.0 * ROOT2 * own + sum_defect
+            rhs = ROUNDED_LAST_HISTORY_FACTOR * history + ROUNDED_LAST_OWN_FACTOR * own + sum_defect
         elif i == 1:
-            rhs = 2.0 * ROOT2 * own
+            rhs = ROUNDED_OWN_FACTOR * own
         else:
-            rhs = 19.0 * history + 2.0 * ROOT2 * own
+            rhs = ROUNDED_HISTORY_FACTOR * history + ROUNDED_OWN_FACTOR * own
         reports.append(
             InequalityReport(f"rounded outcome {i} of {count}", distances[idx], rhs).require()
         )

@@ -33,6 +33,13 @@ before its one stack check: each outcome checked in full, one after the
 other, then the PVM defect.  Every defect of the stack check must equal
 theirs bit for bit.
 
+The ``reference_check_*`` functions are the bound-suite checkers as they
+ran before each checked its family once and scored it as one stack: every
+operator checked and measured on its own, the worst instance kept by a
+loop with a strict comparison, and ``reference_common_dim`` comparing the
+shapes.  Every report of the stack checkers must equal theirs bit for bit,
+and every error must carry their message.
+
 ``reference_random_order3_families`` draws random order-3 families vertex
 by vertex, each unitary with its own QR, phase fix and conjugation, as
 ``instances.random_order3_family`` did before its draws were orthonormalised
@@ -78,6 +85,8 @@ from gadgetgraph.linalg import (
     commutator,
     identity,
     require_hermitian,
+    require_projection,
+    require_pvm,
     trace_product,
     two_norm,
     zero,
@@ -1024,3 +1033,148 @@ def reference_forward_translate(game, graph, strategy) -> tuple:
             put(name, colors[cell], gadget, cell, exact=False)
     assert assigned.all()
     return tuple(names), stack
+
+
+def reference_common_dim(mats) -> int:
+    shape = mats[0].shape
+    for m in mats[1:]:
+        if m.shape != shape:
+            raise ValidationError(f"mixed dimensions: shapes {shape} and {m.shape}")
+    return shape[-1]
+
+
+def reference_check_three_sum_zero(a1, a2, a3) -> InequalityReport:
+    mats = [
+        require_hermitian(m, what=f"summand {i + 1}")
+        for i, m in enumerate((a1, a2, a3))
+    ]
+    reference_common_dim(mats)
+    defect = two_norm(mats[0] + mats[1] + mats[2])
+    if defect > 1e-10:
+        raise ValidationError(f"summands must add to zero; ||sum||_2 = {defect:.3e}")
+    lhs = max(two_norm(m) for m in mats)
+    rhs = math.sqrt(3.0) * math.sqrt(sum(two_norm(m @ m - m) for m in mats))
+    return InequalityReport("zero-sum triple norm bound", lhs, rhs)
+
+
+def reference_check_commutator_transfer(a_triple, b_triple) -> InequalityReport:
+    a = [require_projection(m, what=f"first triple entry {i + 1}") for i, m in enumerate(a_triple)]
+    b = [require_projection(m, what=f"second triple entry {i + 1}") for i, m in enumerate(b_triple)]
+    if len(a) != 3 or len(b) != 3:
+        raise ValidationError("both triples must have exactly three projections")
+    d = reference_common_dim(a + b)
+    one = identity(d)
+    rhs = 2.0 * (
+        two_norm(one - (a[0] + a[1] + a[2]))
+        + two_norm(one - (b[0] + b[1] + b[2]))
+        + sum(two_norm(commutator(a[i], b[i])) for i in range(3))
+    )
+    lhs, where = -1.0, None
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            val = two_norm(commutator(a[i], b[j]))
+            if val > lhs:
+                lhs, where = val, (i + 1, j + 1)
+    return InequalityReport(f"cross commutator at (i={where[0]}, j={where[1]})", lhs, rhs)
+
+
+def reference_check_quantum_permutation(rows) -> InequalityReport:
+    if len(rows) != 3:
+        raise ValidationError("need exactly three PVMs")
+    pvms = [require_pvm(row, what=f"PVM {x + 1}") for x, row in enumerate(rows)]
+    for p in pvms:
+        if len(p) != 3:
+            raise ValidationError("each PVM must have exactly three outcomes")
+    d = reference_common_dim([m for p in pvms for m in p])
+    one = identity(d)
+    cross = 0.0
+    for b in range(3):
+        for x in range(3):
+            for y in range(3):
+                if x != y:
+                    cross += two_norm(pvms[x][b] @ pvms[y][b])
+    rhs = math.sqrt(3.0) * math.sqrt(cross)
+    lhs, worst = -1.0, None
+    for a in range(3):
+        val = two_norm(sum(pvms[x][a] for x in range(3)) - one)
+        if val > lhs:
+            lhs, worst = val, a + 1
+    return InequalityReport(f"quantum permutation column {worst}", lhs, rhs)
+
+
+def reference_prism_grid(grid, what: str):
+    if len(grid) != 3 or any(len(row) != 3 for row in grid):
+        raise ValidationError(f"{what} must be a 3x3 array of projections")
+    out = [
+        [require_projection(grid[i][j], what=f"{what}[{i + 1}][{j + 1}]") for j in range(3)]
+        for i in range(3)
+    ]
+    d = reference_common_dim([m for row in out for m in row])
+    one = identity(d)
+    for j in range(3):
+        defect = two_norm(sum(out[i][j] for i in range(3)) - one)
+        if defect > 1e-9:
+            raise ValidationError(f"{what} column {j + 1} sums to 1 with defect {defect:.3e}")
+    return out, one
+
+
+def reference_check_prism(p_grid, q_grid) -> InequalityReport:
+    p, one = reference_prism_grid(p_grid, "first grid")
+    q, _ = reference_prism_grid(q_grid, "second grid")
+    if p[0][0].shape != q[0][0].shape:
+        raise ValidationError("grids have mixed dimensions")
+
+    row_defect_p = [two_norm(one - sum(p[i][x] for x in range(3))) for i in range(3)]
+    row_defect_q = [two_norm(one - sum(q[i][x] for x in range(3))) for i in range(3)]
+    row_cross = [sum(two_norm(p[i][x] @ q[i][x]) for x in range(3)) for i in range(3)]
+    col_cross = [sum(two_norm(p[a][j] @ q[a][j]) for a in range(3)) for j in range(3)]
+    full_rhs = 4.0 * sum(
+        row_defect_p[a] + row_defect_q[a] + 2.0 * row_cross[a] for a in range(3)
+    )
+
+    worst = None
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                for ell in range(3):
+                    if i == k and j == ell:
+                        continue
+                    lhs = two_norm(commutator(p[i][j], q[k][ell]))
+                    if i == k:
+                        rhs = 2.0 * (row_defect_p[i] + row_defect_q[i] + 2.0 * row_cross[i])
+                        case = "same row"
+                    elif j == ell:
+                        rhs = 4.0 * col_cross[j]
+                        case = "same column"
+                    else:
+                        rhs = full_rhs
+                        case = "disjoint indices"
+                    report = InequalityReport(
+                        f"prism {case} at (i={i + 1},j={j + 1},k={k + 1},l={ell + 1})", lhs, rhs
+                    )
+                    if worst is None or report.slack < worst.slack:
+                        worst = report
+    return worst
+
+
+def reference_check_cutdown_sum(pa, pb, pc) -> InequalityReport:
+    pvm_a = require_pvm(pa, what="first PVM")
+    pvm_b = require_pvm(pb, what="second PVM")
+    pvm_c = require_pvm(pc, what="third PVM")
+    if not len(pvm_a) == len(pvm_b) == len(pvm_c) == 3:
+        raise ValidationError("all three PVMs must have exactly three outcomes")
+    d = reference_common_dim(list(pvm_a + pvm_b + pvm_c))
+    total = np.zeros((d, d), dtype=np.complex128)
+    for i, j, k in PERM3:
+        left = pvm_a[i - 1] @ pvm_b[j - 1]
+        total += left @ pvm_c[k - 1] @ left.conj().T
+    lhs = two_norm(identity(d) - total)
+    rhs = 159.0 * sum(
+        two_norm(pvm_a[i] @ pvm_b[i])
+        + two_norm(pvm_a[i] @ pvm_c[i])
+        + two_norm(pvm_b[i] @ pvm_c[i])
+        for i in range(3)
+    )
+    return InequalityReport("sandwich-product sum", lhs, rhs)

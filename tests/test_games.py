@@ -30,7 +30,7 @@ from helpers import (
     reference_uniform_edges,
 )
 from gadgetgraph import forward, games, linalg, maxcut, reverse, rounding
-from gadgetgraph.errors import ValidationError
+from gadgetgraph.errors import BoundViolation, ValidationError
 from gadgetgraph.games import (
     QUESTION_PRIOR,
     ColoringStrategy,
@@ -1116,9 +1116,11 @@ def test_family_check_raises_the_per_key_message(monkeypatch, min_game, min_grap
         seen.append(_loop_error(family, FORWARD_PVM_TOL, lambda key: f"coloring PVM at {key}"))
         return real(stack, keys, *args, **kwargs)
 
+    # The input passed, so a failure of the output check is a bound violation, with that message.
     monkeypatch.setattr(forward, "require_pvm_family", spoiling)
-    got = raised_message(lambda: forward_translate(min_game, min_graph, random_strategy(rng, min_game, d)))
-    assert got is not None and got == seen[0]
+    with pytest.raises(BoundViolation) as raised:
+        forward_translate(min_game, min_graph, random_strategy(rng, min_game, d))
+    assert seen[0] is not None and str(raised.value) == seen[0]
 
 
 def test_an_entry_that_overflows_is_rejected_without_a_warning(tmp_path):

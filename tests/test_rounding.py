@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from helpers import raised_message
+from gadgetgraph import instances, rounding
 from gadgetgraph.errors import BoundViolation, ValidationError
 from gadgetgraph.instances import BOUND_FAMILIES, bound_suite_trial
 from gadgetgraph.linalg import random_projection, random_pvm, spectral_projection_half, two_norm
@@ -285,3 +289,86 @@ def test_bound_suite_short_sweep():
             seen.add(family)
             assert report.slack >= -1e-9, f"{family}: {report.context}"
     assert seen == set(BOUND_FAMILIES)
+
+
+# ---------------------------------------------------------------------------
+# the stack checkers against the per-operator reference
+
+
+#: Each checker of the bound suite, by name, and its per-operator reference.
+REFERENCES = {
+    "check_three_sum_zero": helpers.reference_check_three_sum_zero,
+    "check_commutator_transfer": helpers.reference_check_commutator_transfer,
+    "check_quantum_permutation": helpers.reference_check_quantum_permutation,
+    "check_prism": helpers.reference_check_prism,
+    "check_cutdown_sum": helpers.reference_check_cutdown_sum,
+}
+
+
+def bits(report) -> tuple:
+    return report.context, float(report.lhs).hex(), float(report.rhs).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(min_value=1, max_value=6), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_stack_checkers_report_the_reference_bits(d, seed):
+    # bound_suite_trial draws both the structured and the unstructured
+    # families; each checker it calls is compared with its reference there.
+    compared = []
+
+    def against_reference(name):
+        def both(*args):
+            got = getattr(rounding, name)(*args)
+            assert bits(got) == bits(REFERENCES[name](*args))
+            compared.append(name)
+            return got
+        return both
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in REFERENCES:
+            mp.setattr(instances, name, against_reference(name))
+        bound_suite_trial(np.random.default_rng(seed), d)
+    assert compared == list(REFERENCES)
+
+
+def grid():
+    return [[coord(3, i + j) for j in range(3)] for i in range(3)]
+
+
+SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
+NAN = np.full((3, 3), np.nan)
+
+#: Malformed inputs of each checker; where two faults meet, the first in
+#: the reference's order is the one named.
+MALFORMED = [
+    ("check_three_sum_zero", (np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))),
+    ("check_three_sum_zero", (SKEW, -SKEW, np.zeros((2, 2)))),
+    ("check_three_sum_zero", (np.zeros((2, 2)), np.zeros((3, 3)), SKEW)),
+    ("check_three_sum_zero", (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((2, 2)))),
+    ("check_commutator_transfer", ([0.5 * np.eye(2)] * 3, [0.5 * np.eye(2)] * 3)),
+    ("check_commutator_transfer", ([coord(3, 0), np.eye(3) - coord(3, 0)],) * 2),
+    ("check_commutator_transfer", (coord_pvm(), [coord(2, 0)] * 3)),
+    ("check_commutator_transfer", (coord_pvm(), [coord(2, 0), coord(2, 1)])),
+    ("check_commutator_transfer", (coord_pvm(), [coord(3, 0), NAN, 2.0 * coord(3, 0)])),
+    ("check_quantum_permutation", ([coord_pvm(), coord_pvm(1)],)),
+    ("check_quantum_permutation", ([coord_pvm(), [coord(4, i) for i in range(4)], coord_pvm()],)),
+    ("check_quantum_permutation", ([coord_pvm(), coord_pvm(), [coord(2, 0), coord(2, 1), np.zeros((2, 2))]],)),
+    ("check_quantum_permutation", ([coord_pvm(), [coord(3, 0), NAN, coord(3, 1)], [coord(3, 0)] * 3],)),
+    ("check_quantum_permutation", ([coord_pvm(), [], coord_pvm()],)),
+    ("check_prism", (grid(), [[coord(3, 0)] * 3] * 3)),
+    ("check_prism", (grid(), grid()[:2])),
+    ("check_prism", (grid(), [[np.kron(np.eye(2), m) for m in row] for row in grid()])),
+    ("check_prism", (grid(), [[m[None] for m in row] for row in grid()])),
+    ("check_prism", (grid(), [row[:2] + [coord(2, 0)] for row in grid()])),
+    ("check_prism", ([[0.5 * np.eye(3)] * 3] * 3, [[NAN] * 3] * 3)),
+    ("check_cutdown_sum", ([coord(4, i) for i in range(4)],) * 3),
+    ("check_cutdown_sum", (coord_pvm(), coord_pvm(1), [coord(2, 0), coord(2, 1), np.zeros((2, 2))])),
+    ("check_cutdown_sum", (coord_pvm(), [coord(2, 0), coord(2, 1)], [NAN] * 3)),
+]
+
+
+@pytest.mark.parametrize("name, args", MALFORMED)
+def test_stack_checkers_raise_the_reference_message(name, args):
+    want = raised_message(lambda: REFERENCES[name](*args))
+    assert want is not None
+    assert raised_message(lambda: getattr(rounding, name)(*args)) == want
