@@ -204,7 +204,7 @@ def cmd_demo(args) -> int:
     labels = coloring_labels(cs)
     print(f"twist sweep (seed {args.seed}):")
     for theta, twisted in twisted_colorings(labels, (0.1, 0.05, 0.01), seed=args.seed).items():
-        agg = aggregate_offcolor_estimate(graph, symmetrize(twisted, graph))
+        agg = aggregate_offcolor_estimate(graph, symmetrize(twisted))
         recovered = sync_value(game, reverse_translate(game, graph, twisted), prior).value
         print(
             f"  theta {_fmt(theta)}: coloring {_fmt(coloring_value(graph, twisted).value)},"

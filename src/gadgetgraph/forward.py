@@ -185,7 +185,10 @@ def forward_translate(
     tuples = game.losing_table[graph.ortho_at]
     a, b, x, y = tuples.T - 1
     e_a, e_b = pvms[x, a], pvms[y, b]
-    g = _perturb_checked_two(e_a, e_b)
+    try:
+        g = _perturb_checked_two(e_a, e_b)
+    except ValidationError as exc:  # its inputs are the validated strategy's, so the rounding is at fault
+        raise BoundViolation(str(exc)) from exc
     not_a = one - e_a
     zs, ones = np.broadcast_to(z, g.shape), np.broadcast_to(one, g.shape)
     operands = (zs, ones, e_a, e_b, g, not_a, one - e_b, not_a - g, e_a + g)

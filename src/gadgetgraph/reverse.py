@@ -95,32 +95,16 @@ _RHS_EDGES = _slot_columns(_BLOCK_COLUMNS, (((1, 1), (1, 2)), ((2, 1), "C"), ((3
 _CROSS_LEFT, _CROSS_RIGHT = np.array([(p1, p2) for p1 in range(6) for p2 in range(6) if p1 != p2]).T
 
 
-def symmetrize(cs: ColoringStrategy, graph: GadgetGraph | None = None) -> ColoringStrategy:
+@_held
+def symmetrize(cs: ColoringStrategy) -> ColoringStrategy:
     """Average over color relabelings: six relabelled copies side by side.
 
     The output acts on a space six times larger (its ``d`` is 6d) and is
     block-diagonal, so each outcome is a (6, d, d) stack whose block for
     permutation sigma plays color `c` with the input's color `sigma(c)`.
     Color-indexed quantities then agree for all three colors by
-    construction.  The output is held on ``cs`` (``_held``).  When the
-    target graph is supplied, the coloring value before and after is
-    compared and must agree within SYMMETRIZE_TOL, on every call; both
-    values are held too, so a repeat scores nothing.
+    construction.  The output is held on ``cs`` (``_held``).
     """
-    result = _relabelled(cs)
-    if graph is not None:
-        before = coloring_value(graph, cs).value
-        after = coloring_value(graph, result).value
-        if abs(after - before) > SYMMETRIZE_TOL:
-            raise BoundViolation(
-                f"symmetrization moved the coloring value from {before!r} "
-                f"to {after!r}"
-            )
-    return result
-
-
-@_held
-def _relabelled(cs: ColoringStrategy) -> ColoringStrategy:
     # Each block is a validated input PVM, so the defects are the input's.
     # np.take, unlike cs.stack[:, _RELABEL], lays the result out in C order.
     return _prebuilt(ColoringStrategy, 6 * cs.d, cs.keys, np.take(cs.stack, _RELABEL, axis=1))
@@ -333,6 +317,20 @@ def _answer_cells(cs: ColoringStrategy, rows: np.ndarray) -> np.ndarray:
     return cs.stack[rows[:, None], _FIRST_COLOR]
 
 
+def _symmetrized(game: SyncGame, graph: GadgetGraph, cs: ColoringStrategy) -> tuple:
+    """The stage both reverse entry points start from: ``symmetrize(cs)``,
+    whose coloring value must agree with the input's within SYMMETRIZE_TOL
+    on every call (both values are held, so a repeat scores nothing), and
+    the stack rows of its answer cells, v̂(a, x)'s at [x - 1, a - 1]."""
+    _require_compiled_from(graph, game)
+    sym = symmetrize(cs)
+    before = coloring_value(graph, cs).value
+    after = coloring_value(graph, sym).value
+    if abs(after - before) > SYMMETRIZE_TOL:
+        raise BoundViolation(f"symmetrization moved the coloring value from {before!r} to {after!r}")
+    return sym, _vertex_rows(graph, sym)[_answer_ids(graph.block_rows, game.n, game.m)]
+
+
 def certify_reverse_lemmas(
     game: SyncGame, graph: GadgetGraph, cs: ColoringStrategy
 ) -> list:
@@ -344,13 +342,11 @@ def certify_reverse_lemmas(
     whose constants the analysis leaves implicit.  Explicit bounds are
     certified; a violation raises BoundViolation.
     """
-    _require_compiled_from(graph, game)
-    sym = symmetrize(cs, graph)
+    sym, rows = _symmetrized(game, graph, cs)
     diag = compute_diagnostics(graph, sym)
     cc = control_compressions(sym)
     reports = list(cc.reports)
     m, s = game.m, cc.stack
-    rows = _vertex_rows(graph, sym)[_answer_ids(graph.block_rows, game.n, m)]  # v̂(a, x)'s at [x - 1, a - 1]
     theta = diag.theta[graph.edge_index(graph.block_rows[:, _RHS_EDGES])].tolist()
     one = identity(sym.d // 6)
     implicit = []  # (question, label, value) of each lhs-only quantity, reported after every commutator
@@ -393,34 +389,23 @@ def reverse_translate(
     answer cell between them (6m positive contractions per question,
     ordered by answer then permutation), round the family into an exact
     PVM, and sum each answer's six permutation blocks into one projection.
-    Only the output is laid out densely, and checked as an exact PVM family.
+    Only the output is laid out densely, as one (n, m, 6, d, 6, d) stack
+    that the constructor checks as an exact PVM family.
     """
-    _require_compiled_from(graph, game)
-    sym = symmetrize(cs, graph)
+    sym, rows = _symmetrized(game, graph, cs)
     cc = control_compressions(sym)
-    m = game.m
-    rows = _vertex_rows(graph, sym)[_answer_ids(graph.block_rows, game.n, m)]  # v̂(a, x)'s at [x - 1, a - 1]
-    pvms = {}
-    for x in range(1, game.n + 1):
+    n, m, d, six = game.n, game.m, cs.d, len(PERM3)
+    stack = np.zeros((n, m, six, d, six, d), dtype=np.complex128)
+    for x in range(1, n + 1):
         ops = _question_sandwiches(cc, _answer_cells(sym, rows[x - 1]))
         if log.isEnabledFor(logging.INFO):
             total = sum(ops)
             top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().swapaxes(1, 2))).max())
             log.info("question %d: sandwich sum max eigenvalue %.12g", x, top)
-        rounded = perturb_pvm(ops)
-        pvms[x] = [
-            _block_diagonal(sum(rounded[(a - 1) * len(PERM3) + r] for r in range(len(PERM3))))
-            for a in range(1, m + 1)
-        ]
-    return GameStrategy(d=sym.d, pvms=pvms)
-
-
-def _block_diagonal(stack: np.ndarray) -> np.ndarray:
-    """The (k*d)-by-(k*d) matrix with the k blocks of a (k, d, d) stack."""
-    k, d, _ = stack.shape
-    dense = np.zeros((k, d, k, d), dtype=np.complex128)
-    dense[range(k), :, range(k), :] = stack
-    return dense.reshape(k * d, k * d)
+        rounded = perturb_pvm(ops)  # ordered by (answer, permutation)
+        for a in range(m):  # the answer's six permutation blocks, summed in sum()'s order, on its diagonal
+            stack[x - 1, a, range(six), :, range(six)] = sum(rounded[a * six + r] for r in range(six))
+    return GameStrategy(d=sym.d, pvms=dict(enumerate(stack.reshape(n, m, sym.d, sym.d), start=1)))
 
 
 def aggregate_offcolor_estimate(

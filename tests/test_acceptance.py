@@ -188,7 +188,7 @@ def test_criterion_6_twist_sweep(min_game, min_graph):
         tracked: dict = {}
         for theta, cs in twisted_colorings(labels, THETAS, seed=11).items():
             reports = certify_reverse_lemmas(min_game, min_graph, cs)
-            zeta = compute_diagnostics(min_graph, symmetrize(cs, min_graph)).zeta[0]  # the control triangle
+            zeta = compute_diagnostics(min_graph, symmetrize(cs)).zeta[0]  # the control triangle
             expected_rhs = {
                 "control sandwich sum-to-1": 238.5 * zeta,
                 "control sandwich projection defect": 72.0 * zeta,
@@ -216,18 +216,17 @@ def test_criterion_7_aggregate_offcolor(min_game, min_graph):
             symmetrize(
                 forward_translate(
                     min_game, min_graph, deterministic_strategy(min_game, (1,))
-                ),
-                min_graph,
+                )
             )
         ]
         labels = perfect_labels(
             min_game, min_graph, deterministic_strategy(min_game, (2,))
         )
         for cs in twisted_colorings(labels, THETAS, seed=11).values():
-            strategies.append(symmetrize(cs, min_graph))
+            strategies.append(symmetrize(cs))
         rng = np.random.default_rng(7)
         for _ in range(2):
-            strategies.append(symmetrize(random_coloring(rng, min_graph, 2), min_graph))
+            strategies.append(symmetrize(random_coloring(rng, min_graph, 2)))
         for sym in strategies:
             report = aggregate_offcolor_estimate(min_graph, sym)
             assert report.slack >= -SLACK_TOL

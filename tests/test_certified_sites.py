@@ -8,7 +8,8 @@ definition, a fault is injected into one side.  The library call must raise
 ``BoundViolation``, and the command must exit 1 naming the report.
 
 The last tests do the same for ``forward_translate``'s check of its own
-output: its failure is a bound violation, not invalid input.
+output and for its rounding of the gadgets' projections: on a validated
+strategy their failure is a bound violation, not invalid input.
 """
 
 import json
@@ -16,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from gadgetgraph import cli, forward, maxcut, reverse, rounding
+from gadgetgraph import cli, forward, linalg, maxcut, reverse, rounding
 from gadgetgraph.errors import BoundViolation
 from gadgetgraph.forward import certify_forward, forward_translate
 from gadgetgraph.games import load_coloring_strategy, load_game, load_game_strategy, save_game, write_strategy_json
@@ -65,7 +66,7 @@ def _reverse(call):
 
 
 def _offcolor(game, graph, cs):
-    aggregate_offcolor_estimate(graph, symmetrize(cs, graph))
+    aggregate_offcolor_estimate(graph, symmetrize(cs))
 
 
 def _plus_one(module, name):
@@ -153,6 +154,21 @@ def test_forward_output_check_failure_is_a_bound_violation(monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("bound violation: coloring PVM at ")
+
+
+def test_forward_rounding_failure_is_a_bound_violation(monkeypatch, capsys, inputs):
+    # At window -1 every spectrum leaves [0, 1] "beyond tolerance", so the
+    # first gadget's rounding fails; the strategy check reads no window.
+    monkeypatch.setattr(linalg, "TOL_SPECTRUM", -1.0)
+    game = load_game(inputs / "game.json")
+    strategy = load_game_strategy(inputs / "strategy.json")
+    message = r"^spectral_projection_half input spectrum \[.*\] leaves \[0,1\] beyond tolerance -1e\+00$"
+    with pytest.raises(BoundViolation, match=message):
+        forward_translate(game, build_graph(game), strategy)
+    assert cli.main([arg.format(root=inputs) for arg in FORWARD_ARGV]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bound violation: spectral_projection_half input spectrum ")
 
 
 def test_forward_still_refuses_invalid_input_with_exit_2(monkeypatch, capsys, inputs, tmp_path):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -337,6 +338,12 @@ def test_random_projection_rank(rng):
     assert reference_projection_defect(p) < 1e-12
 
 
+@pytest.mark.parametrize("rank", [-1, 7])
+def test_random_projection_refuses_a_rank_outside_the_dimension(rng, rank):
+    with pytest.raises(ValidationError, match=f"^rank {rank} out of range for dimension 6$"):
+        random_projection(rng, 6, rank=rank)
+
+
 @settings(max_examples=25, deadline=None)
 @given(d=st.integers(min_value=1, max_value=8), outcomes=st.integers(min_value=1, max_value=5))
 def test_random_pvm_always_valid(d, outcomes):
@@ -485,6 +492,13 @@ def test_an_empty_operator_is_invalid_input(check, shape):
     # It used to fail with a raw numpy ValueError or a ZeroDivisionError.
     with pytest.raises(ValidationError, match=r"^expected a nonempty operator, got shape"):
         check(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 2, 2)])
+def test_an_operator_that_is_not_square_is_invalid_input(shape):
+    message = rf"^expected a square matrix or a \(k, d, d\) stack, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValidationError, match=message):
+        two_norm(np.zeros(shape))
 
 
 def test_a_family_check_makes_as_many_public_calls_at_any_row_count(monkeypatch, rng):

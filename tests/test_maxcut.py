@@ -156,6 +156,11 @@ def test_max3cut_oracles(graph, expected):
     assert max3cut_bruteforce(graph) == expected
 
 
+def test_a_cycle_needs_three_vertices():
+    with pytest.raises(ValidationError, match="^a simple cycle needs at least 3 vertices, got 2$"):
+        cycle_graph(2)
+
+
 def test_max3cut_guard():
     big = SimpleGraph(BRUTE_FORCE_LIMIT + 1, ())
     with pytest.raises(ValidationError, match="exhaustive"):
@@ -413,6 +418,11 @@ def test_unitary_from_a_stacked_pvm(rng):
     mats = pvm_from_unitary(u)
     assert np.array_equal(unitary_from_pvm(np.stack(mats)), unitary_from_pvm(mats))
     assert np.allclose(unitary_from_pvm(np.stack(mats)), u, atol=1e-9)
+
+
+def test_unitary_from_pvm_needs_three_outcomes():
+    with pytest.raises(ValidationError, match="^expected 3 outcomes, got 2$"):
+        unitary_from_pvm([np.eye(2), np.zeros((2, 2))])
 
 
 def test_pvm_from_unitary_rejections():

@@ -1,3 +1,4 @@
+import logging
 import math
 import shutil
 from pathlib import Path
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_diagonal, by_key, named_triangles, reference_diagnostics, reference_name_views, spying
+from helpers import (
+    block_diagonal, by_key, named_triangles, reference_diagnostics, reference_name_views, reference_question_sandwiches,
+    spying,
+)
 from gadgetgraph import forward, reverse
 from gadgetgraph.errors import BoundViolation, ValidationError
 from gadgetgraph.forward import coloring_value, forward_translate
@@ -57,7 +61,7 @@ def game_labels(which, request):
 
 def test_symmetrize_block_structure(rng, min_graph):
     cs = random_coloring(rng, min_graph, 2)
-    sym = symmetrize(cs, min_graph)
+    sym = symmetrize(cs)
     assert sym.d == 12
     assert sym.keys == cs.keys
     name = cs.keys[0]
@@ -71,28 +75,34 @@ def test_symmetrize_block_structure(rng, min_graph):
 def test_symmetrize_preserves_value(rng, min_graph):
     cs = random_coloring(rng, min_graph, 3)
     before = coloring_value(min_graph, cs).value
-    after = coloring_value(min_graph, symmetrize(cs, min_graph)).value
+    after = coloring_value(min_graph, symmetrize(cs)).value
     assert after == pytest.approx(before, abs=1e-10)
 
 
-def test_a_symmetrization_is_held_on_its_coloring(monkeypatch, rng, min_game, min_graph):
+def test_a_symmetrization_is_held_on_its_coloring(monkeypatch, rng, min_graph):
     cs = random_coloring(rng, min_graph, 2)
     sym = symmetrize(cs)
-    takes, scores = [], []
+    takes = []
     monkeypatch.setattr(np, "take", spying(takes, np.take))
-    monkeypatch.setattr(forward, "_overlaps", spying(scores, forward._overlaps))
     assert symmetrize(cs) is sym and takes == []
-    # Given a graph, the drift check scores both sides once, then reads them.
-    assert symmetrize(cs, min_graph) is sym and len(scores) == 2
-    assert symmetrize(cs, min_graph) is sym and len(scores) == 2
-    # Another graph: both values are scored on it, and the output is kept.
-    other = build_graph(min_game)
-    assert symmetrize(cs, other) is sym and len(scores) == 4 and takes == []
-    assert coloring_value(other, cs) is coloring_value(other, cs)
-    # A hit never hides a drift: the check runs on every call.
+    # Another coloring is symmetrized anew, and the first keeps its own.
+    assert symmetrize(random_coloring(rng, min_graph, 2)) is not sym and len(takes) == 1
+    assert symmetrize(cs) is sym and len(takes) == 1
+
+
+@pytest.mark.parametrize("entry", [certify_reverse_lemmas, reverse_translate])
+def test_the_drift_check_runs_on_every_call(monkeypatch, min_game, min_graph, entry):
+    cs = perfect_coloring(min_game, min_graph)
+    scores = []
+    monkeypatch.setattr(forward, "_overlaps", spying(scores, forward._overlaps))
+    entry(min_game, min_graph, cs)
+    assert len(scores) == 2  # the input and its symmetrization, each scored once and held
+    # A hit never hides a drift: the check reads the held values on every call.
     monkeypatch.setattr(reverse, "SYMMETRIZE_TOL", -1.0)
-    with pytest.raises(BoundViolation, match="symmetrization moved the coloring value"):
-        symmetrize(cs, min_graph)
+    for _ in range(2):
+        with pytest.raises(BoundViolation, match="^symmetrization moved the coloring value from 1.0 to 1.0$"):
+            entry(min_game, min_graph, cs)
+    assert len(scores) == 2
 
 
 def test_control_sandwiches_are_held_on_the_symmetrized_coloring(monkeypatch, rng, min_graph):
@@ -132,7 +142,7 @@ def test_diagnostics_reject_color_dependent_input(rng, min_graph):
 
 
 def test_diagnostics_vanish_on_perfect(min_game, min_graph):
-    sym = symmetrize(perfect_coloring(min_game, min_graph), min_graph)
+    sym = symmetrize(perfect_coloring(min_game, min_graph))
     diag = compute_diagnostics(min_graph, sym)
     assert diag.theta.shape == (min_graph.n_edges,)
     assert diag.zeta.shape == diag.eta.shape == (len(list(named_triangles(min_graph))),)
@@ -160,7 +170,7 @@ def test_diagnostics_are_local_to_the_disturbed_cell(min_game, min_graph):
 
     pvms = {v: list(mats) for v, mats in by_key(base).items()}
     pvms[target] = [rot @ p @ rot.conj().T for p in pvms[target]]
-    disturbed = symmetrize(ColoringStrategy(d=base.d, pvms=pvms), min_graph)
+    disturbed = symmetrize(ColoringStrategy(d=base.d, pvms=pvms))
     diag = compute_diagnostics(min_graph, disturbed)
 
     labels = [label for label, _ in named_triangles(min_graph)]
@@ -247,7 +257,7 @@ def test_control_compressions_scalar_case(min_game, min_graph):
 
 
 def test_control_compressions_exact_on_symmetrized_perfect(min_game, min_graph):
-    sym = symmetrize(perfect_coloring(min_game, min_graph), min_graph)
+    sym = symmetrize(perfect_coloring(min_game, min_graph))
     cc = control_compressions(sym)
     total = sum(by_key(cc)[perm] for perm in PERM3)
     assert total.shape == (6, 1, 1)
@@ -378,7 +388,6 @@ def test_reverse_rejects_cross_game(min_game, tri_graph, min_graph, tri_game):
 
 COVERAGE_CHECKS = {
     "coloring_value": lambda game, graph, cs: coloring_value(graph, cs),
-    "symmetrize": lambda game, graph, cs: symmetrize(cs, graph),
     "compute_diagnostics": lambda game, graph, cs: compute_diagnostics(graph, cs),
     "certify_reverse_lemmas": certify_reverse_lemmas,
     "reverse_translate": reverse_translate,
@@ -434,12 +443,35 @@ def test_a_reverse_command_symmetrizes_and_compresses_once(monkeypatch, tmp_path
     assert len(built) == 1 and len(compressed) == 1  # one symmetrization, one set of sandwiches
 
 
+def test_each_question_is_logged_at_info(caplog, tri_game, tri_graph):
+    labels = perfect_labels(tri_game, tri_graph, triangle_strategy())
+    cs = twisted_colorings(labels, (0.1,), seed=3)[0.1]
+    with caplog.at_level(logging.INFO, logger=reverse.log.name):
+        reports = certify_reverse_lemmas(tri_game, tri_graph, cs)
+        reverse_translate(tri_game, tri_graph, cs)
+    lines = [r.getMessage() for r in caplog.records if r.name == reverse.log.name]
+    implicit = [r for r in reports if math.isinf(r.rhs)]
+    families = ("sum defect", "projection defect", "cross products")
+    assert len(implicit) == 3 * tri_game.n and len(lines) == 4 * tri_game.n
+    # The lhs-only values, question by question, as reported; then translate's line per question.
+    for line, report, (x, family) in zip(lines, implicit, [(x, f) for x in (1, 2, 3) for f in families]):
+        assert report.context == f"sandwich family {family} (question {x}; lhs only)"
+        assert line == f"question {x}: sandwich family {family} {report.lhs:.12g}"
+    sym = symmetrize(cs)
+    cc = control_compressions(sym)
+    for x, line in enumerate(lines[len(implicit):], start=1):
+        head, value = line.rsplit(" ", 1)
+        assert head == f"question {x}: sandwich sum max eigenvalue"
+        blocks = sum(reference_question_sandwiches(tri_graph, sym, cc, x, tri_game.m))  # (6, d, d)
+        assert float(value) == pytest.approx(max(np.linalg.eigvalsh(b).max() for b in blocks), rel=1e-11)
+
+
 # ---------------------------------------------------------------------------
 # aggregate off-color estimate
 
 
 def test_aggregate_perfect_is_sharp(min_game, min_graph):
-    sym = symmetrize(perfect_coloring(min_game, min_graph), min_graph)
+    sym = symmetrize(perfect_coloring(min_game, min_graph))
     report = aggregate_offcolor_estimate(min_graph, sym)
     assert report.lhs == 0.0 and report.rhs == 0.0
 
@@ -447,7 +479,7 @@ def test_aggregate_perfect_is_sharp(min_game, min_graph):
 def test_aggregate_on_twisted(min_game, min_graph):
     labels = perfect_labels(min_game, min_graph, deterministic_strategy(min_game, (2,)))
     for cs in twisted_colorings(labels, (0.25,), seed=3).values():
-        sym = symmetrize(cs, min_graph)
+        sym = symmetrize(cs)
         report = aggregate_offcolor_estimate(min_graph, sym)
         assert report.slack >= -1e-9
         assert report.lhs > 0.0
