@@ -88,7 +88,8 @@ def cmd_compile(args) -> int:
     for fmt, suffix in (("json", ".graph.json"), ("dot", ".dot")):
         if args.format in (fmt, "both"):
             target = Path(base + suffix)
-            target.write_text(export_graph(graph, fmt))
+            with target.open("w") as fh:
+                export_graph(graph, fmt, fh)
             print(f"wrote {target}")
     return 0
 

@@ -319,6 +319,10 @@ def build_graph(game: SyncGame) -> GadgetGraph:
 # ---------------------------------------------------------------------------
 # export
 
+#: Rows of a gadget or edge list rendered and written as one piece of text,
+#: so that no export's text is ever held whole.
+EXPORT_CHUNK = 2048
+
 
 # The JSON text is exactly json.dumps(payload, sort_keys=True, indent=1) of
 # the payload {"edge_count_report", "edges", "gadgets": {"blocks", "delta",
@@ -337,18 +341,20 @@ _ORTHO = '   {\n    "cells": {\n' + _CELL_KEYS + '\n    },\n    "kind": "%s",\n'
 _REST = '   {\n    "edge": [\n     "%s",\n     "%s"\n    ],\n' + _TUPLE + "\n   }"
 
 
-def _fill(template: str, *columns: np.ndarray, sep: str = "", ends: tuple = ("", "")) -> str:
-    """``ends[0] + sep.join(template % row for row in zip(*columns)) +
-    ends[1]`` for object arrays of strs, or "" for none, as one join over a
-    table of the fixed pieces, separators and values."""
-    pieces = template.split("%s")
-    table = np.empty((len(columns[0]), 2 * len(pieces) - 1), dtype=object)
+def _fill(template: str, *columns: np.ndarray, sep: str = ""):
+    """The pieces of ``sep.join(template % row for row in zip(*columns))``
+    for object arrays of strs, nothing for none: one piece per block of at
+    most ``EXPORT_CHUNK`` rows, each one join over a table of the fixed
+    pieces, separators and values."""
+    pieces, rows = template.split("%s"), len(columns[0])
+    table = np.empty((min(rows, EXPORT_CHUNK), 2 * len(pieces) - 1), dtype=object)
     table[:, 0::2] = np.array(pieces, dtype=object)
-    table[1:, 0] = sep + pieces[0]
-    table[:, 1::2] = np.column_stack(columns)
-    if len(table):
-        table[0, 0], table[-1, -1] = ends[0] + pieces[0], pieces[-1] + ends[1]
-    return "".join(table.ravel().tolist())
+    table[:, 0] = sep + pieces[0]
+    for start in range(0, rows, EXPORT_CHUNK):
+        block = table[:rows - start]
+        block[:, 1::2] = np.column_stack([c[start:start + EXPORT_CHUNK] for c in columns])
+        block[0, 0] = sep + pieces[0] if start else pieces[0]
+        yield "".join(block.ravel().tolist())
 
 
 def _lookups(graph: GadgetGraph) -> tuple:
@@ -357,33 +363,36 @@ def _lookups(graph: GadgetGraph) -> tuple:
     return np.array(graph.vertices, dtype=object), numbers
 
 
-def _json_list(template: str, indent: str, *columns: np.ndarray) -> str:
-    """A JSON array of one indented template item per row of ``columns``,
-    closed at ``indent``."""
+def _json_list(template: str, indent: str, *columns: np.ndarray):
+    """The pieces of a JSON array of one indented template item per row of
+    ``columns``, closed at ``indent``."""
     if not len(columns[0]):
-        return "[]"
-    return _fill(template, *columns, sep=",\n", ends=("[\n", "\n" + indent + "]"))
+        yield "[]"
+        return
+    yield "[\n"
+    yield from _fill(template, *columns, sep=",\n")
+    yield "\n" + indent + "]"
 
 
-def _graph_json(graph: GadgetGraph) -> str:
+def _graph_json(graph: GadgetGraph):
     (names, numbers), blocks, orthos = _lookups(graph), graph.block_rows, graph.ortho_rows
     x, alpha = numbers[1 + np.stack(np.divmod(np.arange(len(blocks)), graph.game.m - 2))]
     kinds = np.where(orthos[:, _CELL[(1, 2)]] == _B, "e", "f").astype(object)
     tuples, rest = (numbers[graph.game.losing_table[at]] for at in (graph.ortho_at, graph.rest_at))
     report = json.dumps(asdict(graph.report), sort_keys=True, indent=1).replace("\n", "\n ")
-    return (
-        '{\n "edge_count_report": %s,\n "edges": %s,\n'
-        ' "gadgets": {\n  "blocks": %s,\n  "delta": %s,\n  "orthogonality": %s,\n  "rest": %s\n },\n'
-        ' "vertices": %s\n}\n'
-    ) % (
-        report,
-        _json_list('  [\n   "%s",\n   "%s"\n  ]', " ", names[graph.edge_ids]),
-        _json_list(_BLOCK, "  ", alpha, names[blocks[:, :9]], names[blocks[:, 11:]], x),
-        _json_list('   "%s"', "  ", np.array(DELTA, dtype=object)),
-        _json_list(_ORTHO, "  ", names[orthos[:, :9]], kinds, tuples),
-        _json_list(_REST, "  ", names[graph.rest_rows], rest),
-        _json_list('  "%s"', " ", names),
-    )
+    yield '{\n "edge_count_report": %s,\n "edges": ' % report
+    yield from _json_list('  [\n   "%s",\n   "%s"\n  ]', " ", names[graph.edge_ids])
+    yield ',\n "gadgets": {\n  "blocks": '
+    yield from _json_list(_BLOCK, "  ", alpha, names[blocks[:, :9]], names[blocks[:, 11:]], x)
+    yield ',\n  "delta": '
+    yield from _json_list('   "%s"', "  ", np.array(DELTA, dtype=object))
+    yield ',\n  "orthogonality": '
+    yield from _json_list(_ORTHO, "  ", names[orthos[:, :9]], kinds, tuples)
+    yield ',\n  "rest": '
+    yield from _json_list(_REST, "  ", names[graph.rest_rows], rest)
+    yield '\n },\n "vertices": '
+    yield from _json_list('  "%s"', " ", names)
+    yield "\n}\n"
 
 
 # The DOT text lists one cluster per gadget, in the order of their vertices:
@@ -400,24 +409,30 @@ _DOT_ORTHO = (
 )
 
 
-def _graph_dot(graph: GadgetGraph) -> str:
+def _graph_dot(graph: GadgetGraph):
     (names, numbers), per_x = _lookups(graph), graph.game.m - 2
-    clusters = [_DOT_DELTA % "\n".join(map(_DOT_VERTEX, DELTA))]
+    yield "graph gadget_graph {\n" + _DOT_DELTA % "\n".join(map(_DOT_VERTEX, DELTA))
     for k, row in enumerate(graph.block_rows):
         alpha, x = k % per_x + 1, k // per_x + 1
         members = names[np.concatenate([row[:9][_FIRST_MASK if alpha == 1 else _CHAINED_MASK], row[11:]])]
-        clusters.append(_DOT_BLOCK % (x, alpha, alpha, x, "\n".join(map(_DOT_VERTEX, members))))
+        yield _DOT_BLOCK % (x, alpha, alpha, x, "\n".join(map(_DOT_VERTEX, members)))
     order = np.argsort(graph.ortho_rows[:, _CELL[_ORTHO_OWN[0]]])
     tuples = numbers[graph.game.losing_table[graph.ortho_at[order]]]
-    clusters.append(_fill(_DOT_ORTHO, tuples, tuples, names[graph.ortho_rows[order, :9][:, _ORTHO_MASK]]))
-    edges = _fill('  "%s" -- "%s";\n', names[graph.edge_ids])
-    return "graph gadget_graph {\n%s%s}\n" % ("".join(clusters), edges)
+    yield from _fill(_DOT_ORTHO, tuples, tuples, names[graph.ortho_rows[order, :9][:, _ORTHO_MASK]])
+    yield from _fill('  "%s" -- "%s";\n', names[graph.edge_ids])
+    yield "}\n"
 
 
-def export_graph(graph: GadgetGraph, fmt: str) -> str:
-    """Render the graph as 'dot' or 'json' text; output is byte-deterministic."""
-    if fmt == "json":
-        return _graph_json(graph)
-    if fmt == "dot":
-        return _graph_dot(graph)
-    raise ValidationError(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
+def export_graph(graph: GadgetGraph, fmt: str, out=None):
+    """Render the graph as 'dot' or 'json' text; output is byte-deterministic.
+
+    The text is rendered in pieces of at most ``EXPORT_CHUNK`` rows.  Without
+    ``out`` it is returned as one str; with a text file ``out`` the pieces
+    are written to it as they are rendered, and None is returned.
+    """
+    if fmt not in ("json", "dot"):
+        raise ValidationError(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
+    pieces = _graph_json(graph) if fmt == "json" else _graph_dot(graph)
+    if out is None:
+        return "".join(pieces)
+    out.writelines(pieces)

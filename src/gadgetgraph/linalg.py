@@ -291,7 +291,8 @@ def _window_check(eigs: np.ndarray, tol: float, name) -> tuple:
     axes = tuple(range(1, eigs.ndim))
     low, high = eigs.min(axis=axes), eigs.max(axis=axes)
     return (low < -tol) | (high > 1.0 + tol), lambda i: ValidationError(
-        f"{name(i)} spectrum [{low[i]:.3e}, {high[i]:.3e}] leaves [0,1] beyond tolerance {tol:.0e}"
+        f"{name(i)} spectrum [{low[i]:.3e}, {high[i]:.3e}] leaves [0,1]"
+        f" by {max(-low[i], high[i] - 1.0):.3e}, beyond tolerance {tol:.0e}"
     )
 
 

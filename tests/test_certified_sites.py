@@ -162,7 +162,7 @@ def test_forward_rounding_failure_is_a_bound_violation(monkeypatch, capsys, inpu
     monkeypatch.setattr(linalg, "TOL_SPECTRUM", -1.0)
     game = load_game(inputs / "game.json")
     strategy = load_game_strategy(inputs / "strategy.json")
-    message = r"^spectral_projection_half input spectrum \[.*\] leaves \[0,1\] beyond tolerance -1e\+00$"
+    message = r"^spectral_projection_half input spectrum \[.*\] leaves \[0,1\] by \S+, beyond tolerance -1e\+00$"
     with pytest.raises(BoundViolation, match=message):
         forward_translate(game, build_graph(game), strategy)
     assert cli.main([arg.format(root=inputs) for arg in FORWARD_ARGV]) == 1

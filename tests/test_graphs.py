@@ -1,7 +1,9 @@
+import io
 import json
 import re
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gadgetgraph import cli
+from gadgetgraph import cli, graphs
 from gadgetgraph.errors import ValidationError
 from gadgetgraph.games import SyncGame, game_to_json, load_game
 from gadgetgraph.graphs import (
@@ -413,21 +415,27 @@ def test_dot_export_matches_reference(n, m, p, seed):
     assert same, f"first difference at line {helpers.first_differing_line(text, want)}"
 
 
+def without_gadgets(graph):
+    """``graph`` cut down to no orthogonality gadget: no gadget rows, vertices
+    or edges.  The vertices the gadgets declare are numbered last, so the cut
+    keeps every other id."""
+    kept = graph.n_vertices - 6 * len(graph.ortho_rows)
+    return replace(
+        graph,
+        **EMPTIED["orthos"],
+        vertices=graph.vertices[:kept],
+        edge_ids=graph.edge_ids[(graph.edge_ids < kept).all(axis=1)],
+    )
+
+
 def test_dot_export_with_no_orthogonality_gadgets(min_graph):
     # Every game has e-set gadgets, so the gadget-free graph is cut from the
-    # minimal one: no gadget rows, vertices or edges.  The vertices the
-    # gadgets declare are numbered last, so the cut keeps every other id.
+    # minimal one.
     views = helpers.reference_name_views(min_graph)
     gadget_vertices = {v for o in views.orthos for v in o.cells.values()} - {
         v for b in views.blocks for v in b.cells.values()
     } - set(DELTA)
-    kept = min_graph.n_vertices - len(gadget_vertices)
-    graph = replace(
-        min_graph,
-        **EMPTIED["orthos"],
-        vertices=min_graph.vertices[:kept],
-        edge_ids=min_graph.edge_ids[(min_graph.edge_ids < kept).all(axis=1)],
-    )
+    graph = without_gadgets(min_graph)
     assert graph.vertices == tuple(v for v in min_graph.vertices if v not in gadget_vertices)
     assert graph.edges == tuple(e for e in min_graph.edges if not gadget_vertices & set(e))
     assert len(graph.vertices) == len(min_graph.vertices) - 6 * len(views.orthos)
@@ -452,7 +460,43 @@ def test_dot_export_parses_back(min_graph):
     assert edges == list(min_graph.edges)
 
 
+def reference_text(graph, fmt: str) -> str:
+    if fmt == "dot":
+        return helpers.reference_dot(graph)
+    return json.dumps(helpers.reference_graph_json(graph), sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_export_writes_its_text_in_bounded_pieces(monkeypatch, min_graph, rows):
+    # The cut graph has no orthogonality gadget, so its JSON has an empty
+    # "orthogonality" list and its DOT no gadget cluster; with the direct
+    # edges emptied too, every list that can be empty is, alone and together.
+    monkeypatch.setattr(graphs, "EXPORT_CHUNK", rows)
+    no_rest = EMPTIED["rest_edges"]
+    cases = [
+        min_graph,
+        build_graph(random_game(np.random.default_rng(7), 10, 5, 0.1)),
+        without_gadgets(min_graph),
+        replace(min_graph, **no_rest),
+        replace(without_gadgets(min_graph), **no_rest),
+    ]
+    for graph in cases:
+        for fmt in ("json", "dot"):
+            out = io.StringIO()
+            assert export_graph(graph, fmt, out) is None
+            text = export_graph(graph, fmt)
+            same = out.getvalue() == text == reference_text(graph, fmt)
+            assert same, f"{fmt} export of a {graph.n_vertices}-vertex graph differs from the reference"
+        pieces = []
+        export_graph(graph, "dot", SimpleNamespace(writelines=pieces.extend))
+        assert max(piece.count(" -- ") for piece in pieces) == min(rows, graph.n_edges)
+
+
 def test_export_rejects_unknown_format(min_graph):
+    out = io.StringIO()
+    with pytest.raises(ValidationError, match="format"):
+        export_graph(min_graph, "gml", out)
+    assert out.getvalue() == ""
     with pytest.raises(ValidationError, match="format"):
         export_graph(min_graph, "gml")
 

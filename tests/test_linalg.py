@@ -321,10 +321,24 @@ def test_spectral_projection_half_decomposes_once(monkeypatch, rng):
         keep = np.clip(eigs, 0.0, 1.0) >= 0.5
         expected = vecs[:, keep] @ vecs[:, keep].conj().T
         assert np.array_equal(spectral_projection_half(a), (expected + expected.conj().T) / 2.0)
-    window = r"spectral_projection_half input spectrum \[.*\] leaves \[0,1\] beyond tolerance 1e-09"
+    window = r"spectral_projection_half input spectrum \[.*\] leaves \[0,1\] by \S+, beyond tolerance 1e-09"
     for bad in ([0.0, 0.5, 1.0 + 1e-6], [-1e-6, 0.5, 1.0]):
         with pytest.raises(ValidationError, match=window):
             spectral_projection_half(np.diag(bad))
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.5, 1.0 + 2e-9], [-2e-9, 0.5, 1.0]])
+def test_window_message_shows_how_far_the_spectrum_leaves(bad):
+    # At .3e both spectra print as [0.000e+00, 1.000e+00] or [-2.000e-09,
+    # 1.000e+00]: the top end reads as inside the window.  The distance
+    # printed beside them is what shows the spectrum is out beyond tolerance.
+    with pytest.raises(ValidationError) as info:
+        spectral_projection_half(np.diag(bad))
+    message = str(info.value)
+    assert "1.000e+00] leaves [0,1] by " in message
+    distance = float(re.search(r"leaves \[0,1\] by (\S+), beyond tolerance 1e-09$", message)[1])
+    assert distance == pytest.approx(2e-9, rel=1e-3)
+    assert distance > linalg.TOL_SPECTRUM
 
 
 def test_haar_unitary_is_unitary(rng):

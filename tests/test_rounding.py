@@ -221,7 +221,7 @@ def test_a_batch_raises_for_its_first_failing_item():
 def test_perturb_pvm_names_the_first_input_that_fails():
     good, wide, skew = 0.5 * np.eye(2), np.diag([0.0, 1.5]), np.array([[0.0, 1.0], [0.0, 0.0]])
     assert raised_message(lambda: perturb_pvm([good, wide, skew])) == (
-        "input 2 spectrum [0.000e+00, 1.500e+00] leaves [0,1] beyond tolerance 1e-09"
+        "input 2 spectrum [0.000e+00, 1.500e+00] leaves [0,1] by 5.000e-01, beyond tolerance 1e-09"
     )
     assert raised_message(lambda: perturb_pvm([good, skew, wide])) == (
         "input 2 is not Hermitian: entrywise defect 1.000e+00 > 1e-12"
