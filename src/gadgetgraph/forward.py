@@ -37,7 +37,7 @@ from .games import (
     sync_value,
 )
 from .graphs import _A, _B, _C, _CELL, _CELLS, _ORTHO_SLOTS, GadgetGraph
-from .linalg import _overlaps, _stack_defects, identity, require_pvm_family, trace_product, zero
+from .linalg import _as_table, _overlaps, _pvm_defects, _require_indexed_family, identity, trace_product
 from .rounding import InequalityReport, _perturb_checked_two
 
 #: The PVM tolerance of ``forward_translate``'s check of its own output; a
@@ -52,12 +52,13 @@ GADGET_LOSS_FACTOR = 712.0
 FORWARD_FACTOR = 356.0
 
 
-# The operators of a gadget's colors, by index.  Block (alpha, x) takes sums
-# of the question-x PVM E, each added from zero in outcome order (as sum()
-# adds): low = E_1..E_alpha, low1 = E_1..E_{alpha+1}, high =
-# E_{alpha+1}..E_m, high1 = E_{alpha+2}..E_m, and mid = E_{alpha+1}.  The
-# gadget of (a, b, x, y) takes e_a = E^x_a, e_b = E^y_b, a projection g near
-# e_b with g e_a = 0 exactly, and rest = 1 - e_a - g.
+# The operators of a gadget's colors, by column of its row, which holds
+# their table rows.  Block (alpha, x) takes sums of the question-x PVM E,
+# each added from zero in outcome order (as sum() adds): low = E_1..E_alpha,
+# low1 = E_1..E_{alpha+1}, high = E_{alpha+1}..E_m, high1 = E_{alpha+2}..E_m,
+# and mid = E_{alpha+1}.  The gadget of (a, b, x, y) takes e_a = E^x_a, e_b =
+# E^y_b, a projection g near e_b with g e_a = 0 exactly, and rest = 1 - e_a
+# - g.  Columns _Z and _ONE are zero and one, table rows 0 and 1.
 _Z, _ONE, _LOW, _LOW1, _HIGH, _HIGH1, _MID, _NOT_MID = range(8)
 _E_A, _E_B, _G, _NOT_A, _NOT_B, _REST, _A_G = range(2, 9)
 
@@ -85,17 +86,10 @@ _BLOCK_TEMPLATE = _template(_H1, _H2, _H3) + ((_Z, _HIGH, _LOW), (_Z, _LOW, _HIG
 _ORTHO_TEMPLATES = {"e": _template(_J1, _J2, _J3), "f": _template(_J1, _J3, _J2)}
 
 
-def _gadgets(mask: np.ndarray):
-    """The gadgets of a mask: a slice when it takes them all, so that
-    indexing an operand with it makes no copy, else their indices."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
-
-
 def _check_inputs(game: SyncGame, graph: GadgetGraph, strategy: GameStrategy) -> float:
     _require_compiled_from(graph, game)
     _require_strategy_fits(game, strategy)
-    *_, (defects, _, _) = _stack_defects(strategy.stack[:game.n])  # questions 1..n
-    return float(defects.max())
+    return float(_pvm_defects(*_as_table(strategy.stack[:game.n])).max())  # questions 1..n
 
 
 @_held
@@ -105,23 +99,28 @@ def forward_translate(
     """The coloring strategy of the gadget graph built out of a game
     strategy, as one (V, 3, d, d) stack whose rows are the sorted names.
 
-    Each gadget kind is colored from its template, in put order: the
-    control letters, the rook blocks, then the orthogonality gadgets, whose
-    projections g come from one batched rounding.  A vertex takes the
-    colors of the first slot that names it in that order, where its gadget
-    declares it; every later slot glues a gadget to it and is compared.
-    The coloring is held on the strategy for the game and graph (``_held``).
+    Every color is one of a table of operators: zero, the identity, each
+    outcome E of the strategy and 1 - E, the partial sums of the blocks,
+    and each orthogonality gadget's g, rest and e_a + g, its projections g
+    from one batched rounding.  Each gadget kind is colored from its
+    template, in put order: the control letters, the rook blocks, then the
+    orthogonality gadgets.  A vertex takes the table rows of the first slot
+    that names it in that order, where its gadget declares it; every later
+    slot glues a gadget to it and is compared, by table row and, where the
+    rows differ, by matrix.  The output check measures each table operator
+    once, and the stack is gathered from the table last.  The coloring is
+    held on the strategy for the game and graph (``_held``).
     """
     input_defect = _check_inputs(game, graph, strategy)
     n, m, d = game.n, game.m, strategy.d
-    one, z = identity(d), zero(d)
+    one = identity(d)
     # Assignments reached through different expressions agree only up to the
     # input family's sum-to-identity defect; wiring bugs show up at order 1.
     cross_tol = max(1e-12, 4.0 * np.sqrt(d) * input_defect)
 
     names = sorted(graph.vertices)  # the rows of the output stack
     rank, vertices = graph.rank, graph.vertices
-    stack = np.empty((len(names), 3, d, d), dtype=np.complex128)
+    index = np.full((len(names), 3), -1)  # each vertex's colors, as table rows
 
     # Every slot in put order; the first slot of each vertex declares it.
     control = np.array([_A, _B, _C])
@@ -133,85 +132,86 @@ def forward_translate(
     block_declares = declares[3:3 + blocks.size].reshape(blocks.shape)
     ortho_declares = declares[3 + blocks.size:].reshape(orthos.shape)
 
-    def place(slots, declared, template, operands, tol, gadget) -> None:
+    # The table: zero, one, E^x_a and 1 - E^x_a by (x, a), the sums the
+    # blocks take, low[x - 1, t - 1] = E_1..E_t and high[x - 1, t - 1] =
+    # E_{t+1}..E_m by (x, t) for t in 1..m-1, and every gadget's g, then
+    # rest, then e_a + g.
+    n_orthos, n_outcomes, n_sums = len(orthos), n * m, n * (m - 1)
+    first_e, first_sum, first_gadget = 2, 2 + 2 * n_outcomes, 2 + 2 * n_outcomes + 2 * n_sums
+    table = np.zeros((first_gadget + 3 * n_orthos, d, d), dtype=np.complex128)
+    pvms = strategy.stack[:n]  # question x at row x - 1
+    table[1] = one
+    table[first_e:first_sum] = np.concatenate([pvms, one - pvms]).reshape(-1, d, d)
+    low, high = table[first_sum:first_gadget].reshape(2, n, m - 1, d, d)
+    for t in range(m):  # each sum added from zero in outcome order
+        low[:, t:] += pvms[:, t, None]
+        high[:, :t] += pvms[:, t, None]
+
+    def place(slots, declared, colors, tol, gadget) -> None:
         """Color gadgets of one kind: slot j of gadget k names the vertex
-        ``slots[k, j]`` and takes the operators ``template[j]``, indices
-        into ``operands``, one (G, d, d) array each.  A declared slot writes
-        its vertex; a glued one must agree with it, exactly when ``tol`` is
-        None, and the first that does not, in put order, is named."""
-        for j, colors in enumerate(template):
-            if not declared[:, j].any():
-                continue
-            rows = _gadgets(declared[:, j])
-            for c, op in enumerate(colors):
-                stack[rank[slots[rows, j]], c] = operands[op][rows]
-        failed = np.zeros(slots.shape + (3,), dtype=bool)
-        for j, colors in enumerate(template):
-            if declared[:, j].all():
-                continue
-            rows = _gadgets(~declared[:, j])
-            for c, op in enumerate(colors):
-                held, new = stack[rank[slots[rows, j]], c], operands[op][rows]
-                if tol is None:
-                    failed[rows, j, c] = ~(held == new).all(axis=(-2, -1))
-                else:  # written so that a NaN difference fails too
-                    failed[rows, j, c] = ~(np.abs(held - new).max(axis=(-2, -1)) <= tol)
+        ``slots[k, j]`` and takes the table rows ``colors[k, j]``.  A
+        declared slot writes its vertex; a glued one must agree with it, by
+        table row or else by matrix, exactly when ``tol`` is None, and the
+        first that does not, in put order, is named."""
+        index[rank[slots[declared]]] = colors[declared]
+        differ = np.zeros(colors.shape, dtype=bool)
+        differ[~declared] = index[rank[slots[~declared]]] != colors[~declared]
+        k, j, c = np.nonzero(differ)  # in put order
+        held, new = table[index[rank[slots[k, j]], c]], table[colors[k, j, c]]
+        if tol is None:
+            failed = ~(held == new).all(axis=(-2, -1))
+        else:  # written so that a NaN difference fails too
+            failed = ~(np.abs(held - new).max(axis=(-2, -1)) <= tol)
         if failed.any():
-            k, j, c = np.unravel_index(np.argmax(failed), failed.shape)
+            k, j, c = (at[np.argmax(failed)] for at in (k, j, c))
             raise ValidationError(
                 f"gluing inconsistency at {vertices[slots[k, j]]} ({gadget(k)}, cell {_SLOT_LABELS[j]}, "
                 f"color {c + 1}): two gadgets assign different operators"
             )
 
-    stack[rank[control]] = 0.0  # the control letters come first: color c on letter c
-    stack[rank[control], [0, 1, 2]] = one
+    index[rank[control]] = np.where(np.eye(3, dtype=bool), _ONE, _Z)  # color c on letter c
 
-    pvms = strategy.stack[:n]  # question x at row x - 1
-    low = np.zeros((n, m + 1, d, d), dtype=np.complex128)  # low[:, t]: outcomes 1..t
-    high = np.zeros((n, m + 1, d, d), dtype=np.complex128)  # high[:, s]: outcomes s+1..m
-    for t in range(m):
-        low[:, t + 1] = low[:, t] + pvms[:, t]
-        high[:, :t + 1] += pvms[:, t, None]
     question, alpha = np.divmod(np.arange(len(blocks)), m - 2)  # both 0-based
-    at, after = (question, alpha + 1), (question, alpha + 2)
-    mid = pvms[at]
-    zs, ones = np.broadcast_to(z, mid.shape), np.broadcast_to(one, mid.shape)
+    low_at = first_sum + question * (m - 1) + alpha  # low[question, alpha]
+    mid = first_e + question * m + alpha + 1  # E_{alpha+1} for alpha 1-based
+    columns = (0, 1, low_at, low_at + 1, low_at + n_sums, low_at + n_sums + 1, mid, mid + n_outcomes)
     place(
-        blocks, block_declares, _BLOCK_TEMPLATE,
-        (zs, ones, low[at], low[after], high[at], high[after], mid, one - mid), None,
+        blocks, block_declares, np.stack(np.broadcast_arrays(*columns), axis=1)[:, _BLOCK_TEMPLATE], None,
         lambda k: f"block alpha={alpha[k] + 1} x={question[k] + 1}",
     )
 
     tuples = game.losing_table[graph.ortho_at]
     a, b, x, y = tuples.T - 1
-    e_a, e_b = pvms[x, a], pvms[y, b]
+    e_a, e_b = first_e + x * m + a, first_e + y * m + b  # their table rows
+    g, rest, a_g = table[first_gadget:].reshape(3, n_orthos, d, d)
     try:
-        g = _perturb_checked_two(e_a, e_b)
+        g[:] = _perturb_checked_two(table[e_a], table[e_b])
     except ValidationError as exc:  # its inputs are the validated strategy's, so the rounding is at fault
         raise BoundViolation(str(exc)) from exc
-    not_a = one - e_a
-    zs, ones = np.broadcast_to(z, g.shape), np.broadcast_to(one, g.shape)
-    operands = (zs, ones, e_a, e_b, g, not_a, one - e_b, not_a - g, e_a + g)
+    np.subtract(table[e_a + n_outcomes], g, out=rest)
+    np.add(table[e_a], g, out=a_g)
+    g_at = first_gadget + np.arange(n_orthos)
+    columns = (0, 1, e_a, e_b, g_at, e_a + n_outcomes, e_b + n_outcomes, g_at + n_orthos, g_at + 2 * n_orthos)
+    colors = np.stack(np.broadcast_arrays(*columns), axis=1)
     # The e-set's gadgets come first; their hub q(1,2) is B, the f-set's C.
     n_e = int(np.count_nonzero(orthos[:, _CELL[(1, 2)]] == _B))
-    for start, stop, kind in ((0, n_e, "e"), (n_e, len(orthos), "f")):
+    for start, stop, kind in ((0, n_e, "e"), (n_e, n_orthos, "f")):
         part = slice(start, stop)
         place(
-            orthos[part], ortho_declares[part], _ORTHO_TEMPLATES[kind], [op[part] for op in operands], cross_tol,
+            orthos[part], ortho_declares[part], colors[part][:, _ORTHO_TEMPLATES[kind]], cross_tol,
             lambda k: "orthogonality ({},{},{},{})".format(*tuples[start + k]),
         )
 
-    assigned = np.zeros(len(vertices), dtype=bool)
-    assigned[ids] = True
-    if not assigned.all():
-        raise AssertionError(f"vertices never assigned: {[vertices[v] for v in np.flatnonzero(~assigned)[:5]]}")
+    unassigned = np.flatnonzero(index[:, 0] < 0)  # a vertex takes its three colors at once
+    if len(unassigned):
+        raise AssertionError(f"vertices never assigned: {[names[r] for r in unassigned[:5]]}")
 
     # The one PVM check of the output, tighter than the constructor's.
     try:
-        require_pvm_family(stack, names, tol=FORWARD_PVM_TOL, what="coloring PVM at {}")
+        _require_indexed_family(table, index, names, FORWARD_PVM_TOL, "coloring PVM at {}")
     except ValidationError as exc:  # the input passed its checks, so the output is at fault
         raise BoundViolation(str(exc)) from exc
-    return _prebuilt(ColoringStrategy, d, names, stack)
+    return _prebuilt(ColoringStrategy, d, names, table[index])
 
 
 def _require_compiled_from(graph: GadgetGraph, game: SyncGame) -> None:

@@ -14,18 +14,20 @@ traces are normalized by k*d, spectra range over all blocks, products act
 block by block, and an identity of the block size broadcasts.  Only
 ``as_matrix`` and the strategy constructors keep to d-by-d matrices.
 
-One stack check validates projections and PVMs: ``_stack_defects`` takes
-K PVMs of k outcomes as a (K, k, ...) stack.  ``require_projection`` is its
-1 x 1 case, ``require_pvm`` its K = 1 case, and ``require_pvm_family`` takes
-slices of a strategy's stack, 16 rows each.  An error names the first
-failure in check order (Hermitian, projection, eigenvalue, PVM defect),
-within a check the first failing key, then outcome.
+One check validates projections and PVMs: ``_require_indexed_family``
+takes K PVMs of k outcomes as a (K, k) index into a table of operators and
+measures each operator once.  ``require_pvm_family`` is its identity-index
+case on a stack, 16 rows at a time, ``require_pvm`` its K = 1 case and
+``require_projection`` its 1 x 1 case.  An error names the first failure
+in check order (Hermitian, projection, eigenvalue, PVM defect), within a
+check the first failing key, then outcome.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,7 +114,7 @@ def require_hermitian(m, what: str = "matrix") -> np.ndarray:
 def require_projection(m, what: str = "matrix") -> np.ndarray:
     """Validate a projection: Hermitian, ||P^2-P||_2 small, spectrum on {0,1}."""
     a = _operator(m)
-    _require_stack(a[None, None], lambda key: what, None)
+    _require_indexed_family(*_as_table(a[None, None]), [what], None, "{}")
     return a
 
 
@@ -128,56 +130,62 @@ def require_pvm(mats: Sequence[np.ndarray], what: str = "PVM") -> tuple[np.ndarr
             require_projection(m, what=f"{what} outcome {i + 1}")
         i = ragged[0]
         raise ValidationError(f"{what} outcome {i + 1} has shape {out[i].shape}, expected {shape}")
-    _require_stack(np.stack(out)[None], lambda key: what, TOL_PVM)
+    _require_indexed_family(*_as_table(np.stack(out)[None]), [what], TOL_PVM, "{}")
     return out
 
 
 #: Rows of a PVM stack validated at a time; bounds the memory of a check.
 PVM_CHUNK = 16
 
+_NOT_HERMITIAN = "{} is not Hermitian: entrywise defect {:.3e} > {:.0e}"
+_NOT_PROJECTION = "{} is not a projection: ||P^2-P||_2 = {:.3e} > {:.0e}"
+_OFF_SPECTRUM = "{} has an eigenvalue {:.3e} away from {{0,1}} (tolerance {:.0e})"
+_NOT_PVM = "{} defect {:.3e} > {:.0e}"
+
 
 def require_pvm_family(
     stack: np.ndarray, keys: Sequence, tol: float = TOL_PVM, what: str = "PVM at {!r}"
 ) -> None:
     """Validate every row of a (K, k, *op) stack of K PVMs as ``require_pvm``
-    validates one, row i labelled ``what.format(keys[i])``, 16 rows at a time:
-    each is a slice of the stack, not a copy, and the first that fails raises."""
+    validates one, row i labelled ``what.format(keys[i])``, 16 rows at a
+    time, the first that fails raising: the identity-index case of
+    ``_require_indexed_family``."""
     if not stack.size:
         raise ValidationError(f"expected a nonempty operator, got shape {stack.shape[2:]}")
-    for start in range(0, len(keys), PVM_CHUNK):
-        _require_stack(stack[start:start + PVM_CHUNK], lambda i: what.format(keys[start + i]), tol)
+    _require_indexed_family(*_as_table(stack), keys, tol, what)
 
 
-def _require_stack(stack: np.ndarray, name, tol: float | None) -> None:
-    """Raise the first failure of ``_stack_defects``: in check order, then
-    by key, then by outcome.  ``name(key)`` labels a PVM and "<name> outcome
-    i" its outcomes, unless ``tol`` is None: then each is a lone operator."""
-    for defects, limit, message in _stack_defects(stack, tol):
-        failed = ~(defects <= limit)  # a NaN defect fails too
-        if failed.any():
-            at = np.unravel_index(np.argmax(failed), failed.shape)
-            label = name(at[0])
-            if len(at) == 2 and tol is not None:
-                label = f"{label} outcome {at[1] + 1}"
-            raise ValidationError(message.format(label, defects[at], limit))
+def _as_table(stack: np.ndarray) -> tuple:
+    """(table, index): a (K, k, *op) stack as the (K k, *op) table of its
+    operators and the (K, k) index that lays them out again."""
+    rows, k = stack.shape[:2]
+    return stack.reshape(rows * k, *stack.shape[2:]), np.arange(rows * k).reshape(rows, k)
 
 
-def _stack_defects(stack: np.ndarray, tol: float | None = TOL_PVM):
-    """The checks of a PVM on a (K, k, *op) stack of K PVMs with k outcomes,
-    in the order they run, as (defects, limit, message) triples: the
-    Hermitian, projection and eigenvalue defects per outcome (K, k), then
-    the PVM defect per key (K,), left out when ``tol`` is None.  An outcome
-    ``op`` is a d-by-d matrix or a (b, d, d) block operator, read as the
-    block-diagonal matrix of dimension N = b d: each defect reduces over
-    all of its trailing axes, bit for bit as ``two_norm`` and ``eigvalsh``
-    give it for that matrix.
+def _require_indexed_family(
+    table: np.ndarray, index: np.ndarray, keys: Sequence, tol: float | None, what: str
+) -> None:
+    """Validate the PVM ``table[index[i]]`` of each row i of a (K, k) index
+    into a (U, *op) table of operators as ``require_pvm`` validates one,
+    labelled ``what.format(keys[i])``, without gathering them; with ``tol``
+    None each outcome alone, labelled without it, and no PVM defect.  The
+    first failure raises as if the rows were checked 16 at a time, each
+    chunk in check order (Hermitian, projection, eigenvalue, PVM defect),
+    within a check by row, then by outcome.
 
-    The Hermitian check comes first because any inf or NaN entry fails it,
-    so a consumer that stops at the first failure never hands one to
-    ``eigvalsh``.
+    Each operator is measured once however many rows name it, its
+    eigenvalue defect only when a chunk that names it needs that check;
+    then each row's PVM defect is computed once, for the rows before the
+    first chunk that fails.  No operand holds more than PVM_CHUNK k
+    operators.  An outcome ``op`` is a d-by-d matrix or a (b, d, d) block
+    operator, read as the block-diagonal matrix of dimension N = b d: each
+    defect reduces over all of its trailing axes, bit for bit as
+    ``two_norm`` and ``eigvalsh`` give it for that matrix.  Any inf or NaN
+    entry fails the Hermitian check, which a chunk passes before its
+    eigenvalues or PVM defects are computed.
 
     The eigenvalue check is skipped when the projection defects already
-    pass it, that is when 2 sqrt(N) p <= TOL_EIGENVALUE for the stack's
+    pass it, that is when 2 sqrt(N) p <= TOL_EIGENVALUE for the chunk's
     largest defect p.  For Hermitian H, ||H^2 - H||_F = sqrt(N) ||H^2 - H||_2
     bounds every |lambda (lambda - 1)|, which is at least delta / 2 for an
     eigenvalue at distance delta <= 1/2 from {0, 1} and about delta for a
@@ -187,31 +195,116 @@ def _stack_defects(stack: np.ndarray, tol: float | None = TOL_PVM):
     N TOL_HERMITIAN, which moves ||L^2 - L||_F by about 3 N TOL_HERMITIAN,
     below TOL_EIGENVALUE / 2 up to N = 1,600.
     """
-    d = stack.shape[-1]
-    blocks = stack.reshape(*stack.shape[:2], -1, d, d)
-    # An entry that overflows gives a failing inf or NaN defect, not a warning.
+    d = table.shape[-1]
+    ops = table.reshape(len(table), -1, d, d)
+    step = PVM_CHUNK * index.shape[1]
+    hermitian = np.concatenate([_hermitian_defects(ops[i:i + step]) for i in range(0, len(ops), step)])
+    projection = np.concatenate([_projection_defects(ops[i:i + step]) for i in range(0, len(ops), step)])
+    eigen = np.full(len(ops), np.nan)  # NaN until a chunk needs it
+
+    def failure(defects, limit, message, start):
+        """The error for the first row, then outcome, from row ``start`` on
+        whose defect does not pass ``limit`` (a NaN defect fails too), or
+        None."""
+        failed = ~(defects <= limit)
+        if not failed.any():
+            return None
+        at = np.unravel_index(np.argmax(failed), failed.shape)
+        label = what.format(keys[start + at[0]])
+        if len(at) == 2 and tol is not None:
+            label = f"{label} outcome {at[1] + 1}"
+        return ValidationError(message.format(label, defects[at], limit))
+
+    # A chunk is looked at only if a row fails a per-operator check or
+    # needs the eigenvalue check; the first that fails ends the rows whose
+    # PVM defects are computed.
+    passed = ((hermitian <= TOL_HERMITIAN) & (projection <= TOL_PROJECTION))[index].all(axis=1)
+    settled = 2.0 * math.sqrt(ops.shape[1] * d) * projection[index].max(axis=1) <= TOL_EIGENVALUE
+    starts = np.arange(0, len(keys), PVM_CHUNK)
+    first, end = None, len(keys)
+    for start in starts[~np.logical_and.reduceat(passed & settled, starts)].tolist():
+        rows = index[start:start + PVM_CHUNK]
+        first = failure(hermitian[rows], TOL_HERMITIAN, _NOT_HERMITIAN, start)
+        first = first or failure(projection[rows], TOL_PROJECTION, _NOT_PROJECTION, start)
+        if first is None and not settled[start:start + PVM_CHUNK].all():
+            new = np.unique(rows[np.isnan(eigen[rows])])
+            eigen[new] = _eigen_defects(ops[new])
+            first = failure(eigen[rows], TOL_EIGENVALUE, _OFF_SPECTRUM, start)
+        if first is not None:
+            end = start
+            break
+    if tol is not None:
+        first = failure(_pvm_defects(table, index[:end]), tol, _NOT_PVM, 0) or first
+    if first is not None:
+        raise first
+
+
+# Each defect of a stack of (b, d, d) block operators, one per operator,
+# reduced over its trailing axes.  An entry that overflows gives a failing
+# inf or NaN defect, not a warning.
+
+
+def _hermitian_defects(blocks: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        hermitian = np.abs(blocks - blocks.conj().swapaxes(-1, -2)).max(axis=(-3, -2, -1))
-    yield hermitian, TOL_HERMITIAN, "{} is not Hermitian: entrywise defect {:.3e} > {:.0e}"
+        return np.abs(blocks - blocks.conj().swapaxes(-1, -2)).max(axis=(-3, -2, -1))
+
+
+def _projection_defects(blocks: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        projection = _two_norms(blocks @ blocks - blocks)
-    yield projection, TOL_PROJECTION, "{} is not a projection: ||P^2-P||_2 = {:.3e} > {:.0e}"
-    if 2.0 * math.sqrt(blocks.shape[2] * d) * projection.max() > TOL_EIGENVALUE:
-        eigs = np.linalg.eigvalsh(blocks)
-        off = np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max(axis=(-2, -1))
-        yield off, TOL_EIGENVALUE, "{} has an eigenvalue {:.3e} away from {{0,1}} (tolerance {:.0e})"
-    if tol is None:
-        return
-    k = blocks.shape[1]
+        return _two_norms(blocks @ blocks - blocks)
+
+
+def _eigen_defects(blocks: np.ndarray) -> np.ndarray:
+    """The distance from {0, 1} of each operator's farthest eigenvalue; of
+    finite Hermitian operators only."""
+    eigs = np.linalg.eigvalsh(blocks)
+    return np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max(axis=(-2, -1))
+
+
+def _pvm_defects(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The PVM defect of ``table[index[i]]`` for each row i of a (K, k) index
+    into a (U, *op) table of finite operators: the largest of the
+    sum-to-identity defect and every ||P_i P_j||_2, i < j, as ``two_norm``
+    gives them.  Each distinct row's sum and each distinct pair's product
+    is computed once, PVM_CHUNK k operators to an operand.  A
+    product with an all-zero operator is exactly 0 and is skipped; a
+    non-finite factor, which would make it NaN, fails a caller's Hermitian
+    check before this runs."""
+    k, d = index.shape[1], table.shape[-1]
+    step = PVM_CHUNK * k
+    ops = table.reshape(len(table), -1, d, d)
+    zero = ~table.reshape(len(table), -1).any(axis=1)
+    # A row or a pair repeats only if an operator is named twice.
+    shared = index.size > 0 and np.bincount(index.ravel()).max() > 1
+    distinct, inverse = np.unique(index, axis=0, return_inverse=True) if shared else (index, slice(None))
+    sums = np.empty(len(distinct))
     with np.errstate(over="ignore", invalid="ignore"):
-        total = blocks[:, 0]
-        for i in range(1, k):
-            total = total + blocks[:, i]  # summed in the order sum() adds them
-        worst = _two_norms(total - np.eye(d, dtype=np.complex128))
-        for i in range(k - 1):  # outcome i against every later one
-            products = blocks[:, i:i + 1] @ blocks[:, i + 1:]
-            worst = np.maximum(worst, _two_norms(products).max(axis=1))
-    yield worst, tol, "{} defect {:.3e} > {:.0e}"
+        for i in range(0, len(distinct), step):
+            rows = distinct[i:i + step]
+            total = ops[rows[:, 0]]
+            for j in range(1, k):
+                total = total + ops[rows[:, j]]  # summed in the order sum() adds them
+            sums[i:i + step] = _two_norms(total - np.eye(d, dtype=np.complex128))
+        left, right = _pairs(k)
+        a, b = index[:, left], index[:, right]  # (K, k(k-1)/2): outcome left[p] against right[p]
+        live = ~(zero[a] | zero[b])
+        if shared:
+            codes, at = np.unique(a[live] * len(ops) + b[live], return_inverse=True)
+            a, b = np.divmod(codes, len(ops))
+        else:
+            a, b, at = a[live], b[live], slice(None)
+        norms = np.empty(len(a))
+        for i in range(0, len(a), step):
+            norms[i:i + step] = _two_norms(ops[a[i:i + step]] @ ops[b[i:i + step]])
+    products = np.zeros(live.shape)
+    products[live] = norms[at]
+    return np.maximum(sums[inverse].reshape(-1), products.max(axis=1, initial=0.0))
+
+
+@lru_cache
+def _pairs(k: int) -> tuple:
+    """The outcome pairs i < j of a k-outcome PVM, as two index arrays."""
+    return np.triu_indices(k, 1)
 
 
 def _two_norms(stack: np.ndarray) -> np.ndarray:
@@ -280,10 +373,10 @@ def _raise_first(checks) -> None:
 def _hermitian_check(batch: np.ndarray, name) -> tuple:
     """(n, check) for ``require_hermitian`` of each item, item i labelled
     ``name(i)``; only the first n items, which pass, may go on to ``eigh``."""
-    defects, _, message = next(_stack_defects(batch[:, None], None))
-    failed = ~(defects[:, 0] <= TOL_HERMITIAN)  # a NaN defect fails too
+    defects = _hermitian_defects(batch.reshape(len(batch), -1, *batch.shape[-2:]))
+    failed = ~(defects <= TOL_HERMITIAN)  # a NaN defect fails too
     n = int(np.argmax(failed)) if failed.any() else len(batch)
-    return n, (failed, lambda i: ValidationError(message.format(name(i), defects[i, 0], TOL_HERMITIAN)))
+    return n, (failed, lambda i: ValidationError(_NOT_HERMITIAN.format(name(i), defects[i], TOL_HERMITIAN)))
 
 
 def _window_check(eigs: np.ndarray, tol: float, name) -> tuple:

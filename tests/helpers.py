@@ -45,6 +45,13 @@ by vertex, each unitary with its own QR, phase fix and conjugation, as
 ``instances.random_order3_family`` did before its draws were orthonormalised
 in batches; the batched draw must equal it bit for bit.
 
+``reference_scattered_coloring`` is the assembly ``forward_translate`` ran
+before it colored out of one table of operators: each gadget kind's
+templates scattered into the (V, 3, d, d) stack slot by slot and color by
+color, and every glued slot compared by matrix.  The stack gathered from the
+table must equal its stack bit for bit, and a broken gluing must raise its
+message.
+
 ``reference_forward_translate`` is the vertex-by-vertex translation that
 ``forward_translate`` ran before it colored gadgets by kind from templates:
 each gadget's color triples built as operators, a per-gadget rounding
@@ -72,10 +79,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gadgetgraph.errors import ValidationError
-from gadgetgraph.forward import _vertex_rows
+from gadgetgraph.errors import BoundViolation, ValidationError
+from gadgetgraph.forward import (
+    _BLOCK_PUT_COLUMNS,
+    _BLOCK_TEMPLATE,
+    _ORTHO_TEMPLATES,
+    _SLOT_LABELS,
+    _require_compiled_from,
+    _vertex_rows,
+)
 from gadgetgraph.games import EDGE_PRIOR, LossEntry, PriorDistribution, SyncGame, _require_strategy_fits
-from gadgetgraph.graphs import DELTA, ROOK_PAIRS, q_name, v_name
+from gadgetgraph.graphs import _A, _B, _C, _CELL, DELTA, ROOK_PAIRS, GadgetGraph, q_name, v_name
 from gadgetgraph.linalg import (
     ROOT2,
     TOL_EIGENVALUE,
@@ -91,7 +105,7 @@ from gadgetgraph.linalg import (
     two_norm,
     zero,
 )
-from gadgetgraph.rounding import PERM3, InequalityReport
+from gadgetgraph.rounding import PERM3, InequalityReport, _perturb_checked_two
 
 def by_key(held) -> dict:
     """The rows of ``held.stack`` by key: a strategy's PVMs, a unitary
@@ -1031,6 +1045,101 @@ def reference_forward_translate(game, graph, strategy) -> tuple:
         gadget = "orthogonality ({},{},{},{})".format(*ortho.tup)
         for cell, name in ortho.cells.items():
             put(name, colors[cell], gadget, cell, exact=False)
+    assert assigned.all()
+    return tuple(names), stack
+
+
+def _gadgets(mask: np.ndarray):
+    """The gadgets of a mask: a slice when it takes them all, else their indices."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def reference_scattered_coloring(game, graph: GadgetGraph, strategy) -> tuple:
+    """(names, stack): the coloring of the slot-by-slot scatter, gluings
+    checked, its output not checked."""
+    _require_compiled_from(graph, game)
+    _require_strategy_fits(game, strategy)
+    n, m, d = game.n, game.m, strategy.d
+    pvms = strategy.stack[:n]  # question x at row x - 1
+    input_defect = max(reference_pvm_defect(mats) for mats in pvms)
+    one, z = identity(d), zero(d)
+    cross_tol = max(1e-12, 4.0 * np.sqrt(d) * input_defect)
+
+    names = sorted(graph.vertices)
+    rank, vertices = graph.rank, graph.vertices
+    stack = np.empty((len(names), 3, d, d), dtype=np.complex128)
+
+    control = np.array([_A, _B, _C])
+    blocks = graph.block_rows[:, _BLOCK_PUT_COLUMNS]
+    orthos = graph.ortho_rows[:, :9]
+    ids = np.concatenate([control, blocks.ravel(), orthos.ravel()])
+    declares = np.zeros(len(ids), dtype=bool)
+    declares[np.unique(ids, return_index=True)[1]] = True
+    block_declares = declares[3:3 + blocks.size].reshape(blocks.shape)
+    ortho_declares = declares[3 + blocks.size:].reshape(orthos.shape)
+
+    def place(slots, declared, template, operands, tol, gadget) -> None:
+        for j, colors in enumerate(template):
+            if not declared[:, j].any():
+                continue
+            rows = _gadgets(declared[:, j])
+            for c, op in enumerate(colors):
+                stack[rank[slots[rows, j]], c] = operands[op][rows]
+        failed = np.zeros(slots.shape + (3,), dtype=bool)
+        for j, colors in enumerate(template):
+            if declared[:, j].all():
+                continue
+            rows = _gadgets(~declared[:, j])
+            for c, op in enumerate(colors):
+                held, new = stack[rank[slots[rows, j]], c], operands[op][rows]
+                if tol is None:
+                    failed[rows, j, c] = ~(held == new).all(axis=(-2, -1))
+                else:
+                    failed[rows, j, c] = ~(np.abs(held - new).max(axis=(-2, -1)) <= tol)
+        if failed.any():
+            k, j, c = np.unravel_index(np.argmax(failed), failed.shape)
+            raise ValidationError(
+                f"gluing inconsistency at {vertices[slots[k, j]]} ({gadget(k)}, cell {_SLOT_LABELS[j]}, "
+                f"color {c + 1}): two gadgets assign different operators"
+            )
+
+    stack[rank[control]] = 0.0
+    stack[rank[control], [0, 1, 2]] = one
+
+    low = np.zeros((n, m + 1, d, d), dtype=np.complex128)
+    high = np.zeros((n, m + 1, d, d), dtype=np.complex128)
+    for t in range(m):
+        low[:, t + 1] = low[:, t] + pvms[:, t]
+        high[:, :t + 1] += pvms[:, t, None]
+    question, alpha = np.divmod(np.arange(len(blocks)), m - 2)
+    at, after = (question, alpha + 1), (question, alpha + 2)
+    mid = pvms[at]
+    zs, ones = np.broadcast_to(z, mid.shape), np.broadcast_to(one, mid.shape)
+    place(
+        blocks, block_declares, _BLOCK_TEMPLATE,
+        (zs, ones, low[at], low[after], high[at], high[after], mid, one - mid), None,
+        lambda k: f"block alpha={alpha[k] + 1} x={question[k] + 1}",
+    )
+
+    tuples = game.losing_table[graph.ortho_at]
+    a, b, x, y = tuples.T - 1
+    e_a, e_b = pvms[x, a], pvms[y, b]
+    try:
+        g = _perturb_checked_two(e_a, e_b)
+    except ValidationError as exc:
+        raise BoundViolation(str(exc)) from exc
+    not_a = one - e_a
+    zs, ones = np.broadcast_to(z, g.shape), np.broadcast_to(one, g.shape)
+    operands = (zs, ones, e_a, e_b, g, not_a, one - e_b, not_a - g, e_a + g)
+    n_e = int(np.count_nonzero(orthos[:, _CELL[(1, 2)]] == _B))
+    for start, stop, kind in ((0, n_e, "e"), (n_e, len(orthos), "f")):
+        part = slice(start, stop)
+        place(
+            orthos[part], ortho_declares[part], _ORTHO_TEMPLATES[kind], [op[part] for op in operands], cross_tol,
+            lambda k: "orthogonality ({},{},{},{})".format(*tuples[start + k]),
+        )
+    assigned = np.zeros(len(vertices), dtype=bool)
+    assigned[ids] = True
     assert assigned.all()
     return tuple(names), stack
 

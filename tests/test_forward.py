@@ -1,5 +1,6 @@
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     by_key,
+    raised_message,
     reference_forward_translate,
     reference_name_views,
     reference_perturb_two,
     reference_pvm_defect,
+    reference_scattered_coloring,
     reference_tau,
     spying,
 )
@@ -37,7 +40,7 @@ from gadgetgraph.games import (
     load_game_strategy,
     sync_value,
 )
-from gadgetgraph.graphs import build_graph
+from gadgetgraph.graphs import _B, _C, _CELL, build_graph
 from gadgetgraph.instances import (
     deterministic_strategy,
     minimal_game,
@@ -210,6 +213,50 @@ def test_translation_matches_the_vertex_by_vertex_reference(n, m, d, p, seed):
     assert_same_translation(game, build_graph(game), random_strategy(rng, game, d))
 
 
+def _miswired(graph, spoil: str, k: int):
+    """A copy of ``graph`` with one gluing wired wrong: a block's v(1,2)
+    onto C instead of B, a gadget's q(1,2) onto the other hub, or its
+    q(1,1) onto the answer cell its q(2,2) is glued to."""
+    if spoil == "block" or not len(graph.ortho_rows):
+        rows = graph.block_rows.copy()
+        rows[k % len(rows), _CELL[(1, 2)]] = _C
+        return replace(graph, block_rows=rows)
+    rows, k = graph.ortho_rows.copy(), k % len(graph.ortho_rows)
+    if spoil == "hub":
+        rows[k, _CELL[(1, 2)]] = _B + _C - rows[k, _CELL[(1, 2)]]
+    else:
+        rows[k, _CELL[(1, 1)]] = rows[k, _CELL[(2, 2)]]
+    return replace(graph, ortho_rows=rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=3, max_value=5),
+    d=st.integers(min_value=1, max_value=4),
+    p=st.floats(min_value=0.0, max_value=0.6),
+    spoil=st.sampled_from(["block", "hub", "answer"]),
+    k=st.integers(min_value=0, max_value=10**6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_the_operator_table_matches_the_slot_by_slot_scatter(n, m, d, p, spoil, k, seed):
+    # The stack gathered from the table is the scattered stack bit for bit,
+    # and a gluing wired wrong raises the scatter's message.  A wrong block
+    # gluing always fails; a gadget's may meet equal operators and pass.
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, n, m, p)
+    graph = build_graph(game)
+    strategy = random_strategy(rng, game, d)
+    names, stack = reference_scattered_coloring(game, graph, strategy)
+    cs = forward_translate(game, graph, strategy)
+    assert cs.keys == names and cs.stack.tobytes() == stack.tobytes()
+    miswired = _miswired(graph, spoil, k)
+    want = raised_message(lambda: reference_scattered_coloring(game, miswired, strategy))
+    assert raised_message(lambda: forward_translate(game, miswired, strategy)) == want
+    if spoil == "block" or not len(graph.ortho_rows):
+        assert want.startswith("gluing inconsistency at C (block alpha=")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 NAMED_GAMES = {
     "minimal": minimal_game,
@@ -256,7 +303,7 @@ def test_a_coloring_is_held_on_its_strategy(monkeypatch, rng, min_game, min_grap
     strategy = random_strategy(rng, min_game, 3)
     cs = forward_translate(min_game, min_graph, strategy)
     calls = []
-    monkeypatch.setattr(forward, "_stack_defects", spying(calls, forward._stack_defects))
+    monkeypatch.setattr(forward, "_pvm_defects", spying(calls, forward._pvm_defects))
     assert forward_translate(min_game, min_graph, strategy) is cs
     assert forward_translate(strategy=strategy, game=min_game, graph=min_graph) is cs
     assert calls == []  # a repeat checks nothing and builds nothing
@@ -301,7 +348,7 @@ def test_a_forward_command_translates_and_checks_once(monkeypatch, tmp_path, cap
     from gadgetgraph import cli
 
     checks, built = [], []
-    monkeypatch.setattr(forward, "require_pvm_family", spying(checks, forward.require_pvm_family))
+    monkeypatch.setattr(forward, "_require_indexed_family", spying(checks, forward._require_indexed_family))
     monkeypatch.setattr(forward, "_prebuilt", spying(built, forward._prebuilt))
     for name in ("game.json", "strategy.json"):
         shutil.copy(GOLDEN / name, tmp_path / name)

@@ -28,6 +28,7 @@ from helpers import (
     reference_require_pvm,
     reference_tau,
     reference_uniform_edges,
+    spying,
 )
 from gadgetgraph import forward, games, linalg, maxcut, reverse, rounding
 from gadgetgraph.errors import BoundViolation, ValidationError
@@ -1014,17 +1015,22 @@ def test_package_built_strategies_are_validated_once(monkeypatch, tmp_path, min_
     coloring = forward_translate(min_game, min_graph, strategy)
     write_strategy_json(coloring, tmp_path / "c.json")
     calls, fallbacks, real, real_pvm = [], [], linalg.require_pvm_family, linalg.require_pvm
+    real_indexed = linalg._require_indexed_family
 
     def counting(stack, keys, *args, **kwargs):
         calls.append(len(keys))
         return real(stack, keys, *args, **kwargs)
+
+    def counting_indexed(table, index, keys, *args, **kwargs):
+        calls.append(len(keys))
+        return real_indexed(table, index, keys, *args, **kwargs)
 
     def falling_back(mats, *args, **kwargs):
         fallbacks.append(len(mats))
         return real_pvm(mats, *args, **kwargs)
 
     monkeypatch.setattr(games, "require_pvm_family", counting)
-    monkeypatch.setattr(forward, "require_pvm_family", counting)
+    monkeypatch.setattr(forward, "_require_indexed_family", counting_indexed)
     monkeypatch.setattr(games, "require_pvm", falling_back)
     assert forward_translate(min_game, min_graph, strategy) is coloring
     assert calls == []  # the coloring is held on the strategy: nothing is checked again
@@ -1107,20 +1113,69 @@ def test_family_check_raises_the_per_key_message(monkeypatch, min_game, min_grap
     # mix their counts.
     if case in ("no-outcomes", "mixed-outcomes"):
         return
-    seen, real = [], forward.require_pvm_family
+    seen, real = [], forward._require_indexed_family
 
-    def spoiling(stack, keys, *args, **kwargs):
-        stack = stack.copy()
-        stack[17] = _spoiled(case, stack[17])
-        family = dict(zip(keys, map(list, stack)))
+    def spoiling(table, index, keys, *args, **kwargs):
+        # Vertex 18 takes three new operators, its own spoiled PVM.
+        table = np.concatenate([table, _spoiled(case, table[index[17]])])
+        index = index.copy()
+        index[17] = len(table) - 3 + np.arange(3)
+        family = dict(zip(keys, map(list, table[index])))
         seen.append(_loop_error(family, FORWARD_PVM_TOL, lambda key: f"coloring PVM at {key}"))
-        return real(stack, keys, *args, **kwargs)
+        return real(table, index, keys, *args, **kwargs)
 
     # The input passed, so a failure of the output check is a bound violation, with that message.
-    monkeypatch.setattr(forward, "require_pvm_family", spoiling)
+    monkeypatch.setattr(forward, "_require_indexed_family", spoiling)
     with pytest.raises(BoundViolation) as raised:
         forward_translate(min_game, min_graph, random_strategy(rng, min_game, d))
     assert seen[0] is not None and str(raised.value) == seen[0]
+
+
+@pytest.mark.parametrize("case", list(_BAD_OUTCOME))
+def test_the_indexed_check_raises_as_the_gathered_stack(monkeypatch, case):
+    # 20 PVMs, two 16-row chunks, over one table of shared operators: zero,
+    # the identity and the outcomes of four PVMs.  Each row is the
+    # coordinate PVM of the identity and two zeros or one of the first three
+    # PVMs, its outcomes permuted; the fourth is first named in the second
+    # chunk, and its second outcome is spoiled.  No inf or NaN may reach an
+    # eigensolver, and each operator is measured once.
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def finite_eigvalsh(a):
+        assert np.isfinite(a).all()
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_eigvalsh)
+    d, spoil = _BAD_OUTCOME[case]
+    rng = np.random.default_rng(23)
+    outcomes = [p for _ in range(4) for p in random_pvm(rng, d, 3)]
+    table = np.array([np.zeros((d, d)), np.eye(d), *outcomes], dtype=np.complex128)
+    pvms = [(1, 0, 0)] + [(2 + 3 * i, 3 + 3 * i, 4 + 3 * i) for i in range(4)]
+    picks = [*rng.integers(4, size=16), 4, *rng.integers(5, size=3)]
+    index = np.array([rng.permutation(pvms[i]) for i in picks])
+    keys, what = list(range(1, 21)), "PVM at {}"
+
+    def indexed():
+        return raised_message(lambda: linalg._require_indexed_family(table, index, keys, TOL_PVM, what))
+
+    assert indexed() is None
+    # Shared rows and pairs give the defects of the gathered stack bit for bit.
+    gathered = linalg._pvm_defects(*linalg._as_table(table[index]))
+    assert linalg._pvm_defects(table, index).tobytes() == gathered.tobytes()
+    table[12] = spoil(table[12])
+    want = _loop_error(dict(zip(keys, map(list, table[index]))), TOL_PVM, lambda key: f"PVM at {key}")
+    assert want is not None and int(want.split()[2]) > 16
+    assert raised_message(lambda: linalg.require_pvm_family(table[index], keys, what=what)) == want
+    measured = []
+    monkeypatch.setattr(linalg, "_projection_defects", spying(measured, linalg._projection_defects))
+    assert indexed() == want
+    assert sum(len(ops) for ops, in measured) == len(table)
+    # A row of the first chunk whose outcomes are projections but no PVM,
+    # the identity twice and zero, fails before the second chunk's fault.
+    index[5] = (1, 1, 0)
+    want = _loop_error(dict(zip(keys, map(list, table[index]))), TOL_PVM, lambda key: f"PVM at {key}")
+    assert want.startswith("PVM at 6 defect ")
+    assert indexed() == want
 
 
 def test_an_entry_that_overflows_is_rejected_without_a_warning(tmp_path):

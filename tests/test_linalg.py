@@ -16,6 +16,7 @@ from helpers import (
     reference_pvm_defect,
     reference_require_projection,
     reference_require_pvm,
+    spying,
 )
 from gadgetgraph import linalg
 from gadgetgraph.errors import ValidationError
@@ -24,7 +25,11 @@ from gadgetgraph.linalg import (
     PVM_CHUNK,
     TOL_EIGENVALUE,
     TOL_PROJECTION,
-    _stack_defects,
+    _as_table,
+    _eigen_defects,
+    _hermitian_defects,
+    _projection_defects,
+    _pvm_defects,
     commutator,
     haar_unitary,
     identity,
@@ -81,8 +86,9 @@ def test_commutator_antisymmetry(rng):
 
 
 def hermitian_defect(m) -> float:
-    """The Hermitian defect ``_stack_defects`` gives one operator, a matrix or a block stack."""
-    return float(next(_stack_defects(np.asarray(m, dtype=np.complex128)[None, None]))[0][0, 0])
+    """The Hermitian defect ``_hermitian_defects`` gives one operator, a matrix or a block stack."""
+    a = np.asarray(m, dtype=np.complex128)
+    return float(_hermitian_defects(a.reshape(1, -1, *a.shape[-2:]))[0])
 
 
 def test_require_hermitian_rejects_skew():
@@ -152,7 +158,7 @@ def test_family_defects_match_the_per_member_checks_bit_for_bit(size, b, d, k, s
     rng = np.random.default_rng(seed)
     shape = (d, d) if b is None else (b, d, d)
 
-    def near_pvm():
+    def near_pvm(scale=scale):
         if b is None:
             pvm = random_pvm(rng, d, k)
         else:
@@ -163,34 +169,33 @@ def test_family_defects_match_the_per_member_checks_bit_for_bit(size, b, d, k, s
     keys, pvms = list(family), list(family.values())
     full = np.array(pvms)
     slices = [(start, start + PVM_CHUNK) for start in range(0, size, PVM_CHUNK)]
-    checked = []  # the stacks require_pvm_family checks, with their labels
+    # An exact family of the same shape passes every check, and no norm is
+    # taken of more than 16 rows' worth of operators at once.
+    exact = np.array([near_pvm(0.0) for _ in range(size)])
+    normed = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_require_stack", lambda stack, name, tol: checked.append(
-            (stack, [name(i) for i in range(len(stack))])
-        ))
-        require_pvm_family(full, keys)
-    labels = [[f"PVM at {key!r}" for key in keys[lo:hi]] for lo, hi in slices]
-    assert [names for _, names in checked] == labels
-    for (stack, _), (lo, hi) in zip(checked, slices, strict=True):
-        assert np.shares_memory(stack, full) and np.array_equal(stack, full[lo:hi])
+        mp.setattr(linalg, "_two_norms", spying(normed, linalg._two_norms))
+        require_pvm_family(exact, keys)
+    assert normed and max(len(stack) for stack, in normed) <= PVM_CHUNK * k
+    # Its zero outcomes' products are skipped, and every defect is still the reference's.
+    assert _pvm_defects(*_as_table(exact)).tolist() == [reference_pvm_defect(list(mats)) for mats in exact]
+    blocks = full.reshape(size, k, -1, d, d)
     # Each 16-row slice of the stack, and each PVM alone as require_pvm stacks it.
     for lo, hi in slices + [(i, i + 1) for i in range(size)]:
         members = pvms[lo:hi]
-        stack = full[lo:hi]
-        (herm, *_), (proj, *_), *eigen, (pvm, *_) = _stack_defects(stack)
+        stack = blocks[lo:hi]
+        herm, proj = _hermitian_defects(stack), _projection_defects(stack)
         assert herm.tolist() == [[reference_hermitian_defect(m) for m in mats] for mats in members]
         assert proj.tolist() == [[reference_projection_defect(m) for m in mats] for mats in members]
         eigs = [[np.linalg.eigvalsh(m) for m in mats] for mats in members]
         off = [[float(np.max(np.minimum(np.abs(e), np.abs(e - 1.0)))) for e in row] for row in eigs]
-        if eigen:
-            assert eigen[0][0].tolist() == off
+        if 2.0 * math.sqrt((b or 1) * d) * proj.max() > TOL_EIGENVALUE:
+            assert _eigen_defects(stack).tolist() == off
         else:
-            assert 2.0 * math.sqrt((b or 1) * d) * proj.max() <= TOL_EIGENVALUE
             assert max(map(max, off)) <= TOL_EIGENVALUE
-        assert pvm.tolist() == [reference_pvm_defect(mats) for mats in members]
+        assert _pvm_defects(*_as_table(full[lo:hi])).tolist() == [reference_pvm_defect(mats) for mats in members]
     for mats in family.values():
-        *_, (worst, _, _) = _stack_defects(np.stack(mats)[None])
-        assert worst[0] == reference_pvm_defect(mats)
+        assert _pvm_defects(*_as_table(np.stack(mats)[None]))[0] == reference_pvm_defect(mats)
         assert [hermitian_defect(m) for m in mats] == [reference_hermitian_defect(m) for m in mats]
         # Same verdicts; the messages may differ when two checks fail.
         for check, reference, arg in [(require_pvm, reference_require_pvm, mats)] + [
