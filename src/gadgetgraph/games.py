@@ -571,16 +571,20 @@ _CHUNK = 16
 _MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF  # every bit of a float64 but the sign
 
 
-def _spell_chunk(bits: np.ndarray, template: str) -> list:
+def _spell_chunk(bits: np.ndarray) -> list:
     """The texts of the matrices whose float64 bit patterns are the rows of
-    ``bits``.  Each distinct magnitude is spelled once by ``float.__repr__``;
-    an entry with the sign bit set, ``-0.0`` included, is "-" and its
-    magnitude's spelling, as ``repr`` spells it."""
+    ``bits``, each one ``"".join`` over a table of spellings and separators.
+    Each distinct magnitude is spelled once by ``float.__repr__``; an entry
+    with the sign bit set, ``-0.0`` included, is "-" and its magnitude's
+    spelling, as ``repr`` spells it."""
     magnitudes, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
     spelled = list(map(float.__repr__, magnitudes.view(np.float64).tolist()))
-    table = np.array(spelled + ["-" + text for text in spelled], dtype=object)
-    picks = inverse.reshape(bits.shape) + (bits < 0) * len(spelled)
-    return [template % tuple(floats) for floats in table[picks].tolist()]
+    table = np.array(spelled + ["-" + text for text in spelled] + [_WITHIN_PAIR, _BETWEEN_PAIRS], dtype=object)
+    picks = np.empty((len(bits), 2 * bits.shape[1] - 1), dtype=np.intp)  # floats and separators in turn
+    picks[:, 0::2] = inverse.reshape(bits.shape) + (bits < 0) * len(spelled)
+    picks[:, 1::4] = len(table) - 2  # between re and im
+    picks[:, 3::4] = len(table) - 1  # between one pair and the next
+    return list(map("".join, table[picks].tolist()))
 
 
 def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None:
@@ -617,7 +621,6 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
     order = list(index.values())  # the distinct matrices, in order of first use
     del index
     uses = Counter(firsts)
-    template = _BETWEEN_PAIRS.join(["%s" + _WITHIN_PAIR + "%s"] * (d * d))
     texts: dict = {}
     rendered = 0  # how many of ``order`` have been rendered
 
@@ -625,7 +628,7 @@ def write_strategy_json(strategy: GameStrategy | ColoringStrategy, path) -> None
         nonlocal rendered
         if first not in texts:  # never rendered yet, so the next in order of first use
             chunk = order[rendered : rendered + _CHUNK]
-            texts.update(zip(chunk, _spell_chunk(bits[chunk], template)))
+            texts.update(zip(chunk, _spell_chunk(bits[chunk])))
             rendered += len(chunk)
         uses[first] -= 1
         return texts[first] if uses[first] else texts.pop(first)

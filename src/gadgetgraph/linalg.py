@@ -329,11 +329,13 @@ GATHER_BYTES = 1 << 18
 
 
 def _gathered(stack: np.ndarray, *rows: np.ndarray):
-    """``stack[r]`` for each of equally long index arrays r, in chunks: per
+    """``stack[r]`` for each of equally shaped index arrays r, in chunks: per
     chunk its slice of the indices and one gathered operand per r, each at
-    most GATHER_BYTES.  A row larger than that comes alone, as a view of
-    the stack rather than a copy."""
-    fit = GATHER_BYTES // (stack.itemsize * math.prod(stack.shape[1:]))  # rows per chunk, also of an empty stack
+    most GATHER_BYTES (an index row of shape s gathers prod(s) stack rows).
+    A row larger than that comes alone, as a view of the stack rather than
+    a copy if the index is one-dimensional."""
+    per_row = stack.itemsize * math.prod(stack.shape[1:]) * math.prod(rows[0].shape[1:])
+    fit = GATHER_BYTES // per_row  # index rows per chunk, also of an empty stack
     step = max(fit, 1)
     for start in range(0, len(rows[0]), step):
         part = slice(start, start + step)
@@ -420,30 +422,47 @@ def spectral_projection_half(m) -> np.ndarray:
     is closed on the left, so ties go up. The output B satisfies the certified
     distance bound ||m - B||_2 <= 2*sqrt(2)*||m - m^2||_2, which is asserted.
     """
-    a = _operator(m)
-    out, checks = _spectral_halves(a[None])
-    _raise_first(checks)
+    a = _operator(m)[None]
+    out, checks = _spectral_halves(a)
+    _raise_first(checks + [_spectral_distance(a[:len(out)], out)])
     return out[0]
 
 
 def _spectral_halves(batch: np.ndarray) -> tuple:
     """(projections, checks): ``spectral_projection_half`` of the items of a
     (G, *op) batch that pass the Hermitian check, all G but for a failure,
-    with one ``eigh``, and its three checks, to which a caller may add."""
+    with one ``eigh``, and its Hermitian and window checks, to which a
+    caller adds ``_spectral_distance`` of the same items and its own.
+
+    ``eigh`` sorts each block's eigenvalues in ascending order, so a block
+    of rank r keeps its last r eigenvectors.  The blocks of each rank are
+    rebuilt with one product, bit for bit as each block's own ``v[:, keep]
+    @ v[:, keep]ᴴ``; a block of rank 0 is exact zeros."""
     what = "spectral_projection_half input"
     n, hermitian = _hermitian_check(batch, lambda i: what)
     a = batch[:n]
     eigs, vecs = np.linalg.eigh(a)
-    keep = np.clip(eigs, 0.0, 1.0) >= 0.5
     d = a.shape[-1]
-    blocks = zip(vecs.reshape(-1, d, d), keep.reshape(-1, d))  # each keeps its own eigenvectors
-    b = np.array([v[:, k] @ v[:, k].conj().T for v, k in blocks], dtype=np.complex128).reshape(a.shape)
+    ranks = (np.clip(eigs, 0.0, 1.0) >= 0.5).sum(axis=-1).reshape(-1)
+    vecs = vecs.reshape(-1, d, d)
+    b = np.zeros_like(vecs)
+    for r in (np.flatnonzero(np.bincount(ranks)[1:]) + 1).tolist():  # each rank but 0
+        at = np.flatnonzero(ranks == r)
+        kept = vecs[at, :, d - r:]  # a C-ordered copy, as v[:, keep] is
+        b[at] = kept @ kept.conj().swapaxes(-1, -2)
+    b = b.reshape(a.shape)
     b = (b + b.conj().swapaxes(-1, -2)) / 2.0
+    return b, [hermitian, _window_check(eigs, TOL_SPECTRUM, lambda i: what)]
+
+
+def _spectral_distance(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The check of the certified distance ||a - b||_2 <= SPECTRAL_FACTOR
+    ||a - a^2||_2 of each item of a (G, *op) batch and its spectral
+    projection b, as ``_spectral_halves`` gives it."""
     lhs, rhs = _norms(a - b), SPECTRAL_FACTOR * _norms(a - a @ a)
-    too_far = (rhs - lhs < -TOL_SLACK, lambda i: BoundViolation(
+    return rhs - lhs < -TOL_SLACK, lambda i: BoundViolation(
         f"spectral projection distance {lhs[i]:.6e} exceeds 2*sqrt(2)*||A-A^2||_2 = {rhs[i]:.6e}"
-    ))
-    return b, [hermitian, _window_check(eigs, TOL_SPECTRUM, lambda i: what), too_far]
+    )
 
 
 # ---------------------------------------------------------------------------

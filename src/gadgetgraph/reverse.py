@@ -94,6 +94,12 @@ _RHS_EDGES = _slot_columns(_BLOCK_COLUMNS, (((1, 1), (1, 2)), ((2, 1), "C"), ((3
 #: The 30 ordered pairs (p1, p2), p1 != p2, of the six control sandwiches.
 _CROSS_LEFT, _CROSS_RIGHT = np.array([(p1, p2) for p1 in range(6) for p2 in range(6) if p1 != p2]).T
 
+#: _CAYLEY[p, b] is the PERM3 index of sigma_b o pi_p, for pi_p = PERM3[p]
+#: and sigma_b = PERM3[b] read as maps of the colors: on a symmetrized
+#: coloring, block b of the operators of PERM3[p] (its sandwich, its
+#: first color's cells) is block 0 of those of PERM3[_CAYLEY[p, b]].
+_CAYLEY = np.array([[PERM3.index(tuple(sigma[c - 1] for c in pi)) for sigma in PERM3] for pi in PERM3])
+
 
 @_held
 def symmetrize(cs: ColoringStrategy) -> ColoringStrategy:
@@ -311,6 +317,28 @@ def _question_sandwiches(cc: ControlCompressions, cells: np.ndarray) -> np.ndarr
     return (s @ cells @ s).reshape(-1, *s.shape[1:])
 
 
+def _cross_norms(ops: np.ndarray) -> np.ndarray:
+    """[p, q]: ||ops[p] @ ops[q]||_2 for a question's (6m, 6, d, d) sandwich
+    family of a symmetrized coloring, bit for bit as the product of the two
+    stacks gives it.  Block b of ops[6a + p] is block 0 of ops[6a +
+    _CAYLEY[p, b]], so the (6, 6m) products of answer a's six block-0
+    operators with all 6m hold every block of ops[6a + p] @ ops[q]: one
+    answer's products are held at a time, and each pair's six blocks are
+    gathered from them in chunks of at most GATHER_BYTES."""
+    count = len(ops)
+    first = ops[:, 0]
+    at = np.arange(count)
+    blocks = at[:, None] - at[:, None] % 6 + _CAYLEY[at % 6]  # (6m, 6): ops[p]'s blocks as rows of first
+    out = np.empty((count, count))
+    for a in range(0, count, 6):
+        products = (first[a:a + 6, None] @ first[None, :]).reshape(-1, *first.shape[1:])
+        pairs = ((blocks[a:a + 6, None] - a) * count + blocks[None, :]).reshape(-1, 6)
+        rows = out[a:a + 6].reshape(-1)  # a view: [6p' + q] is out[a + p', q]
+        for part, (gathered,) in _gathered(products, pairs):
+            rows[part] = _two_norms(gathered)
+    return out
+
+
 def _answer_cells(cs: ColoringStrategy, rows: np.ndarray) -> np.ndarray:
     """P_{i,vhat(a,x)} for every answer a and permutation (i, j, k), as an
     (m, 6, 6, d, d) stack, from the stack rows of v̂(1, x), ..., v̂(m, x)."""
@@ -364,7 +392,7 @@ def certify_reverse_lemmas(
             )
         ops = _question_sandwiches(cc, target)
         total = sum(ops)
-        cross = np.stack([_two_norms(op @ ops) for op in ops])  # [p, q]: ||ops[p] @ ops[q]||_2
+        cross = _cross_norms(ops)
         implicit += [
             (x, "sandwich family sum defect", two_norm(one - total)),
             (x, "sandwich family projection defect", math.fsum(_two_norms(ops @ ops - ops).tolist())),

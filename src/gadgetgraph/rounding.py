@@ -23,6 +23,7 @@ from .linalg import (
     _norms,
     _raise_first,
     _require_contractions,
+    _spectral_distance,
     _spectral_halves,
     _two_norms,
     identity,
@@ -30,7 +31,6 @@ from .linalg import (
     require_positive_contraction,
     require_projection,
     require_pvm,
-    spectral_projection_half,
     two_norm,
 )
 
@@ -223,9 +223,11 @@ def _perturb_checked_two(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     projections the package has validated, such as a ``GameStrategy``'s
     outcomes: one ``eigh``, and the first item that fails a bound raised."""
     comp = identity(pa.shape[-1]) - pa
-    out, checks = _spectral_halves(comp @ pb @ comp)
+    squeezed = comp @ pb @ comp
+    out, checks = _spectral_halves(squeezed)
     n = len(out)  # all G, unless an item fails the Hermitian check
     pa, pb = pa[:n], pb[:n]
+    checks.append(_spectral_distance(squeezed[:n], out))
     ortho = _norms(pa @ out)
     lhs, rhs = _norms(pb - out), PERTURB_TWO_FACTOR * _norms(pa @ pb)
     checks.append((ortho > 1e-10, lambda i: BoundViolation(
@@ -271,15 +273,25 @@ def perturb_pvm_with_reports(mats):
     count = len(inputs)
     one = np.broadcast_to(identity(inputs.shape[-1]), inputs[0].shape).copy()
 
-    outs, total = [], 0  # total: sum(outs), added in the order sum() adds them
+    # Step k rounds steps[k] into outs[k].  Its Hermitian and window checks
+    # run at once; the distance bounds of all steps run in one batch, and
+    # before a later step's failure, so the first failure is a per-step loop's.
+    steps, outs = np.empty((2, count - 1, *one.shape), dtype=np.complex128)
+    total = 0  # sum(outs[:k]), added in the order sum() adds them
     for k in range(count - 1):
         comp = one - total
-        outs.append(spectral_projection_half(comp @ inputs[k] @ comp if k else inputs[0]))
-        total = total + outs[-1]
-    outs.append(one - total if outs else one)
+        steps[k] = comp @ inputs[k] @ comp if k else inputs[0]
+        out, checks = _spectral_halves(steps[k:k + 1])
+        if any(failed.any() for failed, _ in checks):
+            _raise_first([_spectral_distance(steps[:k], outs[:k])])
+            _raise_first(checks)
+        outs[k] = out[0]
+        total = total + outs[k]
+    _raise_first([_spectral_distance(steps, outs)])
+    outs = np.concatenate([outs, (one - total)[None]])
 
     # The distances and own defects at once, the cross norms one input at a time.
-    distances = _norms(np.stack(outs) - inputs).tolist()
+    distances = _norms(outs - inputs).tolist()
     owns = _norms(inputs @ inputs - inputs).tolist()
     sum_defect = two_norm(one - sum(inputs))
     reports = []

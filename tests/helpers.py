@@ -67,6 +67,15 @@ by.  ``reference_diagnostics`` is the name- and label-keyed code
 ``compute_diagnostics`` ran before it read the id tables: it walks the
 named triangles and prisms of the gadget handles (``named_triangles``,
 ``named_prisms``) and looks theta up by name pair.
+
+``reference_spectral_halves``, ``reference_rounding_steps`` and
+``reference_cross_norms`` are the spectral rounding and the sandwich cross
+products as they ran before they were batched: each block's projection
+rebuilt on its own from the eigenvectors it keeps, the rounding loop
+calling ``spectral_projection_half`` step by step (so a step's distance
+bound raises before the next step runs), and the cross norms of one
+operator against its whole family at a time.  The batched kernels must
+give their bytes, the sign of a zero included, and their first error.
 """
 
 import json
@@ -96,11 +105,13 @@ from gadgetgraph.linalg import (
     TOL_PROJECTION,
     TOL_PVM,
     _operator,
+    _two_norms,
     commutator,
     identity,
     require_hermitian,
     require_projection,
     require_pvm,
+    spectral_projection_half,
     trace_product,
     two_norm,
     zero,
@@ -967,6 +978,37 @@ def reference_rounding_reports(inputs, outs) -> list:
             rhs = 19.0 * history + 2.0 * ROOT2 * own
         reports.append((f"rounded outcome {i} of {count}", distances[idx], rhs))
     return reports
+
+
+def reference_spectral_halves(batch) -> np.ndarray:
+    """``spectral_projection_half`` of each item of a (G, *op) batch of
+    Hermitian operators, each block's projection rebuilt on its own from the
+    eigenvectors whose clamped eigenvalue is at least 1/2."""
+    eigs, vecs = np.linalg.eigh(batch)
+    keep = np.clip(eigs, 0.0, 1.0) >= 0.5
+    d = batch.shape[-1]
+    blocks = zip(vecs.reshape(-1, d, d), keep.reshape(-1, d))
+    b = np.array([v[:, k] @ v[:, k].conj().T for v, k in blocks], dtype=np.complex128).reshape(batch.shape)
+    return (b + b.conj().swapaxes(-1, -2)) / 2.0
+
+
+def reference_rounding_steps(inputs) -> list:
+    """The outcomes ``perturb_pvm`` rounds a (count, *op) array of positive
+    contractions to, before its reports and its PVM check: each step rounded
+    and checked by ``spectral_projection_half`` before the next."""
+    one = np.broadcast_to(identity(inputs.shape[-1]), inputs[0].shape).copy()
+    outs, total = [], 0
+    for k in range(len(inputs) - 1):
+        comp = one - total
+        outs.append(spectral_projection_half(comp @ inputs[k] @ comp if k else inputs[0]))
+        total = total + outs[-1]
+    return outs + [one - total]
+
+
+def reference_cross_norms(ops) -> np.ndarray:
+    """[p, q]: ||ops[p] @ ops[q]||_2 of a (6m, 6, d, d) sandwich family, one
+    operator against the whole family at a time."""
+    return np.stack([_two_norms(op @ ops) for op in ops])
 
 
 def reference_perturb_two(pa, pb) -> np.ndarray:

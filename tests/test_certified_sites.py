@@ -7,6 +7,10 @@ rhs factor is patched to 0, or, where the rhs is 0 (or a tolerance) by
 definition, a fault is injected into one side.  The library call must raise
 ``BoundViolation``, and the command must exit 1 naming the report.
 
+The spectral distance bound of ``spectral_projection_half`` is checked for
+all of a rounding's steps in one batch, so its cases also compare the first
+failure with that of a per-step loop (``helpers.reference_rounding_steps``).
+
 The last tests do the same for ``forward_translate``'s check of its own
 output and for its rounding of the gadgets' projections: on a validated
 strategy their failure is a bound violation, not invalid input.
@@ -31,8 +35,11 @@ from gadgetgraph.instances import (
     triangle_strategy,
     twisted_colorings,
 )
+from gadgetgraph.linalg import spectral_projection_half
 from gadgetgraph.maxcut import complete_graph, load_simple_graph, roots_identity_check, value_bridge
 from gadgetgraph.reverse import aggregate_offcolor_estimate, certify_reverse_lemmas, reverse_translate, symmetrize
+from gadgetgraph.rounding import perturb_pvm
+from helpers import reference_rounding_steps
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +74,15 @@ def _reverse(call):
 
 def _offcolor(game, graph, cs):
     aggregate_offcolor_estimate(graph, symmetrize(cs))
+
+
+def _question_family(root):
+    """The 18 sandwiched answer cells of question 1 of the twisted coloring,
+    which ``reverse_translate`` rounds first."""
+    game = load_game(root / "triangle.json")
+    graph = build_graph(game)
+    sym, rows = reverse._symmetrized(game, graph, load_coloring_strategy(root / "coloring.json"))
+    return reverse._question_sandwiches(reverse.control_compressions(sym), reverse._answer_cells(sym, rows[0]))
 
 
 def _plus_one(module, name):
@@ -113,6 +129,18 @@ SITES = [
         _reverse(reverse_translate), REVERSE_ARGV, "rounded outcome 1 of 18",
     ),
     (
+        "spectral distance", _zero(linalg, "SPECTRAL_FACTOR"),
+        lambda root: spectral_projection_half(_question_family(root)[0]), REVERSE_ARGV, "spectral projection distance",
+    ),
+    (
+        "spectral distance in a rounding", _zero(linalg, "SPECTRAL_FACTOR"),
+        lambda root: perturb_pvm(_question_family(root)), REVERSE_ARGV, "spectral projection distance",
+    ),
+    (
+        "spectral distance in reverse", _zero(linalg, "SPECTRAL_FACTOR"),
+        _reverse(reverse_translate), REVERSE_ARGV, "spectral projection distance",
+    ),
+    (
         "roots identity", _plus_one(maxcut, "unitary_cut_value"),
         lambda root: roots_identity_check(K4, random_order3_family(np.random.default_rng(0), K4, 3)),
         ("maxcut", "{root}/k4.txt", "--trials", "2"), "roots-of-unity identity (worst at aggregate)",
@@ -141,6 +169,26 @@ def test_a_broken_bound_fires(monkeypatch, capsys, inputs, name, breaks, call, a
     assert cli.main([arg.format(root=inputs) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"bound violation: {context}"), err
+
+
+def test_a_broken_spectral_distance_fails_at_the_per_step_loops_step(monkeypatch, capsys, inputs):
+    # The message carries the step's lhs and rhs, so equal messages name the same step.
+    monkeypatch.setattr(linalg, "SPECTRAL_FACTOR", 0.0)
+    family = _question_family(inputs)
+    with pytest.raises(BoundViolation) as info:
+        reference_rounding_steps(family)
+    expected = str(info.value)
+    assert expected.startswith("spectral projection distance ")
+    for call in (
+        lambda: spectral_projection_half(family[0]),  # step 1 rounds the first input as it is
+        lambda: perturb_pvm(family),
+        lambda: _reverse(reverse_translate)(inputs),
+    ):
+        with pytest.raises(BoundViolation) as info:
+            call()
+        assert str(info.value) == expected
+    assert cli.main([arg.format(root=inputs) for arg in REVERSE_ARGV]) == 1
+    assert capsys.readouterr().err == f"bound violation: {expected}\n"
 
 
 def test_forward_output_check_failure_is_a_bound_violation(monkeypatch, capsys, inputs):

@@ -9,7 +9,8 @@ The round trip is also an exact oracle for any strategy S, lossy or not:
 ``reverse_translate(forward_translate(S))`` is I_6 (x) S, operator by
 operator, with off-diagonal blocks exactly 0, so the recovered value is the
 input's.  It checks the symmetrization, the sandwiches, the rounding and the
-output layout against the input itself.
+output layout against the input itself.  On the same forward outputs every
+reverse lemma's lhs is 0, or within rounding of it.
 """
 
 import re
@@ -26,7 +27,7 @@ from gadgetgraph.games import (
 )
 from gadgetgraph.graphs import build_graph, edge_count_formula
 from gadgetgraph.instances import deterministic_strategy, random_game, random_strategy
-from gadgetgraph.reverse import reverse_translate
+from gadgetgraph.reverse import certify_reverse_lemmas, reverse_translate
 
 SLACK_TOL = 1e-9
 
@@ -118,3 +119,26 @@ def test_the_command_line_round_trip_prints_the_input_value(tmp_path, capsys):
     assert value < 1.0  # lossy
     assert re.search(f"^game value: {cli._fmt(value)}$", capsys.readouterr().out, re.M)
     assert_six_copies(load_game_strategy(tmp_path / "s.coloring.strategy.json"), strategy, 2, 3, 2)
+
+
+def lemma_tol(d: int) -> float:
+    """Allowed lhs of a reverse lemma on a forward output: 36 d u, u = 2^-53,
+    as ``round_trip_tol``.  A margin, not a proof: on 200 random cases (n <=
+    3, m <= 5, d <= 4) the sandwich families' defects stayed within 14.7 d u.
+    Forward colors the control triangle with 1 and 0, so its sandwiches are
+    exact, and every control-sandwich and commutator lhs is exactly 0."""
+    return 36 * d * 2.0**-53
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(min_value=1, max_value=4), **small_games)
+def test_reverse_lemmas_are_exact_on_forward_outputs(n, m, d, seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, n, m)
+    graph = build_graph(game)
+    reports = certify_reverse_lemmas(game, graph, forward_translate(game, graph, random_strategy(rng, game, d)))
+    assert len(reports) == 3 + n * m + 3 * n
+    for report in reports:
+        assert 0.0 <= report.lhs <= lemma_tol(d), (report.context, report.lhs)
+        if report.context.startswith(("control sandwich", "sandwich commutator")):
+            assert report.lhs == 0.0, report.context

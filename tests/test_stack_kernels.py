@@ -10,8 +10,16 @@ rounding bound ``block_tol(d)``.
 
 A second test counts the per-item calls that are left, on two games of the
 same size whose gadget graphs differ in their edge count.
+
+The batched spectral rounding and the sandwich cross products are compared
+by their bytes, the sign of a zero included: each block's projection
+rebuilt from its own kept eigenvectors, the rounding loop that checks every
+step's distance bound before the next step (with faults injected, its first
+error), and the cross norms of one operator against its family at a time.
 """
 
+import itertools
+import math
 from collections import Counter
 from functools import cache
 
@@ -21,7 +29,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gadgetgraph
-from gadgetgraph import linalg, reverse
+from gadgetgraph import linalg, reverse, rounding
+from gadgetgraph.errors import BoundViolation, ValidationError
 from gadgetgraph.forward import _vertex_rows, coloring_value, ortho_gadget_losses
 from gadgetgraph.graphs import _answer_ids, build_graph
 from gadgetgraph.instances import (
@@ -32,10 +41,14 @@ from gadgetgraph.instances import (
     random_strategy,
     triangle_coloring_game,
 )
+from gadgetgraph.linalg import haar_unitary
 from gadgetgraph.reverse import (
+    _CAYLEY,
     _answer_cells,
+    _cross_norms,
     _edge_products,
     _question_sandwiches,
+    _symmetrized,
     certify_reverse_lemmas,
     compute_diagnostics,
     control_compressions,
@@ -45,6 +58,7 @@ from gadgetgraph.rounding import perturb_pvm_with_reports
 from helpers import (
     reference_coloring_value,
     reference_commutator_norms,
+    reference_cross_norms,
     reference_edge_products,
     reference_eta,
     reference_family_norms,
@@ -52,6 +66,8 @@ from helpers import (
     reference_name_views,
     reference_question_sandwiches,
     reference_rounding_reports,
+    reference_rounding_steps,
+    reference_spectral_halves,
 )
 
 
@@ -155,6 +171,121 @@ def test_rounding_reports_match_the_loop_on_matrices(count, d, seed):
     inputs = [random_positive_contraction(rng, d) for _ in range(count)]
     pvm, reports = perturb_pvm_with_reports(inputs)
     assert report_triples(reports) == reference_rounding_reports(inputs, pvm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=8),
+    items=st.integers(min_value=1, max_value=3),
+    blocks=st.sampled_from([None, 1, 3]),
+    ranks=st.sampled_from(["zero", "full", "mixed"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_spectral_halves_match_the_per_block_reconstruction(d, items, blocks, ranks, seed):
+    # Each block's rank is drawn, then that many eigenvalues in [1/2, 1]
+    # (some exactly 1/2, a tie that goes up) and the rest in [0, 1/2).
+    rng = np.random.default_rng(seed)
+    shape = (items,) if blocks is None else (items, blocks)
+    count = math.prod(shape)
+    kept = {"zero": np.zeros(count, int), "full": np.full(count, d), "mixed": rng.integers(0, d + 1, count)}[ranks]
+    mats = []
+    for r in kept.tolist():
+        spectrum = np.concatenate([rng.uniform(0.0, 0.5, d - r), rng.choice([0.5, 0.75, 1.0], r)])
+        u = haar_unitary(rng, d)
+        a = (u * spectrum) @ u.conj().T
+        mats.append((a + a.conj().T) / 2.0)
+    batch = np.array(mats).reshape(*shape, d, d)
+    got, checks = linalg._spectral_halves(batch)
+    assert not any(failed.any() for failed, _ in checks)
+    assert got.shape == batch.shape
+    assert got.tobytes() == reference_spectral_halves(batch).tobytes()
+
+
+def _outcome(call, far: int, skew: int):
+    """What ``call()`` returns, or the type and message of the error it
+    raises, with ``_spectral_halves`` patched: the projection of its call
+    number ``far`` is moved by 10 I, so that step's distance bound fails,
+    and the input of call number ``skew`` is made non-Hermitian."""
+    real, calls = linalg._spectral_halves, itertools.count()
+
+    def faulty(batch):
+        k = next(calls)
+        if k == skew:
+            batch = batch.copy()
+            batch[..., 0, -1] += 1e-3j
+        out, checks = real(batch)
+        return (out + 10.0 * np.eye(batch.shape[-1]) if k == far else out), checks
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_spectral_halves", faulty)
+        patch.setattr(rounding, "_spectral_halves", faulty)
+        try:
+            return call()
+        except (BoundViolation, ValidationError) as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(min_value=1, max_value=7),
+    d=st.integers(min_value=1, max_value=4),
+    blocks=st.sampled_from([None, 3]),
+    far=st.integers(min_value=-1, max_value=6),
+    skew=st.integers(min_value=-1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rounding_raises_the_per_step_loops_first_failure(count, d, blocks, far, skew, seed):
+    # -1, or a step past the last, injects no fault.  A distance failure at
+    # step far comes before a Hermitian failure at any later step skew: the
+    # per-step loop raised it before that step ran.
+    rng = np.random.default_rng(seed)
+    shape = (count,) if blocks is None else (count, blocks)
+    inputs = np.array([random_positive_contraction(rng, d) for _ in range(math.prod(shape))]).reshape(*shape, d, d)
+    want = _outcome(lambda: reference_rounding_steps(inputs), far, skew)
+    got = _outcome(lambda: perturb_pvm_with_reports(inputs), far, skew)
+    if isinstance(want, list):  # no fault fired
+        pvm, reports = got
+        assert np.array(pvm).tobytes() == np.array(want).tobytes()
+        assert report_triples(reports) == reference_rounding_reports(inputs, want)
+    else:
+        assert got == want
+        if 0 <= far < count - 1 and not 0 <= skew <= far:
+            assert want[1].startswith("spectral projection distance ")
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=3, max_value=5),
+    d=st.integers(min_value=1, max_value=4),
+    budget=st.sampled_from([None, 1, 5000]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cross_norms_match_the_per_row_products(n, m, d, budget, seed):
+    # None keeps GATHER_BYTES; 1 byte gathers one pair per chunk, 5000 a few.
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, n, m)
+    graph = build_graph(game)
+    sym, rows = _symmetrized(game, graph, random_coloring(rng, graph, d))
+    cc = control_compressions(sym)
+    for x in range(n):
+        ops = _question_sandwiches(cc, _answer_cells(sym, rows[x]))
+        # block b of ops[6a + p] is block 0 of ops[6a + _CAYLEY[p, b]], bit for bit
+        by_answer = ops.reshape(m, 6, 6, d, d)
+        assert by_answer.tobytes() == by_answer[:, _CAYLEY, 0].tobytes()
+        gathered = []
+
+        def spy(stack):
+            gathered.append(stack.nbytes)
+            return linalg._two_norms(stack)
+
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(linalg, "GATHER_BYTES", budget)
+            patch.setattr(reverse, "_two_norms", spy)
+            assert _cross_norms(ops).tobytes() == reference_cross_norms(ops).tobytes()
+            # no chunk above the budget, but for one pair's six blocks alone
+            assert max(gathered) <= max(linalg.GATHER_BYTES, 6 * ops[0, 0].nbytes)
 
 
 def kernel_calls(monkeypatch, game) -> tuple:

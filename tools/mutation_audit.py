@@ -9,7 +9,10 @@ checkout, and tier-1 runs there with ``-x``:
 
 - every ``raise`` statement becomes ``pass``;
 - every call ``X.require(...)`` becomes ``X``, so an ``InequalityReport``
-  is built but never asserted.
+  is built but never asserted;
+- every check tuple ``(failed, lambda i: error)``, the form the batched
+  checks hand to ``linalg._raise_first``, becomes ``(failed & False,
+  lambda i: error)``, so its items never fail.
 
 A mutant is *killed* when a test fails and *survives* when every test
 passes.  A survivor is a check that no tier-1 test shows firing.  Before the
@@ -45,11 +48,17 @@ def sites(tree: ast.Module) -> list:
             found.append((node.lineno, "raise"))
         elif _is_require(node):
             found.append((node.lineno, "require"))
+        elif _is_check(node):
+            found.append((node.lineno, "check"))
     return sorted(found)
 
 
 def _is_require(node) -> bool:
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "require"
+
+
+def _is_check(node) -> bool:
+    return isinstance(node, ast.Tuple) and len(node.elts) == 2 and isinstance(node.elts[1], ast.Lambda)
 
 
 class _Mutate(ast.NodeTransformer):
@@ -68,6 +77,13 @@ class _Mutate(ast.NodeTransformer):
         if self.kind == "require" and _is_require(node) and node.lineno == self.line and not self.done:
             self.done = True
             return self.visit(node.func.value)
+        return self.generic_visit(node)
+
+    def visit_Tuple(self, node):
+        if self.kind == "check" and _is_check(node) and node.lineno == self.line and not self.done:
+            self.done = True
+            never = ast.BinOp(node.elts[0], ast.BitAnd(), ast.Constant(False))
+            node.elts[0] = ast.copy_location(never, node.elts[0])
         return self.generic_visit(node)
 
 
